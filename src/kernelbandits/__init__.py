@@ -21,8 +21,6 @@ from .design import (
     action_covariance,
     d_optimal_design,
     invert_covariance,
-    mix_distributions,
-    sample_covariance,
     whiten_features,
 )
 from .errors import (

@@ -10,7 +10,6 @@ design over whitened features its smallest eigenvalue is at least gamma / m.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ __all__ = [
     "bandit_round",
     "prepare_bandit_features",
     "run_bandit",
-    "write_round_csv",
 ]
 
 
@@ -201,22 +199,3 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
         records.append(rec)
     return records, state
 
-
-def write_round_csv(records: list[BanditRecord], config: BanditConfig, path) -> None:
-    """Per-round trace with the configuration echoed as '#' JSON lines."""
-    header = {
-        "eta": config.eta, "gamma": config.gamma, "m": config.m,
-        "eps": config.eps, "n": config.n,
-    }
-    lines = ["# " + json.dumps(header)]
-    lines.append("round,action_index,loss,cum_loss,min_eig_sigma,est_norm")
-    cum = 0.0
-    for rec in records:
-        cum += rec.loss
-        est_norm = float(np.linalg.norm(rec.w_hat))
-        lines.append(
-            f"{rec.round},{rec.action_index},{rec.loss:.17g},{cum:.17g},"
-            f"{rec.min_eig_sigma:.17g},{est_norm:.17g}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

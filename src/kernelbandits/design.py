@@ -15,15 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedCovarianceError, InputError, RankDeficiencyError
-from .rng import component_rng
 
 __all__ = [
     "DiscreteDistribution",
     "Covariance",
     "d_optimal_design",
-    "mix_distributions",
     "action_covariance",
-    "sample_covariance",
     "invert_covariance",
     "whiten_features",
     "reduce_to_span",
@@ -112,37 +109,12 @@ def d_optimal_design(features, max_iter: int = 10_000,
     return DiscreteDistribution(w)
 
 
-def mix_distributions(q: DiscreteDistribution, nu: DiscreteDistribution,
-                      gamma: float) -> DiscreteDistribution:
-    """Exploration mixture (1 - gamma) q + gamma nu."""
-    if not 0.0 <= gamma <= 1.0:
-        raise InputError(f"gamma must be in [0, 1], got {gamma}")
-    if len(q) != len(nu):
-        raise InputError("distributions must have equal length")
-    return DiscreteDistribution((1.0 - gamma) * q.weights + gamma * nu.weights)
-
-
 def action_covariance(p: DiscreteDistribution, features) -> Covariance:
     """Exact feature second moment sum_i p_i f_i f_i^T under p."""
     F = _as_feature_array(features)
     if F.shape[0] != len(p):
         raise InputError("distribution and feature counts differ")
     sigma = F.T @ (F * p.weights[:, None])
-    sigma = 0.5 * (sigma + sigma.T)
-    min_eig = float(np.linalg.eigvalsh(sigma)[0])
-    return Covariance(sigma, min_eig)
-
-
-def sample_covariance(p: DiscreteDistribution, features, r: int,
-                      seed: int = 0) -> Covariance:
-    """Monte-Carlo second moment from r i.i.d. draws from p."""
-    if r < 1:
-        raise InputError("r must be >= 1")
-    F = _as_feature_array(features)
-    rng = component_rng(seed, "sample_covariance")
-    idx = rng.choice(F.shape[0], size=r, p=p.weights)
-    chosen = F[idx]
-    sigma = chosen.T @ chosen / r
     sigma = 0.5 * (sigma + sigma.T)
     min_eig = float(np.linalg.eigvalsh(sigma)[0])
     return Covariance(sigma, min_eig)

@@ -163,7 +163,7 @@ def cg_theorem_config(n: int) -> CGConfig:
                     gamma=lambda t: min(1.0, 2.0 / math.sqrt(t)), n=n)
 
 
-def cg_start(kernel: KernelSpec, a1: np.ndarray, cum_dim: int | None = None) -> CGState:
+def cg_start(kernel: KernelSpec, a1: np.ndarray) -> CGState:
     a1 = np.asarray(a1, dtype=float)
     x1 = feature_map(kernel, a1)
     combo = ConvexCombination(a1[None, :], np.array([1.0]))

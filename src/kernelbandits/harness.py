@@ -1,12 +1,16 @@
 """Adversary generators, regret accounting and experiment orchestration.
 
 An adversary materializes its full action schedule before round one
-(obliviousness); regret compares the player's cumulative loss with the best
-single action over the whole horizon, with the partial sums of that one
-action defining the regret curve.  ``final_regret`` is realized regret: the
-losses of the actions actually drawn, so it carries the player's sampling
-noise and can be negative on a single run.  Expected regret is estimated by
-averaging final regrets over seeds, with a standard error attached.
+(obliviousness), so every loss the accounting needs is an entry of one loss
+matrix L[t, j] = <Phi(a_j), w_t> (:func:`kernels.loss_matrix`).  Regret
+compares the player's cumulative loss with the best single action over the
+whole horizon: the best action is the argmin of L's column sums, taken over
+fixed blocks of rows, and that action's column of L, computed in one call,
+gives the partial sums that define the regret curve.  ``final_regret`` is
+realized regret: the losses of the actions actually drawn, so it carries the
+player's sampling noise and can be negative on a single run.  Expected
+regret is estimated by averaging final regrets over seeds, with a standard
+error attached.
 
 For full-information exponential weights the trace also carries
 pseudo-regret, sum_t <p_t, l_t> - min_a L_n(a), the expected loss under each
@@ -27,14 +31,13 @@ import numpy as np
 
 from . import bandit as _bandit
 from . import fullinfo as _fullinfo
-from .design import DiscreteDistribution
 from .errors import InputError
 from .kernels import (
     AdversaryAction,
     KernelSpec,
     RankOne,
     check_norm_bound,
-    loss_vector,
+    loss_matrix,
     validate_points,
 )
 from .proxy import build_proxy, approximation_sup_error
@@ -57,6 +60,8 @@ __all__ = [
     "parse_trace",
     "ball_directions",
 ]
+
+_LOSS_BLOCK_ROWS = 256  # loss-matrix rows summed at a time in best_in_hindsight
 
 
 @dataclass(frozen=True)
@@ -163,11 +168,16 @@ class RegretTrace:
 
 def best_in_hindsight(kernel: KernelSpec, actions: np.ndarray,
                       schedule: list[AdversaryAction]) -> tuple[int, float]:
-    """Exact enumeration of the best fixed action; ties to the lowest index."""
+    """Exact enumeration of the best fixed action; ties to the lowest index.
+
+    The column sums of the loss matrix are accumulated over blocks of
+    ``_LOSS_BLOCK_ROWS`` rounds, so memory stays flat in the horizon.
+    """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     totals = np.zeros(actions.shape[0])
-    for w in schedule:
-        totals += loss_vector(kernel, actions, w)
+    for start in range(0, len(schedule), _LOSS_BLOCK_ROWS):
+        block = schedule[start:start + _LOSS_BLOCK_ROWS]
+        totals += loss_matrix(kernel, actions, block).sum(axis=0)
     idx = int(np.argmin(totals))
     return idx, float(totals[idx])
 
@@ -183,9 +193,7 @@ def build_trace(kernel: KernelSpec, actions: np.ndarray,
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     best_idx, best_total = best_in_hindsight(kernel, actions, schedule)
-    best_per_round = np.array(
-        [loss_vector(kernel, actions[best_idx][None, :], w)[0] for w in schedule]
-    )
+    best_per_round = loss_matrix(kernel, actions[best_idx][None, :], schedule)[:, 0]
     best_cum = np.cumsum(best_per_round)
     losses = np.asarray(losses, dtype=float)
     pseudo = (None if expected_losses is None

@@ -5,6 +5,13 @@ player's point and the adversary's element of the same space.  Linear,
 quadratic and low-degree polynomial kernels carry explicit finite feature
 maps; the Gaussian kernel is infinite dimensional, so adversaries against it
 must be rank-one (an embedded point).
+
+Two vectorized paths carry the numerics.  :func:`feature_matrix` is the one
+explicit embedding, over all rows at once; :func:`feature_map` is its one-row
+case.  :func:`loss_matrix` gives rows of the oblivious adversary's loss
+matrix L[t, j] = <Phi(a_j), w_t>, from one :func:`cross_gram` for rank-one
+actions and one product with :func:`feature_matrix` for explicit ones.
+:func:`loss_vector` stays the direct one-round call of the learners.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ __all__ = [
     "has_feature_map",
     "loss_eval",
     "loss_vector",
+    "loss_matrix",
     "adversary_norm",
     "adversary_feature",
     "make_explicit",
@@ -212,30 +220,33 @@ def _poly_feature_coeffs(spec: KernelSpec, d: int):
 
 
 def feature_map(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
-    """Explicit feature embedding Phi(x).
+    """Explicit feature embedding Phi(x) of one point: the one-row case of
+    :func:`feature_matrix`."""
+    return feature_matrix(spec, np.reshape(x, (1, -1)))[0]
 
+
+def feature_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """Explicit feature embeddings Phi(x_i), one row per point.
+
+    This is the one embedding in the package, computed for all rows at once.
     Linear: identity.  Quadratic: row-major flattening of x x^T followed by
     x, so the Hilbert inner product is the plain dot product of the flattened
     vectors.  Polynomial (degree <= 3): scaled monomial expansion of
     (offset + x.y)^degree.
     """
-    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not has_feature_map(spec):
         raise UnsupportedFeatureMapError(
             f"{spec.variant} kernel has no explicit finite feature map"
         )
+    n, d = pts.shape
     if spec.variant == "linear":
-        return x.copy()
+        return pts.copy()
     if spec.variant == "quadratic":
-        return np.concatenate([np.outer(x, x).ravel(), x])
-    coeffs, powers = _poly_feature_coeffs(spec, x.size)
-    return coeffs * np.prod(x[None, :] ** powers, axis=1)
-
-
-def feature_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
-    """Stacked feature maps, one row per point."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.stack([feature_map(spec, p) for p in pts])
+        outer = (pts[:, :, None] * pts[:, None, :]).reshape(n, d * d)
+        return np.concatenate([outer, pts], axis=1)
+    coeffs, powers = _poly_feature_coeffs(spec, d)
+    return coeffs * np.prod(pts[:, None, :] ** powers, axis=2)
 
 
 def adversary_norm(spec: KernelSpec, w: AdversaryAction) -> float:
@@ -287,15 +298,19 @@ def quadratic_adversary(spec: KernelSpec, A: np.ndarray, b: np.ndarray) -> Expli
     return make_explicit(spec, np.concatenate([A.ravel(), b]))
 
 
+def _require_explicit_losses(spec: KernelSpec) -> None:
+    if not has_feature_map(spec):
+        raise InvalidCombinationError(
+            f"explicit adversary vector is invalid for the {spec.variant} kernel"
+        )
+
+
 def loss_eval(spec: KernelSpec, a: np.ndarray, w: AdversaryAction) -> float:
     """Loss of playing a against adversary action w: <Phi(a), w>."""
     a = np.asarray(a, dtype=float)
     if isinstance(w, RankOne):
         return kernel_eval(spec, a, w.y)
-    if not has_feature_map(spec):
-        raise InvalidCombinationError(
-            f"explicit adversary vector is invalid for the {spec.variant} kernel"
-        )
+    _require_explicit_losses(spec)
     return float(feature_map(spec, a) @ w.w)
 
 
@@ -304,11 +319,26 @@ def loss_vector(spec: KernelSpec, actions: np.ndarray, w: AdversaryAction) -> np
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     if isinstance(w, RankOne):
         return cross_gram(spec, actions, w.y[None, :])[:, 0]
-    if not has_feature_map(spec):
-        raise InvalidCombinationError(
-            f"explicit adversary vector is invalid for the {spec.variant} kernel"
-        )
+    _require_explicit_losses(spec)
     return feature_matrix(spec, actions) @ w.w
+
+
+def loss_matrix(spec: KernelSpec, actions: np.ndarray,
+                schedule: list[AdversaryAction]) -> np.ndarray:
+    """Rows L[t, j] = <Phi(a_j), w_t> of the loss matrix for a stretch of the
+    schedule, one row per adversary action; the schedule may mix rank-one
+    and explicit actions."""
+    actions = np.atleast_2d(np.asarray(actions, dtype=float))
+    rank_one = np.array([isinstance(w, RankOne) for w in schedule], dtype=bool)
+    L = np.empty((rank_one.size, actions.shape[0]))
+    if rank_one.any():
+        Y = np.array([w.y for w in schedule if isinstance(w, RankOne)])
+        L[rank_one] = cross_gram(spec, Y, actions)
+    if not rank_one.all():
+        _require_explicit_losses(spec)
+        W = np.array([w.w for w in schedule if not isinstance(w, RankOne)])
+        L[~rank_one] = W @ feature_matrix(spec, actions).T
+    return L
 
 
 def adversary_feature(spec: KernelSpec, w: AdversaryAction) -> np.ndarray:

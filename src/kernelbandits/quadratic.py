@@ -209,6 +209,8 @@ def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = No
         burn_in = 1000 * d
     if burn_in < 0:
         raise InputError("burn_in must be >= 0")
+    if thin < 1:
+        raise InputError("thin must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
     lam, V = np.linalg.eigh(obj.B)

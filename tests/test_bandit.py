@@ -12,7 +12,6 @@ from kernelbandits.bandit import (
     prepare_bandit_features,
     run_bandit,
     theorem_regret_bound,
-    write_round_csv,
 )
 from kernelbandits.design import DiscreteDistribution, action_covariance, invert_covariance
 from kernelbandits.errors import HorizonTooShortError, PreconditionError
@@ -183,32 +182,25 @@ def test_weight_monotonicity_for_dominated_action():
 
 def test_bit_for_bit_determinism(tmp_path):
     actions, features, nu, cfg = _setup(n=50)
-    from kernelbandits.harness import unit_vector_adversary
+    from kernelbandits.harness import build_trace, emit_trace, unit_vector_adversary
 
     schedule = unit_vector_adversary(3).materialize(50, component_rng(8, "adv"))
-    paths = []
+    runs, traces = [], []
     for run in range(2):
         records, _ = run_bandit(LINEAR, actions, features, nu,
                                 BanditConfig(cfg.eta, cfg.gamma, cfg.m, 0.0, 50),
                                 schedule, component_rng(9, "player"))
+        trace = build_trace(LINEAR, actions, schedule,
+                            np.array([r.loss for r in records]),
+                            np.array([r.action_index for r in records]))
         path = tmp_path / f"run{run}.csv"
-        write_round_csv(records, cfg, path)
-        paths.append(path.read_bytes())
-    assert paths[0] == paths[1]
-
-
-def test_round_csv_schema(tmp_path):
-    actions, features, nu, _ = _setup(n=2000)
-    cfg = BanditConfig(eta=0.01, gamma=0.12, m=features.shape[1], eps=0.0, n=5)
-    w = make_explicit(LINEAR, np.array([0.5, 0.0, 0.0]))
-    records, _ = run_bandit(LINEAR, actions, features, nu, cfg,
-                            [w] * 5, component_rng(10, "player"))
-    path = tmp_path / "trace.csv"
-    write_round_csv(records, cfg, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("# {")
-    assert lines[1] == "round,action_index,loss,cum_loss,min_eig_sigma,est_norm"
-    assert len(lines) == 2 + 5
+        emit_trace(trace, path)
+        runs.append(records)
+        traces.append(path.read_bytes())
+    assert traces[0] == traces[1]
+    for a, b in zip(*runs):
+        assert np.array_equal(a.w_hat, b.w_hat)
+        assert np.array_equal(a.min_eig_sigma, b.min_eig_sigma)
 
 
 def test_hoeffding_inequality_exact():

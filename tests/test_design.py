@@ -8,9 +8,7 @@ from kernelbandits.design import (
     d_optimal_design,
     design_weights_csv,
     invert_covariance,
-    mix_distributions,
     reduce_to_span,
-    sample_covariance,
     whiten_features,
 )
 from kernelbandits.errors import (
@@ -73,18 +71,6 @@ def test_kiefer_wolfowitz_certificate():
         assert lev.max() <= m * (1.0 + 1e-4)
 
 
-def test_mix_distribution_examples():
-    q = DiscreteDistribution(np.array([1.0, 0.0]))
-    nu = DiscreteDistribution(np.array([0.0, 1.0]))
-    assert np.array_equal(mix_distributions(q, nu, 0.0).weights, q.weights)
-    assert np.array_equal(mix_distributions(q, nu, 1.0).weights, nu.weights)
-    assert np.allclose(mix_distributions(q, nu, 0.5).weights, [0.5, 0.5])
-    with pytest.raises(InputError):
-        mix_distributions(q, nu, 1.5)
-    with pytest.raises(InputError):
-        mix_distributions(q, DiscreteDistribution(np.ones(3) / 3), 0.5)
-
-
 def test_action_covariance_examples():
     uni = DiscreteDistribution.uniform(3)
     cov = action_covariance(uni, np.eye(3))
@@ -109,44 +95,6 @@ def test_action_covariance_matches_monte_carlo():
     var = np.einsum("i,ijk->jk", p.weights, outer**2) - exact**2
     se = np.sqrt(np.maximum(var, 0.0) / 10**6)
     assert np.all(np.abs(mc - exact) <= 3.5 * se + 1e-12)
-
-
-def test_sample_covariance_point_mass_and_r1():
-    F = np.array([[1.0, 2.0], [0.5, -1.0]])
-    point = DiscreteDistribution(np.array([1.0, 0.0]))
-    for r in (1, 7, 100):
-        cov = sample_covariance(point, F, r, seed=3)
-        assert np.allclose(cov.matrix, np.outer(F[0], F[0]))
-    uni = DiscreteDistribution.uniform(2)
-    cov = sample_covariance(uni, F, 1, seed=4)
-    assert any(np.allclose(cov.matrix, np.outer(f, f)) for f in F)
-
-
-def test_sample_covariance_concentrates():
-    uni = DiscreteDistribution.uniform(3)
-    F = np.eye(3)
-    hits = 0
-    for seed in range(100):
-        cov = sample_covariance(uni, F, 10**5, seed=seed)
-        dev = np.linalg.norm(cov.matrix - np.eye(3) / 3, ord=2)
-        hits += dev <= 0.02
-    assert hits >= 99
-
-
-def test_sample_covariance_unbiased():
-    rng = component_rng(5, "unbiased")
-    F = rng.standard_normal((6, 2))
-    p = DiscreteDistribution(rng.dirichlet(np.ones(6)))
-    exact = action_covariance(p, F).matrix
-    acc = np.zeros((2, 2))
-    n_seeds = 2000
-    for seed in range(n_seeds):
-        acc += sample_covariance(p, F, 4, seed=seed).matrix
-    mean = acc / n_seeds
-    outer = F[:, :, None] * F[:, None, :]
-    var = np.einsum("i,ijk->jk", p.weights, outer**2) - exact**2
-    se = np.sqrt(np.maximum(var, 0.0) / (4 * n_seeds))
-    assert np.all(np.abs(mean - exact) <= 4.0 * se + 1e-12)
 
 
 def test_invert_covariance_examples():
@@ -181,7 +129,7 @@ def test_mixture_eigenvalue_floor_after_whitening():
         W = whiten_features(F, nu)
         for _ in range(20):
             q = DiscreteDistribution(rng.dirichlet(np.ones(25)))
-            mixed = mix_distributions(q, nu, gamma)
+            mixed = DiscreteDistribution((1 - gamma) * q.weights + gamma * nu.weights)
             cov = action_covariance(mixed, W)
             assert cov.min_eig >= gamma / 4 - 1e-9
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kernelbandits.errors import InputError
+from kernelbandits.errors import InputError, InvalidCombinationError
 from kernelbandits.harness import (
+    _LOSS_BLOCK_ROWS,
     ExperimentConfig,
     FixedAdversary,
     PeriodicAdversary,
@@ -17,6 +18,7 @@ from kernelbandits.harness import (
     unit_vector_adversary,
 )
 from kernelbandits.kernels import (
+    ExplicitVector,
     KernelSpec,
     RankOne,
     loss_vector,
@@ -51,6 +53,31 @@ def test_best_in_hindsight_matches_summation_oracle():
     assert total == pytest.approx(per_action.min(), abs=1e-12)
     # the winner is no worse than every fixed action
     assert np.all(total <= per_action + 1e-12)
+
+    # a schedule longer than two row blocks, mixing rank-one and explicit
+    # actions, against the per-round loss oracle
+    quad = KernelSpec.quadratic(G=2.0)
+    n = 2 * _LOSS_BLOCK_ROWS + 500
+    explicit = rng.standard_normal((n, 12))
+    explicit *= 1.5 / np.linalg.norm(explicit, axis=1)[:, None]
+    schedule = [make_explicit(quad, explicit[t]) if t % 3 == 0 else w
+                for t, w in enumerate(
+                    unit_vector_adversary(3).materialize(n, component_rng(2, "adv")))]
+    oracle = np.stack([loss_vector(quad, actions, w) for w in schedule])
+    per_action = oracle.sum(axis=0)
+    idx, total = best_in_hindsight(quad, actions, schedule)
+    assert idx == int(np.argmin(per_action))
+    assert total == pytest.approx(per_action.min(), abs=1e-9)
+    played = rng.integers(0, 10, size=n)
+    losses = oracle[np.arange(n), played]
+    trace = build_trace(quad, actions, schedule, losses, played)
+    expected = np.cumsum(losses) - np.cumsum(oracle[:, idx])
+    assert np.abs(trace.regret_curve - expected).max() <= 1e-9
+
+    # explicit actions have no meaning under the Gaussian kernel
+    gauss = KernelSpec.gaussian(1.0)
+    with pytest.raises(InvalidCombinationError):
+        best_in_hindsight(gauss, actions, schedule[1:3] + [ExplicitVector(np.zeros(3))])
 
 
 def test_ties_break_to_lowest_index():

@@ -102,6 +102,9 @@ def test_feature_consistency_unit_ball():
             k = kernel_eval(spec, x, y)
             f = feature_map(spec, x) @ feature_map(spec, y)
             assert abs(k - f) <= 1e-10
+        batch = pts[:50, 0]
+        F = feature_matrix(spec, batch)
+        assert np.abs(F @ F.T - gram_matrix(spec, batch)).max() <= 1e-10
 
 
 def test_gram_matrix_examples():

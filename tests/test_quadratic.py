@@ -229,6 +229,9 @@ def test_sampler_validation():
         quad_ew_sample(obj, count=0)
     with pytest.raises(InputError):
         quad_ew_sample(obj, count=1, burn_in=-1)
+    for thin in (0, -1):
+        with pytest.raises(InputError):
+            quad_ew_sample(obj, count=1, burn_in=0, thin=thin)
 
 
 def test_chain_autocorrelation_diagnostic():
