@@ -16,7 +16,6 @@ from .bandit import (
     theorem_regret_bound,
 )
 from .design import (
-    Covariance,
     DiscreteDistribution,
     action_covariance,
     d_optimal_design,
@@ -76,7 +75,6 @@ from .proxy import (
     build_proxy,
     effective_dimension,
     fit_eigendecay,
-    proxy_feature,
     proxy_features,
 )
 from .quadratic import (

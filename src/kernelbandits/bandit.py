@@ -5,7 +5,8 @@ exploration design, plays one action, observes only its loss under the true
 kernel, and reconstructs an estimate of the adversary's proxy-feature vector
 through the inverse covariance of the mixed play distribution.  The
 exploration design keeps that covariance invertible: with the D-optimal
-design over whitened features its smallest eigenvalue is at least gamma / m.
+design over whitened features its smallest eigenvalue is at least gamma / m
+in exact arithmetic.  Rounds check it at gamma / (2m): slack for rounding.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ import numpy as np
 
 from .design import (
     DiscreteDistribution,
+    action_covariance,
     d_optimal_design,
+    invert_covariance,
     reduce_to_span,
     whiten_features,
 )
-from .errors import HorizonTooShortError, IllConditionedCovarianceError, PreconditionError
+from .errors import HorizonTooShortError, PreconditionError
 from .kernels import AdversaryAction, KernelSpec, loss_eval
 from .proxy import EigendecayProfile, SampleBasis, effective_dimension, proxy_features
 from .rng import sample_index
@@ -44,13 +47,22 @@ __all__ = [
 @dataclass(frozen=True)
 class BanditConfig:
     """Schedule parameters: step size, mixing coefficient, proxy dimension,
-    approximation level and horizon.  gamma = 4 eta G^4 m always."""
+    approximation level and horizon.  0 < gamma <= 1; the theorem schedules
+    set gamma = 4 eta G^4 m."""
 
     eta: float
     gamma: float
     m: int
     eps: float
     n: int
+
+    def __post_init__(self):
+        if self.gamma > 1.0:
+            raise HorizonTooShortError(
+                f"mixing coefficient gamma = {self.gamma:.6g} exceeds 1; "
+                f"increase the horizon n (currently {self.n})")
+        if not self.gamma > 0.0:
+            raise PreconditionError(f"mixing coefficient gamma = {self.gamma!r}; need > 0")
 
 
 @dataclass(frozen=True)
@@ -63,13 +75,7 @@ class BanditRecord:
 
 
 def _make_config(eta: float, m: int, eps: float, n: int, G: float) -> BanditConfig:
-    gamma = 4.0 * eta * G**4 * m
-    if gamma > 1.0:
-        raise HorizonTooShortError(
-            f"mixing coefficient gamma = {gamma:.6g} exceeds 1; "
-            f"increase the horizon n (currently {n})"
-        )
-    return BanditConfig(eta=eta, gamma=gamma, m=m, eps=eps, n=n)
+    return BanditConfig(eta=eta, gamma=4.0 * eta * G**4 * m, m=m, eps=eps, n=n)
 
 
 def configure_bandit(profile: EigendecayProfile, n: int, num_actions: int,
@@ -132,7 +138,8 @@ def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
 
     The observed loss uses the exact kernel while the estimate lives in the
     proxy feature space; the mismatch is precisely the estimator bias the
-    regret analysis charges to the approximation level.
+    regret analysis charges to the approximation level.  The covariance floor
+    is gamma / (2m), not the exact gamma / m, as slack for rounding.
     """
     if state.round >= config.n:
         raise PreconditionError(f"horizon {config.n} already reached")
@@ -141,13 +148,8 @@ def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
     idx = sample_index(p, rng)
     loss = loss_eval(kernel, actions[idx], w_t)
 
-    sigma = features.T @ (features * p[:, None])
-    vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    min_eig = float(vals[0])
-    floor = 0.5 * config.gamma / features.shape[1]
-    if min_eig < floor:
-        raise IllConditionedCovarianceError(min_eig, floor)
-    sigma_inv = (vecs / vals) @ vecs.T
+    sigma_inv, min_eig = invert_covariance(action_covariance(p, features),
+                                           0.5 * config.gamma / features.shape[1])
 
     w_hat = estimate_adversary(sigma_inv, features[idx], loss)
     new_state = state.stepped(-config.eta * (features @ w_hat))
@@ -155,8 +157,7 @@ def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
     return new_state, record
 
 
-def prepare_bandit_features(basis: SampleBasis, actions: np.ndarray,
-                            whiten: bool = True):
+def prepare_bandit_features(basis: SampleBasis, actions: np.ndarray):
     """Proxy features of the action set, rank-reduced and whitened.
 
     Rank-deficient feature sets are projected onto their span (reducing m).
@@ -175,8 +176,7 @@ def prepare_bandit_features(basis: SampleBasis, actions: np.ndarray,
         )
         F = reduced
     nu = d_optimal_design(F)
-    if whiten:
-        F = whiten_features(F, nu)
+    F = whiten_features(F, nu)
     center_offset = float(np.linalg.norm(F.T @ nu.weights))
     return F, nu, center_offset
 

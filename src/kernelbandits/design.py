@@ -5,7 +5,9 @@ The exploration distribution is the D-optimal design over the proxy features
 sets), computed by Frank-Wolfe with away steps on the log-det objective.
 After whitening by the design covariance, the feature second-moment matrix
 of the design is the identity over m, which is what gives the mixed
-distribution its gamma/m eigenvalue floor.
+distribution its gamma/m eigenvalue floor.  `action_covariance` (the second
+moment) and `invert_covariance` (its floor-checked inverse) are the one
+covariance path; the bandit calls both every round.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedCovarianceError, InputError, RankDeficiencyError
+from .errors import (IllConditionedCovarianceError, InputError, RankDeficiencyError,
+                     ToleranceNotMetError)
 
 __all__ = [
     "DiscreteDistribution",
-    "Covariance",
     "d_optimal_design",
     "action_covariance",
     "invert_covariance",
@@ -26,6 +28,8 @@ __all__ = [
     "reduce_to_span",
     "design_weights_csv",
 ]
+
+_SPAN_REL_TOL = 1e-10  # singular values at or below this times the largest are zero
 
 
 @dataclass(frozen=True)
@@ -51,14 +55,6 @@ class DiscreteDistribution:
         return cls(np.full(n, 1.0 / n))
 
 
-@dataclass(frozen=True)
-class Covariance:
-    """Symmetric second-moment matrix with its smallest eigenvalue attached."""
-
-    matrix: np.ndarray
-    min_eig: float
-
-
 def _as_feature_array(features) -> np.ndarray:
     F = np.atleast_2d(np.asarray(features, dtype=float))
     if F.shape[0] == 0:
@@ -72,15 +68,17 @@ def d_optimal_design(features, max_iter: int = 10_000,
 
     Maximizes log det(sum_i w_i f_i f_i^T) by Frank-Wolfe with away steps;
     the returned design satisfies the Kiefer-Wolfowitz certificate
-    max_i f_i^T Sigma^-1 f_i <= m (1 + tol).
+    max_i f_i^T Sigma^-1 f_i <= m (1 + tol), or raises ToleranceNotMetError.
     """
+    if max_iter < 0:
+        raise InputError("max_iter must be >= 0")
     F = _as_feature_array(features)
     n, m = F.shape
     rank = np.linalg.matrix_rank(F)
     if rank < m:
         raise RankDeficiencyError(rank, m)
     w = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         sigma = F.T @ (F * w[:, None])
         g = np.einsum("ij,jk,ik->i", F, np.linalg.inv(sigma), F)  # f^T S^-1 f
         j_add = int(np.argmax(g))
@@ -90,7 +88,9 @@ def d_optimal_design(features, max_iter: int = 10_000,
         add_violation = g[j_add] / m - 1.0
         away_violation = 1.0 - g[j_away] / m
         if add_violation <= tol and away_violation <= tol:
-            break
+            return DiscreteDistribution(w)
+        if it == max_iter:
+            raise ToleranceNotMetError(max(add_violation, away_violation), tol, max_iter)
         if add_violation >= away_violation:
             j, gj = j_add, g[j_add]
             lam = (gj - m) / (m * (gj - 1.0))  # gj > m >= 1 here
@@ -106,29 +106,27 @@ def d_optimal_design(features, max_iter: int = 10_000,
         w[j] += lam
         np.maximum(w, 0.0, out=w)
         w /= w.sum()
-    return DiscreteDistribution(w)
 
 
-def action_covariance(p: DiscreteDistribution, features) -> Covariance:
-    """Exact feature second moment sum_i p_i f_i f_i^T under p."""
+def action_covariance(weights, features) -> np.ndarray:
+    """Symmetrized second moment sum_i w_i f_i f_i^T; weights not renormalized."""
     F = _as_feature_array(features)
-    if F.shape[0] != len(p):
-        raise InputError("distribution and feature counts differ")
-    sigma = F.T @ (F * p.weights[:, None])
-    sigma = 0.5 * (sigma + sigma.T)
-    min_eig = float(np.linalg.eigvalsh(sigma)[0])
-    return Covariance(sigma, min_eig)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (F.shape[0],):
+        raise InputError("weight and feature counts differ")
+    sigma = F.T @ (F * w[:, None])
+    return 0.5 * (sigma + sigma.T)
 
 
-def invert_covariance(c: Covariance, floor: float) -> np.ndarray:
-    """Symmetric inverse; refuses when the spectrum sits below the floor."""
+def invert_covariance(sigma: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+    """(inverse, smallest eigenvalue) from one eigh; refuses below ``floor``."""
     if floor <= 0:
         raise InputError("floor must be positive")
-    if c.min_eig < floor:
-        raise IllConditionedCovarianceError(c.min_eig, floor)
-    vals, vecs = np.linalg.eigh(c.matrix)
-    inv = (vecs / vals) @ vecs.T
-    return 0.5 * (inv + inv.T)
+    vals, vecs = np.linalg.eigh(sigma)
+    min_eig = float(vals[0])
+    if min_eig < floor:
+        raise IllConditionedCovarianceError(min_eig, floor)
+    return (vecs / vals) @ vecs.T, min_eig
 
 
 def whiten_features(features, design: DiscreteDistribution) -> np.ndarray:
@@ -140,7 +138,7 @@ def whiten_features(features, design: DiscreteDistribution) -> np.ndarray:
     """
     F = _as_feature_array(features)
     m = F.shape[1]
-    sigma = action_covariance(design, F).matrix
+    sigma = action_covariance(design.weights, F)
     vals, vecs = np.linalg.eigh(sigma)
     if vals[0] <= 0:
         raise RankDeficiencyError(int((vals > 0).sum()), m)
@@ -148,7 +146,7 @@ def whiten_features(features, design: DiscreteDistribution) -> np.ndarray:
     return F @ inv_sqrt.T / np.sqrt(m)
 
 
-def reduce_to_span(features, rel_tol: float = 1e-10):
+def reduce_to_span(features):
     """Project features onto their span when they are rank deficient.
 
     Returns (reduced features, orthonormal basis of the span).  The basis has
@@ -156,7 +154,7 @@ def reduce_to_span(features, rel_tol: float = 1e-10):
     """
     F = _as_feature_array(features)
     u, s, vt = np.linalg.svd(F, full_matrices=False)
-    rank = int((s > rel_tol * s[0]).sum()) if s.size and s[0] > 0 else 0
+    rank = int((s > _SPAN_REL_TOL * s[0]).sum()) if s.size and s[0] > 0 else 0
     if rank == 0:
         raise InputError("feature set is identically zero")
     basis = vt[:rank]

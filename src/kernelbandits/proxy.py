@@ -26,7 +26,6 @@ __all__ = [
     "EigendecayProfile",
     "basis_from_samples",
     "build_proxy",
-    "proxy_feature",
     "proxy_features",
     "effective_dimension",
     "approximation_sup_error",
@@ -34,6 +33,8 @@ __all__ = [
     "basis_to_json",
     "basis_from_json",
 ]
+
+_EIG_FLOOR_REL = 1e-10  # Gram eigenvalues at or below this times the largest drop
 
 
 @dataclass(frozen=True)
@@ -109,12 +110,11 @@ def _draw_samples(sampler, p: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def basis_from_samples(kernel: KernelSpec, samples: np.ndarray,
-                       m: int | None = None,
-                       eig_floor: float | None = None) -> SampleBasis:
+                       m: int | None = None) -> SampleBasis:
     """Proxy basis from an explicit sample set (deterministic).
 
-    Eigenvalues below ``eig_floor`` (default 1e-10 times the largest) are
-    dropped, reducing m, rather than dividing by near-zero normalizers.
+    Eigenvalues at or below 1e-10 times the largest are dropped, reducing m,
+    rather than dividing by near-zero normalizers.
     ``m=None`` keeps the whole observed spectrum above the floor.
     """
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -124,8 +124,8 @@ def basis_from_samples(kernel: KernelSpec, samples: np.ndarray,
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
-    floor = (1e-10 * max(vals[0], 0.0)) if eig_floor is None else eig_floor
-    observed = int((vals > max(floor, 0.0)).sum())
+    floor = _EIG_FLOOR_REL * max(vals[0], 0.0)
+    observed = int((vals > floor).sum())
     if m is None:
         m_eff = observed
     else:
@@ -147,7 +147,6 @@ def basis_from_samples(kernel: KernelSpec, samples: np.ndarray,
 
 
 def build_proxy(kernel: KernelSpec, sampler, m: int | None, p: int,
-                eig_floor: float | None = None,
                 rng: np.random.Generator | None = None) -> SampleBasis:
     """Construct the m-dimensional proxy basis from p sampled points.
 
@@ -161,7 +160,7 @@ def build_proxy(kernel: KernelSpec, sampler, m: int | None, p: int,
     if rng is None:
         rng = np.random.default_rng()
     pts = _draw_samples(sampler, p, rng)
-    return basis_from_samples(kernel, pts, m=m, eig_floor=eig_floor)
+    return basis_from_samples(kernel, pts, m=m)
 
 
 def proxy_features(basis: SampleBasis, points: np.ndarray) -> np.ndarray:
@@ -176,11 +175,6 @@ def proxy_features(basis: SampleBasis, points: np.ndarray) -> np.ndarray:
         )
     kx = cross_gram(basis.kernel, pts, basis.sample_points)  # (n, p)
     return (kx @ basis.eig_coeffs.T) / basis.normalizers
-
-
-def proxy_feature(basis: SampleBasis, x: np.ndarray) -> np.ndarray:
-    """Proxy feature vector of a single point (length m)."""
-    return proxy_features(basis, np.asarray(x, dtype=float)[None, :])[0]
 
 
 def effective_dimension(profile: EigendecayProfile, eps: float) -> int:

@@ -31,6 +31,8 @@ __all__ = [
     "chain_autocorrelation",
 ]
 
+_ZERO_EIG_TOL = 1e-10  # |eigenvalues| of B below this form the null-space block
+
 
 @dataclass(frozen=True)
 class QuadraticObjective:
@@ -231,11 +233,11 @@ def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = No
     return kept @ V.T
 
 
-def surrogate_membership(obj: QuadraticObjective, zero_tol: float = 1e-10):
+def surrogate_membership(obj: QuadraticObjective):
     """Membership test for the reparametrized constraint set.
 
     Frame: the coordinates are those of the eigenbasis of B, the eigenvalues
-    with |lam_i| >= ``zero_tol`` first, then the null-space block, each block
+    with |lam_i| >= 1e-10 first, then the null-space block, each block
     in ascending eigenvalue order.  In that frame, with alpha the eigen-
     coordinates of a point of the unit ball and gamma = V^T b, a nonzero-
     eigenvalue coordinate becomes beta_i = (alpha_i + s_i)^2 with shift
@@ -251,7 +253,7 @@ def surrogate_membership(obj: QuadraticObjective, zero_tol: float = 1e-10):
     """
     lam, V = np.linalg.eigh(obj.B)
     gam = V.T @ obj.b
-    nonzero = np.abs(lam) >= zero_tol
+    nonzero = np.abs(lam) >= _ZERO_EIG_TOL
     order = np.concatenate([np.flatnonzero(nonzero), np.flatnonzero(~nonzero)])
     lam, gam, nonzero = lam[order], gam[order], nonzero[order]
     shift = np.zeros_like(lam)

@@ -14,7 +14,11 @@ from kernelbandits.bandit import (
     theorem_regret_bound,
 )
 from kernelbandits.design import DiscreteDistribution, action_covariance, invert_covariance
-from kernelbandits.errors import HorizonTooShortError, PreconditionError
+from kernelbandits.errors import (
+    HorizonTooShortError,
+    IllConditionedCovarianceError,
+    PreconditionError,
+)
 from kernelbandits.kernels import KernelSpec, feature_matrix, make_explicit
 from kernelbandits.proxy import EigendecayProfile, build_proxy
 from kernelbandits.rng import component_rng
@@ -86,8 +90,7 @@ def test_estimator_unbiased_under_exact_summation():
         p = DiscreteDistribution(rng.dirichlet(np.ones(12)))
         w = rng.standard_normal(4)
         w /= np.linalg.norm(w)
-        cov = action_covariance(p, F)
-        sigma_inv = invert_covariance(cov, floor=1e-12)
+        sigma_inv, _ = invert_covariance(action_covariance(p.weights, F), floor=1e-12)
         acc = np.zeros(4)
         for a_idx in range(12):
             loss = float(F[a_idx] @ w)
@@ -132,6 +135,25 @@ def test_gamma_one_plays_pure_exploration():
     # only the design's support can be played
     assert np.all(freq[nu.weights < 1e-12] == 0.0)
     assert np.abs(freq - nu.weights).max() <= 0.05
+
+
+def test_round_refuses_covariance_below_floor():
+    # point-mass design with the weights skewed onto another action: the mixed
+    # distribution puts almost all its mass on two of 6 features in d = 3
+    features = component_rng(12, "floor").standard_normal((6, 3))
+    actions = spanning_unit_vectors(6, 3, seed=12)
+    exploration = DiscreteDistribution(np.eye(6)[0])
+    cfg = BanditConfig(eta=0.1, gamma=0.5, m=3, eps=0.0, n=10)
+    state = WeightState(np.array([0.0, 50.0, 0.0, 0.0, 0.0, 0.0]))
+    w = make_explicit(LINEAR, np.zeros(3))
+    with pytest.raises(IllConditionedCovarianceError) as err:
+        bandit_round(state, cfg, LINEAR, actions, features, exploration, w,
+                     component_rng(12, "player"))
+    p = 0.5 * state.probabilities() + 0.5 * exploration.weights
+    sigma = features.T @ (features * p[:, None])
+    assert err.value.floor == pytest.approx(0.5 / (2 * 3), rel=1e-15)
+    assert err.value.min_eig < err.value.floor
+    assert err.value.min_eig == pytest.approx(np.linalg.eigvalsh(sigma)[0], abs=1e-12)
 
 
 def test_weights_concentrate_on_zero_loss_action():

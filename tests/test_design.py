@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kernelbandits.design import (
-    Covariance,
     DiscreteDistribution,
     action_covariance,
     d_optimal_design,
@@ -15,6 +14,7 @@ from kernelbandits.errors import (
     IllConditionedCovarianceError,
     InputError,
     RankDeficiencyError,
+    ToleranceNotMetError,
 )
 from kernelbandits.rng import component_rng
 
@@ -31,9 +31,10 @@ def test_distribution_validation():
 def test_design_standard_basis_is_uniform():
     d = d_optimal_design(np.eye(4))
     assert np.abs(d.weights - 0.25).max() <= 1e-6
-    cov = action_covariance(d, np.eye(4))
-    assert np.abs(cov.matrix - np.eye(4) / 4).max() <= 1e-6
-    assert cov.min_eig == pytest.approx(0.25, abs=1e-6)
+    cov = action_covariance(d.weights, np.eye(4))
+    assert np.abs(cov - np.eye(4) / 4).max() <= 1e-6
+    _, min_eig = invert_covariance(cov, floor=0.1)
+    assert min_eig == pytest.approx(0.25, abs=1e-6)
 
 
 def test_design_one_dimensional_prefers_larger_scalar():
@@ -47,8 +48,8 @@ def test_design_beats_uniform_logdet():
     F /= np.linalg.norm(F, axis=1)[:, None]
     des = d_optimal_design(F, tol=1e-6)
     uni = DiscreteDistribution.uniform(20)
-    logdet = np.linalg.slogdet(action_covariance(des, F).matrix)[1]
-    logdet_uni = np.linalg.slogdet(action_covariance(uni, F).matrix)[1]
+    logdet = np.linalg.slogdet(action_covariance(des.weights, F))[1]
+    logdet_uni = np.linalg.slogdet(action_covariance(uni.weights, F))[1]
     assert logdet >= logdet_uni - 1e-6
 
 
@@ -66,27 +67,38 @@ def test_kiefer_wolfowitz_certificate():
         n = int(rng.integers(m + 1, 40))
         F = rng.standard_normal((n, m))
         des = d_optimal_design(F, tol=1e-6)
-        sigma = action_covariance(des, F).matrix
+        sigma = action_covariance(des.weights, F)
         lev = np.einsum("ij,jk,ik->i", F, np.linalg.inv(sigma), F)
         assert lev.max() <= m * (1.0 + 1e-4)
 
 
+def test_design_iteration_cap_raises_without_certificate():
+    # three steps from the uniform start leave max_i g_i / m at 1.84
+    F = component_rng(3, "cap").standard_normal((30, 5))
+    with pytest.raises(ToleranceNotMetError) as err:
+        d_optimal_design(F, max_iter=3)
+    assert err.value.iterations == 3 and err.value.achieved_gap > 1e-6
+    with pytest.raises(InputError):
+        d_optimal_design(F, max_iter=-1)
+
+
 def test_action_covariance_examples():
-    uni = DiscreteDistribution.uniform(3)
-    cov = action_covariance(uni, np.eye(3))
-    assert np.allclose(cov.matrix, np.eye(3) / 3)
-    point = DiscreteDistribution(np.array([0.0, 1.0]))
+    cov = action_covariance(np.full(3, 1.0 / 3), np.eye(3))
+    assert np.allclose(cov, np.eye(3) / 3)
     F = np.array([[1.0, 1.0], [2.0, -1.0]])
-    cov = action_covariance(point, F)
-    assert np.allclose(cov.matrix, np.outer(F[1], F[1]))
-    assert np.linalg.matrix_rank(cov.matrix) == 1
+    cov = action_covariance(np.array([0.0, 1.0]), F)
+    assert np.allclose(cov, np.outer(F[1], F[1]))
+    assert np.linalg.matrix_rank(cov) == 1
+    assert np.array_equal(cov, cov.T)
+    with pytest.raises(InputError):
+        action_covariance(np.ones(3) / 3, F)
 
 
 def test_action_covariance_matches_monte_carlo():
     rng = component_rng(2, "mc")
     F = rng.standard_normal((10, 3))
     p = DiscreteDistribution(rng.dirichlet(np.ones(10)))
-    exact = action_covariance(p, F).matrix
+    exact = action_covariance(p.weights, F)
     idx = rng.choice(10, size=10**6, p=p.weights)
     draws = F[idx]
     mc = draws.T @ draws / 10**6
@@ -99,26 +111,30 @@ def test_action_covariance_matches_monte_carlo():
 
 def test_invert_covariance_examples():
     m = 4
-    cov = action_covariance(DiscreteDistribution.uniform(m), np.eye(m))
-    inv = invert_covariance(cov, floor=0.1)
+    cov = action_covariance(np.full(m, 1.0 / m), np.eye(m))
+    inv, min_eig = invert_covariance(cov, floor=0.1)
     assert np.allclose(inv, m * np.eye(m))
-    diag = Covariance(np.diag([2.0, 4.0]), 2.0)
-    assert np.allclose(invert_covariance(diag, 0.5), np.diag([0.5, 0.25]))
+    assert min_eig == pytest.approx(1.0 / m)
+    inv, min_eig = invert_covariance(np.diag([2.0, 4.0]), 0.5)
+    assert np.allclose(inv, np.diag([0.5, 0.25]))
+    assert min_eig == 2.0
 
     rng = component_rng(6, "spd")
     M = rng.standard_normal((5, 5))
     spd = M.T @ M + 0.1 * np.eye(5)
-    cov = Covariance(spd, float(np.linalg.eigvalsh(spd)[0]))
-    inv = invert_covariance(cov, floor=0.05)
+    inv, min_eig = invert_covariance(spd, floor=0.05)
     assert np.abs(spd @ inv - np.eye(5)).max() <= 1e-8
     assert np.allclose(inv, inv.T)
+    assert min_eig == pytest.approx(float(np.linalg.eigvalsh(spd)[0]), rel=1e-12)
+    with pytest.raises(InputError):
+        invert_covariance(spd, floor=0.0)
 
 
 def test_invert_covariance_floor_error_carries_min_eig():
-    cov = Covariance(np.diag([1.0, 1e-8]), 1e-8)
     with pytest.raises(IllConditionedCovarianceError) as err:
-        invert_covariance(cov, floor=1e-4)
+        invert_covariance(np.diag([1.0, 1e-8]), floor=1e-4)
     assert err.value.min_eig == pytest.approx(1e-8)
+    assert err.value.floor == 1e-4
 
 
 def test_mixture_eigenvalue_floor_after_whitening():
@@ -130,8 +146,8 @@ def test_mixture_eigenvalue_floor_after_whitening():
         for _ in range(20):
             q = DiscreteDistribution(rng.dirichlet(np.ones(25)))
             mixed = DiscreteDistribution((1 - gamma) * q.weights + gamma * nu.weights)
-            cov = action_covariance(mixed, W)
-            assert cov.min_eig >= gamma / 4 - 1e-9
+            cov = action_covariance(mixed.weights, W)
+            assert np.linalg.eigvalsh(cov)[0] >= gamma / 4 - 1e-9
 
 
 def test_reduce_to_span():

@@ -16,13 +16,11 @@ from kernelbandits.fullinfo import (
     full_info_round,
     linear_min_oracle,
     run_cg,
-    run_full_info_ew,
 )
 from kernelbandits.harness import ball_directions, build_trace, unit_vector_adversary
 from kernelbandits.kernels import (
     KernelSpec,
     feature_map,
-    feature_matrix,
     loss_vector,
     make_explicit,
 )

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from kernelbandits.errors import InputError, InvalidCombinationError
+from kernelbandits.errors import (
+    HorizonTooShortError,
+    IllConditionedCovarianceError,
+    InputError,
+    InvalidCombinationError,
+    PreconditionError,
+)
 from kernelbandits.harness import (
     _LOSS_BLOCK_ROWS,
     ExperimentConfig,
@@ -265,3 +271,20 @@ def test_bandit_experiment_end_to_end():
     cfg = result.details["bandit_config"]
     assert cfg.gamma <= 1.0
     assert result.details["design_center_offset"] >= 0.0
+
+
+def test_bandit_explicit_gamma_is_checked():
+    # explicit parameters bypass the theorem schedule; 0 < gamma <= 1 must
+    # still be refused before round one, not run or fail on the covariance
+    rng = component_rng(7, "acts")
+    actions = rng.standard_normal((12, 3))
+    actions /= np.linalg.norm(actions, axis=1)[:, None]
+    for gamma, error in ((1.5, HorizonTooShortError), (0.0, PreconditionError),
+                         (-0.2, PreconditionError)):
+        config = ExperimentConfig(algo="bandit_ew", kernel=LINEAR, actions=actions,
+                                  adversary=unit_vector_adversary(3), n=50,
+                                  params={"eta": 0.1, "gamma": gamma}, proxy_m=3,
+                                  proxy_p=30)
+        with pytest.raises(error) as err:
+            run_experiment(config)
+        assert not isinstance(err.value, IllConditionedCovarianceError)

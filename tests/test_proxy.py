@@ -15,7 +15,6 @@ from kernelbandits.proxy import (
     build_proxy,
     effective_dimension,
     fit_eigendecay,
-    proxy_feature,
     proxy_features,
 )
 from kernelbandits.rng import component_rng
@@ -38,7 +37,7 @@ def test_m1_single_repeated_sample():
     for _ in range(20):
         y = rng.standard_normal(2)
         expected = kernel_eval(LINEAR, x0, y) / math.sqrt(kernel_eval(LINEAR, x0, x0))
-        got = proxy_feature(basis, y)
+        got = proxy_features(basis, y[None, :])[0]
         assert got.shape == (1,)
         # eigenvector sign is arbitrary; the induced kernel is not
         assert abs(abs(got[0]) - abs(expected)) <= 1e-10
@@ -84,7 +83,7 @@ def test_proxy_feature_examples_and_contraction():
 def test_proxy_feature_dimension_mismatch():
     basis = basis_from_samples(LINEAR, np.eye(3), m=3)
     with pytest.raises(InputError):
-        proxy_feature(basis, np.zeros(2))
+        proxy_features(basis, np.zeros(2)[None, :])
 
 
 def test_sample_basis_invariants():
