@@ -43,7 +43,6 @@ from .fullinfo import (
 from .harness import (
     ExperimentConfig,
     FixedAdversary,
-    IIDAdversary,
     PeriodicAdversary,
     RegretTrace,
     ScheduleAdversary,
@@ -79,7 +78,6 @@ from .proxy import (
 )
 from .quadratic import (
     QuadraticObjective,
-    hit_and_run,
     quad_ew_sample,
     trs_minimize,
 )

@@ -38,34 +38,54 @@ from .rng import component_rng
 __all__ = ["main"]
 
 
+def _number(kind, text: str, what: str):
+    """``kind(text)`` for kind int or float; malformed text is an InputError."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise InputError(f"{what}: {text!r} is not {noun}") from None
+
+
+def _json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what}: malformed JSON ({exc})") from None
+
+
+def _csv(path: str, ndmin: int = 2) -> np.ndarray:
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=ndmin)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def parse_kernel(text: str) -> KernelSpec:
     parts = text.split(":")
     name = parts[0].lower()
+    nums = [_number(float, part, "--kernel") for part in parts[1:]]
     if name == "linear":
-        G = float(parts[1]) if len(parts) > 1 else 1.0
-        return KernelSpec.linear(G)
+        return KernelSpec.linear(nums[0] if nums else 1.0)
     if name == "quadratic":
-        G = float(parts[1]) if len(parts) > 1 else 2.0
-        return KernelSpec.quadratic(G)
+        return KernelSpec.quadratic(nums[0] if nums else 2.0)
     if name == "gaussian":
-        if len(parts) < 2:
+        if len(nums) < 1:
             raise InputError("gaussian kernel needs a sigma: gaussian:<sigma>[:G]")
-        G = float(parts[2]) if len(parts) > 2 else 1.0
-        return KernelSpec.gaussian(float(parts[1]), G)
+        return KernelSpec.gaussian(nums[0], nums[1] if len(nums) > 1 else 1.0)
     if name in ("poly", "polynomial"):
-        if len(parts) < 3:
+        if len(nums) < 2:
             raise InputError("polynomial kernel: poly:<degree>:<offset>[:G]")
-        degree, offset = int(parts[1]), float(parts[2])
-        G = float(parts[3]) if len(parts) > 3 else (offset + 1.0) ** (degree / 2.0)
+        degree, offset = _number(int, parts[1], "--kernel degree"), nums[1]
+        G = nums[2] if len(nums) > 2 else (offset + 1.0) ** (degree / 2.0)
         return KernelSpec.polynomial(degree, offset, G)
     raise InputError(f"unknown kernel {text!r}")
 
 
 def parse_actions(text: str) -> np.ndarray:
     if text.startswith("ball:"):
-        return ball_directions(int(text.split(":")[1]))
-    points = np.loadtxt(text, delimiter=",", ndmin=2)
-    return points
+        return ball_directions(_number(int, text[len("ball:"):], "--actions ball:<K>"))
+    return _csv(text)
 
 
 def parse_adversary(text: str, kernel: KernelSpec, d: int):
@@ -78,36 +98,37 @@ def parse_adversary(text: str, kernel: KernelSpec, d: int):
 
         return FixedAdversary(ExplicitVector(np.zeros(feature_dim(kernel, d))))
     if name == "fixed":
-        w = np.array([float(v) for v in parts[1].split(",")])
+        w = np.array([_number(float, v, "--adversary") for v in parts[1].split(",")])
         return FixedAdversary(make_explicit(kernel, w))
     if name == "fixed-point":
-        y = np.array([float(v) for v in parts[1].split(",")])
+        y = np.array([_number(float, v, "--adversary") for v in parts[1].split(",")])
         return FixedAdversary(make_rank_one(kernel, y))
     if name == "iid-unit":
         return unit_vector_adversary(d)
     if name == "periodic":
-        pts = np.loadtxt(parts[1], delimiter=",", ndmin=2)
+        pts = _csv(parts[1])
         return PeriodicAdversary(tuple(RankOne(p) for p in pts))
     if name == "schedule":
-        pts = np.loadtxt(parts[1], delimiter=",", ndmin=2)
+        pts = _csv(parts[1])
         return ScheduleAdversary(tuple(RankOne(p) for p in pts))
     raise InputError(f"unknown adversary {text!r}")
 
 
 def _cmd_run(args) -> int:
     if args.config:
-        raw = json.loads(Path(args.config).read_text())
+        raw = _json(Path(args.config).read_text(), "--config")
         for key, value in raw.items():
             setattr(args, key, value)
     kernel = parse_kernel(args.kernel)
     actions = parse_actions(args.actions)
     adversary = parse_adversary(args.adversary, kernel, actions.shape[1])
-    params = "paper" if args.params == "paper" else json.loads(args.params)
-    seeds = tuple(int(s) for s in str(args.seeds).split(","))
+    params = args.params
+    if isinstance(params, str) and params != "paper":
+        params = _json(params, "--params")
+    seeds = tuple(_number(int, s, "--seeds") for s in str(args.seeds).split(","))
     covering = None
     if str(args.actions).startswith("ball:"):
-        k = int(str(args.actions).split(":")[1])
-        covering = 2.0 * np.sin(np.pi / (2 * k))
+        covering = 2.0 * np.sin(np.pi / (2 * actions.shape[0]))
     config = ExperimentConfig(
         algo=args.algo, kernel=kernel, actions=actions, adversary=adversary,
         n=int(args.n), seeds=seeds, params=params,
@@ -154,7 +175,7 @@ def _cmd_proxy_check(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    features = np.loadtxt(args.features, delimiter=",", ndmin=2)
+    features = _csv(args.features)
     design = d_optimal_design(features, tol=args.tol)
     text = design_weights_csv(design)
     if args.out:
@@ -165,8 +186,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_sample_quad(args) -> int:
-    B = np.loadtxt(args.B, delimiter=",", ndmin=2)
-    b = np.loadtxt(args.b, delimiter=",", ndmin=1)
+    B = _csv(args.B)
+    b = _csv(args.b, ndmin=1)
     obj = QuadraticObjective(B, b)
     rng = component_rng(args.seed, "quad-sampler")
     samples = quad_ew_sample(obj, count=args.count, burn_in=args.burn_in, rng=rng)

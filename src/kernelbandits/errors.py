@@ -30,7 +30,8 @@ class RankDeficiencyError(InputError):
 
 
 class DegenerateStartError(InputError):
-    """Sampler started at a point with no feasible chord."""
+    """The sampler's chord through the current point is degenerate: its end
+    points are not finite or it is no longer than 1e-14."""
 
 
 class PreconditionError(RuntimeError):

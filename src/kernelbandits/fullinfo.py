@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .design import DiscreteDistribution
 from .errors import InputError, ToleranceNotMetError
 from .kernels import (
     AdversaryAction,
@@ -69,10 +70,8 @@ class ConvexCombination:
         w = np.asarray(self.weights, dtype=float)
         if atoms.shape[0] != w.size:
             raise InputError("atom and weight counts differ")
-        if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-8:
-            raise InputError("weights must be a probability vector")
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", np.maximum(w, 0.0) / np.maximum(w, 0.0).sum())
+        object.__setattr__(self, "weights", DiscreteDistribution(w).weights)
 
     def mean_feature(self, kernel: KernelSpec) -> np.ndarray:
         return feature_matrix(kernel, self.atoms).T @ self.weights

@@ -1,16 +1,17 @@
 """Adversary generators, regret accounting and experiment orchestration.
 
 An adversary materializes its full action schedule before round one
-(obliviousness), so every loss the accounting needs is an entry of one loss
-matrix L[t, j] = <Phi(a_j), w_t> (:func:`kernels.loss_matrix`).  Regret
-compares the player's cumulative loss with the best single action over the
-whole horizon: the best action is the argmin of L's column sums, taken over
-fixed blocks of rows, and that action's column of L, computed in one call,
-gives the partial sums that define the regret curve.  ``final_regret`` is
-realized regret: the losses of the actions actually drawn, so it carries the
-player's sampling noise and can be negative on a single run.  Expected
-regret is estimated by averaging final regrets over seeds, with a standard
-error attached.
+(obliviousness); the i.i.d. unit-vector adversary draws it as one (n, d)
+Gaussian array with normalized rows.  So every loss the accounting needs is
+an entry of one loss matrix L[t, j] = <Phi(a_j), w_t>
+(:func:`kernels.loss_matrix`).  Regret compares the player's cumulative loss
+with the best single action over the whole horizon: the best action is the
+argmin of L's column sums, taken over fixed blocks of rows, and that action's
+column of L, computed in one call, gives the partial sums that define the
+regret curve.  ``final_regret`` is realized regret: the losses of the actions
+actually drawn, so it carries the player's sampling noise and can be negative
+on a single run.  Expected regret is estimated by averaging final regrets
+over seeds, with a standard error attached.
 
 For full-information exponential weights the trace also carries
 pseudo-regret, sum_t <p_t, l_t> - min_a L_n(a), the expected loss under each
@@ -25,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .rng import component_rng
 
 __all__ = [
     "FixedAdversary",
-    "IIDAdversary",
     "PeriodicAdversary",
     "ScheduleAdversary",
     "unit_vector_adversary",
@@ -62,6 +61,9 @@ __all__ = [
 ]
 
 _LOSS_BLOCK_ROWS = 256  # loss-matrix rows summed at a time in best_in_hindsight
+# keys each algorithm reads from explicit params ("eps" is optional for the bandit)
+_PARAM_KEYS = {"bandit_ew": ("eta", "gamma"), "fullinfo_ew": ("eta",),
+               "cg": ("eta", "gamma", "n")}
 
 
 @dataclass(frozen=True)
@@ -72,16 +74,6 @@ class FixedAdversary:
 
     def materialize(self, n: int, rng: np.random.Generator) -> list[AdversaryAction]:
         return [self.action] * n
-
-
-@dataclass(frozen=True)
-class IIDAdversary:
-    """Independent draws from a sampler callback; seeded, fixed before play."""
-
-    sampler: Callable[[np.random.Generator], AdversaryAction]
-
-    def materialize(self, n: int, rng: np.random.Generator) -> list[AdversaryAction]:
-        return [self.sampler(rng) for _ in range(n)]
 
 
 @dataclass(frozen=True)
@@ -107,18 +99,30 @@ class ScheduleAdversary:
         return list(self.schedule[:n])
 
 
-def unit_vector_adversary(d: int) -> IIDAdversary:
-    """I.i.d. uniformly random unit vectors, played as rank-one actions."""
+@dataclass(frozen=True)
+class _UnitVectorAdversary:
+    d: int
 
-    def draw(rng: np.random.Generator) -> AdversaryAction:
-        v = rng.standard_normal(d)
-        norm = np.linalg.norm(v)
-        while norm == 0.0:
-            v = rng.standard_normal(d)
-            norm = np.linalg.norm(v)
-        return RankOne(v / norm)
+    def materialize(self, n: int, rng: np.random.Generator) -> list[AdversaryAction]:
+        # one (n, d) draw equals n sequential standard_normal(d) draws, and a
+        # batched row product gives the norm bits of np.linalg.norm(v) per row
+        # (np.linalg.norm(V, axis=1) and einsum round differently)
+        V = rng.standard_normal((n, self.d))
+        norms = np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
+        for t in np.flatnonzero(norms == 0.0):  # never divide by a zero norm
+            while norms[t] == 0.0:
+                V[t] = rng.standard_normal(self.d)
+                norms[t] = np.linalg.norm(V[t])
+        return [RankOne(v) for v in V / norms[:, None]]
 
-    return IIDAdversary(draw)
+
+def unit_vector_adversary(d: int) -> _UnitVectorAdversary:
+    """I.i.d. uniformly random unit vectors in R^d, played as rank-one actions.
+
+    ``materialize(n, rng)`` draws all n Gaussian vectors in one call and
+    normalizes each row; a zero row (probability zero) is redrawn.
+    """
+    return _UnitVectorAdversary(d)
 
 
 def schedule_hash(schedule: list[AdversaryAction]) -> str:
@@ -213,7 +217,9 @@ class ExperimentConfig:
     """Everything a run needs; randomness derives from the seed list only.
 
     ``params`` is either the string "paper" (theorem schedules) or a dict of
-    explicit algorithm parameters.  ``adversary_seed`` pins the adversary
+    explicit algorithm parameters: eta and gamma (eps optional) for
+    bandit_ew, eta for fullinfo_ew, and exactly eta, gamma (a callable
+    t -> gamma_t) and n for cg.  ``adversary_seed`` pins the adversary
     stream independently of the player seed; left unset, each run seed gets
     its own adversary stream.
     """
@@ -229,7 +235,6 @@ class ExperimentConfig:
     proxy_p: int | None = None
     proxy_m: int | None = None
     covering_radius: float | None = None
-    unit_ball_actions: bool = True
 
     def __post_init__(self):
         if self.algo not in ("bandit_ew", "fullinfo_ew", "cg"):
@@ -238,7 +243,17 @@ class ExperimentConfig:
             raise InputError("horizon n must be >= 1")
         if len(self.seeds) < 1:
             raise InputError("need at least one seed")
-        self.actions = validate_points(self.actions, unit_ball=self.unit_ball_actions)
+        if self.params != "paper":
+            keys = _PARAM_KEYS[self.algo]
+            # cg passes params to CGConfig(**params), which takes exactly its keys
+            if (not isinstance(self.params, dict)
+                    or any(key not in self.params for key in keys)
+                    or (self.algo == "cg" and len(self.params) != len(keys))):
+                raise InputError(f"{self.algo} params must be 'paper' or a dict of "
+                                 f"{', '.join(keys)}; got {self.params!r}")
+            if self.algo == "cg" and not callable(self.params["gamma"]):
+                raise InputError("cg params: gamma must be a callable t -> gamma_t")
+        self.actions = validate_points(self.actions, unit_ball=True)
         check_norm_bound(self.kernel, self.actions)
 
 

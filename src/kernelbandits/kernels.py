@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _EXPLICIT_MAX_POLY_DEGREE = 3
+_BALL_TOL = 1e-12  # slack on ||a|| <= 1 in validate_points
+_NORM_TOL = 1e-9   # slack on declared norm bounds G
 
 
 @dataclass(frozen=True)
@@ -113,15 +115,14 @@ class RankOne:
 AdversaryAction = ExplicitVector | RankOne
 
 
-def validate_points(points: np.ndarray, unit_ball: bool = False,
-                    tol: float = 1e-12) -> np.ndarray:
+def validate_points(points: np.ndarray, unit_ball: bool = False) -> np.ndarray:
     """Check a (n, d) array of points: finite, and in the ball if required."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise InputError("points contain non-finite coordinates")
     if unit_ball:
         norms = np.linalg.norm(pts, axis=1)
-        if np.any(norms > 1.0 + tol):
+        if np.any(norms > 1.0 + _BALL_TOL):
             raise InputError(f"point norm {norms.max():.12g} exceeds 1")
     return pts
 
@@ -256,7 +257,7 @@ def adversary_norm(spec: KernelSpec, w: AdversaryAction) -> float:
     return float(np.linalg.norm(w.w))
 
 
-def make_explicit(spec: KernelSpec, w: np.ndarray, tol: float = 1e-9) -> ExplicitVector:
+def make_explicit(spec: KernelSpec, w: np.ndarray) -> ExplicitVector:
     """Explicit-space adversary action, validated against the kernel bound."""
     if not has_feature_map(spec):
         raise InvalidCombinationError(
@@ -266,19 +267,19 @@ def make_explicit(spec: KernelSpec, w: np.ndarray, tol: float = 1e-9) -> Explici
     w = np.asarray(w, dtype=float)
     action = ExplicitVector(w)
     norm = adversary_norm(spec, action)
-    if norm > spec.norm_bound_G + tol:
+    if norm > spec.norm_bound_G + _NORM_TOL:
         raise InputError(
             f"adversary norm {norm:.12g} exceeds bound {spec.norm_bound_G}"
         )
     return action
 
 
-def make_rank_one(spec: KernelSpec, y: np.ndarray, tol: float = 1e-9) -> RankOne:
+def make_rank_one(spec: KernelSpec, y: np.ndarray) -> RankOne:
     """Rank-one adversary Phi(y), the mandatory form for the Gaussian kernel."""
     y = np.asarray(y, dtype=float)
     action = RankOne(y)
     norm = adversary_norm(spec, action)
-    if norm > spec.norm_bound_G + tol:
+    if norm > spec.norm_bound_G + _NORM_TOL:
         raise InputError(
             f"adversary norm {norm:.12g} exceeds bound {spec.norm_bound_G}"
         )
@@ -348,7 +349,7 @@ def adversary_feature(spec: KernelSpec, w: AdversaryAction) -> np.ndarray:
     return feature_map(spec, w.y)
 
 
-def check_norm_bound(spec: KernelSpec, actions: np.ndarray, tol: float = 1e-9) -> float:
+def check_norm_bound(spec: KernelSpec, actions: np.ndarray) -> float:
     """Empirically verify norm_bound_G >= sup sqrt(K(a,a)) over the set.
 
     Returns the observed supremum.
@@ -356,7 +357,7 @@ def check_norm_bound(spec: KernelSpec, actions: np.ndarray, tol: float = 1e-9) -
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     diag = np.array([kernel_eval(spec, a, a) for a in actions])
     sup = float(np.sqrt(max(diag.max(), 0.0)))
-    if sup > spec.norm_bound_G + tol:
+    if sup > spec.norm_bound_G + _NORM_TOL:
         raise InputError(
             f"declared bound {spec.norm_bound_G} below observed sup "
             f"sqrt(K(a,a)) = {sup:.12g}"

@@ -91,24 +91,6 @@ class EigendecayProfile:
             raise InputError("exponential decay needs beta > 0")
 
 
-def _draw_samples(sampler, p: int, rng: np.random.Generator) -> np.ndarray:
-    """Resolve the sampling measure: point array (uniform), (points, weights)
-    discrete measure, or a seeded callback returning one point per call."""
-    if callable(sampler):
-        pts = np.atleast_2d(np.asarray([sampler(rng) for _ in range(p)], dtype=float))
-        return pts
-    if isinstance(sampler, tuple):
-        points, weights = sampler
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        weights = np.asarray(weights, dtype=float)
-        weights = weights / weights.sum()
-        idx = rng.choice(points.shape[0], size=p, p=weights)
-        return points[idx]
-    points = np.atleast_2d(np.asarray(sampler, dtype=float))
-    idx = rng.integers(0, points.shape[0], size=p)
-    return points[idx]
-
-
 def basis_from_samples(kernel: KernelSpec, samples: np.ndarray,
                        m: int | None = None) -> SampleBasis:
     """Proxy basis from an explicit sample set (deterministic).
@@ -146,12 +128,12 @@ def basis_from_samples(kernel: KernelSpec, samples: np.ndarray,
     return SampleBasis(pts, eig_coeffs, eigenvalues, normalizers, kernel)
 
 
-def build_proxy(kernel: KernelSpec, sampler, m: int | None, p: int,
+def build_proxy(kernel: KernelSpec, points: np.ndarray, m: int | None, p: int,
                 rng: np.random.Generator | None = None) -> SampleBasis:
     """Construct the m-dimensional proxy basis from p sampled points.
 
-    ``sampler`` is a point array (uniform over rows), a (points, weights)
-    discrete measure, or a seeded callback returning one point per call.
+    The p samples are rows of the point array ``points``, drawn uniformly
+    with replacement.
     """
     if m is not None and m < 1:
         raise InputError("m must be >= 1")
@@ -159,8 +141,9 @@ def build_proxy(kernel: KernelSpec, sampler, m: int | None, p: int,
         raise InputError(f"need p >= m, got p={p}, m={m}")
     if rng is None:
         rng = np.random.default_rng()
-    pts = _draw_samples(sampler, p, rng)
-    return basis_from_samples(kernel, pts, m=m)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    idx = rng.integers(0, points.shape[0], size=p)
+    return basis_from_samples(kernel, points[idx], m=m)
 
 
 def proxy_features(basis: SampleBasis, points: np.ndarray) -> np.ndarray:

@@ -4,11 +4,12 @@ exponential-weights sampler for densities exp(a^T B a + a^T b) on the ball.
 The trust-region subproblem is solved exactly from the eigendecomposition of
 B plus a one-dimensional secular-equation root find on the Lagrange
 multiplier, with boundary completion in the hard case (linear term orthogonal
-to the bottom eigenspace).  The sampler runs hit-and-run in the eigenbasis of
-B; each chord's conditional is drawn by inverse CDF on a 256-point trapezoid
-grid, an approximation of the exact chord law.  Every step is followed by
-exact Metropolis sign reflections of the eigen-coordinates, which carry the
-chain between the symmetric modes that hit-and-run alone rarely crosses.  The
+to the bottom eigenspace).  The sampler (:func:`quad_ew_sample`) runs one
+hit-and-run chain over the unit ball in the eigenbasis of B; each chord's
+conditional is drawn by inverse CDF on a 256-point trapezoid grid, an
+approximation of the exact chord law.  Every step is followed by exact
+Metropolis sign reflections of the eigen-coordinates, which carry the chain
+between the symmetric modes that hit-and-run alone rarely crosses.  The
 constraint set stays the unit ball, which is convex regardless of the signs
 of the eigenvalues and invariant under the reflections.
 """
@@ -25,13 +26,13 @@ from .errors import DegenerateStartError, InputError
 __all__ = [
     "QuadraticObjective",
     "trs_minimize",
-    "hit_and_run",
     "quad_ew_sample",
     "surrogate_membership",
     "chain_autocorrelation",
 ]
 
 _ZERO_EIG_TOL = 1e-10  # |eigenvalues| of B below this form the null-space block
+_INTERIOR_TOL = 1e-10  # slack on ||alpha||^2 <= 1 for trs_minimize's interior point
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class QuadraticObjective:
         return float(a @ self.B @ a + self.b @ a)
 
 
-def trs_minimize(obj: QuadraticObjective, tol: float = 1e-10) -> tuple[np.ndarray, float]:
+def trs_minimize(obj: QuadraticObjective) -> tuple[np.ndarray, float]:
     """Global minimizer of a^T B a + b^T a over the unit ball.
 
     Returns (point, value).  The multiplier solves
@@ -78,7 +79,7 @@ def trs_minimize(obj: QuadraticObjective, tol: float = 1e-10) -> tuple[np.ndarra
         alpha = np.zeros(d)
         pos = lam > gap_tol
         alpha[pos] = c[pos] / lam[pos]
-        if np.all(np.abs(c[~pos]) <= gap_tol) and alpha @ alpha <= 1.0 + tol:
+        if np.all(np.abs(c[~pos]) <= gap_tol) and alpha @ alpha <= 1.0 + _INTERIOR_TOL:
             a = V @ alpha
             return a, obj.value(a)
 
@@ -127,81 +128,22 @@ def trs_minimize(obj: QuadraticObjective, tol: float = 1e-10) -> tuple[np.ndarra
     return a, obj.value(a)
 
 
-def hit_and_run(log_density, membership, chord_bounds, start, steps: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Hit-and-run chain over a caller-supplied convex set.
-
-    ``log_density`` maps a batch of points (n, d) to log densities (n,);
-    ``chord_bounds(x, u)`` returns the feasible parameter interval of
-    x + t u.  Each step samples the 1-D conditional by inverse CDF on a
-    256-point grid with trapezoid masses and linear interpolation, an
-    approximation of the exact chord law.  Every emitted point is feasible.
-    """
-    x = np.asarray(start, dtype=float).copy()
-    if not membership(x):
-        raise DegenerateStartError("start point is infeasible")
-    return _run_chain(log_density, chord_bounds, x, steps, rng)
-
-
-def _run_chain(log_density, chord_bounds, x: np.ndarray, steps: int,
-               rng: np.random.Generator, move=None) -> np.ndarray:
-    """Hit-and-run steps from the feasible point ``x``; when given,
-    ``move(x)`` follows every step and must preserve the target law."""
-    d = x.size
-    out = np.empty((steps, d))
-    grid = np.linspace(0.0, 1.0, 256)
-    for step in range(steps):
-        u = rng.standard_normal(d)
-        norm = math.sqrt(u @ u)
-        if norm == 0.0:
-            u = np.zeros(d)
-            u[0] = 1.0
-        else:
-            u /= norm
-        t_lo, t_hi = chord_bounds(x, u)
-        if not math.isfinite(t_lo) or not math.isfinite(t_hi) or t_hi - t_lo <= 1e-14:
-            raise DegenerateStartError(
-                f"degenerate chord of length {t_hi - t_lo!r} at step {step}"
-            )
-        ts = t_lo + (t_hi - t_lo) * grid
-        logd = np.asarray(log_density(x[None, :] + ts[:, None] * u[None, :]))
-        p = np.exp(logd - logd.max())
-        seg = 0.5 * (p[1:] + p[:-1])  # trapezoid mass per grid cell
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        target = rng.random() * cum[-1]
-        k = min(int(np.searchsorted(cum, target, side="right")) - 1, len(seg) - 1)
-        k = max(k, 0)
-        frac = (target - cum[k]) / seg[k] if seg[k] > 0 else 0.5
-        t = ts[k] + frac * (ts[k + 1] - ts[k])
-        x = x + min(max(t, t_lo), t_hi) * u
-        if move is not None:
-            x = move(x)
-        out[step] = x
-    return out
-
-
-def _ball_chord(x: np.ndarray, u: np.ndarray) -> tuple[float, float]:
-    # solve ||x + t u||^2 = 1 for unit u
-    xu = float(x @ u)
-    disc = xu * xu - (float(x @ x) - 1.0)
-    root = np.sqrt(max(disc, 0.0))
-    return -xu - root, -xu + root
-
-
 def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = None,
-                   rng: np.random.Generator | None = None,
-                   thin: int = 1) -> np.ndarray:
+                   rng: np.random.Generator | None = None) -> np.ndarray:
     """Samples approximately distributed as exp(a^T B a + a^T b) on the ball.
 
     Works in the eigenbasis of B, where the density separates per coordinate
     as exp(lam_i x_i^2 + gam_i x_i), and runs hit-and-run over the unit ball
-    (chord conditionals on a 256-point grid, see :func:`hit_and_run`).  After
-    every step each coordinate is reflected, x_i -> -x_i, with probability
-    1/2 * min(1, exp(-2 gam_i x_i)): a Metropolis move with a symmetric
-    proposal.  The ball is invariant under reflections and lam_i x_i^2 is
-    even, so the move is reversible for any b and leaves the stationary law
-    unchanged; with b = 0 each draw's signs are fair coins independent of the
-    chain's past.  Mixing quality is reported via
+    from the origin: each step draws a uniform direction, then a point on the
+    ball's chord through x by inverse CDF on a 256-point grid with trapezoid
+    masses and linear interpolation, an approximation of the exact chord law.
+    After every step each coordinate is reflected, x_i -> -x_i, with
+    probability 1/2 * min(1, exp(-2 gam_i x_i)): a Metropolis move with a
+    symmetric proposal.  The ball is invariant under reflections and
+    lam_i x_i^2 is even, so the move is reversible for any b and leaves the
+    stationary law unchanged; with b = 0 each draw's signs are fair coins
+    independent of the chain's past.  Returns the ``count`` states after
+    ``burn_in`` steps.  Mixing quality is reported via
     :func:`chain_autocorrelation`, not guaranteed.
     """
     if count < 1:
@@ -211,26 +153,46 @@ def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = No
         burn_in = 1000 * d
     if burn_in < 0:
         raise InputError("burn_in must be >= 0")
-    if thin < 1:
-        raise InputError("thin must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
     lam, V = np.linalg.eigh(obj.B)
     gam = V.T @ obj.b
-
-    def log_density(points: np.ndarray) -> np.ndarray:
-        return points * points @ lam + points @ gam
-
     slope = -2.0 * gam  # log-density change when x_i alone flips: slope_i x_i
-
-    def reflect(x: np.ndarray) -> np.ndarray:
+    grid = np.linspace(0.0, 1.0, 256)
+    chain = np.empty((burn_in + count, d))
+    x = np.zeros(d)
+    for step in range(chain.shape[0]):
+        u = rng.standard_normal(d)
+        norm = math.sqrt(u @ u)
+        if norm == 0.0:
+            u = np.zeros(d)
+            u[0] = 1.0
+        else:
+            u /= norm
+        # chord of the ball: ||x + t u||^2 = 1
+        xu = float(x @ u)
+        root = np.sqrt(max(xu * xu - (float(x @ x) - 1.0), 0.0))
+        t_lo, t_hi = -xu - root, -xu + root
+        if not math.isfinite(t_lo) or not math.isfinite(t_hi) or t_hi - t_lo <= 1e-14:
+            raise DegenerateStartError(
+                f"degenerate chord of length {t_hi - t_lo!r} at step {step}"
+            )
+        ts = t_lo + (t_hi - t_lo) * grid
+        points = x[None, :] + ts[:, None] * u[None, :]
+        logd = points * points @ lam + points @ gam
+        p = np.exp(logd - logd.max())
+        seg = 0.5 * (p[1:] + p[:-1])  # trapezoid mass per grid cell
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        target = rng.random() * cum[-1]
+        k = min(int(np.searchsorted(cum, target, side="right")) - 1, len(seg) - 1)
+        k = max(k, 0)
+        frac = (target - cum[k]) / seg[k] if seg[k] > 0 else 0.5
+        t = ts[k] + frac * (ts[k + 1] - ts[k])
+        x = x + min(max(t, t_lo), t_hi) * u
         flip = rng.random(d) < 0.5 * np.exp(np.minimum(slope * x, 0.0))
-        return np.where(flip, -x, x)
-
-    chain = _run_chain(log_density, _ball_chord, np.zeros(d),
-                       burn_in + count * thin, rng, move=reflect)
-    kept = chain[burn_in::thin][:count]
-    return kept @ V.T
+        x = np.where(flip, -x, x)
+        chain[step] = x
+    return chain[burn_in:] @ V.T
 
 
 def surrogate_membership(obj: QuadraticObjective):
@@ -269,13 +231,13 @@ def surrogate_membership(obj: QuadraticObjective):
     return member, nonzero
 
 
-def chain_autocorrelation(samples: np.ndarray, lag: int = 1) -> float:
-    """Mean lag-k autocorrelation across coordinates (mixing diagnostic)."""
+def chain_autocorrelation(samples: np.ndarray) -> float:
+    """Mean lag-1 autocorrelation across coordinates (mixing diagnostic)."""
     s = np.atleast_2d(np.asarray(samples, dtype=float))
-    if s.shape[0] <= lag:
+    if s.shape[0] <= 1:
         return float("nan")
     centered = s - s.mean(axis=0)
-    num = np.sum(centered[:-lag] * centered[lag:], axis=0)
+    num = np.sum(centered[:-1] * centered[1:], axis=0)
     den = np.sum(centered * centered, axis=0)
     den = np.where(den == 0.0, 1.0, den)
     return float(np.mean(num / den))

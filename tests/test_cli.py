@@ -47,6 +47,36 @@ def test_run_command_input_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    {"actions": "ball:x"},
+    {"kernel": "gaussian:abc"},
+    {"seeds": "0,a"},
+    {"params": "{bad"},
+    {"adversary": "fixed:1,x"},
+    {"params": "{}"},
+    {"algo": "bandit_ew", "params": '{"eta": 0.1}'},
+    {"algo": "cg", "params": '{"eta": 0.1, "gamma": 0.5, "n": 10}'},
+    {"config": {"seeds": [0, 1]}},
+    {"actions": "BAD_CSV"},
+    {"adversary": "periodic:BAD_CSV"},
+], ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()))
+def test_run_command_malformed_input_exits_2(tmp_path, capsys, flags):
+    args = {"algo": "fullinfo_ew", "kernel": "linear", "actions": "ball:8",
+            "adversary": "iid-unit", "n": "5", "seeds": "0", "params": "paper",
+            "out": str(tmp_path / "out"), **flags}
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("0.1,abc\n0.2,0.3\n")
+    args = {key: value.replace("BAD_CSV", str(bad_csv)) if isinstance(value, str) else value
+            for key, value in args.items()}
+    if "config" in args:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(args["config"]))
+        args["config"] = str(path)
+    argv = ["run"] + [item for key, value in args.items() for item in (f"--{key}", value)]
+    assert main(argv) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
 def test_run_command_precondition_exit_code(tmp_path):
     # n far too small for the bandit schedule: gamma > 1
     code = main(["run", "--algo", "bandit_ew", "--kernel", "linear",

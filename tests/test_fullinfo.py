@@ -248,6 +248,9 @@ def test_convex_combination_validation():
         ConvexCombination(np.eye(2), np.array([0.5, 0.2]))
     with pytest.raises(InputError):
         ConvexCombination(np.eye(2), np.array([0.5]))
+    for bad in ([np.nan, np.nan], [0.5, np.nan], [np.inf, 0.0], [-np.inf, np.inf]):
+        with pytest.raises(InputError):
+            ConvexCombination(np.eye(2), np.array(bad))
 
 
 def test_run_cg_requires_start_for_ball():

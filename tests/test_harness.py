@@ -180,6 +180,39 @@ def test_horizon_validation():
                          adversary=unit_vector_adversary(2), n=5)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_unit_vector_adversary_matches_sequential_draws(d):
+    # one batched draw must give the bits of n sequential draws, each
+    # divided by its np.linalg.norm, on the same stream
+    n = 500
+    schedule = unit_vector_adversary(d).materialize(n, component_rng(d, "adversary"))
+    rng = component_rng(d, "adversary")
+    want = []
+    for _ in range(n):
+        v = rng.standard_normal(d)
+        want.append(v / np.linalg.norm(v))
+    assert all(isinstance(w, RankOne) for w in schedule)
+    assert np.array_equal(np.array([w.y for w in schedule]), np.array(want))
+
+
+def test_unit_vector_adversary_redraws_zero_rows():
+    class ZeroRowFirst:
+        """Stand-in generator: all ones, except a zero row in the first draw."""
+
+        def __init__(self):
+            self.calls = 0
+
+        def standard_normal(self, size):
+            self.calls += 1
+            out = np.ones(size)
+            if self.calls == 1:
+                out[1] = 0.0
+            return out
+
+    rows = np.array([w.y for w in unit_vector_adversary(2).materialize(3, ZeroRowFirst())])
+    assert np.allclose(rows, np.sqrt(0.5))
+
+
 def test_emit_parse_round_trip(tmp_path):
     actions = ball_directions(6)
     schedule = unit_vector_adversary(2).materialize(25, component_rng(2, "adv"))

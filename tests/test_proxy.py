@@ -197,19 +197,6 @@ def test_build_proxy_input_validation():
         build_proxy(LINEAR, np.eye(3), m=0, p=3)
 
 
-def test_build_proxy_accepts_weighted_measure_and_callback():
-    pts = np.eye(3)
-    weighted = (pts, np.array([0.5, 0.3, 0.2]))
-    basis = build_proxy(LINEAR, weighted, m=2, p=30, rng=component_rng(11, "w"))
-    assert basis.m == 2
-
-    def sampler(rng):
-        return pts[int(rng.integers(0, 3))]
-
-    basis = build_proxy(LINEAR, sampler, m=2, p=30, rng=component_rng(12, "cb"))
-    assert basis.m == 2
-
-
 def test_json_round_trip_is_value_exact():
     basis = build_proxy(GAUSS_HALF, np.linspace(0, 1, 25)[:, None], m=4, p=40,
                         rng=component_rng(13, "json"))
