@@ -33,7 +33,6 @@ from .fullinfo import (
     UnitBall,
     cg_round,
     cg_theorem_config,
-    ftrl_oracle,
     full_info_eta,
     full_info_round,
     linear_min_oracle,
@@ -42,7 +41,6 @@ from .fullinfo import (
 )
 from .harness import (
     ExperimentConfig,
-    FixedAdversary,
     PeriodicAdversary,
     RegretTrace,
     ScheduleAdversary,
@@ -69,8 +67,6 @@ from .proxy import (
     EigendecayProfile,
     SampleBasis,
     approximation_sup_error,
-    basis_from_json,
-    basis_to_json,
     build_proxy,
     effective_dimension,
     fit_eigendecay,

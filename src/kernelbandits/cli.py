@@ -17,7 +17,6 @@ from .design import d_optimal_design, design_weights_csv
 from .errors import InputError, NumericalError, PreconditionError
 from .harness import (
     ExperimentConfig,
-    FixedAdversary,
     PeriodicAdversary,
     ScheduleAdversary,
     ball_directions,
@@ -91,18 +90,20 @@ def parse_actions(text: str) -> np.ndarray:
 def parse_adversary(text: str, kernel: KernelSpec, d: int):
     parts = text.split(":")
     name = parts[0].lower()
+    if name in ("fixed", "fixed-point", "periodic", "schedule") and len(parts) < 2:
+        raise InputError(f"--adversary {name} needs a value: {name}:<value>")
     if name == "zero":
         if kernel.variant == "gaussian":
             raise InputError("zero adversary needs an explicit feature space")
         from .kernels import feature_dim
 
-        return FixedAdversary(ExplicitVector(np.zeros(feature_dim(kernel, d))))
+        return PeriodicAdversary((ExplicitVector(np.zeros(feature_dim(kernel, d))),))
     if name == "fixed":
         w = np.array([_number(float, v, "--adversary") for v in parts[1].split(",")])
-        return FixedAdversary(make_explicit(kernel, w))
+        return PeriodicAdversary((make_explicit(kernel, w),))
     if name == "fixed-point":
         y = np.array([_number(float, v, "--adversary") for v in parts[1].split(",")])
-        return FixedAdversary(make_rank_one(kernel, y))
+        return PeriodicAdversary((make_rank_one(kernel, y),))
     if name == "iid-unit":
         return unit_vector_adversary(d)
     if name == "periodic":
@@ -114,11 +115,35 @@ def parse_adversary(text: str, kernel: KernelSpec, d: int):
     raise InputError(f"unknown adversary {text!r}")
 
 
+# JSON types a --config value may take, per run flag it overrides
+_CONFIG_TYPES = {
+    "algo": (str,), "kernel": (str,), "actions": (str,), "adversary": (str,),
+    "n": (int,), "seeds": (str, int), "params": (str, dict),
+    "proxy_p": (int, type(None)), "proxy_m": (int, type(None)), "out": (str,),
+}
+_JSON_NAMES = {str: "a string", int: "an integer", dict: "an object",
+               type(None): "null"}
+
+
+def _apply_config(args, text: str) -> None:
+    """Override run flags with a --config JSON object, checking its keys and
+    value types before any value is used."""
+    raw = _json(text, "--config")
+    if not isinstance(raw, dict):
+        raise InputError("--config: expected a JSON object")
+    for key, value in raw.items():
+        types = _CONFIG_TYPES.get(key)
+        if types is None:
+            raise InputError(f"--config: {key!r} is not a run flag it can set")
+        if isinstance(value, bool) or not isinstance(value, types):
+            expected = " or ".join(_JSON_NAMES[t] for t in types)
+            raise InputError(f"--config: {key!r} must be {expected}, got {value!r}")
+        setattr(args, key, value)
+
+
 def _cmd_run(args) -> int:
     if args.config:
-        raw = _json(Path(args.config).read_text(), "--config")
-        for key, value in raw.items():
-            setattr(args, key, value)
+        _apply_config(args, Path(args.config).read_text())
     kernel = parse_kernel(args.kernel)
     actions = parse_actions(args.actions)
     adversary = parse_adversary(args.adversary, kernel, actions.shape[1])
@@ -127,18 +152,18 @@ def _cmd_run(args) -> int:
         params = _json(params, "--params")
     seeds = tuple(_number(int, s, "--seeds") for s in str(args.seeds).split(","))
     covering = None
-    if str(args.actions).startswith("ball:"):
+    if args.actions.startswith("ball:"):
         covering = 2.0 * np.sin(np.pi / (2 * actions.shape[0]))
     config = ExperimentConfig(
         algo=args.algo, kernel=kernel, actions=actions, adversary=adversary,
-        n=int(args.n), seeds=seeds, params=params,
+        n=args.n, seeds=seeds, params=params,
         proxy_p=args.proxy_p, proxy_m=args.proxy_m, covering_radius=covering,
     )
     result = run_experiment(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    echo = {"algo": args.algo, "kernel": args.kernel, "n": int(args.n),
-            "actions": str(args.actions), "adversary": args.adversary}
+    echo = {"algo": args.algo, "kernel": args.kernel, "n": args.n,
+            "actions": args.actions, "adversary": args.adversary}
     for seed, trace in zip(seeds, result.traces):
         emit_trace(trace, out / f"trace_{seed}.csv", config_echo={**echo, "seed": seed})
     summary = {

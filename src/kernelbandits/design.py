@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _SPAN_REL_TOL = 1e-10  # singular values at or below this times the largest are zero
+_DESIGN_MAX_ITER = 10_000  # Frank-Wolfe steps before d_optimal_design gives up
 
 
 @dataclass(frozen=True)
@@ -62,23 +63,21 @@ def _as_feature_array(features) -> np.ndarray:
     return F
 
 
-def d_optimal_design(features, max_iter: int = 10_000,
-                     tol: float = 1e-6) -> DiscreteDistribution:
+def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     """D-optimal design weights over the feature rows.
 
     Maximizes log det(sum_i w_i f_i f_i^T) by Frank-Wolfe with away steps;
     the returned design satisfies the Kiefer-Wolfowitz certificate
-    max_i f_i^T Sigma^-1 f_i <= m (1 + tol), or raises ToleranceNotMetError.
+    max_i f_i^T Sigma^-1 f_i <= m (1 + tol), or raises ToleranceNotMetError
+    after 10 000 steps without it.
     """
-    if max_iter < 0:
-        raise InputError("max_iter must be >= 0")
     F = _as_feature_array(features)
     n, m = F.shape
     rank = np.linalg.matrix_rank(F)
     if rank < m:
         raise RankDeficiencyError(rank, m)
     w = np.full(n, 1.0 / n)
-    for it in range(max_iter + 1):
+    for it in range(_DESIGN_MAX_ITER + 1):
         sigma = F.T @ (F * w[:, None])
         g = np.einsum("ij,jk,ik->i", F, np.linalg.inv(sigma), F)  # f^T S^-1 f
         j_add = int(np.argmax(g))
@@ -89,8 +88,9 @@ def d_optimal_design(features, max_iter: int = 10_000,
         away_violation = 1.0 - g[j_away] / m
         if add_violation <= tol and away_violation <= tol:
             return DiscreteDistribution(w)
-        if it == max_iter:
-            raise ToleranceNotMetError(max(add_violation, away_violation), tol, max_iter)
+        if it == _DESIGN_MAX_ITER:
+            raise ToleranceNotMetError(max(add_violation, away_violation), tol,
+                                       _DESIGN_MAX_ITER)
         if add_violation >= away_violation:
             j, gj = j_add, g[j_add]
             lam = (gj - m) / (m * (gj - 1.0))  # gj > m >= 1 here

@@ -2,9 +2,7 @@
 
 The conditional-gradient iterate lives in the explicit feature space but is
 stored as a convex combination of embedded action points, which doubles as
-the sampling distribution for the rank-one play.  A follow-the-regularized-
-leader solver over the same hull is provided as a test oracle for the
-iterate-gap analysis; it is not a production algorithm.
+the sampling distribution for the rank-one play.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .design import DiscreteDistribution
-from .errors import InputError, ToleranceNotMetError
+from .errors import InputError
 from .kernels import (
     AdversaryAction,
     KernelSpec,
@@ -45,7 +43,6 @@ __all__ = [
     "cg_round",
     "run_cg",
     "linear_min_oracle",
-    "ftrl_oracle",
 ]
 
 _ATOM_PRUNE = 1e-14
@@ -115,7 +112,6 @@ class CGRecord:
     action_index: int
     loss: float
     num_atoms: int
-    cg_gap: float | None = None
 
 
 def full_info_eta(num_actions: int, G: float, n: int) -> float:
@@ -213,49 +209,18 @@ def cg_round(state: CGState, config: CGConfig, kernel: KernelSpec,
 
 def run_cg(kernel: KernelSpec, action_set, schedule: list[AdversaryAction],
            config: CGConfig, rng: np.random.Generator,
-           a1: np.ndarray | None = None,
-           gap_oracle_tol: float | None = None) -> tuple[list[CGRecord], CGState]:
-    """Run the conditional-gradient method over a full adversary schedule.
-
-    With ``gap_oracle_tol`` set (finite action sets only), each record also
-    carries the optimality gap of the iterate against the FTRL minimizer of
-    the same potential, solved to that tolerance.
-    """
+           a1: np.ndarray | None = None) -> tuple[list[CGRecord], CGState]:
+    """Run the conditional-gradient method over a full adversary schedule."""
     if a1 is None:
         if isinstance(action_set, UnitBall):
             raise InputError("unit-ball action set needs an explicit start point")
         a1 = np.atleast_2d(np.asarray(action_set, dtype=float))[0]
     state = cg_start(kernel, a1)
     records = []
-    warm = None
     for w_t in schedule:
-        gap = None
-        if gap_oracle_tol is not None:
-            gap, warm = _iterate_gap(state, config, kernel, action_set,
-                                     gap_oracle_tol, warm)
         state, rec = cg_round(state, config, kernel, action_set, w_t, rng)
-        if gap is not None:
-            rec = CGRecord(rec.round, rec.action_index, rec.loss,
-                           rec.num_atoms, cg_gap=gap)
         records.append(rec)
     return records, state
-
-
-def _potential(state: CGState, config: CGConfig, X: np.ndarray) -> float:
-    diff = X - state.x1
-    return float(config.eta * state.cum_adversary @ X + diff @ diff)
-
-
-def _iterate_gap(state: CGState, config: CGConfig, kernel: KernelSpec,
-                 action_set, tol: float, warm):
-    # F_t differs from the FTRL objective by the linear term -2 <x1, X>,
-    # folded in here as a pseudo adversary action.
-    history = [state.cum_adversary - 0.0, -2.0 * state.x1 / config.eta]
-    star = ftrl_oracle(history, config.eta, kernel, action_set, tol,
-                       init_weights=warm)
-    x_star = star.mean_feature(kernel)
-    gap = _potential(state, config, state.mean) - _potential(state, config, x_star)
-    return gap, star.weights
 
 
 def linear_min_oracle(kernel: KernelSpec, gradient: np.ndarray, action_set) -> np.ndarray:
@@ -284,61 +249,3 @@ def linear_min_oracle(kernel: KernelSpec, gradient: np.ndarray, action_set) -> n
     actions = np.atleast_2d(np.asarray(action_set, dtype=float))
     values = feature_matrix(kernel, actions) @ gradient
     return actions[int(np.argmin(values))]
-
-
-def ftrl_oracle(history, eta: float, kernel: KernelSpec, actions,
-                tol: float = 1e-8, max_iter: int = 100_000,
-                init_weights: np.ndarray | None = None) -> ConvexCombination:
-    """Minimize eta <sum w_s, X> + <X, X> over the hull of the embedded
-    actions, by Frank-Wolfe with away steps over the simplex.
-
-    ``history`` entries may be feature-space vectors or adversary actions.
-    Raises when the duality gap has not reached ``tol`` within the cap.
-    """
-    actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    A = feature_matrix(kernel, actions)        # (N, D) atom features
-    g = np.zeros(A.shape[1])
-    for w in history:
-        g = g + (adversary_feature(kernel, w) if not isinstance(w, np.ndarray)
-                 else np.asarray(w, dtype=float))
-    n = actions.shape[0]
-    lam = (np.full(n, 1.0 / n) if init_weights is None
-           else np.asarray(init_weights, dtype=float).copy())
-    X = A.T @ lam
-    gap = np.inf
-    for _ in range(max_iter):
-        grad = A @ (eta * g + 2.0 * X)
-        s = int(np.argmin(grad))
-        gap = float(grad @ lam - grad[s])
-        if gap <= tol:
-            return ConvexCombination(actions, lam)
-        support = lam > 0
-        v = int(np.argmax(np.where(support, grad, -np.inf)))
-        fw_slope = grad[s] - float(grad @ lam)
-        away_slope = float(grad @ lam) - grad[v]
-        if fw_slope <= away_slope:
-            direction = -lam.copy()
-            direction[s] += 1.0
-            step_max = 1.0
-        else:
-            direction = lam.copy()
-            direction[v] -= 1.0
-            step_max = lam[v] / (1.0 - lam[v]) if lam[v] < 1.0 else 0.0
-        dX = A.T @ direction
-        curv = float(dX @ dX)
-        slope = float(grad @ direction)
-        if curv <= 0 or step_max <= 0:
-            step = step_max if slope < 0 else 0.0
-        else:
-            step = min(max(-slope / (2.0 * curv), 0.0), step_max)
-        if step <= 0:
-            break
-        lam = lam + step * direction
-        np.maximum(lam, 0.0, out=lam)
-        lam /= lam.sum()
-        X = A.T @ lam
-    grad = A @ (eta * g + 2.0 * X)
-    gap = float(grad @ lam - grad.min())
-    if gap <= tol:
-        return ConvexCombination(actions, lam)
-    raise ToleranceNotMetError(gap, tol, max_iter)

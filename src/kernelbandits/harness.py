@@ -44,7 +44,6 @@ from .proxy import build_proxy, approximation_sup_error
 from .rng import component_rng
 
 __all__ = [
-    "FixedAdversary",
     "PeriodicAdversary",
     "ScheduleAdversary",
     "unit_vector_adversary",
@@ -67,20 +66,15 @@ _PARAM_KEYS = {"bandit_ew": ("eta", "gamma"), "fullinfo_ew": ("eta",),
 
 
 @dataclass(frozen=True)
-class FixedAdversary:
-    """Same action every round."""
-
-    action: AdversaryAction
-
-    def materialize(self, n: int, rng: np.random.Generator) -> list[AdversaryAction]:
-        return [self.action] * n
-
-
-@dataclass(frozen=True)
 class PeriodicAdversary:
-    """Cycles through a fixed list of actions."""
+    """Cycles through a fixed list of actions; a single action is a fixed
+    adversary."""
 
     actions: tuple
+
+    def __post_init__(self):
+        if len(self.actions) == 0:
+            raise InputError("periodic adversary needs at least one action")
 
     def materialize(self, n: int, rng: np.random.Generator) -> list[AdversaryAction]:
         k = len(self.actions)
@@ -214,14 +208,13 @@ def build_trace(kernel: KernelSpec, actions: np.ndarray,
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs; randomness derives from the seed list only.
+    """Everything a run needs; randomness derives from the seed list, except
+    the bandit's proxy basis, which every run draws from seed 0.
 
     ``params`` is either the string "paper" (theorem schedules) or a dict of
     explicit algorithm parameters: eta and gamma (eps optional) for
     bandit_ew, eta for fullinfo_ew, and exactly eta, gamma (a callable
-    t -> gamma_t) and n for cg.  ``adversary_seed`` pins the adversary
-    stream independently of the player seed; left unset, each run seed gets
-    its own adversary stream.
+    t -> gamma_t) and n for cg.  Each run seed gets its own adversary stream.
     """
 
     algo: str  # "bandit_ew" | "fullinfo_ew" | "cg"
@@ -231,7 +224,6 @@ class ExperimentConfig:
     n: int
     seeds: tuple = (0,)
     params: object = "paper"
-    adversary_seed: int | None = None
     proxy_p: int | None = None
     proxy_m: int | None = None
     covering_radius: float | None = None
@@ -274,7 +266,7 @@ def _bandit_setup(config: ExperimentConfig):
     p = config.proxy_p or 2 * num_actions
     m_target = config.proxy_m or min(num_actions, p)
     basis = build_proxy(kernel, actions, m=m_target, p=p,
-                        rng=component_rng(config.adversary_seed or 0, "proxy"))
+                        rng=component_rng(0, "proxy"))
     features, nu, center_offset = _bandit.prepare_bandit_features(basis, actions)
     m = features.shape[1]
     if config.params == "paper":
@@ -303,8 +295,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         details["design_center_offset"] = bandit_ctx[4]
 
     for seed in config.seeds:
-        adv_seed = config.adversary_seed if config.adversary_seed is not None else seed
-        adv_rng = component_rng(adv_seed, "adversary")
+        adv_rng = component_rng(seed, "adversary")
         schedule = config.adversary.materialize(config.n, adv_rng)
         hashes.append(schedule_hash(schedule))
         player_rng = component_rng(seed, "player")

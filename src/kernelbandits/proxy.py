@@ -11,7 +11,6 @@ into the truncation level needed for a target approximation error.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,8 +29,6 @@ __all__ = [
     "effective_dimension",
     "approximation_sup_error",
     "fit_eigendecay",
-    "basis_to_json",
-    "basis_from_json",
 ]
 
 _EIG_FLOOR_REL = 1e-10  # Gram eigenvalues at or below this times the largest drop
@@ -129,18 +126,16 @@ def basis_from_samples(kernel: KernelSpec, samples: np.ndarray,
 
 
 def build_proxy(kernel: KernelSpec, points: np.ndarray, m: int | None, p: int,
-                rng: np.random.Generator | None = None) -> SampleBasis:
+                rng: np.random.Generator) -> SampleBasis:
     """Construct the m-dimensional proxy basis from p sampled points.
 
     The p samples are rows of the point array ``points``, drawn uniformly
-    with replacement.
+    with replacement from ``rng``.
     """
     if m is not None and m < 1:
         raise InputError("m must be >= 1")
     if m is not None and p < m:
         raise InputError(f"need p >= m, got p={p}, m={m}")
-    if rng is None:
-        rng = np.random.default_rng()
     points = np.atleast_2d(np.asarray(points, dtype=float))
     idx = rng.integers(0, points.shape[0], size=p)
     return basis_from_samples(kernel, points[idx], m=m)
@@ -211,43 +206,3 @@ def fit_eigendecay(basis: SampleBasis, variant: str,
     F = proxy_features(basis, probe_points)
     B = float(np.abs(F / np.sqrt(basis.eigenvalues)).max())
     return EigendecayProfile(variant, C=C, beta=beta, eigfn_bound_B=B)
-
-
-def _g17(x: float) -> float:
-    # round-trip through 17 significant digits; exact for IEEE doubles
-    return float(f"{x:.17g}")
-
-
-def basis_to_json(basis: SampleBasis) -> str:
-    """Serialize a basis; numbers pass through 17-significant-digit decimals."""
-    spec = basis.kernel
-    doc = {
-        "kernel": {
-            "variant": spec.variant,
-            "norm_bound_G": _g17(spec.norm_bound_G),
-            "sigma": None if spec.sigma is None else _g17(spec.sigma),
-            "degree": spec.degree,
-            "offset": None if spec.offset is None else _g17(spec.offset),
-        },
-        "shape": {"p": basis.p, "m": basis.m, "d": basis.sample_points.shape[1]},
-        "points": [_g17(v) for v in basis.sample_points.ravel()],
-        "eig_coeffs": [_g17(v) for v in basis.eig_coeffs.ravel()],
-        "eigenvalues": [_g17(v) for v in basis.eigenvalues],
-        "normalizers": [_g17(v) for v in basis.normalizers],
-    }
-    return json.dumps(doc)
-
-
-def basis_from_json(text: str) -> SampleBasis:
-    doc = json.loads(text)
-    k = doc["kernel"]
-    spec = KernelSpec(k["variant"], norm_bound_G=k["norm_bound_G"],
-                      sigma=k["sigma"], degree=k["degree"], offset=k["offset"])
-    p, m, d = doc["shape"]["p"], doc["shape"]["m"], doc["shape"]["d"]
-    return SampleBasis(
-        sample_points=np.array(doc["points"], dtype=float).reshape(p, d),
-        eig_coeffs=np.array(doc["eig_coeffs"], dtype=float).reshape(m, p),
-        eigenvalues=np.array(doc["eigenvalues"], dtype=float),
-        normalizers=np.array(doc["normalizers"], dtype=float),
-        kernel=spec,
-    )

@@ -129,7 +129,7 @@ def trs_minimize(obj: QuadraticObjective) -> tuple[np.ndarray, float]:
 
 
 def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = None,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
+                   *, rng: np.random.Generator) -> np.ndarray:
     """Samples approximately distributed as exp(a^T B a + a^T b) on the ball.
 
     Works in the eigenbasis of B, where the density separates per coordinate
@@ -153,8 +153,6 @@ def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = No
         burn_in = 1000 * d
     if burn_in < 0:
         raise InputError("burn_in must be >= 0")
-    if rng is None:
-        rng = np.random.default_rng()
     lam, V = np.linalg.eigh(obj.B)
     gam = V.T @ obj.b
     slope = -2.0 * gam  # log-density change when x_i alone flips: slope_i x_i

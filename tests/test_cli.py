@@ -53,10 +53,16 @@ def test_run_command_input_error_exit_code(tmp_path):
     {"seeds": "0,a"},
     {"params": "{bad"},
     {"adversary": "fixed:1,x"},
+    {"adversary": "fixed"},
     {"params": "{}"},
     {"algo": "bandit_ew", "params": '{"eta": 0.1}'},
     {"algo": "cg", "params": '{"eta": 0.1, "gamma": 0.5, "n": 10}'},
     {"config": {"seeds": [0, 1]}},
+    {"config": {"actions": ["ball:8"]}},
+    {"config": {"kernel": 5}},
+    {"config": [1]},
+    {"config": {"n": "abc"}},
+    {"config": {"bogus": 1}},
     {"actions": "BAD_CSV"},
     {"adversary": "periodic:BAD_CSV"},
 ], ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()))

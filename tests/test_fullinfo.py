@@ -11,7 +11,6 @@ from kernelbandits.fullinfo import (
     cg_round,
     cg_start,
     cg_theorem_config,
-    ftrl_oracle,
     full_info_eta,
     full_info_round,
     linear_min_oracle,
@@ -26,6 +25,7 @@ from kernelbandits.kernels import (
 )
 from kernelbandits.rng import component_rng
 from kernelbandits.weights import WeightState
+from oracles import ftrl_oracle, run_cg_with_gaps
 
 LINEAR = KernelSpec.linear(G=1.0)
 QUAD = KernelSpec.quadratic(G=2.0)
@@ -226,11 +226,13 @@ def test_cg_gap_bound_against_ftrl_oracle():
     for seed in (7, 11, 23):
         schedule = unit_vector_adversary(2).materialize(
             128, component_rng(seed, "adv"))
-        records, _ = run_cg(LINEAR, actions, schedule, cfg,
-                            component_rng(seed, "cg"), gap_oracle_tol=1e-8)
-        for rec in records:
+        pairs = run_cg_with_gaps(LINEAR, actions, schedule, cfg,
+                                 component_rng(seed, "cg"), tol=1e-8)
+        records, _ = run_cg(LINEAR, actions, schedule, cfg, component_rng(seed, "cg"))
+        assert [rec for rec, _ in pairs] == records
+        for rec, gap in pairs:
             gamma_t = min(1.0, 2.0 / math.sqrt(rec.round))
-            assert rec.cg_gap <= 8.0 * gamma_t + 1e-6
+            assert gap <= 8.0 * gamma_t + 1e-6
 
 
 def test_cg_atom_count_stays_bounded():

@@ -11,7 +11,6 @@ from kernelbandits.errors import (
 from kernelbandits.harness import (
     _LOSS_BLOCK_ROWS,
     ExperimentConfig,
-    FixedAdversary,
     PeriodicAdversary,
     ScheduleAdversary,
     ball_directions,
@@ -126,7 +125,7 @@ def test_run_experiment_single_round_nonnegative_regret():
 
 def test_zero_adversary_gives_zero_regret():
     actions = ball_directions(5)
-    zero = FixedAdversary(make_explicit(LINEAR, np.zeros(2)))
+    zero = PeriodicAdversary((make_explicit(LINEAR, np.zeros(2)),))
     config = ExperimentConfig(algo="fullinfo_ew", kernel=LINEAR,
                               actions=actions, adversary=zero, n=20,
                               seeds=(0,), params={"eta": 0.1})
@@ -246,17 +245,21 @@ def test_seed_determinism_identical_bytes(tmp_path):
 
 
 def test_obliviousness_schedule_fixed_across_player_seeds():
+    # the schedule depends on the seed alone, never on the player facing it
     actions = ball_directions(8)
-    hashes = []
-    for seeds in ((0,), (1,), (17,)):
-        config = ExperimentConfig(algo="fullinfo_ew", kernel=LINEAR,
-                                  actions=actions,
-                                  adversary=unit_vector_adversary(2), n=40,
-                                  seeds=seeds, params={"eta": 0.2},
-                                  adversary_seed=12345)
-        result = run_experiment(config)
-        hashes.extend(result.schedule_hashes)
-    assert len(set(hashes)) == 1
+    players = (("fullinfo_ew", {"eta": 0.2}), ("fullinfo_ew", {"eta": 5.0}),
+               ("cg", "paper"))
+
+    def hashes(seed):
+        return {run_experiment(ExperimentConfig(
+                    algo=algo, kernel=LINEAR, actions=actions,
+                    adversary=unit_vector_adversary(2), n=40, seeds=(seed,),
+                    params=params)).schedule_hashes[0]
+                for algo, params in players}
+
+    first = hashes(12345)
+    assert len(first) == 1
+    assert hashes(17) != first
 
 
 def test_periodic_and_schedule_adversaries():
@@ -265,6 +268,8 @@ def test_periodic_and_schedule_adversaries():
     per = PeriodicAdversary((a, b))
     sched = per.materialize(5, component_rng(4, "adv"))
     assert [s is a for s in sched] == [True, False, True, False, True]
+    with pytest.raises(InputError):
+        PeriodicAdversary(())
 
     explicit = ScheduleAdversary((a, b, a))
     assert len(explicit.materialize(3, component_rng(5, "adv"))) == 3

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -50,12 +52,11 @@ def test_no_unused_imports():
 
 # Public names whose only callers are tests, kept on purpose.
 _TEST_ONLY_PUBLIC = {
-    "configure_bandit": "paper construction: the bandit schedule from an eigendecay profile",
+    "configure_bandit": ("paper construction: the bandit schedule from an eigendecay "
+                         "profile; a caller would need a --params choice next to 'paper'"),
     "theorem_regret_bound": "paper construction: the regret bound the theorems state",
     "quadratic_adversary": "paper construction: the (A, b) adversary of quadratic losses",
     "surrogate_membership": "paper construction: the convex reparametrized constraint set",
-    "basis_to_json": "documented persistence format of a proxy basis",
-    "basis_from_json": "documented persistence format of a proxy basis",
     "parse_trace": "reader of the CSV that emit_trace writes",
 }
 
@@ -70,20 +71,97 @@ def _statement_references(path: Path) -> list[tuple[str | None, set[str]]]:
             for stmt in tree.body]
 
 
-def test_public_names_have_a_non_test_caller():
-    # a name in __all__ must be read by the package or the benchmark outside
-    # its own definition; __init__.py re-exports and tests do not count
+def _modules_and_callers() -> tuple[list[Path], list[Path]]:
+    """The package's modules, and the files whose calls count as non-test:
+    those modules plus the benchmark's non-test files."""
     package = Path(kernelbandits.__path__[0])
     bench = Path(__file__).resolve().parent.parent / "bench"
     modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
     callers = modules + sorted(p for p in bench.glob("*.py")
                                if not p.name.startswith("test_"))
+    return modules, callers
+
+
+def _public_objects(modules: list[Path]) -> dict[str, object]:
+    objects = {}
+    for path in modules:
+        module = importlib.import_module(f"kernelbandits.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            objects[name] = getattr(module, name)
+    return objects
+
+
+def test_public_names_have_a_non_test_caller():
+    # a name in __all__ must be read by the package or the benchmark outside
+    # its own definition; __init__.py re-exports and tests do not count
+    modules, callers = _modules_and_callers()
     references = [entry for path in callers for entry in _statement_references(path)]
-    public = [name for path in modules
-              for name in getattr(importlib.import_module(f"kernelbandits.{path.stem}"),
-                                  "__all__", ())]
+    public = list(_public_objects(modules))
     assert len(public) > 50
     uncalled = [name for name in public if name not in _TEST_ONLY_PUBLIC
                 and not any(name in names for own, names in references if own != name)]
     assert uncalled == []
     assert set(_TEST_ONLY_PUBLIC) <= set(public)
+
+
+# Defaulted parameters that no non-test call sets, kept on purpose.
+_TEST_ONLY_PARAMETERS = {
+    "main(argv)": "tests drive the CLI in-process; the console script passes none",
+    "run_cg(a1)": "the start point on a UnitBall, which no harness path plays yet",
+}
+
+
+def _settable_parameters(obj) -> list[tuple[str, int | None]]:
+    """(name, positional index or None) of each parameter or dataclass field
+    that has a default, i.e. that a caller may leave unset."""
+    if dataclasses.is_dataclass(obj) and isinstance(obj, type):
+        fields = [f for f in dataclasses.fields(obj) if f.init]
+        return [(f.name, i) for i, f in enumerate(fields)
+                if f.default is not dataclasses.MISSING
+                or f.default_factory is not dataclasses.MISSING]
+    if inspect.isfunction(obj):
+        params = list(inspect.signature(obj).parameters.values())
+        return [(p.name, i if p.kind is p.POSITIONAL_OR_KEYWORD else None)
+                for i, p in enumerate(params) if p.default is not p.empty]
+    return []
+
+
+def _calls(path: Path) -> list[tuple[str, int, set[str]]]:
+    """(callee name, positional count, keyword names) of every call in a file;
+    ``cls(...)`` inside a class body calls that class."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {}
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for node in ast.walk(cls):
+            owner[node] = cls.name
+
+    def name_of(node):
+        if isinstance(node, ast.Name):
+            return owner.get(node, node.id) if node.id == "cls" else node.id
+        return node.attr if isinstance(node, ast.Attribute) else None
+
+    return [(name_of(node.func), len(node.args),
+             {kw.arg for kw in node.keywords if kw.arg is not None})
+            for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def test_public_parameters_have_a_non_test_setter():
+    # a parameter or dataclass field with a default, on a name in __all__,
+    # must be set by some call in the package or the benchmark, by keyword
+    # or by enough positional arguments; otherwise only tests can reach the
+    # code it selects.  Allow-listed functions are skipped whole.
+    modules, callers = _modules_and_callers()
+    calls = [call for path in callers for call in _calls(path)]
+    checked, unset = 0, []
+    for name, obj in _public_objects(modules).items():
+        if name in _TEST_ONLY_PUBLIC:
+            continue
+        for param, position in _settable_parameters(obj):
+            checked += 1
+            if not any(callee == name and (param in keywords or (
+                    position is not None and positional > position))
+                    for callee, positional, keywords in calls):
+                unset.append(f"{name}({param})")
+    assert checked > 20
+    assert sorted(set(unset) - set(_TEST_ONLY_PARAMETERS)) == []
+    assert set(_TEST_ONLY_PARAMETERS) <= set(unset)

@@ -183,10 +183,11 @@ def test_surrogate_set_is_convex():
 
 def test_sampler_validation():
     obj = QuadraticObjective(np.zeros((2, 2)), np.zeros(2))
+    rng = component_rng(12, "validate")
     with pytest.raises(InputError):
-        quad_ew_sample(obj, count=0)
+        quad_ew_sample(obj, count=0, rng=rng)
     with pytest.raises(InputError):
-        quad_ew_sample(obj, count=1, burn_in=-1)
+        quad_ew_sample(obj, count=1, burn_in=-1, rng=rng)
 
 
 def test_chain_autocorrelation_diagnostic():
