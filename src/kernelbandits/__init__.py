@@ -18,8 +18,8 @@ from .bandit import (
 from .design import (
     DiscreteDistribution,
     action_covariance,
+    check_covariance_floor,
     d_optimal_design,
-    invert_covariance,
     whiten_features,
 )
 from .errors import (

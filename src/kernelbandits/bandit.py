@@ -3,10 +3,12 @@
 Each round mixes the exponential-weights distribution with a fixed
 exploration design, plays one action, observes only its loss under the true
 kernel, and reconstructs an estimate of the adversary's proxy-feature vector
-through the inverse covariance of the mixed play distribution.  The
+by solving against the covariance of the mixed play distribution.  The
 exploration design keeps that covariance invertible: with the D-optimal
 design over whitened features its smallest eigenvalue is at least gamma / m
-in exact arithmetic.  Rounds check it at gamma / (2m): slack for rounding.
+in exact arithmetic.  Every round certifies it above gamma / (2m), slack for
+rounding, by a Cholesky factorization; the exact smallest eigenvalue is
+computed only on the rounds it is recorded.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 from .design import (
     DiscreteDistribution,
     action_covariance,
+    check_covariance_floor,
     d_optimal_design,
-    invert_covariance,
     reduce_to_span,
     whiten_features,
 )
@@ -42,6 +44,8 @@ __all__ = [
     "prepare_bandit_features",
     "run_bandit",
 ]
+
+_MIN_EIG_EVERY = 50  # rounds 1, 51, 101, ... record the exact min eigenvalue
 
 
 @dataclass(frozen=True)
@@ -67,11 +71,19 @@ class BanditConfig:
 
 @dataclass(frozen=True)
 class BanditRecord:
+    """One round's play and estimate.
+
+    The covariance floor gamma / (2m) is certified on every round.
+    ``min_eig_sigma``, the exact smallest eigenvalue of that round's play
+    covariance, is sampled: it is recorded on rounds 1, 51, 101, ... (every
+    ``_MIN_EIG_EVERY`` = 50 rounds) and is None on the other rounds.
+    """
+
     round: int
     action_index: int
     loss: float
     w_hat: np.ndarray
-    min_eig_sigma: float
+    min_eig_sigma: float | None
 
 
 def _make_config(eta: float, m: int, eps: float, n: int, G: float) -> BanditConfig:
@@ -124,10 +136,11 @@ def theorem_regret_bound(config: BanditConfig, G: float, num_actions: int) -> fl
             + math.log(num_actions) / config.eta)
 
 
-def estimate_adversary(sigma_inv: np.ndarray, phi_a: np.ndarray,
+def estimate_adversary(sigma: np.ndarray, phi_a: np.ndarray,
                        observed_loss: float) -> np.ndarray:
-    """One-sample adversary estimate: observed loss times Sigma^-1 Phi(a)."""
-    return observed_loss * (sigma_inv @ phi_a)
+    """One-sample adversary estimate: observed loss times Sigma^-1 Phi(a),
+    by a linear solve against the play covariance Sigma."""
+    return observed_loss * np.linalg.solve(sigma, phi_a)
 
 
 def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
@@ -139,7 +152,9 @@ def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
     The observed loss uses the exact kernel while the estimate lives in the
     proxy feature space; the mismatch is precisely the estimator bias the
     regret analysis charges to the approximation level.  The covariance floor
-    is gamma / (2m), not the exact gamma / m, as slack for rounding.
+    is gamma / (2m), not the exact gamma / m, as slack for rounding; it is
+    checked by Cholesky on every round, and the record carries the exact
+    smallest eigenvalue on the sampled rounds only (see BanditRecord).
     """
     if state.round >= config.n:
         raise PreconditionError(f"horizon {config.n} already reached")
@@ -148,10 +163,12 @@ def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
     idx = sample_index(p, rng)
     loss = loss_eval(kernel, actions[idx], w_t)
 
-    sigma_inv, min_eig = invert_covariance(action_covariance(p, features),
-                                           0.5 * config.gamma / features.shape[1])
+    sigma = action_covariance(p, features)
+    check_covariance_floor(sigma, 0.5 * config.gamma / features.shape[1])
+    min_eig = (float(np.linalg.eigvalsh(sigma)[0])
+               if state.round % _MIN_EIG_EVERY == 0 else None)
 
-    w_hat = estimate_adversary(sigma_inv, features[idx], loss)
+    w_hat = estimate_adversary(sigma, features[idx], loss)
     new_state = state.stepped(-config.eta * (features @ w_hat))
     record = BanditRecord(state.round + 1, idx, float(loss), w_hat, min_eig)
     return new_state, record

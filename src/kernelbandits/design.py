@@ -6,8 +6,9 @@ sets), computed by Frank-Wolfe with away steps on the log-det objective.
 After whitening by the design covariance, the feature second-moment matrix
 of the design is the identity over m, which is what gives the mixed
 distribution its gamma/m eigenvalue floor.  `action_covariance` (the second
-moment) and `invert_covariance` (its floor-checked inverse) are the one
-covariance path; the bandit calls both every round.
+moment) and `check_covariance_floor` (a Cholesky test that its smallest
+eigenvalue is above a floor) are the one covariance path; the bandit calls
+both every round and then solves against the covariance.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ __all__ = [
     "DiscreteDistribution",
     "d_optimal_design",
     "action_covariance",
-    "invert_covariance",
+    "check_covariance_floor",
     "whiten_features",
     "reduce_to_span",
     "design_weights_csv",
@@ -31,6 +32,10 @@ __all__ = [
 
 _SPAN_REL_TOL = 1e-10  # singular values at or below this times the largest are zero
 _DESIGN_MAX_ITER = 10_000  # Frank-Wolfe steps before d_optimal_design gives up
+_DESIGN_REFRESH = 50  # steps between from-scratch recomputations of Sigma^-1 and g
+# a rank-one update whose pivot 1 - lam or 1 + r g_j is at most this (the
+# m = 1 add step has lam = 1) is replaced by a from-scratch recomputation
+_MIN_PIVOT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,13 @@ def _as_feature_array(features) -> np.ndarray:
     return F
 
 
+def _leverages(F: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma^-1 and g_i = f_i^T Sigma^-1 f_i for Sigma = sum_i w_i f_i f_i^T,
+    computed from scratch."""
+    sigma_inv = np.linalg.inv(F.T @ (F * w[:, None]))
+    return sigma_inv, np.einsum("ij,ij->i", F @ sigma_inv, F)
+
+
 def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     """D-optimal design weights over the feature rows.
 
@@ -70,6 +82,13 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     the returned design satisfies the Kiefer-Wolfowitz certificate
     max_i f_i^T Sigma^-1 f_i <= m (1 + tol), or raises ToleranceNotMetError
     after 10 000 steps without it.
+
+    A step w' = (1 - lam) w + lam e_j changes Sigma by a rank-one term, so
+    Sigma^-1 and the leverages g follow by Sherman-Morrison in O(N m) per
+    step.  They are recomputed from scratch every ``_DESIGN_REFRESH`` steps,
+    after a step whose update would divide by a pivot near zero, and before
+    the certificate is accepted or refused: the certificate is always
+    checked on the exact leverages.
     """
     F = _as_feature_array(features)
     n, m = F.shape
@@ -77,16 +96,20 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     if rank < m:
         raise RankDeficiencyError(rank, m)
     w = np.full(n, 1.0 / n)
-    for it in range(_DESIGN_MAX_ITER + 1):
-        sigma = F.T @ (F * w[:, None])
-        g = np.einsum("ij,jk,ik->i", F, np.linalg.inv(sigma), F)  # f^T S^-1 f
+    sigma_inv, g = _leverages(F, w)
+    exact = True
+    it = 0
+    while True:
         j_add = int(np.argmax(g))
-        support = w > 0
-        g_support = np.where(support, g, np.inf)
-        j_away = int(np.argmin(g_support))
+        j_away = int(np.argmin(np.where(w > 0, g, np.inf)))
         add_violation = g[j_add] / m - 1.0
         away_violation = 1.0 - g[j_away] / m
-        if add_violation <= tol and away_violation <= tol:
+        converged = add_violation <= tol and away_violation <= tol
+        if (converged or it == _DESIGN_MAX_ITER) and not exact:
+            sigma_inv, g = _leverages(F, w)
+            exact = True
+            continue
+        if converged:
             return DiscreteDistribution(w)
         if it == _DESIGN_MAX_ITER:
             raise ToleranceNotMetError(max(add_violation, away_violation), tol,
@@ -106,6 +129,19 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
         w[j] += lam
         np.maximum(w, 0.0, out=w)
         w /= w.sum()
+        it += 1
+        # Sigma' = (1 - lam)(Sigma + r f_j f_j^T) with r = lam / (1 - lam)
+        shrink = 1.0 - lam
+        if (it % _DESIGN_REFRESH == 0 or shrink <= _MIN_PIVOT
+                or 1.0 + lam / shrink * gj <= _MIN_PIVOT):
+            sigma_inv, g = _leverages(F, w)
+            exact = True
+        else:
+            u = sigma_inv @ F[j]
+            c = lam / (shrink + lam * gj)  # r / (1 + r g_j)
+            sigma_inv = (sigma_inv - c * np.outer(u, u)) / shrink
+            g = (g - c * (F @ u) ** 2) / shrink
+            exact = False
 
 
 def action_covariance(weights, features) -> np.ndarray:
@@ -118,15 +154,20 @@ def action_covariance(weights, features) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
-def invert_covariance(sigma: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
-    """(inverse, smallest eigenvalue) from one eigh; refuses below ``floor``."""
+def check_covariance_floor(sigma: np.ndarray, floor: float) -> None:
+    """Refuse a covariance whose smallest eigenvalue is not above ``floor``.
+
+    cholesky(sigma - floor I) succeeds iff lambda_min(sigma) > floor, so the
+    check needs no spectrum; on refusal the error carries the exact
+    lambda_min from eigvalsh.
+    """
     if floor <= 0:
         raise InputError("floor must be positive")
-    vals, vecs = np.linalg.eigh(sigma)
-    min_eig = float(vals[0])
-    if min_eig < floor:
-        raise IllConditionedCovarianceError(min_eig, floor)
-    return (vecs / vals) @ vecs.T, min_eig
+    try:
+        np.linalg.cholesky(sigma - floor * np.eye(sigma.shape[0]))
+    except np.linalg.LinAlgError:
+        raise IllConditionedCovarianceError(float(np.linalg.eigvalsh(sigma)[0]),
+                                            floor) from None
 
 
 def whiten_features(features, design: DiscreteDistribution) -> np.ndarray:

@@ -120,16 +120,18 @@ def unit_vector_adversary(d: int) -> _UnitVectorAdversary:
 
 
 def schedule_hash(schedule: list[AdversaryAction]) -> str:
-    """Content hash of a materialized schedule (obliviousness witness)."""
-    h = hashlib.sha256()
-    for w in schedule:
-        if isinstance(w, RankOne):
-            h.update(b"r")
-            payload = w.y
-        else:
-            h.update(b"e")
-            payload = w.w
-        h.update(",".join(f"{v:.17g}" for v in np.ravel(payload)).encode())
+    """Content hash of a materialized schedule (obliviousness witness).
+
+    SHA-256 of the row count, each row's kind (rank-one or explicit) and
+    length, and then every row's float64 bytes in order.
+    """
+    rank_one = [isinstance(w, RankOne) for w in schedule]
+    payload = [w.y if r else w.w for w, r in zip(schedule, rank_one)]
+    h = hashlib.sha256(np.int64(len(payload)).tobytes())
+    h.update(bytes(rank_one))
+    h.update(np.array([np.size(v) for v in payload], dtype=np.int64).tobytes())
+    if payload:
+        h.update(np.concatenate(payload, axis=None).astype(np.float64).tobytes())
     return h.hexdigest()
 
 

@@ -2,15 +2,20 @@
 
 ``ftrl_oracle`` minimizes the follow-the-regularized-leader potential over
 the hull of the embedded actions; the conditional-gradient analysis bounds
-the gap between CG's iterate and that minimizer.  None of this is part of
-the learners themselves.
+the gap between CG's iterate and that minimizer.  ``d_optimal_design_exact``
+is the D-optimal design loop that re-forms and inverts the covariance on
+every step, the reference for the rank-one updates of
+``design.d_optimal_design``.  None of this is part of the learners
+themselves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from kernelbandits.errors import ToleranceNotMetError
+from kernelbandits import design
+from kernelbandits.design import DiscreteDistribution
+from kernelbandits.errors import RankDeficiencyError, ToleranceNotMetError
 from kernelbandits.fullinfo import (
     CGConfig,
     CGRecord,
@@ -111,3 +116,43 @@ def run_cg_with_gaps(kernel: KernelSpec, actions, schedule, config: CGConfig,
         state, rec = cg_round(state, config, kernel, actions, w_t, rng)
         pairs.append((rec, gap))
     return pairs
+
+
+def d_optimal_design_exact(features, tol: float = 1e-6) -> DiscreteDistribution:
+    """``design.d_optimal_design`` with Sigma, its inverse and every
+    leverage f_i^T Sigma^-1 f_i computed from scratch on each step."""
+    F = np.atleast_2d(np.asarray(features, dtype=float))
+    n, m = F.shape
+    rank = np.linalg.matrix_rank(F)
+    if rank < m:
+        raise RankDeficiencyError(rank, m)
+    w = np.full(n, 1.0 / n)
+    for it in range(design._DESIGN_MAX_ITER + 1):
+        sigma = F.T @ (F * w[:, None])
+        g = np.einsum("ij,jk,ik->i", F, np.linalg.inv(sigma), F)  # f^T S^-1 f
+        j_add = int(np.argmax(g))
+        support = w > 0
+        g_support = np.where(support, g, np.inf)
+        j_away = int(np.argmin(g_support))
+        add_violation = g[j_add] / m - 1.0
+        away_violation = 1.0 - g[j_away] / m
+        if add_violation <= tol and away_violation <= tol:
+            return DiscreteDistribution(w)
+        if it == design._DESIGN_MAX_ITER:
+            raise ToleranceNotMetError(max(add_violation, away_violation), tol,
+                                       design._DESIGN_MAX_ITER)
+        if add_violation >= away_violation:
+            j, gj = j_add, g[j_add]
+            lam = (gj - m) / (m * (gj - 1.0))  # gj > m >= 1 here
+        else:
+            j, gj = j_away, g[j_away]
+            lam_min = -w[j] / (1.0 - w[j]) if w[j] < 1.0 else 0.0
+            if gj > 1.0:
+                # negative step removes mass from j, clipped to keep w >= 0
+                lam = max((gj - m) / (m * (gj - 1.0)), lam_min)
+            else:
+                lam = lam_min  # log det increases all the way to dropping j
+        w = (1.0 - lam) * w
+        w[j] += lam
+        np.maximum(w, 0.0, out=w)
+        w /= w.sum()

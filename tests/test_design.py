@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from kernelbandits import design
+from kernelbandits.bandit import estimate_adversary
 from kernelbandits.design import (
     DiscreteDistribution,
     action_covariance,
+    check_covariance_floor,
     d_optimal_design,
     design_weights_csv,
-    invert_covariance,
     reduce_to_span,
     whiten_features,
 )
@@ -17,7 +18,10 @@ from kernelbandits.errors import (
     RankDeficiencyError,
     ToleranceNotMetError,
 )
+from kernelbandits.kernels import KernelSpec
+from kernelbandits.proxy import build_proxy, proxy_features
 from kernelbandits.rng import component_rng
+from oracles import d_optimal_design_exact
 
 
 def test_distribution_validation():
@@ -34,13 +38,26 @@ def test_design_standard_basis_is_uniform():
     assert np.abs(d.weights - 0.25).max() <= 1e-6
     cov = action_covariance(d.weights, np.eye(4))
     assert np.abs(cov - np.eye(4) / 4).max() <= 1e-6
-    _, min_eig = invert_covariance(cov, floor=0.1)
-    assert min_eig == pytest.approx(0.25, abs=1e-6)
+    check_covariance_floor(cov, floor=0.1)
+    assert np.linalg.eigvalsh(cov)[0] == pytest.approx(0.25, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
 def test_design_one_dimensional_prefers_larger_scalar():
+    # the add step from the uniform start has lam = 1: a singular rank-one
+    # update, which must be recomputed rather than divided by zero
     d = d_optimal_design(np.array([[2.0], [1.0]]))
     assert d.weights[0] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_design_away_step_drops_support_point():
+    # the interior points start with mass and leverage below 1, so away steps
+    # remove them entirely; the update must stay finite and warning-free
+    F = np.array([[1.0, 0.0], [0.0, 1.0], [0.1, 0.1], [0.2, -0.1]])
+    d = d_optimal_design(F)
+    assert np.array_equal(d.weights[2:], [0.0, 0.0])
+    assert np.allclose(d.weights[:2], 0.5)
 
 
 def test_design_beats_uniform_logdet():
@@ -61,16 +78,42 @@ def test_design_rank_deficiency_error():
     assert err.value.rank == 1 and err.value.dim == 2
 
 
-def test_kiefer_wolfowitz_certificate():
+def _kw_feature_sets():
     rng = component_rng(1, "kw")
+    sets = []
     for _ in range(10):
         m = int(rng.integers(2, 9))
         n = int(rng.integers(m + 1, 40))
-        F = rng.standard_normal((n, m))
+        sets.append(rng.standard_normal((n, m)))
+    return sets
+
+
+def _kw_ratio(F, weights):
+    """max_i f_i^T Sigma^-1 f_i / m, from the exact inverse."""
+    sigma = action_covariance(weights, F)
+    return np.einsum("ij,jk,ik->i", F, np.linalg.inv(sigma), F).max() / F.shape[1]
+
+
+def test_kiefer_wolfowitz_certificate():
+    for F in _kw_feature_sets():
         des = d_optimal_design(F, tol=1e-6)
-        sigma = action_covariance(des.weights, F)
-        lev = np.einsum("ij,jk,ik->i", F, np.linalg.inv(sigma), F)
-        assert lev.max() <= m * (1.0 + 1e-4)
+        assert _kw_ratio(F, des.weights) <= 1.0 + 1e-4
+
+
+def test_design_matches_exact_oracle():
+    # the rank-one updates follow the from-scratch loop step for step
+    sets = _kw_feature_sets()
+    points = component_rng(4, "gauss").uniform(-1.0, 1.0, size=(60, 2)) / np.sqrt(2)
+    basis = build_proxy(KernelSpec.gaussian(0.5), points, m=48, p=120,
+                        rng=component_rng(4, "proxy"))
+    sets.append(reduce_to_span(proxy_features(basis, points))[0])
+    assert sets[-1].shape[1] >= 40
+    for F in sets:
+        fast = d_optimal_design(F, tol=1e-6)
+        exact = d_optimal_design_exact(F, tol=1e-6)
+        assert np.abs(fast.weights - exact.weights).sum() <= 1e-12
+        assert _kw_ratio(F, fast.weights) <= 1.0 + 1e-6
+        assert _kw_ratio(F, exact.weights) <= 1.0 + 1e-6
 
 
 def test_design_iteration_cap_raises_without_certificate(monkeypatch):
@@ -109,32 +152,50 @@ def test_action_covariance_matches_monte_carlo():
     assert np.all(np.abs(mc - exact) <= 3.5 * se + 1e-12)
 
 
-def test_invert_covariance_examples():
+def _solves(sigma, phi, loss):
+    return np.abs(sigma @ estimate_adversary(sigma, phi, loss) - loss * phi).max() <= 1e-8
+
+
+def test_check_covariance_floor_examples():
     m = 4
     cov = action_covariance(np.full(m, 1.0 / m), np.eye(m))
-    inv, min_eig = invert_covariance(cov, floor=0.1)
-    assert np.allclose(inv, m * np.eye(m))
-    assert min_eig == pytest.approx(1.0 / m)
-    inv, min_eig = invert_covariance(np.diag([2.0, 4.0]), 0.5)
-    assert np.allclose(inv, np.diag([0.5, 0.25]))
-    assert min_eig == 2.0
+    check_covariance_floor(cov, floor=0.1)
+    assert _solves(cov, np.arange(1.0, m + 1), 0.7)
+    assert np.linalg.eigvalsh(cov)[0] == pytest.approx(1.0 / m)
+    check_covariance_floor(np.diag([2.0, 4.0]), 0.5)
+    assert _solves(np.diag([2.0, 4.0]), np.array([1.0, -1.0]), 0.5)
 
     rng = component_rng(6, "spd")
     M = rng.standard_normal((5, 5))
     spd = M.T @ M + 0.1 * np.eye(5)
-    inv, min_eig = invert_covariance(spd, floor=0.05)
-    assert np.abs(spd @ inv - np.eye(5)).max() <= 1e-8
-    assert np.allclose(inv, inv.T)
-    assert min_eig == pytest.approx(float(np.linalg.eigvalsh(spd)[0]), rel=1e-12)
+    check_covariance_floor(spd, floor=0.05)
+    for phi in np.eye(5):
+        assert _solves(spd, phi, 1.0)
     with pytest.raises(InputError):
-        invert_covariance(spd, floor=0.0)
+        check_covariance_floor(spd, floor=0.0)
 
 
-def test_invert_covariance_floor_error_carries_min_eig():
+def test_covariance_floor_error_carries_min_eig():
     with pytest.raises(IllConditionedCovarianceError) as err:
-        invert_covariance(np.diag([1.0, 1e-8]), floor=1e-4)
+        check_covariance_floor(np.diag([1.0, 1e-8]), floor=1e-4)
     assert err.value.min_eig == pytest.approx(1e-8)
     assert err.value.floor == 1e-4
+
+
+def test_covariance_floor_is_exact_at_the_boundary():
+    # cholesky(sigma - floor I) decides lambda_min > floor to within rounding
+    q, _ = np.linalg.qr(component_rng(9, "boundary").standard_normal((6, 6)))
+    floor = 0.05
+    for scale, passes in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
+        sigma = q @ np.diag([floor * scale, 0.1, 0.3, 0.7, 1.0, 2.0]) @ q.T
+        sigma = 0.5 * (sigma + sigma.T)
+        if passes:
+            check_covariance_floor(sigma, floor)
+            continue
+        with pytest.raises(IllConditionedCovarianceError) as err:
+            check_covariance_floor(sigma, floor)
+        assert abs(err.value.min_eig - np.linalg.eigvalsh(sigma)[0]) <= 1e-12
+        assert err.value.floor == floor
 
 
 def test_mixture_eigenvalue_floor_after_whitening():

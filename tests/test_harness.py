@@ -282,6 +282,9 @@ def test_schedule_hash_distinguishes_content():
     b = RankOne(np.array([0.0, 1.0]))
     assert schedule_hash([a, b]) != schedule_hash([b, a])
     assert schedule_hash([a, b]) == schedule_hash([a, b])
+    # same payload bytes, different kind or row split
+    assert schedule_hash([a]) != schedule_hash([ExplicitVector(np.array([1.0, 0.0]))])
+    assert schedule_hash([a, b]) != schedule_hash([RankOne(np.array([1.0, 0.0, 0.0, 1.0]))])
 
 
 def test_discretization_error_reported():
