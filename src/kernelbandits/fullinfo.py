@@ -1,5 +1,11 @@
 """Full-information algorithms: exponential weights and conditional gradient.
 
+The adversary is oblivious, so exponential weights sees only entries of the
+loss matrix L[t, j] = <Phi(a_j), w_t>, and its play distributions are a
+softmax of running column sums of -eta L.  It runs as one pass over blocks
+of rows of L; the single round :func:`full_info_round` is the one-row case
+of the same block step.
+
 The conditional-gradient iterate lives in the explicit feature space but is
 stored as a convex combination of embedded action points, which doubles as
 the sampling distribution for the rank-one play.
@@ -16,17 +22,18 @@ import numpy as np
 from .design import DiscreteDistribution
 from .errors import InputError
 from .kernels import (
+    _LOSS_BLOCK_ROWS,
     AdversaryAction,
     KernelSpec,
     adversary_feature,
     feature_map,
     feature_matrix,
     loss_eval,
-    loss_vector,
+    loss_matrix,
 )
 from .quadratic import QuadraticObjective, trs_minimize
-from .rng import sample_index
-from .weights import WeightState
+from .rng import sample_index, sample_indices
+from .weights import WeightState, softmax
 
 __all__ = [
     "UnitBall",
@@ -37,6 +44,7 @@ __all__ = [
     "CGRecord",
     "full_info_eta",
     "full_info_round",
+    "full_info_ew_play",
     "run_full_info_ew",
     "cg_theorem_config",
     "cg_start",
@@ -123,29 +131,72 @@ def full_info_eta(num_actions: int, G: float, n: int) -> float:
     return math.sqrt(math.log(num_actions) / (math.e - 2.0)) / (G * G * math.sqrt(n))
 
 
+def _ew_block(log_weights: np.ndarray, eta: float, L: np.ndarray,
+              rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Exponential weights over the rows of a block of the loss matrix.
+
+    Row t plays from the softmax of the log weights before it, then every
+    log weight moves by -eta times its loss.  The cumulative sum down the
+    stacked rows adds the steps one at a time, so each row's log weights
+    have the bits of the per-round fold.  Returns the played indices, their
+    losses, the expected losses <p_t, l_t> and the log weights after the
+    last row.
+    """
+    cum = np.cumsum(np.vstack([log_weights, -eta * L]), axis=0)
+    probs = softmax(cum[:-1])
+    idx = sample_indices(probs, rng)
+    losses = L[np.arange(L.shape[0]), idx]
+    expected = np.matmul(probs[:, None, :], L[:, :, None])[:, 0, 0]
+    return idx, losses, expected, cum[-1]
+
+
 def full_info_round(state: WeightState, eta: float, kernel: KernelSpec,
                     actions: np.ndarray, w_t: AdversaryAction,
                     rng: np.random.Generator) -> tuple[WeightState, FullInfoRecord]:
     """One exponential-weights round: play from the pre-update distribution,
     then shift every log weight by -eta times its observed loss.  The record
-    carries the realized loss and the expected loss <p_t, l_t>."""
-    probs = state.probabilities()
-    idx = sample_index(probs, rng)
-    losses = loss_vector(kernel, actions, w_t)
-    new_state = state.stepped(-eta * losses)
-    return new_state, FullInfoRecord(state.round + 1, idx, float(losses[idx]),
-                                     float(probs @ losses))
+    carries the realized loss and the expected loss <p_t, l_t>.
+
+    This is the one-row case of the blocked pass in
+    :func:`full_info_ew_play`, with the same bits."""
+    L = loss_matrix(kernel, actions, [w_t])
+    idx, losses, expected, log_weights = _ew_block(state.log_weights, eta, L, rng)
+    return (WeightState(log_weights, state.round + 1),
+            FullInfoRecord(state.round + 1, int(idx[0]), float(losses[0]),
+                           float(expected[0])))
+
+
+def full_info_ew_play(kernel: KernelSpec, actions: np.ndarray,
+                      schedule: list[AdversaryAction], eta: float,
+                      rng: np.random.Generator,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, WeightState]:
+    """Exponential weights from a uniform start over a whole schedule.
+
+    One pass over blocks of ``_LOSS_BLOCK_ROWS`` rows of the loss matrix,
+    carrying the log weights between blocks, so memory stays flat in the
+    horizon.  Every output has the bits of a loop of :func:`full_info_round`.
+    Returns the played indices, their losses, the expected losses
+    <p_t, l_t> and the final state.
+    """
+    actions = np.atleast_2d(np.asarray(actions, dtype=float))
+    n = len(schedule)
+    log_weights = np.zeros(actions.shape[0])
+    idx, losses, expected = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    for start in range(0, n, _LOSS_BLOCK_ROWS):
+        rows = slice(start, min(start + _LOSS_BLOCK_ROWS, n))
+        L = loss_matrix(kernel, actions, schedule[rows])
+        idx[rows], losses[rows], expected[rows], log_weights = _ew_block(
+            log_weights, eta, L, rng)
+    return idx, losses, expected, WeightState(log_weights, n)
 
 
 def run_full_info_ew(kernel: KernelSpec, actions: np.ndarray,
                      schedule: list[AdversaryAction], eta: float,
                      rng: np.random.Generator) -> tuple[list[FullInfoRecord], WeightState]:
-    actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    state = WeightState.uniform(actions.shape[0])
-    records = []
-    for w_t in schedule:
-        state, rec = full_info_round(state, eta, kernel, actions, w_t, rng)
-        records.append(rec)
+    """:func:`full_info_ew_play` with its outputs as one record per round."""
+    idx, losses, expected, state = full_info_ew_play(kernel, actions, schedule, eta, rng)
+    records = [FullInfoRecord(t, i, loss, e) for t, (i, loss, e) in
+               enumerate(zip(idx.tolist(), losses.tolist(), expected.tolist()), 1)]
     return records, state
 
 

@@ -33,6 +33,7 @@ from . import bandit as _bandit
 from . import fullinfo as _fullinfo
 from .errors import InputError
 from .kernels import (
+    _LOSS_BLOCK_ROWS,
     AdversaryAction,
     KernelSpec,
     RankOne,
@@ -59,7 +60,6 @@ __all__ = [
     "ball_directions",
 ]
 
-_LOSS_BLOCK_ROWS = 256  # loss-matrix rows summed at a time in best_in_hindsight
 # keys each algorithm reads from explicit params ("eps" is optional for the bandit)
 _PARAM_KEYS = {"bandit_ew": ("eta", "gamma"), "fullinfo_ew": ("eta",),
                "cg": ("eta", "gamma", "n")}
@@ -125,13 +125,15 @@ def schedule_hash(schedule: list[AdversaryAction]) -> str:
     SHA-256 of the row count, each row's kind (rank-one or explicit) and
     length, and then every row's float64 bytes in order.
     """
-    rank_one = [isinstance(w, RankOne) for w in schedule]
+    rank_one = [type(w) is RankOne for w in schedule]
     payload = [w.y if r else w.w for w, r in zip(schedule, rank_one)]
     h = hashlib.sha256(np.int64(len(payload)).tobytes())
     h.update(bytes(rank_one))
-    h.update(np.array([np.size(v) for v in payload], dtype=np.int64).tobytes())
+    lengths = np.fromiter(map(len, payload), dtype=np.int64, count=len(payload))
+    h.update(lengths.tobytes())
     if payload:
-        h.update(np.concatenate(payload, axis=None).astype(np.float64).tobytes())
+        flat = np.concatenate(payload, axis=None).astype(np.float64, copy=False)
+        h.update(flat.tobytes())
     return h.hexdigest()
 
 
@@ -306,23 +308,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             eta = (_fullinfo.full_info_eta(actions.shape[0], kernel.norm_bound_G,
                                            config.n)
                    if config.params == "paper" else config.params["eta"])
-            records, _ = _fullinfo.run_full_info_ew(kernel, actions, schedule,
-                                                    eta, player_rng)
-        elif config.algo == "cg":
-            cg_config = (_fullinfo.cg_theorem_config(config.n)
-                         if config.params == "paper"
-                         else _fullinfo.CGConfig(**config.params))
-            records, _ = _fullinfo.run_cg(kernel, actions, schedule, cg_config,
-                                          player_rng)
+            idxs, losses, expected, _ = _fullinfo.full_info_ew_play(
+                kernel, actions, schedule, eta, player_rng)
         else:
-            basis, features, nu, bcfg, _ = bandit_ctx
-            records, _ = _bandit.run_bandit(kernel, actions, features, nu, bcfg,
-                                            schedule, player_rng)
-
-        losses = np.array([r.loss for r in records])
-        idxs = np.array([r.action_index for r in records])
-        expected = (np.array([r.expected_loss for r in records])
-                    if config.algo == "fullinfo_ew" else None)
+            if config.algo == "cg":
+                cg_config = (_fullinfo.cg_theorem_config(config.n)
+                             if config.params == "paper"
+                             else _fullinfo.CGConfig(**config.params))
+                records, _ = _fullinfo.run_cg(kernel, actions, schedule, cg_config,
+                                              player_rng)
+            else:
+                basis, features, nu, bcfg, _ = bandit_ctx
+                records, _ = _bandit.run_bandit(kernel, actions, features, nu, bcfg,
+                                                schedule, player_rng)
+            losses = np.array([r.loss for r in records])
+            idxs = np.array([r.action_index for r in records])
+            expected = None
         traces.append(build_trace(kernel, actions, schedule, losses, idxs,
                                   expected_losses=expected))
 

@@ -9,9 +9,13 @@ must be rank-one (an embedded point).
 Two vectorized paths carry the numerics.  :func:`feature_matrix` is the one
 explicit embedding, over all rows at once; :func:`feature_map` is its one-row
 case.  :func:`loss_matrix` gives rows of the oblivious adversary's loss
-matrix L[t, j] = <Phi(a_j), w_t>, from one :func:`cross_gram` for rank-one
-actions and one product with :func:`feature_matrix` for explicit ones.
-:func:`loss_vector` stays the direct one-round call of the learners.
+matrix L[t, j] = <Phi(a_j), w_t>: the kernel of the inner products with the
+actions for rank-one adversary actions, and products with
+:func:`feature_matrix` for explicit ones.  Each row is its own
+matrix-vector product, so a row does not depend on the block it is computed
+in, and the one-row call is the loss vector of one round.  Callers that walk
+a whole schedule take ``_LOSS_BLOCK_ROWS`` rows at a time, so memory stays
+flat in the horizon.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "feature_dim",
     "has_feature_map",
     "loss_eval",
-    "loss_vector",
     "loss_matrix",
     "adversary_norm",
     "adversary_feature",
@@ -50,6 +53,7 @@ __all__ = [
 _EXPLICIT_MAX_POLY_DEGREE = 3
 _BALL_TOL = 1e-12  # slack on ||a|| <= 1 in validate_points
 _NORM_TOL = 1e-9   # slack on declared norm bounds G
+_LOSS_BLOCK_ROWS = 256  # loss-matrix rows per block for whole-schedule passes
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,12 @@ def cross_gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise InputError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    S = X @ Y.T
+    return _kernel_of_inner(spec, X @ Y.T, X, Y)
+
+
+def _kernel_of_inner(spec: KernelSpec, S: np.ndarray, X: np.ndarray,
+                     Y: np.ndarray) -> np.ndarray:
+    """K(X_i, Y_j) from the inner products S[i, j] = <X_i, Y_j>."""
     if spec.variant == "linear":
         return S
     if spec.variant == "quadratic":
@@ -315,30 +324,37 @@ def loss_eval(spec: KernelSpec, a: np.ndarray, w: AdversaryAction) -> float:
     return float(feature_map(spec, a) @ w.w)
 
 
-def loss_vector(spec: KernelSpec, actions: np.ndarray, w: AdversaryAction) -> np.ndarray:
-    """Losses of every action against one adversary action."""
-    actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    if isinstance(w, RankOne):
-        return cross_gram(spec, actions, w.y[None, :])[:, 0]
-    _require_explicit_losses(spec)
-    return feature_matrix(spec, actions) @ w.w
+def _row_products(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Rows R[t, j] = <M_j, V_t>, one matrix-vector product per row of V.
+
+    Row t has the bits of ``M @ V[t]`` whatever the other rows are, which a
+    single matrix product ``V @ M.T`` does not promise."""
+    return np.matmul(M[None], V[:, :, None])[:, :, 0]
 
 
 def loss_matrix(spec: KernelSpec, actions: np.ndarray,
                 schedule: list[AdversaryAction]) -> np.ndarray:
     """Rows L[t, j] = <Phi(a_j), w_t> of the loss matrix for a stretch of the
     schedule, one row per adversary action; the schedule may mix rank-one
-    and explicit actions."""
+    and explicit actions.
+
+    Each row is computed on its own (see :func:`_row_products`), so a row's
+    bits do not depend on how the schedule is split into blocks; the
+    one-action call ``loss_matrix(spec, actions, [w])[0]`` is the loss vector
+    of a single round.
+    """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    rank_one = np.array([isinstance(w, RankOne) for w in schedule], dtype=bool)
+    rank_one = np.array([type(w) is RankOne for w in schedule], dtype=bool)
     L = np.empty((rank_one.size, actions.shape[0]))
     if rank_one.any():
-        Y = np.array([w.y for w in schedule if isinstance(w, RankOne)])
-        L[rank_one] = cross_gram(spec, Y, actions)
+        Y = np.array([w.y for w in schedule if type(w) is RankOne], dtype=float)
+        if Y.shape[1] != actions.shape[1]:
+            raise InputError(f"dimension mismatch: {Y.shape[1]} vs {actions.shape[1]}")
+        L[rank_one] = _kernel_of_inner(spec, _row_products(actions, Y), Y, actions)
     if not rank_one.all():
         _require_explicit_losses(spec)
-        W = np.array([w.w for w in schedule if not isinstance(w, RankOne)])
-        L[~rank_one] = W @ feature_matrix(spec, actions).T
+        W = np.array([w.w for w in schedule if type(w) is not RankOne], dtype=float)
+        L[~rank_one] = _row_products(feature_matrix(spec, actions), W)
     return L
 
 

@@ -16,7 +16,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["component_stream_id", "component_rng", "sample_index"]
+__all__ = ["component_stream_id", "component_rng", "sample_index", "sample_indices"]
 
 
 def component_stream_id(component: str) -> int:
@@ -32,14 +32,26 @@ def component_rng(seed: int, component: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw over index order from a single 64-bit uniform.
+def sample_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draws over index order along the last axis of ``weights``,
+    one per row; a 1-D vector is the one-row case.
 
-    Ties and rounding resolve toward lower indices, which makes traces
-    reproducible byte-for-byte given the same generator.
+    Each row takes the next raw 64-bit output of the stream, u = bits / 2^64:
+    the same bits as ``rng.integers(0, 2**64, dtype=np.uint64)``, one call
+    for all rows.  A row draws the first index whose running sum exceeds u
+    times the row's total, so ties and rounding resolve toward lower indices
+    and traces are reproducible byte-for-byte given the same generator.
     """
-    u = int(rng.integers(0, 2**64, dtype=np.uint64)) / 2.0**64
-    cum = np.cumsum(weights)
-    total = cum[-1]
-    idx = int(np.searchsorted(cum, u * total, side="right"))
-    return min(idx, len(weights) - 1)
+    weights = np.asarray(weights, dtype=float)
+    u = rng.bit_generator.random_raw(weights.shape[:-1]) / 2.0**64
+    cum = weights.cumsum(axis=-1)
+    targets = u * cum[..., -1]
+    # searchsorted(side="right") on each nondecreasing row, capped at the last
+    # index (u rounds to 1.0 for the top 2^10 bit patterns): the count of
+    # running sums <= target among all but the last
+    return (cum[..., :-1] <= targets[..., None]).sum(axis=-1)
+
+
+def sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """One inverse-CDF draw: :func:`sample_indices` on a single row."""
+    return int(sample_indices(weights, rng))

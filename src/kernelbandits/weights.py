@@ -12,18 +12,22 @@ __all__ = ["WeightState", "softmax"]
 
 
 def softmax(log_weights: np.ndarray) -> np.ndarray:
-    """Normalized probabilities with max subtraction; never overflows."""
-    shifted = log_weights - log_weights.max()
+    """Normalized probabilities along the last axis, with max subtraction;
+    never overflows.  A 1-D vector is the one-row case of a stack of rows,
+    and each row gets the same bits either way."""
+    shifted = log_weights - log_weights.max(axis=-1, keepdims=True)
     w = np.exp(shifted)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
 class WeightState:
     """Exponential-weights state: unnormalized log weights plus round count.
 
-    Probabilities are materialized at read time only, so the stored state
-    stays finite for any horizon.
+    The log weights are the plain running sum of the steps, never re-centred,
+    so they grow like eta times the cumulative loss and stay finite for any
+    finite losses.  Probabilities are materialized at read time only, and
+    :func:`softmax` subtracts the maximum there, so no exponent overflows.
     """
 
     log_weights: np.ndarray
@@ -44,6 +48,4 @@ class WeightState:
 
     def stepped(self, delta: np.ndarray) -> "WeightState":
         """New state with log weights shifted by ``delta`` and round + 1."""
-        lw = self.log_weights + delta
-        lw = lw - lw.max()  # re-center so exponents never drift
-        return WeightState(lw, self.round + 1)
+        return WeightState(self.log_weights + delta, self.round + 1)

@@ -5,8 +5,12 @@ the hull of the embedded actions; the conditional-gradient analysis bounds
 the gap between CG's iterate and that minimizer.  ``d_optimal_design_exact``
 is the D-optimal design loop that re-forms and inverts the covariance on
 every step, the reference for the rank-one updates of
-``design.d_optimal_design``.  None of this is part of the learners
-themselves.
+``design.d_optimal_design``.  ``ew_fold_oracle`` is exponential weights as
+a plain per-round loop with scalar draws (``scalar_inverse_cdf``), the
+reference for the blocked pass of ``fullinfo.full_info_ew_play``.  ``kernel_schedules`` builds the rank-one,
+explicit and mixed adversary schedules that the bit-identity tests of the
+loss matrix and of exponential weights run on.  None of this is part of the
+learners themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +28,22 @@ from kernelbandits.fullinfo import (
     cg_round,
     cg_start,
 )
-from kernelbandits.kernels import KernelSpec, adversary_feature, feature_matrix
+from kernelbandits.kernels import (
+    KernelSpec,
+    adversary_feature,
+    feature_dim,
+    feature_matrix,
+    has_feature_map,
+    loss_matrix,
+    make_explicit,
+    make_rank_one,
+)
+from kernelbandits.rng import component_rng
+
+# kernels with every loss path: explicit maps (linear, quadratic, cubic) and
+# the rank-one-only Gaussian
+BIT_KERNELS = (KernelSpec.linear(G=1.0), KernelSpec.quadratic(G=2.0),
+               KernelSpec.gaussian(0.5), KernelSpec.polynomial(3, 1.0, G=3.0))
 
 
 def ftrl_oracle(history, eta: float, kernel: KernelSpec, actions,
@@ -156,3 +175,51 @@ def d_optimal_design_exact(features, tol: float = 1e-6) -> DiscreteDistribution:
         w[j] += lam
         np.maximum(w, 0.0, out=w)
         w /= w.sum()
+
+
+def kernel_schedules(spec: KernelSpec, d: int, n: int, seed: int) -> dict:
+    """Seeded schedules of n adversary actions for points in R^d, by kind:
+    "rank_one" (unit points), and, when the kernel has a feature map,
+    "explicit" (feature vectors of norm G / 2) and "mixed" (every third row
+    explicit)."""
+    rng = component_rng(seed, f"schedules-{spec.variant}")
+    Y = rng.standard_normal((n, d))
+    Y /= np.linalg.norm(Y, axis=1)[:, None]
+    out = {"rank_one": [make_rank_one(spec, y) for y in Y]}
+    if has_feature_map(spec):
+        W = rng.standard_normal((n, feature_dim(spec, d)))
+        W *= 0.5 * spec.norm_bound_G / np.linalg.norm(W, axis=1)[:, None]
+        out["explicit"] = [make_explicit(spec, w) for w in W]
+        out["mixed"] = [out["explicit"][t] if t % 3 == 0 else out["rank_one"][t]
+                        for t in range(n)]
+    return out
+
+
+def scalar_inverse_cdf(weights, bits) -> int:
+    """The inverse-CDF rule for one draw: u = bits / 2^64 by Python's
+    int -> float, then searchsorted on the running sum, capped at the last
+    index."""
+    u = int(bits) / 2.0**64
+    cum = np.cumsum(weights)
+    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(weights) - 1)
+
+
+def ew_fold_oracle(kernel: KernelSpec, actions, schedule, eta: float,
+                   rng: np.random.Generator):
+    """Exponential weights one round at a time: a scalar 64-bit draw through
+    :func:`scalar_inverse_cdf` on the softmax, and a sequential add of -eta
+    times the round's losses.  Returns (indices, losses, expected losses,
+    final log weights)."""
+    actions = np.atleast_2d(np.asarray(actions, dtype=float))
+    log_weights = np.zeros(actions.shape[0])
+    idx, losses, expected = [], [], []
+    for w in schedule:
+        ell = loss_matrix(kernel, actions, [w])[0]
+        shifted = np.exp(log_weights - log_weights.max())
+        probs = shifted / shifted.sum()
+        i = scalar_inverse_cdf(probs, rng.integers(0, 2**64, dtype=np.uint64))
+        idx.append(i)
+        losses.append(ell[i])
+        expected.append(float(probs @ ell))
+        log_weights = log_weights + -eta * ell
+    return np.array(idx, dtype=np.int64), np.array(losses), np.array(expected), log_weights

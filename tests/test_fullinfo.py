@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,17 +16,24 @@ from kernelbandits.fullinfo import (
     full_info_round,
     linear_min_oracle,
     run_cg,
+    run_full_info_ew,
 )
 from kernelbandits.harness import ball_directions, build_trace, unit_vector_adversary
 from kernelbandits.kernels import (
     KernelSpec,
     feature_map,
-    loss_vector,
+    loss_matrix,
     make_explicit,
 )
 from kernelbandits.rng import component_rng
 from kernelbandits.weights import WeightState
-from oracles import ftrl_oracle, run_cg_with_gaps
+from oracles import (
+    BIT_KERNELS,
+    ew_fold_oracle,
+    ftrl_oracle,
+    kernel_schedules,
+    run_cg_with_gaps,
+)
 
 LINEAR = KernelSpec.linear(G=1.0)
 QUAD = KernelSpec.quadratic(G=2.0)
@@ -69,10 +77,63 @@ def test_distribution_equals_softmax_of_cumulative_losses():
     eta = 0.2
     for w in schedule:
         state, _ = full_info_round(state, eta, LINEAR, actions, w, rng)
-        cum += loss_vector(LINEAR, actions, w)
+        cum += loss_matrix(LINEAR, actions, [w])[0]
         expected = np.exp(-eta * cum - (-eta * cum).max())
         expected /= expected.sum()
         assert np.abs(state.probabilities() - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", BIT_KERNELS, ids=lambda s: s.variant)
+def test_block_pass_equals_per_round_fold(spec):
+    # run_full_info_ew walks blocks of _LOSS_BLOCK_ROWS rows of L; a loop of
+    # full_info_round is the same step one row at a time, and ew_fold_oracle
+    # is a plain loop with scalar draws.  Lengths around the block size cover
+    # a partial block, an exact block and a carried block.
+    actions = component_rng(5, "fold-actions").standard_normal((9, 3))
+    actions /= 1.25 * np.linalg.norm(actions, axis=1)[:, None]
+    eta = 0.3
+    for kind, full in kernel_schedules(spec, 3, 1000, seed=5).items():
+        for n in (1, 255, 256, 257, 1000):
+            schedule = full[:n]
+            records, final = run_full_info_ew(spec, actions, schedule, eta,
+                                              component_rng(n, "player"))
+            state, rng = WeightState.uniform(9), component_rng(n, "player")
+            folded = []
+            for w in schedule:
+                state, rec = full_info_round(state, eta, spec, actions, w, rng)
+                folded.append(rec)
+            blocked = _play_bytes(records, final)
+            assert blocked == _play_bytes(folded, state), (kind, n)
+            oracle = ew_fold_oracle(spec, actions, schedule, eta,
+                                    component_rng(n, "player"))
+            assert blocked[1:] == tuple(a.tobytes() for a in oracle), (kind, n)
+
+
+def _play_bytes(records, state):
+    """Bytes of the rounds, indices, losses and expected losses of a run,
+    then of its final log weights, for bit-for-bit comparison."""
+    rounds = np.array([[r.round, r.action_index] for r in records], dtype=np.int64)
+    values = np.array([[r.loss, r.expected_loss] for r in records])
+    return (np.append(rounds[:, 0], state.round).tobytes(), rounds[:, 1].tobytes(),
+            values[:, 0].tobytes(), values[:, 1].tobytes(), state.log_weights.tobytes())
+
+
+# sha256 of the int64 action indices then the float64 losses of the run in
+# test_fullinfo_run_trace_is_pinned, recorded before the pass was blocked
+_FULLINFO_RUN_SHA256 = "d9779456c5c9be935f9fbe008c1491eca30009d36b344eda5f8f5692e665f3fc"
+
+
+def test_fullinfo_run_trace_is_pinned():
+    from kernelbandits.harness import ExperimentConfig, run_experiment
+
+    actions = component_rng(5, "fi-actions").standard_normal((24, 3))
+    actions /= np.linalg.norm(actions, axis=1)[:, None]
+    config = ExperimentConfig(algo="fullinfo_ew", kernel=LINEAR, actions=actions,
+                              adversary=unit_vector_adversary(3), n=600, seeds=(0,))
+    trace = run_experiment(config).traces[0]
+    digest = hashlib.sha256(trace.action_indices.astype(np.int64).tobytes()
+                            + trace.losses.astype(np.float64).tobytes()).hexdigest()
+    assert digest == _FULLINFO_RUN_SHA256
 
 
 def test_cg_theorem_schedule():

@@ -26,7 +26,7 @@ from kernelbandits.kernels import (
     ExplicitVector,
     KernelSpec,
     RankOne,
-    loss_vector,
+    loss_matrix,
     make_explicit,
 )
 from kernelbandits.rng import component_rng
@@ -53,7 +53,7 @@ def test_best_in_hindsight_matches_summation_oracle():
     idx, total = best_in_hindsight(LINEAR, actions, schedule)
     per_action = np.zeros(10)
     for w in schedule:
-        per_action += loss_vector(LINEAR, actions, w)
+        per_action += loss_matrix(LINEAR, actions, [w])[0]
     assert idx == int(np.argmin(per_action))
     assert total == pytest.approx(per_action.min(), abs=1e-12)
     # the winner is no worse than every fixed action
@@ -68,7 +68,7 @@ def test_best_in_hindsight_matches_summation_oracle():
     schedule = [make_explicit(quad, explicit[t]) if t % 3 == 0 else w
                 for t, w in enumerate(
                     unit_vector_adversary(3).materialize(n, component_rng(2, "adv")))]
-    oracle = np.stack([loss_vector(quad, actions, w) for w in schedule])
+    oracle = np.stack([loss_matrix(quad, actions, [w])[0] for w in schedule])
     per_action = oracle.sum(axis=0)
     idx, total = best_in_hindsight(quad, actions, schedule)
     assert idx == int(np.argmin(per_action))
@@ -285,6 +285,18 @@ def test_schedule_hash_distinguishes_content():
     # same payload bytes, different kind or row split
     assert schedule_hash([a]) != schedule_hash([ExplicitVector(np.array([1.0, 0.0]))])
     assert schedule_hash([a, b]) != schedule_hash([RankOne(np.array([1.0, 0.0, 0.0, 1.0]))])
+
+
+def test_schedule_hash_bytes_are_pinned():
+    # digests recorded before the hash moved to type() checks and one
+    # fromiter of the row lengths; a faster hash must keep the same bytes
+    schedule = unit_vector_adversary(3).materialize(1000, component_rng(0, "adversary"))
+    assert schedule_hash(schedule) == (
+        "30b901af41e59af2915f3160d4c8b0f6fa1a9da8171a738e0513871dfbcefdd1")
+    mixed = [ExplicitVector(np.arange(6.0) / 10) if t % 3 == 0 else w
+             for t, w in enumerate(schedule[:30])]
+    assert schedule_hash(mixed) == (
+        "dc0f32d901a0d3071c2a45360c417d21713a87b85004aee08765661071a4c45b")
 
 
 def test_discretization_error_reported():

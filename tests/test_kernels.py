@@ -18,13 +18,14 @@ from kernelbandits.kernels import (
     gram_matrix,
     kernel_eval,
     loss_eval,
-    loss_vector,
+    loss_matrix,
     make_explicit,
     make_rank_one,
     quadratic_adversary,
     validate_points,
 )
 from kernelbandits.rng import component_rng
+from oracles import BIT_KERNELS, kernel_schedules
 
 LINEAR = KernelSpec.linear(G=1.0)
 QUAD = KernelSpec.quadratic(G=2.0)
@@ -158,7 +159,7 @@ def test_loss_bounded_by_G_squared():
             y = rng.standard_normal(2)
             y /= max(1.0, np.linalg.norm(y))
             w = make_rank_one(spec, y)
-            losses = loss_vector(spec, actions, w)
+            losses = loss_matrix(spec, actions, [w])[0]
             assert np.abs(losses).max() <= spec.norm_bound_G**2 + 1e-9
 
 
@@ -194,3 +195,22 @@ def test_rank_one_loss_matches_feature_route():
     w = RankOne(y)
     expected = feature_map(QUAD, a) @ feature_map(QUAD, y)
     assert loss_eval(QUAD, a, w) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", BIT_KERNELS, ids=lambda s: s.variant)
+def test_loss_matrix_rows_do_not_depend_on_the_block_split(spec):
+    # the blocked exponential-weights pass and its one-row round both read
+    # rows of L; they agree bit for bit only if a row's bits do not depend
+    # on the rows computed with it.  Against the scalar loss to rounding.
+    actions = component_rng(8, "split-actions").standard_normal((12, 3))
+    actions /= 1.25 * np.linalg.norm(actions, axis=1)[:, None]
+    for kind, schedule in kernel_schedules(spec, 3, 600, seed=8).items():
+        whole = loss_matrix(spec, actions, schedule)
+        assert whole.shape == (600, 12)
+        for rows in (1, 7, 256):
+            split = np.concatenate([loss_matrix(spec, actions, schedule[s:s + rows])
+                                    for s in range(0, 600, rows)])
+            assert np.array_equal(split, whole), (kind, rows)
+        scalar = np.array([[loss_eval(spec, a, w) for a in actions]
+                           for w in schedule[:40]])
+        assert np.abs(whole[:40] - scalar).max() <= 1e-12, kind
