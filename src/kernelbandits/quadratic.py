@@ -6,8 +6,9 @@ B plus a one-dimensional secular-equation root find on the Lagrange
 multiplier, with boundary completion in the hard case (linear term orthogonal
 to the bottom eigenspace).  The sampler (:func:`quad_ew_sample`) runs one
 hit-and-run chain over the unit ball in the eigenbasis of B; each chord's
-conditional is drawn by inverse CDF on a 256-point trapezoid grid, an
-approximation of the exact chord law.  Every step is followed by exact
+conditional, a density exp(alpha t^2 + beta t) on an interval, is drawn
+exactly by rejection from a piecewise-exponential envelope (Gilks & Wild
+1992; Devroye 1986, ch. II).  Every step is followed by exact
 Metropolis sign reflections of the eigen-coordinates, which carry the chain
 between the symmetric modes that hit-and-run alone rarely crosses.  The
 constraint set stays the unit ball, which is convex regardless of the signs
@@ -16,6 +17,7 @@ of the eigenvalues and invariant under the reflections.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +35,8 @@ __all__ = [
 
 _ZERO_EIG_TOL = 1e-10  # |eigenvalues| of B below this form the null-space block
 _INTERIOR_TOL = 1e-10  # slack on ||alpha||^2 <= 1 for trs_minimize's interior point
+_BLOCK = 256  # sampler steps per block of random numbers, and uniforms per refill
+_TAIL_LOG = 8.0  # envelope pieces are fine where the log-density is this close to its max
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,8 @@ class QuadraticObjective:
         b = np.asarray(self.b, dtype=float)
         if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] != b.size:
             raise InputError("B must be square with side len(b)")
+        if b.size == 0:
+            raise InputError("the objective needs dimension >= 1")
         if np.abs(B - B.T).max() > 1e-12 * max(1.0, np.abs(B).max()):
             raise InputError("B must be symmetric")
         if not (np.all(np.isfinite(B)) and np.all(np.isfinite(b))):
@@ -128,69 +134,191 @@ def trs_minimize(obj: QuadraticObjective) -> tuple[np.ndarray, float]:
     return a, obj.value(a)
 
 
+def _step_count(name: str, value, least: int) -> int:
+    # bool is an int subclass, and count=True would run and return one draw
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}")
+    return int(value)
+
+
+def _uniforms(rng: np.random.Generator):
+    """Endless stream of uniforms on [0, 1), drawn from ``rng`` in blocks."""
+    while True:
+        yield from rng.random(_BLOCK).tolist()
+
+
+def _split(a: float, b: float, alpha: float, rate: float) -> list[tuple]:
+    """[a, b] in equal pieces no wider than 1/rate, rate = sqrt|alpha|: the
+    secant (alpha >= 0) or the midpoint tangent (alpha < 0) of each."""
+    if not a < b:
+        return []
+    k = max(1, math.ceil((b - a) * rate))
+    ends = [a + (b - a) * j / k for j in range(k)] + [b]
+    if alpha >= 0.0:
+        return [(p, q, p, q) for p, q in zip(ends, ends[1:])]
+    return [(p, q, 0.5 * (p + q), 0.5 * (p + q)) for p, q in zip(ends, ends[1:])]
+
+
+def _envelope(alpha: float, beta: float, lo: float, hi: float) -> list[tuple]:
+    """Pieces (p, q, r1, r2) covering [lo, hi], each carrying the linear
+    majorant h(t) = g(t) - alpha (t - r1)(t - r2) of g(t) = alpha t^2 + beta t
+    on [p, q]: the secant (r1, r2 = p, q) where g is convex, a tangent
+    (r1 = r2) where it is concave.
+
+    Where the mass is, the pieces are at most 1/sqrt|alpha| wide, so
+    g - h >= -1/4 on them and a try is accepted with probability at least
+    e^-1/4.  That stretch is where g is within _TAIL_LOG of its maximum on
+    the chord; for convex g, within _TAIL_LOG + log(1 + L |g'|), L the chord
+    length and g' the slope at the high end, since the mass there may sit
+    within 1/|g'| of that end.  The rest is one piece per side: a tangent at
+    the inner end of a concave tail, or the secant over the low middle of a
+    convex chord.  Its envelope mass is at most ~e^-_TAIL_LOG of the whole.
+    """
+    rate = math.sqrt(abs(alpha))
+    if (hi - lo) * rate <= 1.0:
+        return _split(lo, hi, alpha, rate)
+    vertex = -beta / (2.0 * alpha)
+    if alpha < 0.0:
+        mode = min(max(vertex, lo), hi)
+        reach = math.sqrt((mode - vertex) ** 2 + _TAIL_LOG / -alpha)
+        core_lo, core_hi = max(lo, vertex - reach), min(hi, vertex + reach)
+        pieces = _split(core_lo, core_hi, alpha, rate)
+        if lo < core_lo:
+            pieces.insert(0, (lo, core_lo, core_lo, core_lo))
+        if core_hi < hi:
+            pieces.append((core_hi, hi, core_hi, core_hi))
+        return pieces
+    far = max(vertex - lo, hi - vertex)  # g is largest at the end farthest from it
+    cut = _TAIL_LOG + math.log1p(2.0 * alpha * far * (hi - lo))
+    reach_sq = far * far - cut / alpha
+    if reach_sq <= 0.0:
+        return _split(lo, hi, alpha, rate)
+    reach = math.sqrt(reach_sq)
+    hole_lo = min(max(lo, vertex - reach), hi)
+    hole_hi = max(min(hi, vertex + reach), lo)
+    pieces = _split(lo, hole_lo, alpha, rate)
+    if hole_lo < hole_hi:
+        pieces.append((hole_lo, hole_hi, hole_lo, hole_hi))
+    return pieces + _split(hole_hi, hi, alpha, rate)
+
+
+def _draw_chord(alpha: float, beta: float, lo: float, hi: float, uniform) -> float:
+    """Exact draw of t on [lo, hi] with density proportional to
+    exp(alpha t^2 + beta t), by rejection from the envelope of
+    :func:`_envelope`.  Masses and inverse CDFs are taken relative to each
+    piece's higher end and the chord's maximum of g, so none overflows.
+    """
+    pieces = _envelope(alpha, beta, lo, hi)
+    g_lo, g_hi = alpha * lo * lo + beta * lo, alpha * hi * hi + beta * hi
+    top = g_lo if g_lo > g_hi else g_hi
+    vertex = -beta / (2.0 * alpha) if alpha < 0.0 else lo
+    if lo < vertex < hi:
+        top = alpha * vertex * vertex + beta * vertex
+    table, total = [], 0.0
+    for p, q, r1, r2 in pieces:
+        slope = beta + alpha * (r1 + r2)
+        z = q if slope > 0.0 else p
+        level = alpha * z * z + beta * z - alpha * (z - r1) * (z - r2)
+        if slope == 0.0:
+            shrink, mass = 0.0, q - p
+        else:
+            steep = slope if slope > 0.0 else -slope
+            shrink = math.expm1(-steep * (q - p))
+            mass = -shrink / steep
+        total += math.exp(level - top) * mass
+        table.append((total, p, q, r1, r2, slope, shrink))
+    while True:
+        pick = uniform() * total
+        for entry in table:
+            if pick < entry[0]:
+                break
+        _, p, q, r1, r2, slope, shrink = entry
+        v = uniform()
+        if slope == 0.0:
+            t = p + v * (q - p)
+        elif slope > 0.0:
+            t = q + math.log1p(v * shrink) / slope
+        else:
+            t = p + math.log1p(v * shrink) / slope
+        t = p if t < p else q if t > q else t
+        if uniform() < math.exp(alpha * (t - r1) * (t - r2)):
+            return t
+
+
 def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = None,
                    *, rng: np.random.Generator) -> np.ndarray:
-    """Samples approximately distributed as exp(a^T B a + a^T b) on the ball.
+    """Hit-and-run draws whose stationary law is exp(a^T B a + a^T b) on the ball.
 
     Works in the eigenbasis of B, where the density separates per coordinate
     as exp(lam_i x_i^2 + gam_i x_i), and runs hit-and-run over the unit ball
-    from the origin: each step draws a uniform direction, then a point on the
-    ball's chord through x by inverse CDF on a 256-point grid with trapezoid
-    masses and linear interpolation, an approximation of the exact chord law.
-    After every step each coordinate is reflected, x_i -> -x_i, with
-    probability 1/2 * min(1, exp(-2 gam_i x_i)): a Metropolis move with a
-    symmetric proposal.  The ball is invariant under reflections and
-    lam_i x_i^2 is even, so the move is reversible for any b and leaves the
-    stationary law unchanged; with b = 0 each draw's signs are fair coins
-    independent of the chain's past.  Returns the ``count`` states after
-    ``burn_in`` steps.  Mixing quality is reported via
-    :func:`chain_autocorrelation`, not guaranteed.
+    from the origin.  Each step draws a uniform direction u, then a point
+    x + t u on the ball's chord through x from the exact conditional law,
+    density proportional to exp(alpha t^2 + beta t) with
+    alpha = sum lam_i u_i^2 and beta = sum (2 lam_i x_i + gam_i) u_i, by
+    rejection from a piecewise-exponential envelope (acceptance at least
+    about e^-1/4 per try).  After every step each coordinate is reflected,
+    x_i -> -x_i, with probability 1/2 * min(1, exp(-2 gam_i x_i)): a
+    Metropolis move with a symmetric proposal.  The ball is invariant under
+    reflections and lam_i x_i^2 is even, so the move is reversible for any b
+    and leaves the stationary law unchanged; with b = 0 each draw's signs are
+    fair coins independent of the chain's past.
+
+    Directions, reflection draws and rejection uniforms come from ``rng`` in
+    blocks of a fixed size, always whole, so the first n draws of a call do
+    not depend on ``count``.  Returns the ``count`` states after ``burn_in``
+    steps (default 1000 d).  Mixing is reported by the caller's diagnostics
+    (:func:`chain_autocorrelation`), not guaranteed.
     """
-    if count < 1:
-        raise InputError("count must be >= 1")
+    count = _step_count("count", count, 1)
     d = obj.b.size
-    if burn_in is None:
-        burn_in = 1000 * d
-    if burn_in < 0:
-        raise InputError("burn_in must be >= 0")
+    burn_in = _step_count("burn_in", 1000 * d if burn_in is None else burn_in, 0)
     lam, V = np.linalg.eigh(obj.B)
     gam = V.T @ obj.b
-    slope = -2.0 * gam  # log-density change when x_i alone flips: slope_i x_i
-    grid = np.linspace(0.0, 1.0, 256)
-    chain = np.empty((burn_in + count, d))
-    x = np.zeros(d)
-    for step in range(chain.shape[0]):
-        u = rng.standard_normal(d)
-        norm = math.sqrt(u @ u)
-        if norm == 0.0:
-            u = np.zeros(d)
-            u[0] = 1.0
-        else:
-            u /= norm
-        # chord of the ball: ||x + t u||^2 = 1
-        xu = float(x @ u)
-        root = np.sqrt(max(xu * xu - (float(x @ x) - 1.0), 0.0))
-        t_lo, t_hi = -xu - root, -xu + root
-        if not math.isfinite(t_lo) or not math.isfinite(t_hi) or t_hi - t_lo <= 1e-14:
-            raise DegenerateStartError(
-                f"degenerate chord of length {t_hi - t_lo!r} at step {step}"
-            )
-        ts = t_lo + (t_hi - t_lo) * grid
-        points = x[None, :] + ts[:, None] * u[None, :]
-        logd = points * points @ lam + points @ gam
-        p = np.exp(logd - logd.max())
-        seg = 0.5 * (p[1:] + p[:-1])  # trapezoid mass per grid cell
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        target = rng.random() * cum[-1]
-        k = min(int(np.searchsorted(cum, target, side="right")) - 1, len(seg) - 1)
-        k = max(k, 0)
-        frac = (target - cum[k]) / seg[k] if seg[k] > 0 else 0.5
-        t = ts[k] + frac * (ts[k + 1] - ts[k])
-        x = x + min(max(t, t_lo), t_hi) * u
-        flip = rng.random(d) < 0.5 * np.exp(np.minimum(slope * x, 0.0))
-        x = np.where(flip, -x, x)
-        chain[step] = x
-    return chain[burn_in:] @ V.T
+    twice_gam = (2.0 * gam).tolist()
+    uniform = _uniforms(rng).__next__
+    chain = np.empty((count, d))
+    x, xx = [0.0] * d, 0.0
+    steps = burn_in + count
+    for start in range(0, steps, _BLOCK):
+        u_block = rng.standard_normal((_BLOCK, d))
+        norms = np.sqrt(np.einsum("ij,ij->i", u_block, u_block))
+        zero = norms == 0.0  # a zero normal draw stands for the first axis
+        u_block[zero, 0] = norms[zero] = 1.0
+        u_block /= norms[:, None]
+        # a reflection happens when e_i = Exp(1) - log 2 > max(2 gam_i x_i, 0),
+        # which has probability 1/2 * min(1, exp(-2 gam_i x_i))
+        e_block = rng.standard_exponential((_BLOCK, d)) - math.log(2.0)
+        block = zip(u_block.tolist(), (u_block * lam).tolist(),
+                    (u_block * u_block @ lam).tolist(), (u_block @ gam).tolist(),
+                    e_block.tolist())
+        rows = []
+        for u, lam_u, alpha, gam_u, e in itertools.islice(block, steps - start):
+            xu = lam_xu = 0.0
+            for xi, ui, li in zip(x, u, lam_u):
+                xu += xi * ui
+                lam_xu += xi * li
+            # chord of the ball: ||x + t u||^2 = 1
+            root = math.sqrt(max(xu * xu - (xx - 1.0), 0.0))
+            t_lo, t_hi = -xu - root, -xu + root
+            if not math.isfinite(t_lo) or not math.isfinite(t_hi) or t_hi - t_lo <= 1e-14:
+                step = start + len(rows)
+                raise DegenerateStartError(
+                    f"degenerate chord of length {t_hi - t_lo!r} at step {step}")
+            t = _draw_chord(alpha, 2.0 * lam_xu + gam_u, t_lo, t_hi, uniform)
+            new, xx = [], 0.0
+            for xi, ui, g2, ei in zip(x, u, twice_gam, e):
+                xi += t * ui
+                xx += xi * xi
+                g2x = g2 * xi
+                new.append(-xi if ei > (g2x if g2x > 0.0 else 0.0) else xi)
+            x = new
+            rows.append(x)
+        kept = max(burn_in - start, 0)
+        if kept < len(rows):
+            chain[start + kept - burn_in:start + len(rows) - burn_in] = rows[kept:]
+    return chain @ V.T
 
 
 def surrogate_membership(obj: QuadraticObjective):
