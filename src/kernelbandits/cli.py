@@ -19,6 +19,7 @@ from .harness import (
     ExperimentConfig,
     PeriodicAdversary,
     ScheduleAdversary,
+    _mean_and_stderr,
     ball_directions,
     emit_trace,
     run_experiment,
@@ -166,9 +167,14 @@ def _cmd_run(args) -> int:
             "actions": args.actions, "adversary": args.adversary}
     for seed, trace in zip(seeds, result.traces):
         emit_trace(trace, out / f"trace_{seed}.csv", config_echo={**echo, "seed": seed})
+    # pseudo-regret is reported only when every seed's learner recorded it
+    pseudo = [trace.final_pseudo_regret for trace in result.traces]
+    pseudo_mean, pseudo_stderr = (None, None) if None in pseudo else _mean_and_stderr(pseudo)
     summary = {
         "mean_final_regret": result.mean_final_regret,
         "stderr_final_regret": result.stderr_final_regret,
+        "mean_final_pseudo_regret": pseudo_mean,
+        "stderr_final_pseudo_regret": pseudo_stderr,
         "seeds": list(seeds),
         "discretization_error": result.discretization_error,
     }

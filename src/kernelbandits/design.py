@@ -13,6 +13,7 @@ both every round and then solves against the covariance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +47,13 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < -1e-12):
+        if w.size and w.min() < -1e-12:
             raise InputError("distribution weights must be nonnegative")
-        total = w.sum()
-        if not np.isfinite(total) or abs(total - 1.0) > 1e-8:
+        total = float(w.sum())
+        if not math.isfinite(total) or abs(total - 1.0) > 1e-8:
             raise InputError(f"weights sum to {total!r}, not 1")
-        object.__setattr__(self, "weights", np.maximum(w, 0.0) / np.maximum(w, 0.0).sum())
+        w = np.maximum(w, 0.0)
+        object.__setattr__(self, "weights", w / w.sum())
 
     def __len__(self) -> int:
         return self.weights.size
@@ -158,13 +160,17 @@ def check_covariance_floor(sigma: np.ndarray, floor: float) -> None:
     """Refuse a covariance whose smallest eigenvalue is not above ``floor``.
 
     cholesky(sigma - floor I) succeeds iff lambda_min(sigma) > floor, so the
-    check needs no spectrum; on refusal the error carries the exact
-    lambda_min from eigvalsh.
+    check needs no spectrum.  The shift subtracts floor from the diagonal of
+    a copy, which has the bits of sigma - floor * eye(m) without forming the
+    identity.  On refusal the error carries the exact lambda_min from
+    eigvalsh.
     """
     if floor <= 0:
         raise InputError("floor must be positive")
+    shifted = np.array(sigma, dtype=float)
+    shifted.flat[::shifted.shape[0] + 1] -= floor  # the diagonal
     try:
-        np.linalg.cholesky(sigma - floor * np.eye(sigma.shape[0]))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         raise IllConditionedCovarianceError(float(np.linalg.eigvalsh(sigma)[0]),
                                             floor) from None

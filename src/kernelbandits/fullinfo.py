@@ -7,8 +7,16 @@ of rows of L; the single round :func:`full_info_round` is the one-row case
 of the same block step.
 
 The conditional-gradient iterate lives in the explicit feature space but is
-stored as a convex combination of embedded action points, which doubles as
-the sampling distribution for the rank-one play.
+stored as a convex combination of action points, which doubles as the
+sampling distribution for the play.  :func:`run_cg` is one pass over blocks
+of ``_LOSS_BLOCK_ROWS`` rounds that embeds a finite action set once: the
+linear-minimization oracle is the argmin of Phi(actions) @ gradient and the
+new atom's feature is a row of Phi(actions).  Each block embeds its
+adversary actions, and the points it played, with one call each and draws
+its randoms with one call; the state moves one round at a time, so every
+output has the bits of per-round embeddings.  The single round
+:func:`cg_round` is the one-row case of the same block step.  On the unit
+ball the oracle is a trust-region solve per round.
 """
 
 from __future__ import annotations
@@ -25,14 +33,14 @@ from .kernels import (
     _LOSS_BLOCK_ROWS,
     AdversaryAction,
     KernelSpec,
-    adversary_feature,
+    RankOne,
     feature_map,
     feature_matrix,
-    loss_eval,
+    kernel_eval,
     loss_matrix,
 )
 from .quadratic import QuadraticObjective, trs_minimize
-from .rng import sample_index, sample_indices
+from .rng import sample_indices
 from .weights import WeightState, softmax
 
 __all__ = [
@@ -216,14 +224,85 @@ def cg_start(kernel: KernelSpec, a1: np.ndarray) -> CGState:
     return CGState(combo, x1.copy(), np.zeros(x1.size), x1, 1)
 
 
-def _merge_atom(atoms: np.ndarray, weights: np.ndarray, point: np.ndarray,
-                weight: float) -> tuple[np.ndarray, np.ndarray]:
-    match = np.nonzero((atoms == point).all(axis=1))[0]
-    if match.size:
-        weights = weights.copy()
-        weights[match[0]] += weight
-        return atoms, weights
-    return np.vstack([atoms, point[None, :]]), np.append(weights, weight)
+def _cg_oracle(kernel: KernelSpec, action_set):
+    """The linear-minimization oracle as gradient -> (v, Phi(v)).
+
+    A finite action set is embedded here, once: v is the row of the lowest
+    argmin of Phi @ gradient, and Phi(v) is that row of Phi.  The unit ball
+    solves :func:`linear_min_oracle` and embeds its output."""
+    if isinstance(action_set, UnitBall):
+        def oracle(gradient):
+            v = linear_min_oracle(kernel, gradient, action_set)
+            return v, feature_map(kernel, v)
+        return oracle
+    actions = np.atleast_2d(np.asarray(action_set, dtype=float))
+    features = feature_matrix(kernel, actions)
+
+    def oracle(gradient):
+        j = int((features @ gradient).argmin())
+        return actions[j], features[j]
+    return oracle
+
+
+def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, oracle,
+              schedule: list[AdversaryAction], rng: np.random.Generator,
+              ) -> tuple[CGState, np.ndarray, np.ndarray, np.ndarray]:
+    """Conditional-gradient rounds over a nonempty stretch of the schedule.
+
+    Each round plays an atom by the inverse-CDF rule of
+    :func:`~kernelbandits.rng.sample_indices` on one raw 64-bit draw (the
+    stretch's draws come from one call), moves the mean toward the
+    oracle's output and adds the round's adversary feature to the running
+    sum.  The adversary features and the played points' explicit features
+    take one :func:`feature_matrix` call each per stretch; every output has
+    the bits of per-round embeddings.  Returns the state after the stretch
+    and, per round, the played atom index, its loss and the atom count.
+    """
+    rows = len(schedule)
+    rank_one = np.array([isinstance(w, RankOne) for w in schedule], dtype=bool)
+    adversary = np.empty((rows, state.x1.size))
+    if rank_one.any():
+        adversary[rank_one] = feature_matrix(
+            kernel, np.array([w.y for w in schedule if isinstance(w, RankOne)], dtype=float))
+    if not rank_one.all():
+        adversary[~rank_one] = np.array(
+            [w.w for w in schedule if not isinstance(w, RankOne)], dtype=float)
+    u = rng.bit_generator.random_raw(rows) / 2.0**64
+
+    atoms, weights = state.combo.atoms, state.combo.weights
+    mean, cum, x1, t = state.mean, state.cum_adversary, state.x1, state.t
+    played = np.empty((rows, atoms.shape[1]))
+    idx, num_atoms = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64)
+    for i in range(rows):
+        running = weights.cumsum()
+        k = np.count_nonzero(running[:-1] <= u[i] * running[-1])
+        played[i] = atoms[k]
+
+        gradient = config.eta * cum + 2.0 * (mean - x1)
+        v_t, phi_v = oracle(gradient)
+        gamma_t = config.gamma(t)
+        weights = (1.0 - gamma_t) * weights
+        match = (atoms == v_t).all(axis=1).nonzero()[0]
+        if match.size:
+            weights[match[0]] += gamma_t
+        else:
+            atoms, weights = np.vstack([atoms, v_t[None, :]]), np.append(weights, gamma_t)
+        keep = weights >= _ATOM_PRUNE
+        if not keep.all():
+            atoms, weights = atoms[keep], weights[keep]
+        normalized = weights / weights.sum()
+        weights = DiscreteDistribution(normalized).weights
+
+        mean = (1.0 - gamma_t) * mean + gamma_t * phi_v
+        cum = cum + adversary[i]
+        idx[i], num_atoms[i] = k, weights.size
+        t += 1
+
+    features = None if rank_one.all() else feature_matrix(kernel, played)
+    losses = np.array([kernel_eval(kernel, played[i], w.y) if rank_one[i]
+                       else float(features[i] @ w.w) for i, w in enumerate(schedule)])
+    combo = ConvexCombination(atoms, normalized)
+    return CGState(combo, mean, cum, x1, t), idx, losses, num_atoms
 
 
 def cg_round(state: CGState, config: CGConfig, kernel: KernelSpec,
@@ -235,42 +314,40 @@ def cg_round(state: CGState, config: CGConfig, kernel: KernelSpec,
     mean toward the linear-minimization-oracle output with this round's
     mixing rate.  The potential at round t aggregates adversary actions
     strictly before t, so the freshly observed action enters at t + 1.
+
+    This is the one-row case of the blocked pass in :func:`run_cg`, with
+    the same bits; it embeds a finite action set on every call.
     """
-    t = state.t
-    idx = sample_index(state.combo.weights, rng)
-    a_t = state.combo.atoms[idx]
-    loss = loss_eval(kernel, a_t, w_t)
-
-    gradient = config.eta * state.cum_adversary + 2.0 * (state.mean - state.x1)
-    v_t = linear_min_oracle(kernel, gradient, action_set)
-    gamma_t = config.gamma(t)
-
-    weights = (1.0 - gamma_t) * state.combo.weights
-    atoms, weights = _merge_atom(state.combo.atoms, weights, v_t, gamma_t)
-    keep = weights >= _ATOM_PRUNE
-    atoms, weights = atoms[keep], weights[keep]
-    combo = ConvexCombination(atoms, weights / weights.sum())
-
-    mean = (1.0 - gamma_t) * state.mean + gamma_t * feature_map(kernel, v_t)
-    cum = state.cum_adversary + adversary_feature(kernel, w_t)
-    new_state = CGState(combo, mean, cum, state.x1, t + 1)
-    record = CGRecord(t, idx, float(loss), num_atoms=combo.weights.size)
+    new_state, idx, losses, num_atoms = _cg_block(
+        state, config, kernel, _cg_oracle(kernel, action_set), [w_t], rng)
+    record = CGRecord(state.t, int(idx[0]), float(losses[0]), num_atoms=int(num_atoms[0]))
     return new_state, record
 
 
 def run_cg(kernel: KernelSpec, action_set, schedule: list[AdversaryAction],
            config: CGConfig, rng: np.random.Generator,
            a1: np.ndarray | None = None) -> tuple[list[CGRecord], CGState]:
-    """Run the conditional-gradient method over a full adversary schedule."""
+    """Run the conditional-gradient method over a full adversary schedule.
+
+    One pass over blocks of ``_LOSS_BLOCK_ROWS`` rounds that embeds a finite
+    action set once; every output has the bits of a loop of
+    :func:`cg_round`.
+    """
     if a1 is None:
         if isinstance(action_set, UnitBall):
             raise InputError("unit-ball action set needs an explicit start point")
         a1 = np.atleast_2d(np.asarray(action_set, dtype=float))[0]
     state = cg_start(kernel, a1)
-    records = []
-    for w_t in schedule:
-        state, rec = cg_round(state, config, kernel, action_set, w_t, rng)
-        records.append(rec)
+    oracle = _cg_oracle(kernel, action_set)
+    n = len(schedule)
+    idx, losses = np.empty(n, dtype=np.int64), np.empty(n)
+    num_atoms = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _LOSS_BLOCK_ROWS):
+        rows = slice(start, min(start + _LOSS_BLOCK_ROWS, n))
+        state, idx[rows], losses[rows], num_atoms[rows] = _cg_block(
+            state, config, kernel, oracle, schedule[rows], rng)
+    records = [CGRecord(t, i, loss, k) for t, (i, loss, k) in
+               enumerate(zip(idx.tolist(), losses.tolist(), num_atoms.tolist()), 1)]
     return records, state
 
 

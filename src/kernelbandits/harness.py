@@ -286,6 +286,13 @@ def _bandit_setup(config: ExperimentConfig):
     return basis, features, nu, bcfg, center_offset
 
 
+def _mean_and_stderr(finals: list[float]) -> tuple[float, float]:
+    """Mean of per-seed final values and its standard error (0 for one seed)."""
+    finals = np.array(finals)
+    stderr = float(finals.std(ddof=1) / math.sqrt(len(finals))) if len(finals) > 1 else 0.0
+    return float(finals.mean()), stderr
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """One trace per seed; mean final regret with its standard error."""
     kernel, actions = config.kernel, config.actions
@@ -327,13 +334,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         traces.append(build_trace(kernel, actions, schedule, losses, idxs,
                                   expected_losses=expected))
 
-    finals = np.array([t.final_regret for t in traces])
-    stderr = float(finals.std(ddof=1) / math.sqrt(len(finals))) if len(finals) > 1 else 0.0
+    mean, stderr = _mean_and_stderr([t.final_regret for t in traces])
     disc = (kernel.norm_bound_G**2 * config.covering_radius
             if config.covering_radius is not None else None)
     return ExperimentResult(
         traces=traces,
-        mean_final_regret=float(finals.mean()),
+        mean_final_regret=mean,
         stderr_final_regret=stderr,
         schedule_hashes=hashes,
         discretization_error=disc,
@@ -349,13 +355,11 @@ def emit_trace(trace: RegretTrace, path, config_echo: dict | None = None) -> Non
 
         lines.append("# " + json.dumps(config_echo, sort_keys=True))
     lines.append("round,action_index,loss,cum_loss,cum_regret")
-    cum = 0.0
-    for t in range(trace.losses.size):
-        cum += trace.losses[t]
-        lines.append(
-            f"{t + 1},{trace.action_indices[t]},{trace.losses[t]:.17g},"
-            f"{cum:.17g},{trace.regret_curve[t]:.17g}"
-        )
+    # cumsum adds the losses one at a time, the bits of a running sum
+    columns = (trace.action_indices.tolist(), trace.losses.tolist(),
+               np.cumsum(trace.losses).tolist(), trace.regret_curve.tolist())
+    lines.extend(f"{t},{i},{loss:.17g},{cum:.17g},{regret:.17g}"
+                 for t, (i, loss, cum, regret) in enumerate(zip(*columns), 1))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

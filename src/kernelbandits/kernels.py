@@ -42,7 +42,6 @@ __all__ = [
     "loss_eval",
     "loss_matrix",
     "adversary_norm",
-    "adversary_feature",
     "make_explicit",
     "make_rank_one",
     "quadratic_adversary",
@@ -356,13 +355,6 @@ def loss_matrix(spec: KernelSpec, actions: np.ndarray,
         W = np.array([w.w for w in schedule if type(w) is not RankOne], dtype=float)
         L[~rank_one] = _row_products(feature_matrix(spec, actions), W)
     return L
-
-
-def adversary_feature(spec: KernelSpec, w: AdversaryAction) -> np.ndarray:
-    """Adversary action as a vector in the explicit feature space."""
-    if isinstance(w, ExplicitVector):
-        return np.asarray(w.w, dtype=float)
-    return feature_map(spec, w.y)
 
 
 def check_norm_bound(spec: KernelSpec, actions: np.ndarray) -> float:

@@ -7,10 +7,14 @@ is the D-optimal design loop that re-forms and inverts the covariance on
 every step, the reference for the rank-one updates of
 ``design.d_optimal_design``.  ``ew_fold_oracle`` is exponential weights as
 a plain per-round loop with scalar draws (``scalar_inverse_cdf``), the
-reference for the blocked pass of ``fullinfo.full_info_ew_play``.  ``kernel_schedules`` builds the rank-one,
-explicit and mixed adversary schedules that the bit-identity tests of the
-loss matrix and of exponential weights run on.  None of this is part of the
-learners themselves.
+reference for the blocked pass of ``fullinfo.full_info_ew_play``;
+``cg_fold_round`` is a self-contained conditional-gradient round that
+embeds everything it uses, the reference for the blocked pass of
+``fullinfo.run_cg``.  ``kernel_schedules`` builds the rank-one, explicit
+and mixed adversary schedules that the bit-identity tests of the loss
+matrix, exponential weights and conditional gradient run on.
+``adversary_feature`` embeds one adversary action.  None of this is part
+of the learners themselves.
 """
 
 from __future__ import annotations
@@ -21,29 +25,40 @@ from kernelbandits import design
 from kernelbandits.design import DiscreteDistribution
 from kernelbandits.errors import RankDeficiencyError, ToleranceNotMetError
 from kernelbandits.fullinfo import (
+    _ATOM_PRUNE,
     CGConfig,
     CGRecord,
     CGState,
     ConvexCombination,
     cg_round,
     cg_start,
+    linear_min_oracle,
 )
 from kernelbandits.kernels import (
+    ExplicitVector,
     KernelSpec,
-    adversary_feature,
     feature_dim,
+    feature_map,
     feature_matrix,
     has_feature_map,
+    loss_eval,
     loss_matrix,
     make_explicit,
     make_rank_one,
 )
-from kernelbandits.rng import component_rng
+from kernelbandits.rng import component_rng, sample_index
 
 # kernels with every loss path: explicit maps (linear, quadratic, cubic) and
 # the rank-one-only Gaussian
 BIT_KERNELS = (KernelSpec.linear(G=1.0), KernelSpec.quadratic(G=2.0),
                KernelSpec.gaussian(0.5), KernelSpec.polynomial(3, 1.0, G=3.0))
+
+
+def adversary_feature(spec: KernelSpec, w) -> np.ndarray:
+    """Adversary action as a vector in the explicit feature space."""
+    if isinstance(w, ExplicitVector):
+        return np.asarray(w.w, dtype=float)
+    return feature_map(spec, w.y)
 
 
 def ftrl_oracle(history, eta: float, kernel: KernelSpec, actions,
@@ -223,3 +238,40 @@ def ew_fold_oracle(kernel: KernelSpec, actions, schedule, eta: float,
         expected.append(float(probs @ ell))
         log_weights = log_weights + -eta * ell
     return np.array(idx, dtype=np.int64), np.array(losses), np.array(expected), log_weights
+
+
+def _merge_atom(atoms: np.ndarray, weights: np.ndarray, point: np.ndarray,
+                weight: float) -> tuple[np.ndarray, np.ndarray]:
+    match = np.nonzero((atoms == point).all(axis=1))[0]
+    if match.size:
+        weights = weights.copy()
+        weights[match[0]] += weight
+        return atoms, weights
+    return np.vstack([atoms, point[None, :]]), np.append(weights, weight)
+
+
+def cg_fold_round(state: CGState, config: CGConfig, kernel: KernelSpec,
+                  action_set, w_t, rng: np.random.Generator) -> tuple[CGState, CGRecord]:
+    """One conditional-gradient round as a self-contained step: a scalar
+    draw, a per-round embedding of the action set for the oracle, of the new
+    atom and of the adversary action, and a validated combination."""
+    t = state.t
+    idx = sample_index(state.combo.weights, rng)
+    a_t = state.combo.atoms[idx]
+    loss = loss_eval(kernel, a_t, w_t)
+
+    gradient = config.eta * state.cum_adversary + 2.0 * (state.mean - state.x1)
+    v_t = linear_min_oracle(kernel, gradient, action_set)
+    gamma_t = config.gamma(t)
+
+    weights = (1.0 - gamma_t) * state.combo.weights
+    atoms, weights = _merge_atom(state.combo.atoms, weights, v_t, gamma_t)
+    keep = weights >= _ATOM_PRUNE
+    atoms, weights = atoms[keep], weights[keep]
+    combo = ConvexCombination(atoms, weights / weights.sum())
+
+    mean = (1.0 - gamma_t) * state.mean + gamma_t * feature_map(kernel, v_t)
+    cum = state.cum_adversary + adversary_feature(kernel, w_t)
+    new_state = CGState(combo, mean, cum, state.x1, t + 1)
+    record = CGRecord(t, idx, float(loss), num_atoms=combo.weights.size)
+    return new_state, record

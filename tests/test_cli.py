@@ -41,6 +41,41 @@ def test_run_command_writes_traces(tmp_path, capsys):
     assert printed["seeds"] == [0, 1]
 
 
+def test_run_summary_reports_pseudo_regret(tmp_path):
+    # full-information EW records <p_t, l_t> on every seed, so the summary
+    # carries the mean and standard error of the final pseudo-regret
+    from kernelbandits.harness import ExperimentConfig, run_experiment, unit_vector_adversary
+    from kernelbandits.kernels import KernelSpec
+
+    out = tmp_path / "results"
+    assert main(["run", "--algo", "fullinfo_ew", "--kernel", "linear",
+                 "--actions", "ball:8", "--adversary", "iid-unit",
+                 "--n", "50", "--seeds", "0,1,2", "--params", "paper",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    config = ExperimentConfig(algo="fullinfo_ew", kernel=KernelSpec.linear(),
+                              actions=parse_actions("ball:8"),
+                              adversary=unit_vector_adversary(2), n=50, seeds=(0, 1, 2))
+    finals = np.array([t.final_pseudo_regret for t in run_experiment(config).traces])
+    assert summary["mean_final_pseudo_regret"] == finals.mean()
+    assert summary["stderr_final_pseudo_regret"] == finals.std(ddof=1) / np.sqrt(3)
+    assert summary["mean_final_pseudo_regret"] != summary["mean_final_regret"]
+
+
+def test_run_summary_pseudo_regret_null_without_expected_losses(tmp_path):
+    # conditional gradient records no expected losses: the keys are present
+    # and null rather than missing or a realized-regret stand-in
+    out = tmp_path / "results"
+    assert main(["run", "--algo", "cg", "--kernel", "linear",
+                 "--actions", "ball:8", "--adversary", "iid-unit",
+                 "--n", "50", "--seeds", "0,1", "--params", "paper",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mean_final_pseudo_regret"] is None
+    assert summary["stderr_final_pseudo_regret"] is None
+    assert summary["mean_final_regret"] is not None
+
+
 def test_run_command_input_error_exit_code(tmp_path):
     code = main(["run", "--algo", "fullinfo_ew", "--kernel", "nope",
                  "--actions", "ball:8", "--n", "10", "--out", str(tmp_path)])

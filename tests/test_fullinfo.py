@@ -29,6 +29,7 @@ from kernelbandits.rng import component_rng
 from kernelbandits.weights import WeightState
 from oracles import (
     BIT_KERNELS,
+    cg_fold_round,
     ew_fold_oracle,
     ftrl_oracle,
     kernel_schedules,
@@ -192,6 +193,115 @@ def test_cg_converges_to_opposing_atom():
     idxs = np.array([r.action_index for r in records])
     trace = build_trace(LINEAR, actions, [w] * n, losses, idxs)
     assert trace.final_regret <= 8 * n**0.75
+
+
+def _cg_bytes(records, state):
+    """Bytes of the rounds, atom indices, atom counts and losses of a run,
+    then of its final atoms, weights, mean, adversary sum and round."""
+    ints = np.array([[r.round, r.action_index, r.num_atoms] for r in records],
+                    dtype=np.int64).reshape(-1, 3)
+    losses = np.array([r.loss for r in records], dtype=float)
+    return (ints.tobytes(), losses.tobytes(), state.combo.atoms.tobytes(),
+            state.combo.weights.tobytes(), state.mean.tobytes(),
+            state.cum_adversary.tobytes(), state.t)
+
+
+def _cg_fold_bytes(step, kernel, action_set, schedule, config, rng, a1, lengths):
+    """:func:`_cg_bytes` after each of ``lengths`` rounds of a loop of
+    ``step`` over the schedule."""
+    state, records, out = cg_start(kernel, a1), [], {}
+    for t, w in enumerate(schedule, 1):
+        state, rec = step(state, config, kernel, action_set, w, rng)
+        records.append(rec)
+        if t in lengths:
+            out[t] = _cg_bytes(records, state)
+    return out
+
+
+_CUBIC = KernelSpec.polynomial(3, 1.0, G=3.0)
+
+
+@pytest.mark.parametrize("spec, ball", [(LINEAR, False), (QUAD, False), (_CUBIC, False),
+                                        (LINEAR, True), (QUAD, True)],
+                         ids=["linear", "quadratic", "cubic", "ball-linear",
+                              "ball-quadratic"])
+def test_cg_block_pass_equals_per_round_fold(spec, ball):
+    # run_cg walks blocks of _LOSS_BLOCK_ROWS rounds and embeds a finite
+    # action set once; a loop of cg_round is the same step one row at a
+    # time, and cg_fold_round embeds everything on every round.  Lengths
+    # around the block size cover a partial, an exact and a carried block.
+    # The finite set repeats rows (the start point among them), so the
+    # oracle's output is often an atom already held and merges into it.
+    # The unit ball solves a trust-region problem per round, so it runs
+    # only the mixed schedule, which has both kinds of adversary action.
+    lengths = (1, 255, 256, 257, 1000)
+    if ball:
+        d, action_set, a1 = 2, UnitBall(2), np.array([0.6, -0.8])
+    else:
+        points = component_rng(6, "cg-fold-actions").standard_normal((12, 3))
+        points /= 1.25 * np.linalg.norm(points, axis=1)[:, None]
+        d, action_set = 3, np.vstack([points[::3], points])
+        a1 = action_set[0]
+    config = cg_theorem_config(1000)
+    schedules = kernel_schedules(spec, d, 1000, seed=6)
+    for kind, full in schedules.items():
+        if ball and kind != "mixed":
+            continue
+        folds = [_cg_fold_bytes(step, spec, action_set, full, config,
+                                component_rng(6, "player"), a1, lengths)
+                 for step in (cg_round, cg_fold_round)]
+        for n in lengths:
+            records, state = run_cg(spec, action_set, full[:n], config,
+                                    component_rng(6, "player"), a1)
+            assert len(records) == n
+            blocked = _cg_bytes(records, state)
+            assert blocked == folds[0][n], (kind, n)
+            assert blocked == folds[1][n], (kind, n)
+
+
+# sha256 of the int64 atom indices then the float64 losses of the run in
+# test_cg_run_trace_is_pinned, recorded before the pass was blocked
+_CG_RUN_SHA256 = "f74d1c2c48e0ed2f71908ebb09d71dee6474f6ea475e3f80d2fc9930fefa756e"
+
+
+def test_cg_run_trace_is_pinned():
+    from kernelbandits.harness import ExperimentConfig, run_experiment
+
+    actions = component_rng(5, "cg-actions").standard_normal((40, 3))
+    actions /= np.linalg.norm(actions, axis=1)[:, None]
+    config = ExperimentConfig(algo="cg", kernel=QUAD, actions=actions,
+                              adversary=unit_vector_adversary(3), n=600, seeds=(0,))
+    trace = run_experiment(config).traces[0]
+    digest = hashlib.sha256(trace.action_indices.astype(np.int64).tobytes()
+                            + trace.losses.astype(np.float64).tobytes()).hexdigest()
+    assert digest == _CG_RUN_SHA256
+
+
+def test_run_cg_embeds_the_action_set_once(monkeypatch):
+    # every embedding in the package goes through kernels.feature_matrix;
+    # a per-round embedding would make n calls, the blocked pass makes a
+    # few per block and embeds the action set once
+    import kernelbandits.fullinfo as fullinfo_mod
+    import kernelbandits.kernels as kernels_mod
+
+    embed, calls = kernels_mod.feature_matrix, []
+
+    def counted(spec, points):
+        calls.append(np.atleast_2d(np.asarray(points, dtype=float)).copy())
+        return embed(spec, points)
+
+    monkeypatch.setattr(kernels_mod, "feature_matrix", counted)
+    monkeypatch.setattr(fullinfo_mod, "feature_matrix", counted)
+    actions = component_rng(7, "cg-count-actions").standard_normal((40, 3))
+    actions /= 1.25 * np.linalg.norm(actions, axis=1)[:, None]
+    n = 600
+    schedule = kernel_schedules(QUAD, 3, n, seed=7)["mixed"]
+    records, _ = run_cg(QUAD, actions, schedule, cg_theorem_config(n),
+                        component_rng(7, "cg"))
+    assert len(records) == n
+    assert sum(np.array_equal(points, actions) for points in calls) == 1
+    blocks = -(-n // 256)
+    assert len(calls) <= 2 + 2 * blocks
 
 
 def test_linear_min_oracle_finite_set():

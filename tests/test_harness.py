@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,22 @@ def test_emit_parse_round_trip(tmp_path):
     assert np.array_equal(parsed["cum_loss"], np.cumsum(trace.losses))
     header = path.read_text().split("\n")[1]
     assert header == "round,action_index,loss,cum_loss,cum_regret"
+
+
+# sha256 of the CSV that test_emit_trace_bytes_are_pinned writes, recorded
+# while emit_trace still formatted one row per loop iteration
+_EMIT_TRACE_SHA256 = "77863446ab5138e84c6dcae95a4a65dd820993c6df59be5f8fa025e6d1d0def5"
+
+
+def test_emit_trace_bytes_are_pinned(tmp_path):
+    actions = component_rng(5, "fi-actions").standard_normal((24, 3))
+    actions /= np.linalg.norm(actions, axis=1)[:, None]
+    config = ExperimentConfig(algo="fullinfo_ew", kernel=LINEAR, actions=actions,
+                              adversary=unit_vector_adversary(3), n=600, seeds=(0,))
+    path = tmp_path / "trace.csv"
+    emit_trace(run_experiment(config).traces[0], path,
+               config_echo={"algo": "fullinfo_ew", "seed": 0})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _EMIT_TRACE_SHA256
 
 
 def test_seed_determinism_identical_bytes(tmp_path):
