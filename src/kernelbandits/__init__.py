@@ -9,6 +9,7 @@ that measures expected regret against the theory's bounds.
 from .bandit import (
     BanditConfig,
     bandit_round,
+    certify_covariance_floor,
     configure_bandit,
     estimate_adversary,
     general_theorem_config,

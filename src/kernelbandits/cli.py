@@ -177,6 +177,8 @@ def _cmd_run(args) -> int:
         "stderr_final_pseudo_regret": pseudo_stderr,
         "seeds": list(seeds),
         "discretization_error": result.discretization_error,
+        # bandit_ew only: the floor gamma / (2m) and its once-per-run certificate
+        "covariance_floor": result.details.get("covariance_floor"),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))

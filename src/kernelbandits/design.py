@@ -7,8 +7,10 @@ After whitening by the design covariance, the feature second-moment matrix
 of the design is the identity over m, which is what gives the mixed
 distribution its gamma/m eigenvalue floor.  `action_covariance` (the second
 moment) and `check_covariance_floor` (a Cholesky test that its smallest
-eigenvalue is above a floor) are the one covariance path; the bandit calls
-both every round and then solves against the covariance.
+eigenvalue is above a floor) are the one covariance path.  The bandit forms
+the covariance every round and solves against it; a whole run certifies
+its floor once, from the design's covariance, and the one-round entry
+`bandit.bandit_round` checks its round by `check_covariance_floor`.
 """
 
 from __future__ import annotations

@@ -86,9 +86,6 @@ class ConvexCombination:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", DiscreteDistribution(w).weights)
 
-    def mean_feature(self, kernel: KernelSpec) -> np.ndarray:
-        return feature_matrix(kernel, self.atoms).T @ self.weights
-
 
 @dataclass(frozen=True)
 class CGConfig:
@@ -351,29 +348,25 @@ def run_cg(kernel: KernelSpec, action_set, schedule: list[AdversaryAction],
     return records, state
 
 
-def linear_min_oracle(kernel: KernelSpec, gradient: np.ndarray, action_set) -> np.ndarray:
-    """Global minimizer of <gradient, Phi(a)> over the action set.
+def linear_min_oracle(kernel: KernelSpec, gradient: np.ndarray, ball: UnitBall) -> np.ndarray:
+    """Global minimizer of <gradient, Phi(a)> over the unit ball.
 
-    Finite sets by enumeration (ties to the lowest index).  On the unit ball
-    the problem is closed-form for the linear kernel and a trust-region
-    subproblem for the quadratic kernel; other kernels are unsupported there.
+    Closed-form for the linear kernel and a trust-region subproblem for the
+    quadratic kernel; other kernels are unsupported.  A finite action set
+    needs no solver: :func:`run_cg` takes the argmin of its embedded rows.
     """
     gradient = np.asarray(gradient, dtype=float)
-    if isinstance(action_set, UnitBall):
-        d = action_set.dim
-        if kernel.variant == "linear":
-            norm = np.linalg.norm(gradient)
-            return -gradient / norm if norm > 0 else np.zeros(d)
-        if kernel.variant == "quadratic":
-            M = gradient[: d * d].reshape(d, d)
-            B = 0.5 * (M + M.T)
-            b = gradient[d * d:]
-            point, _ = trs_minimize(QuadraticObjective(B, b))
-            return point
-        raise InputError(
-            f"unit-ball linear minimization is unsupported for the "
-            f"{kernel.variant} kernel"
-        )
-    actions = np.atleast_2d(np.asarray(action_set, dtype=float))
-    values = feature_matrix(kernel, actions) @ gradient
-    return actions[int(np.argmin(values))]
+    d = ball.dim
+    if kernel.variant == "linear":
+        norm = np.linalg.norm(gradient)
+        return -gradient / norm if norm > 0 else np.zeros(d)
+    if kernel.variant == "quadratic":
+        M = gradient[: d * d].reshape(d, d)
+        B = 0.5 * (M + M.T)
+        b = gradient[d * d:]
+        point, _ = trs_minimize(QuadraticObjective(B, b))
+        return point
+    raise InputError(
+        f"unit-ball linear minimization is unsupported for the "
+        f"{kernel.variant} kernel"
+    )

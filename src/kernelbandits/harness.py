@@ -283,7 +283,7 @@ def _bandit_setup(config: ExperimentConfig):
             eta=params["eta"], gamma=params["gamma"], m=m,
             eps=params.get("eps", 0.0), n=config.n,
         )
-    return basis, features, nu, bcfg, center_offset
+    return features, nu, bcfg, center_offset
 
 
 def _mean_and_stderr(finals: list[float]) -> tuple[float, float]:
@@ -300,10 +300,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     hashes: list[str] = []
     details: dict = {}
 
-    bandit_ctx = _bandit_setup(config) if config.algo == "bandit_ew" else None
-    if bandit_ctx is not None:
-        details["bandit_config"] = bandit_ctx[3]
-        details["design_center_offset"] = bandit_ctx[4]
+    if config.algo == "bandit_ew":
+        features, nu, bcfg, center_offset = _bandit_setup(config)
+        floor, bound = _bandit.certify_covariance_floor(bcfg, features, nu)
+        details["bandit_config"] = bcfg
+        details["design_center_offset"] = center_offset
+        details["covariance_floor"] = {"floor": floor, "certified_lower_bound": bound}
 
     for seed in config.seeds:
         adv_rng = component_rng(seed, "adversary")
@@ -325,7 +327,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 records, _ = _fullinfo.run_cg(kernel, actions, schedule, cg_config,
                                               player_rng)
             else:
-                basis, features, nu, bcfg, _ = bandit_ctx
                 records, _ = _bandit.run_bandit(kernel, actions, features, nu, bcfg,
                                                 schedule, player_rng)
             losses = np.array([r.loss for r in records])

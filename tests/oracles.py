@@ -13,8 +13,10 @@ embeds everything it uses, the reference for the blocked pass of
 ``fullinfo.run_cg``.  ``kernel_schedules`` builds the rank-one, explicit
 and mixed adversary schedules that the bit-identity tests of the loss
 matrix, exponential weights and conditional gradient run on.
-``adversary_feature`` embeds one adversary action.  None of this is part
-of the learners themselves.
+``adversary_feature`` embeds one adversary action, ``mean_feature`` the
+feature-space mean of a convex combination, and ``min_oracle`` extends
+``fullinfo.linear_min_oracle`` to finite sets by enumeration.  None of this
+is part of the learners themselves.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from kernelbandits.fullinfo import (
     CGRecord,
     CGState,
     ConvexCombination,
+    UnitBall,
     cg_round,
     cg_start,
     linear_min_oracle,
@@ -59,6 +62,22 @@ def adversary_feature(spec: KernelSpec, w) -> np.ndarray:
     if isinstance(w, ExplicitVector):
         return np.asarray(w.w, dtype=float)
     return feature_map(spec, w.y)
+
+
+def mean_feature(kernel: KernelSpec, combo: ConvexCombination) -> np.ndarray:
+    """sum_i w_i Phi(atom_i), embedding every atom afresh."""
+    return feature_matrix(kernel, combo.atoms).T @ combo.weights
+
+
+def min_oracle(kernel: KernelSpec, gradient: np.ndarray, action_set) -> np.ndarray:
+    """Global minimizer of <gradient, Phi(a)>: ``linear_min_oracle`` on the
+    unit ball, enumeration of a fresh embedding on a finite set (ties to the
+    lowest index)."""
+    if isinstance(action_set, UnitBall):
+        return linear_min_oracle(kernel, gradient, action_set)
+    actions = np.atleast_2d(np.asarray(action_set, dtype=float))
+    values = feature_matrix(kernel, actions) @ np.asarray(gradient, dtype=float)
+    return actions[int(np.argmin(values))]
 
 
 def ftrl_oracle(history, eta: float, kernel: KernelSpec, actions,
@@ -131,7 +150,7 @@ def _iterate_gap(state: CGState, config: CGConfig, kernel: KernelSpec,
     history = [state.cum_adversary - 0.0, -2.0 * state.x1 / config.eta]
     star = ftrl_oracle(history, config.eta, kernel, actions, tol,
                        init_weights=warm)
-    x_star = star.mean_feature(kernel)
+    x_star = mean_feature(kernel, star)
     gap = _potential(state, config, state.mean) - _potential(state, config, x_star)
     return gap, star.weights
 
@@ -261,7 +280,7 @@ def cg_fold_round(state: CGState, config: CGConfig, kernel: KernelSpec,
     loss = loss_eval(kernel, a_t, w_t)
 
     gradient = config.eta * state.cum_adversary + 2.0 * (state.mean - state.x1)
-    v_t = linear_min_oracle(kernel, gradient, action_set)
+    v_t = min_oracle(kernel, gradient, action_set)
     gamma_t = config.gamma(t)
 
     weights = (1.0 - gamma_t) * state.combo.weights

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from kernelbandits import bandit
 from kernelbandits.bandit import (
     BanditConfig,
     bandit_round,
+    certify_covariance_floor,
     configure_bandit,
     estimate_adversary,
     general_theorem_config,
@@ -164,6 +166,115 @@ def test_round_refuses_covariance_below_floor():
     assert err.value.min_eig == pytest.approx(np.linalg.eigvalsh(sigma)[0], abs=1e-12)
 
 
+def _point_mass_case():
+    """The inputs of the floor test above: 6 Gaussian features in d = 3, the
+    point-mass design on the first, gamma = 0.5 (floor 1/12), a zero
+    adversary."""
+    features = component_rng(12, "floor").standard_normal((6, 3))
+    actions = spanning_unit_vectors(6, 3, seed=12)
+    exploration = DiscreteDistribution(np.eye(6)[0])
+    cfg = BanditConfig(eta=0.1, gamma=0.5, m=3, eps=0.0, n=10)
+    return features, actions, exploration, cfg, make_explicit(LINEAR, np.zeros(3))
+
+
+def _stream_untouched(rng) -> bool:
+    fresh = component_rng(12, "player")
+    return np.array_equal(rng.bit_generator.random_raw(8), fresh.bit_generator.random_raw(8))
+
+
+def test_round_refuses_covariance_below_floor_on_unsampled_round():
+    # round 2 records no eigenvalue, so the refusal is bandit_round's own
+    # Cholesky check, made before the draw
+    features, actions, exploration, cfg, w = _point_mass_case()
+    state = WeightState(np.array([0.0, 50.0, 0.0, 0.0, 0.0, 0.0]), round=1)
+    rng = component_rng(12, "player")
+    with pytest.raises(IllConditionedCovarianceError) as err:
+        bandit_round(state, cfg, LINEAR, actions, features, exploration, w, rng)
+    assert err.value.floor == 0.5 / (2 * 3)
+    assert err.value.min_eig < err.value.floor
+    assert _stream_untouched(rng)
+
+
+def test_run_refuses_uncertified_design_before_round_one():
+    # the point-mass design spans one of 3 dimensions, so
+    # gamma lambda_min(Sigma_nu) - delta is below the floor and the run stops
+    # before its first draw
+    features, actions, exploration, cfg, w = _point_mass_case()
+    rng = component_rng(12, "player")
+    with pytest.raises(IllConditionedCovarianceError) as err:
+        run_bandit(LINEAR, actions, features, exploration, cfg, [w] * 10, rng)
+    assert err.value.floor == 0.5 / (2 * 3)
+    assert err.value.min_eig < err.value.floor
+    assert _stream_untouched(rng)
+
+
+def test_sampled_min_eig_below_floor_raises(monkeypatch):
+    # features in a plane make every play covariance singular; with the
+    # certificate bypassed, the round-1 eigenvalue cross-check catches it
+    features, actions, _, cfg, w = _point_mass_case()
+    features[:, 2] = 0.0
+    monkeypatch.setattr(bandit, "certify_covariance_floor", lambda *args: None)
+    with pytest.raises(IllConditionedCovarianceError) as err:
+        run_bandit(LINEAR, actions, features, DiscreteDistribution.uniform(6), cfg,
+                   [w] * 10, component_rng(12, "player"))
+    assert err.value.floor == 0.5 / (2 * 3)
+    assert abs(err.value.min_eig) <= 1e-12
+
+
+def test_certificate_of_whitened_design():
+    # after whitening Sigma_nu = I/m, so the certified bound is gamma/m less
+    # a rounding term of order (N + m) u max ||f||^2
+    actions, features, nu, cfg = _setup(n=100)
+    floor, bound = certify_covariance_floor(cfg, features, nu)
+    m = features.shape[1]
+    assert floor == 0.5 * cfg.gamma / m
+    assert bound > floor
+    assert bound == pytest.approx(cfg.gamma / m, abs=1e-12)
+    assert bound < cfg.gamma * np.linalg.eigvalsh(action_covariance(nu.weights, features))[0]
+
+
+def _gaussian_setup(n=120):
+    # 30 unit vectors under gaussian:0.5, proxy rank m = 20
+    kernel = KernelSpec.gaussian(0.5)
+    actions = spanning_unit_vectors(30, 3, seed=0)
+    basis = build_proxy(kernel, actions, m=20, p=60, rng=component_rng(0, "proxy"))
+    features, nu, _ = prepare_bandit_features(basis, actions)
+    cfg = BanditConfig(eta=0.05, gamma=0.5, m=features.shape[1], eps=0.0, n=n)
+    return kernel, actions, features, nu, cfg
+
+
+@pytest.mark.parametrize("case", ["linear", "gaussian"])
+def test_run_bandit_is_a_fold_of_bandit_round(case):
+    # run_bandit and bandit_round share one round body; the run must have
+    # the bits of stepping bandit_round from the uniform start
+    from kernelbandits.harness import unit_vector_adversary
+
+    if case == "linear":
+        kernel = LINEAR
+        actions, features, nu, cfg = _setup(n=120)
+    else:
+        kernel, actions, features, nu, cfg = _gaussian_setup(n=120)
+        assert features.shape[1] >= 20
+    schedule = unit_vector_adversary(3).materialize(120, component_rng(13, "adv"))
+    records, state = run_bandit(kernel, actions, features, nu, cfg, schedule,
+                                component_rng(13, "player"))
+    fold_state, fold = WeightState.uniform(actions.shape[0]), []
+    rng = component_rng(13, "player")
+    for w_t in schedule:
+        fold_state, rec = bandit_round(fold_state, cfg, kernel, actions, features,
+                                       nu, w_t, rng)
+        fold.append(rec)
+    assert len(records) == len(fold) == 120
+    for a, b in zip(records, fold):
+        assert (a.round, a.action_index) == (b.round, b.action_index)
+        assert a.loss.hex() == b.loss.hex()
+        assert a.w_hat.tobytes() == b.w_hat.tobytes()
+        assert a.min_eig_sigma == b.min_eig_sigma
+    assert [r.round for r in records if r.min_eig_sigma is not None] == [1, 51, 101]
+    assert state.log_weights.tobytes() == fold_state.log_weights.tobytes()
+    assert state.round == fold_state.round
+
+
 def test_weights_concentrate_on_zero_loss_action():
     # e2 has loss 0 every round, e1 loss 1: mass must move to e2
     actions = np.eye(2)
@@ -234,8 +345,9 @@ def test_bit_for_bit_determinism(tmp_path):
 
 
 def test_min_eig_recorded_on_sampled_rounds():
-    # the floor is certified every round; the exact lambda_min is recorded on
-    # rounds 1, 51, 101, ... and equals eigvalsh of that round's covariance
+    # bandit_round checks the floor on every call; the exact lambda_min is
+    # recorded on rounds 1, 51, 101, ... and equals eigvalsh of that round's
+    # covariance
     from kernelbandits.harness import unit_vector_adversary
 
     actions, features, nu, cfg = _setup(n=120)
@@ -257,6 +369,14 @@ def test_min_eig_recorded_on_sampled_rounds():
 # bandit run.  The rng.py contract says the same seed gives the same trace,
 # so a change to this value must be named and explained.
 _BANDIT_RUN_SHA256 = "2bf76d12d04ea97a09881d716464bbce29e79574c6824a52efae7a2126c55891"
+# the same for gaussian:0.5 on 30 unit vectors, proxy rank m = 20, n = 300
+_GAUSSIAN_BANDIT_RUN_SHA256 = (
+    "1584674c47002b7116a7f2a46d131ae36ab023e08a72331f8b4c614b2ac11063")
+
+
+def _trace_digest(trace) -> str:
+    return hashlib.sha256(trace.action_indices.astype(np.int64).tobytes()
+                          + trace.losses.astype(np.float64).tobytes()).hexdigest()
 
 
 @pytest.mark.filterwarnings("error")
@@ -267,10 +387,21 @@ def test_bandit_run_trace_is_pinned():
                               actions=spanning_unit_vectors(20, 3, seed=0),
                               adversary=unit_vector_adversary(3), n=200, seeds=(0,),
                               proxy_p=80, proxy_m=3)
-    trace = run_experiment(config).traces[0]
-    digest = hashlib.sha256(trace.action_indices.astype(np.int64).tobytes()
-                            + trace.losses.astype(np.float64).tobytes()).hexdigest()
-    assert digest == _BANDIT_RUN_SHA256
+    assert _trace_digest(run_experiment(config).traces[0]) == _BANDIT_RUN_SHA256
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_bandit_run_trace_is_pinned():
+    from kernelbandits.harness import ExperimentConfig, run_experiment, unit_vector_adversary
+
+    config = ExperimentConfig(algo="bandit_ew", kernel=KernelSpec.gaussian(0.5),
+                              actions=spanning_unit_vectors(30, 3, seed=0),
+                              adversary=unit_vector_adversary(3), n=300, seeds=(0,),
+                              proxy_p=60, proxy_m=20,
+                              params={"eta": 0.05, "gamma": 0.5})
+    result = run_experiment(config)
+    assert result.details["bandit_config"].m == 20
+    assert _trace_digest(result.traces[0]) == _GAUSSIAN_BANDIT_RUN_SHA256
 
 
 def test_hoeffding_inequality_exact():

@@ -74,6 +74,30 @@ def test_run_summary_pseudo_regret_null_without_expected_losses(tmp_path):
     assert summary["mean_final_pseudo_regret"] is None
     assert summary["stderr_final_pseudo_regret"] is None
     assert summary["mean_final_regret"] is not None
+    assert summary["covariance_floor"] is None
+
+
+def test_run_summary_reports_covariance_floor_certificate(tmp_path):
+    # the bandit certifies its covariance floor gamma / (2m) once per run;
+    # summary.json carries the floor and the certified lower bound
+    from kernelbandits.harness import ExperimentConfig, run_experiment, unit_vector_adversary
+    from kernelbandits.kernels import KernelSpec
+
+    out = tmp_path / "results"
+    params = {"eta": 0.05, "gamma": 0.5}
+    assert main(["run", "--algo", "bandit_ew", "--kernel", "linear",
+                 "--actions", "ball:8", "--adversary", "iid-unit",
+                 "--n", "40", "--seeds", "0,1", "--params", json.dumps(params),
+                 "--proxy-m", "2", "--out", str(out)]) == 0
+    certificate = json.loads((out / "summary.json").read_text())["covariance_floor"]
+    config = ExperimentConfig(algo="bandit_ew", kernel=KernelSpec.linear(),
+                              actions=parse_actions("ball:8"),
+                              adversary=unit_vector_adversary(2), n=40, seeds=(0, 1),
+                              params=params, proxy_m=2)
+    assert certificate == run_experiment(config).details["covariance_floor"]
+    assert certificate["floor"] == 0.5 / (2 * 2)
+    assert certificate["certified_lower_bound"] > certificate["floor"]
+    assert certificate["certified_lower_bound"] == pytest.approx(0.5 / 2, abs=1e-12)
 
 
 def test_run_command_input_error_exit_code(tmp_path):

@@ -33,6 +33,8 @@ from oracles import (
     ew_fold_oracle,
     ftrl_oracle,
     kernel_schedules,
+    mean_feature,
+    min_oracle,
     run_cg_with_gaps,
 )
 
@@ -175,7 +177,7 @@ def test_cg_mean_identity_every_round():
     rng = component_rng(6, "cg")
     for w in schedule:
         state, _ = cg_round(state, cfg, LINEAR, actions, w, rng)
-        derived = state.combo.mean_feature(LINEAR)
+        derived = mean_feature(LINEAR, state.combo)
         assert np.abs(derived - state.mean).max() <= 1e-10
 
 
@@ -305,9 +307,10 @@ def test_run_cg_embeds_the_action_set_once(monkeypatch):
 
 
 def test_linear_min_oracle_finite_set():
+    # finite sets are enumerated by the test oracle; run_cg embeds them once
     actions = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     g = np.array([1.0, -0.2])
-    v = linear_min_oracle(LINEAR, g, actions)
+    v = min_oracle(LINEAR, g, actions)
     assert np.array_equal(v, [-1.0, 0.0])
 
 
@@ -334,7 +337,7 @@ def test_linear_min_oracle_unsupported_kernel_on_ball():
 def test_ftrl_symmetric_hull_gives_zero():
     atoms = np.array([[1.0, 0.0], [-1.0, 0.0]])
     combo = ftrl_oracle([], 0.5, LINEAR, atoms, tol=1e-10)
-    assert np.linalg.norm(combo.mean_feature(LINEAR)) <= 1e-5
+    assert np.linalg.norm(mean_feature(LINEAR, combo)) <= 1e-5
 
 
 def test_ftrl_single_atom():
@@ -376,12 +379,12 @@ def test_ftrl_per_step_stability():
     atoms = ball_directions(16)
     eta = 0.05
     history = []
-    prev = ftrl_oracle(history, eta, LINEAR, atoms, tol=1e-12).mean_feature(LINEAR)
+    prev = mean_feature(LINEAR, ftrl_oracle(history, eta, LINEAR, atoms, tol=1e-12))
     for _ in range(30):
         w = rng.standard_normal(2)
         w /= np.linalg.norm(w)
         history.append(w)
-        cur = ftrl_oracle(history, eta, LINEAR, atoms, tol=1e-12).mean_feature(LINEAR)
+        cur = mean_feature(LINEAR, ftrl_oracle(history, eta, LINEAR, atoms, tol=1e-12))
         assert w @ (prev - cur) <= 2 * eta * (w @ w) + 1e-8
         prev = cur
 
