@@ -56,6 +56,7 @@ from .kernels import (
     ExplicitVector,
     KernelSpec,
     RankOne,
+    Schedule,
     feature_map,
     gram_matrix,
     kernel_eval,

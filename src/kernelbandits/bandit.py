@@ -31,7 +31,7 @@ from .design import (
     whiten_features,
 )
 from .errors import HorizonTooShortError, IllConditionedCovarianceError, PreconditionError
-from .kernels import AdversaryAction, KernelSpec, loss_eval
+from .kernels import AdversaryAction, KernelSpec, Schedule, loss_eval
 from .proxy import EigendecayProfile, SampleBasis, effective_dimension, proxy_features
 from .rng import sample_index
 from .weights import WeightState
@@ -252,7 +252,7 @@ def prepare_bandit_features(basis: SampleBasis, actions: np.ndarray):
 
 def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
                exploration: DiscreteDistribution, config: BanditConfig,
-               schedule: list[AdversaryAction],
+               schedule: Schedule,
                rng: np.random.Generator) -> tuple[list[BanditRecord], WeightState]:
     """Run the full horizon from uniform initial weights.
 
@@ -286,7 +286,7 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     certify_covariance_floor(config, features, exploration)
     state = WeightState.uniform(actions.shape[0])
     records = []
-    for w_t in schedule[: config.n]:
+    for w_t in Schedule.of(schedule)[: config.n]:
         p, sigma = _play_covariance(state, config, exploration, features)
         state, rec = _play_round(state, config, kernel, actions, features, p, sigma,
                                  w_t, rng)

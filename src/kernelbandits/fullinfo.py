@@ -33,7 +33,7 @@ from .kernels import (
     _LOSS_BLOCK_ROWS,
     AdversaryAction,
     KernelSpec,
-    RankOne,
+    Schedule,
     feature_map,
     feature_matrix,
     kernel_eval,
@@ -172,7 +172,7 @@ def full_info_round(state: WeightState, eta: float, kernel: KernelSpec,
 
 
 def full_info_ew_play(kernel: KernelSpec, actions: np.ndarray,
-                      schedule: list[AdversaryAction], eta: float,
+                      schedule: Schedule, eta: float,
                       rng: np.random.Generator,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, WeightState]:
     """Exponential weights from a uniform start over a whole schedule.
@@ -184,6 +184,7 @@ def full_info_ew_play(kernel: KernelSpec, actions: np.ndarray,
     <p_t, l_t> and the final state.
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
+    schedule = Schedule.of(schedule)
     n = len(schedule)
     log_weights = np.zeros(actions.shape[0])
     idx, losses, expected = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
@@ -196,7 +197,7 @@ def full_info_ew_play(kernel: KernelSpec, actions: np.ndarray,
 
 
 def run_full_info_ew(kernel: KernelSpec, actions: np.ndarray,
-                     schedule: list[AdversaryAction], eta: float,
+                     schedule: Schedule, eta: float,
                      rng: np.random.Generator) -> tuple[list[FullInfoRecord], WeightState]:
     """:func:`full_info_ew_play` with its outputs as one record per round."""
     idx, losses, expected, state = full_info_ew_play(kernel, actions, schedule, eta, rng)
@@ -242,7 +243,7 @@ def _cg_oracle(kernel: KernelSpec, action_set):
 
 
 def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, oracle,
-              schedule: list[AdversaryAction], rng: np.random.Generator,
+              schedule: Schedule, rng: np.random.Generator,
               ) -> tuple[CGState, np.ndarray, np.ndarray, np.ndarray]:
     """Conditional-gradient rounds over a nonempty stretch of the schedule.
 
@@ -251,19 +252,18 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, oracle,
     stretch's draws come from one call), moves the mean toward the
     oracle's output and adds the round's adversary feature to the running
     sum.  The adversary features and the played points' explicit features
-    take one :func:`feature_matrix` call each per stretch; every output has
-    the bits of per-round embeddings.  Returns the state after the stretch
-    and, per round, the played atom index, its loss and the atom count.
+    take one :func:`feature_matrix` call each per stretch, read from the
+    schedule's arrays; every output has the bits of per-round embeddings.
+    Returns the state after the stretch and, per round, the played atom
+    index, its loss and the atom count.
     """
     rows = len(schedule)
-    rank_one = np.array([isinstance(w, RankOne) for w in schedule], dtype=bool)
+    rank_one, points, vectors = schedule.rank_one, schedule.points, schedule.vectors
     adversary = np.empty((rows, state.x1.size))
     if rank_one.any():
-        adversary[rank_one] = feature_matrix(
-            kernel, np.array([w.y for w in schedule if isinstance(w, RankOne)], dtype=float))
+        adversary[rank_one] = feature_matrix(kernel, points[rank_one])
     if not rank_one.all():
-        adversary[~rank_one] = np.array(
-            [w.w for w in schedule if not isinstance(w, RankOne)], dtype=float)
+        adversary[~rank_one] = vectors[~rank_one]
     u = rng.bit_generator.random_raw(rows) / 2.0**64
 
     atoms, weights = state.combo.atoms, state.combo.weights
@@ -296,8 +296,8 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, oracle,
         t += 1
 
     features = None if rank_one.all() else feature_matrix(kernel, played)
-    losses = np.array([kernel_eval(kernel, played[i], w.y) if rank_one[i]
-                       else float(features[i] @ w.w) for i, w in enumerate(schedule)])
+    losses = np.array([kernel_eval(kernel, played[i], points[i]) if rank_one[i]
+                       else float(features[i] @ vectors[i]) for i in range(rows)])
     combo = ConvexCombination(atoms, normalized)
     return CGState(combo, mean, cum, x1, t), idx, losses, num_atoms
 
@@ -316,12 +316,12 @@ def cg_round(state: CGState, config: CGConfig, kernel: KernelSpec,
     the same bits; it embeds a finite action set on every call.
     """
     new_state, idx, losses, num_atoms = _cg_block(
-        state, config, kernel, _cg_oracle(kernel, action_set), [w_t], rng)
+        state, config, kernel, _cg_oracle(kernel, action_set), Schedule.of([w_t]), rng)
     record = CGRecord(state.t, int(idx[0]), float(losses[0]), num_atoms=int(num_atoms[0]))
     return new_state, record
 
 
-def run_cg(kernel: KernelSpec, action_set, schedule: list[AdversaryAction],
+def run_cg(kernel: KernelSpec, action_set, schedule: Schedule,
            config: CGConfig, rng: np.random.Generator,
            a1: np.ndarray | None = None) -> tuple[list[CGRecord], CGState]:
     """Run the conditional-gradient method over a full adversary schedule.
@@ -336,6 +336,7 @@ def run_cg(kernel: KernelSpec, action_set, schedule: list[AdversaryAction],
         a1 = np.atleast_2d(np.asarray(action_set, dtype=float))[0]
     state = cg_start(kernel, a1)
     oracle = _cg_oracle(kernel, action_set)
+    schedule = Schedule.of(schedule)
     n = len(schedule)
     idx, losses = np.empty(n, dtype=np.int64), np.empty(n)
     num_atoms = np.empty(n, dtype=np.int64)

@@ -1,23 +1,29 @@
 """Adversary generators, regret accounting and experiment orchestration.
 
 An adversary materializes its full action schedule before round one
-(obliviousness); the i.i.d. unit-vector adversary draws it as one (n, d)
-Gaussian array with normalized rows.  So every loss the accounting needs is
-an entry of one loss matrix L[t, j] = <Phi(a_j), w_t>
-(:func:`kernels.loss_matrix`).  Regret compares the player's cumulative loss
-with the best single action over the whole horizon: the best action is the
-argmin of L's column sums, taken over fixed blocks of rows, and that action's
-column of L, computed in one call, gives the partial sums that define the
-regret curve.  ``final_regret`` is realized regret: the losses of the actions
-actually drawn, so it carries the player's sampling noise and can be negative
-on a single run.  Expected regret is estimated by averaging final regrets
-over seeds, with a standard error attached.
+(obliviousness), as one :class:`kernels.Schedule`: a kind mask and arrays of
+rank-one points and explicit vectors, built once per run.  The i.i.d.
+unit-vector adversary draws it as one (n, d) Gaussian array with normalized
+rows; the periodic and explicit adversaries gather their actions once.  The
+schedule hash, the learners and the accounting read slices of those arrays,
+and every loss the accounting needs is an entry of one loss matrix
+L[t, j] = <Phi(a_j), w_t> (:func:`kernels.loss_matrix`).  Regret compares the
+player's cumulative loss with the best single action over the whole horizon:
+the best action is the argmin of L's column sums, taken over fixed blocks of
+rows, and that action's column of L, computed in one call, gives the partial
+sums that define the regret curve.  ``final_regret`` is realized regret:
+the losses of the actions actually drawn, so it carries the player's
+sampling noise and can be negative on a single run.  Expected regret is
+estimated by averaging final regrets over seeds, with a standard error
+attached.
 
 For full-information exponential weights the trace also carries
 pseudo-regret, sum_t <p_t, l_t> - min_a L_n(a), the expected loss under each
 round's play distribution against the same best action.  That is the
 quantity the regret theorems bound; it alone is bounded pathwise (for
-exponential weights from a uniform start it is >= 0 on every loss sequence).
+exponential weights from a uniform start it is >= 0 on every loss sequence,
+and at most log N / eta + eta (e - 2) G^4 t at every prefix t when
+eta G^2 <= 1).
 The bandit and conditional-gradient learners do not record it yet.
 """
 
@@ -34,9 +40,8 @@ from . import fullinfo as _fullinfo
 from .errors import InputError
 from .kernels import (
     _LOSS_BLOCK_ROWS,
-    AdversaryAction,
     KernelSpec,
-    RankOne,
+    Schedule,
     check_norm_bound,
     loss_matrix,
     validate_points,
@@ -76,9 +81,8 @@ class PeriodicAdversary:
         if len(self.actions) == 0:
             raise InputError("periodic adversary needs at least one action")
 
-    def materialize(self, n: int, rng: np.random.Generator) -> list[AdversaryAction]:
-        k = len(self.actions)
-        return [self.actions[t % k] for t in range(n)]
+    def materialize(self, n: int, rng: np.random.Generator) -> Schedule:
+        return Schedule.of(self.actions)[np.arange(n) % len(self.actions)]
 
 
 @dataclass(frozen=True)
@@ -87,17 +91,17 @@ class ScheduleAdversary:
 
     schedule: tuple
 
-    def materialize(self, n: int, rng: np.random.Generator) -> list[AdversaryAction]:
+    def materialize(self, n: int, rng: np.random.Generator) -> Schedule:
         if len(self.schedule) < n:
             raise InputError(f"schedule has {len(self.schedule)} < n = {n} actions")
-        return list(self.schedule[:n])
+        return Schedule.of(self.schedule[:n])
 
 
 @dataclass(frozen=True)
 class _UnitVectorAdversary:
     d: int
 
-    def materialize(self, n: int, rng: np.random.Generator) -> list[AdversaryAction]:
+    def materialize(self, n: int, rng: np.random.Generator) -> Schedule:
         # one (n, d) draw equals n sequential standard_normal(d) draws, and a
         # batched row product gives the norm bits of np.linalg.norm(v) per row
         # (np.linalg.norm(V, axis=1) and einsum round differently)
@@ -107,33 +111,37 @@ class _UnitVectorAdversary:
             while norms[t] == 0.0:
                 V[t] = rng.standard_normal(self.d)
                 norms[t] = np.linalg.norm(V[t])
-        return [RankOne(v) for v in V / norms[:, None]]
+        return Schedule(np.ones(n, dtype=bool), V / norms[:, None], np.empty((n, 0)))
 
 
 def unit_vector_adversary(d: int) -> _UnitVectorAdversary:
     """I.i.d. uniformly random unit vectors in R^d, played as rank-one actions.
 
     ``materialize(n, rng)`` draws all n Gaussian vectors in one call and
-    normalizes each row; a zero row (probability zero) is redrawn.
+    normalizes each row, and the normalized array is the schedule's points;
+    a zero row (probability zero) is redrawn.
     """
     return _UnitVectorAdversary(d)
 
 
-def schedule_hash(schedule: list[AdversaryAction]) -> str:
+def schedule_hash(schedule: Schedule) -> str:
     """Content hash of a materialized schedule (obliviousness witness).
 
     SHA-256 of the row count, each row's kind (rank-one or explicit) and
-    length, and then every row's float64 bytes in order.
+    length, and then every row's float64 payload (its point or its vector)
+    in row order, read from the schedule's arrays.
     """
-    rank_one = [type(w) is RankOne for w in schedule]
-    payload = [w.y if r else w.w for w, r in zip(schedule, rank_one)]
-    h = hashlib.sha256(np.int64(len(payload)).tobytes())
-    h.update(bytes(rank_one))
-    lengths = np.fromiter(map(len, payload), dtype=np.int64, count=len(payload))
-    h.update(lengths.tobytes())
-    if payload:
-        flat = np.concatenate(payload, axis=None).astype(np.float64, copy=False)
-        h.update(flat.tobytes())
+    schedule = Schedule.of(schedule)
+    rank_one, points, vectors = schedule.rank_one, schedule.points, schedule.vectors
+    (n, d), D = points.shape, vectors.shape[1]
+    h = hashlib.sha256(np.int64(n).tobytes())
+    h.update(rank_one.tobytes())
+    h.update(np.where(rank_one, d, D).astype(np.int64).tobytes())
+    # a boolean mask over the side-by-side arrays selects each row's payload
+    # in row-major order
+    payload = np.hstack([np.broadcast_to(rank_one[:, None], (n, d)),
+                         np.broadcast_to(~rank_one[:, None], (n, D))])
+    h.update(np.hstack([points, vectors])[payload].tobytes())
     return h.hexdigest()
 
 
@@ -169,13 +177,14 @@ class RegretTrace:
 
 
 def best_in_hindsight(kernel: KernelSpec, actions: np.ndarray,
-                      schedule: list[AdversaryAction]) -> tuple[int, float]:
+                      schedule: Schedule) -> tuple[int, float]:
     """Exact enumeration of the best fixed action; ties to the lowest index.
 
     The column sums of the loss matrix are accumulated over blocks of
     ``_LOSS_BLOCK_ROWS`` rounds, so memory stays flat in the horizon.
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
+    schedule = Schedule.of(schedule)
     totals = np.zeros(actions.shape[0])
     for start in range(0, len(schedule), _LOSS_BLOCK_ROWS):
         block = schedule[start:start + _LOSS_BLOCK_ROWS]
@@ -185,7 +194,7 @@ def best_in_hindsight(kernel: KernelSpec, actions: np.ndarray,
 
 
 def build_trace(kernel: KernelSpec, actions: np.ndarray,
-                schedule: list[AdversaryAction], losses: np.ndarray,
+                schedule: Schedule, losses: np.ndarray,
                 action_indices: np.ndarray, *,
                 expected_losses: np.ndarray | None = None) -> RegretTrace:
     """Regret curves against the best fixed action in hindsight.
@@ -194,6 +203,7 @@ def build_trace(kernel: KernelSpec, actions: np.ndarray,
     given, are the per-round <p_t, l_t> and yield the pseudo-regret curve.
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
+    schedule = Schedule.of(schedule)
     best_idx, best_total = best_in_hindsight(kernel, actions, schedule)
     best_per_round = loss_matrix(kernel, actions[best_idx][None, :], schedule)[:, 0]
     best_cum = np.cumsum(best_per_round)
@@ -309,7 +319,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     for seed in config.seeds:
         adv_rng = component_rng(seed, "adversary")
-        schedule = config.adversary.materialize(config.n, adv_rng)
+        schedule = Schedule.of(config.adversary.materialize(config.n, adv_rng))
         hashes.append(schedule_hash(schedule))
         player_rng = component_rng(seed, "player")
 

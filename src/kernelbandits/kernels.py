@@ -1,4 +1,4 @@
-"""Kernels, kernel losses and explicit feature maps.
+"""Kernels, kernel losses, explicit feature maps and adversary schedules.
 
 A loss is the Hilbert inner product between the feature embedding of the
 player's point and the adversary's element of the same space.  Linear,
@@ -6,16 +6,24 @@ quadratic and low-degree polynomial kernels carry explicit finite feature
 maps; the Gaussian kernel is infinite dimensional, so adversaries against it
 must be rank-one (an embedded point).
 
+The adversary is oblivious, so its whole schedule is data fixed before round
+one: a :class:`Schedule` holds it as arrays, a per-row kind mask, the points
+of the rank-one rows and the vectors of the explicit rows.  Indexing one row
+or iterating gives :class:`RankOne` / :class:`ExplicitVector` objects, built
+on demand; slicing gives a :class:`Schedule` of array views.  Every entry
+that takes a schedule also takes a sequence of actions and converts it once
+with :meth:`Schedule.of`.
+
 Two vectorized paths carry the numerics.  :func:`feature_matrix` is the one
 explicit embedding, over all rows at once; :func:`feature_map` is its one-row
 case.  :func:`loss_matrix` gives rows of the oblivious adversary's loss
 matrix L[t, j] = <Phi(a_j), w_t>: the kernel of the inner products with the
-actions for rank-one adversary actions, and products with
-:func:`feature_matrix` for explicit ones.  Each row is its own
-matrix-vector product, so a row does not depend on the block it is computed
-in, and the one-row call is the loss vector of one round.  Callers that walk
-a whole schedule take ``_LOSS_BLOCK_ROWS`` rows at a time, so memory stays
-flat in the horizon.
+actions for the schedule's points, and products with :func:`feature_matrix`
+for its explicit vectors.  Each row is its own matrix-vector product, so a
+row does not depend on the block it is computed in, and the one-row call is
+the loss vector of one round.  Callers that walk a whole schedule take
+``_LOSS_BLOCK_ROWS`` rows at a time, slices of the schedule's arrays, so
+memory stays flat in the horizon.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ __all__ = [
     "KernelSpec",
     "ExplicitVector",
     "RankOne",
+    "Schedule",
     "kernel_eval",
     "cross_gram",
     "gram_matrix",
@@ -116,6 +125,81 @@ class RankOne:
 
 
 AdversaryAction = ExplicitVector | RankOne
+
+
+def _gather_rows(rows: list, mask: np.ndarray, kind: str) -> np.ndarray:
+    """An (n, length) float array with ``rows`` at the True entries of
+    ``mask`` and zeros elsewhere; InputError unless the rows are vectors of
+    one length."""
+    if not rows:
+        return np.zeros((mask.size, 0))
+    try:
+        stacked = np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise InputError(f"{kind} rows must be vectors of one length") from exc
+    if stacked.ndim != 2:
+        raise InputError(f"{kind} rows must be vectors of one length")
+    if stacked.shape[0] == mask.size:  # every row is of this kind
+        return stacked
+    out = np.zeros((mask.size, stacked.shape[1]))
+    out[mask] = stacked
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """An oblivious adversary's schedule, one row per round, as arrays.
+
+    Row t is the rank-one action Phi(points[t]) where ``rank_one[t]``, and
+    the explicit vector ``vectors[t]`` elsewhere; the other array's row t is
+    unused.  A schedule of one kind has a zero-width array for the other.
+    ``len``, ``schedule[t]`` and iteration give rows as :class:`RankOne` /
+    :class:`ExplicitVector` objects built on demand; a slice or an index
+    array gives a :class:`Schedule` of the selected rows (views, for a
+    slice).
+    """
+
+    rank_one: np.ndarray  # (n,) bool
+    points: np.ndarray    # (n, d)
+    vectors: np.ndarray   # (n, D)
+
+    def __post_init__(self):
+        shapes = (self.rank_one.shape, self.points.shape, self.vectors.shape)
+        if (self.rank_one.dtype != bool or tuple(map(len, shapes)) != (1, 2, 2)
+                or len({shape[0] for shape in shapes}) != 1):
+            raise InputError("a schedule is a bool (n,) mask, (n, d) points and "
+                             "(n, D) vectors")
+
+    @classmethod
+    def of(cls, actions) -> "Schedule":
+        """``actions`` itself if it is a Schedule; otherwise its RankOne and
+        ExplicitVector rows gathered into one, in order.  Rows of one kind
+        must share a length."""
+        if isinstance(actions, Schedule):
+            return actions
+        actions = list(actions)
+        rank_one = np.array([isinstance(w, RankOne) for w in actions], dtype=bool)
+        if not all(isinstance(w, (RankOne, ExplicitVector)) for w in actions):
+            raise InputError("schedule rows must be RankOne or ExplicitVector actions")
+        points = _gather_rows([w.y for w, r in zip(actions, rank_one) if r], rank_one,
+                              "rank-one")
+        vectors = _gather_rows([w.w for w, r in zip(actions, rank_one) if not r],
+                               ~rank_one, "explicit")
+        return cls(rank_one, points, vectors)
+
+    def __len__(self) -> int:
+        return self.rank_one.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            if self.rank_one[key]:
+                return RankOne(self.points[key])
+            return ExplicitVector(self.vectors[key])
+        return Schedule(self.rank_one[key], self.points[key], self.vectors[key])
+
+    def __iter__(self):
+        for t in range(len(self)):
+            yield self[t]
 
 
 def validate_points(points: np.ndarray, unit_ball: bool = False) -> np.ndarray:
@@ -332,28 +416,38 @@ def _row_products(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def loss_matrix(spec: KernelSpec, actions: np.ndarray,
-                schedule: list[AdversaryAction]) -> np.ndarray:
+                schedule: Schedule) -> np.ndarray:
     """Rows L[t, j] = <Phi(a_j), w_t> of the loss matrix for a stretch of the
     schedule, one row per adversary action; the schedule may mix rank-one
     and explicit actions.
 
-    Each row is computed on its own (see :func:`_row_products`), so a row's
-    bits do not depend on how the schedule is split into blocks; the
-    one-action call ``loss_matrix(spec, actions, [w])[0]`` is the loss vector
-    of a single round.
+    The rank-one rows are the kernel of the inner products of the
+    schedule's points with the actions; the explicit rows are products of
+    its vectors with the embedded actions.  Both read the schedule's arrays
+    directly, and a point whose dimension is not the actions', or a vector
+    whose length is not the feature dimension, raises InputError.  Each row
+    is computed on its own (see :func:`_row_products`), so a row's bits do
+    not depend on how the schedule is split into blocks; the one-action call
+    ``loss_matrix(spec, actions, [w])[0]`` is the loss vector of a single
+    round.
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    rank_one = np.array([type(w) is RankOne for w in schedule], dtype=bool)
+    schedule = Schedule.of(schedule)
+    rank_one = schedule.rank_one
     L = np.empty((rank_one.size, actions.shape[0]))
     if rank_one.any():
-        Y = np.array([w.y for w in schedule if type(w) is RankOne], dtype=float)
+        Y = schedule.points[rank_one]
         if Y.shape[1] != actions.shape[1]:
             raise InputError(f"dimension mismatch: {Y.shape[1]} vs {actions.shape[1]}")
         L[rank_one] = _kernel_of_inner(spec, _row_products(actions, Y), Y, actions)
     if not rank_one.all():
         _require_explicit_losses(spec)
-        W = np.array([w.w for w in schedule if type(w) is not RankOne], dtype=float)
-        L[~rank_one] = _row_products(feature_matrix(spec, actions), W)
+        features = feature_matrix(spec, actions)
+        W = schedule.vectors[~rank_one]
+        if W.shape[1] != features.shape[1]:
+            raise InputError(f"explicit vector length {W.shape[1]} is not the "
+                             f"feature dimension {features.shape[1]}")
+        L[~rank_one] = _row_products(features, W)
     return L
 
 

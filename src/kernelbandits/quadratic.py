@@ -337,7 +337,9 @@ def surrogate_membership(obj: QuadraticObjective):
 
     with the absolute shift |s_i|.  Each term is convex in beta_i, so the set
     is convex for every B and b.  Returns (membership callback, mask), the
-    mask being True on the nonzero-eigenvalue block of the frame.
+    mask being True on the nonzero-eigenvalue block of the frame.  The
+    callback takes one point, and returns a bool, or a (k, d) stack of
+    points, and returns a (k,) bool array.
     """
     lam, V = np.linalg.eigh(obj.B)
     gam = V.T @ obj.b
@@ -347,12 +349,12 @@ def surrogate_membership(obj: QuadraticObjective):
     shift = np.zeros_like(lam)
     shift[nonzero] = np.abs(gam[nonzero] / (2.0 * lam[nonzero]))
 
-    def member(v: np.ndarray) -> bool:
+    def member(v: np.ndarray):
         v = np.asarray(v, dtype=float)
-        if np.any(v[nonzero] < 0.0):
-            return False
         radial = np.where(nonzero, np.sqrt(np.maximum(v, 0.0)) - shift, v)
-        return float(radial @ radial) <= 1.0 + 1e-12
+        sq_norm = np.matmul(radial[..., None, :], radial[..., :, None])[..., 0, 0]
+        inside = ~np.any(v[..., nonzero] < 0.0, axis=-1) & (sq_norm <= 1.0 + 1e-12)
+        return inside if v.ndim > 1 else bool(inside)
 
     return member, nonzero
 

@@ -13,10 +13,12 @@ embeds everything it uses, the reference for the blocked pass of
 ``fullinfo.run_cg``.  ``kernel_schedules`` builds the rank-one, explicit
 and mixed adversary schedules that the bit-identity tests of the loss
 matrix, exponential weights and conditional gradient run on.
-``adversary_feature`` embeds one adversary action, ``mean_feature`` the
-feature-space mean of a convex combination, and ``min_oracle`` extends
-``fullinfo.linear_min_oracle`` to finite sets by enumeration.  None of this
-is part of the learners themselves.
+``listed_schedule`` is the former list materialize of the harness
+adversaries, one action object per round, the reference for the rows of
+their array schedules.  ``adversary_feature`` embeds one adversary action,
+``mean_feature`` the feature-space mean of a convex combination, and
+``min_oracle`` extends ``fullinfo.linear_min_oracle`` to finite sets by
+enumeration.  None of this is part of the learners themselves.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from kernelbandits import design
 from kernelbandits.design import DiscreteDistribution
-from kernelbandits.errors import RankDeficiencyError, ToleranceNotMetError
+from kernelbandits.errors import InputError, RankDeficiencyError, ToleranceNotMetError
 from kernelbandits.fullinfo import (
     _ATOM_PRUNE,
     CGConfig,
@@ -37,9 +39,11 @@ from kernelbandits.fullinfo import (
     cg_start,
     linear_min_oracle,
 )
+from kernelbandits.harness import PeriodicAdversary, ScheduleAdversary
 from kernelbandits.kernels import (
     ExplicitVector,
     KernelSpec,
+    RankOne,
     feature_dim,
     feature_map,
     feature_matrix,
@@ -227,6 +231,27 @@ def kernel_schedules(spec: KernelSpec, d: int, n: int, seed: int) -> dict:
         out["mixed"] = [out["explicit"][t] if t % 3 == 0 else out["rank_one"][t]
                         for t in range(n)]
     return out
+
+
+def listed_schedule(adversary, n: int, rng: np.random.Generator) -> list:
+    """A harness adversary's schedule as the list of n action objects it
+    materialized before schedules were arrays: the periodic adversary's
+    actions in turn, the explicit adversary's first n actions, or the
+    i.i.d. unit-vector adversary's one (n, d) Gaussian draw with each row
+    over its norm."""
+    if isinstance(adversary, PeriodicAdversary):
+        return [adversary.actions[t % len(adversary.actions)] for t in range(n)]
+    if isinstance(adversary, ScheduleAdversary):
+        if len(adversary.schedule) < n:
+            raise InputError(f"schedule has {len(adversary.schedule)} < n = {n} actions")
+        return list(adversary.schedule[:n])
+    V = rng.standard_normal((n, adversary.d))
+    norms = np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
+    for t in np.flatnonzero(norms == 0.0):
+        while norms[t] == 0.0:
+            V[t] = rng.standard_normal(adversary.d)
+            norms[t] = np.linalg.norm(V[t])
+    return [RankOne(v) for v in V / norms[:, None]]
 
 
 def scalar_inverse_cdf(weights, bits) -> int:

@@ -1,8 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from kernelbandits.cli import parse_adversary
 from kernelbandits.errors import (
     HorizonTooShortError,
     IllConditionedCovarianceError,
@@ -10,6 +12,7 @@ from kernelbandits.errors import (
     InvalidCombinationError,
     PreconditionError,
 )
+from kernelbandits.fullinfo import full_info_eta
 from kernelbandits.harness import (
     _LOSS_BLOCK_ROWS,
     ExperimentConfig,
@@ -28,10 +31,12 @@ from kernelbandits.kernels import (
     ExplicitVector,
     KernelSpec,
     RankOne,
+    Schedule,
     loss_matrix,
     make_explicit,
 )
 from kernelbandits.rng import component_rng
+from oracles import listed_schedule
 
 LINEAR = KernelSpec.linear(G=1.0)
 
@@ -170,6 +175,32 @@ def test_pseudo_regret_on_alternating_losses():
     assert trace.final_pseudo_regret == pytest.approx(10 * np.tanh(0.5), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1000, 20_000])
+def test_ew_pseudo_regret_meets_the_pathwise_bound(n):
+    # Exponential weights from a uniform start, with eta |l_t(a)| <= 1 on
+    # every round, satisfies on every loss sequence and at every prefix t,
+    # against any fixed action (Auer, Cesa-Bianchi, Freund & Schapire 2002):
+    #   pseudo-regret_t <= log N / eta + eta (e - 2) sum_s <p_s, l_s^2>
+    #                   <= log N / eta + eta (e - 2) G^4 t.
+    # The bound is pathwise, not in expectation, so every seed and schedule
+    # must meet it on every prefix, with no statistical slack.
+    actions = ball_directions(64)
+    G = LINEAR.norm_bound_G
+    eta = full_info_eta(actions.shape[0], G, n)
+    assert eta * G**2 <= 1.0  # |l_t(a)| <= G^2, so eta |l_t(a)| <= 1
+    bound = (math.log(actions.shape[0]) / eta
+             + eta * (math.e - 2.0) * G**4 * np.arange(1, n + 1))
+    y = np.array([0.6, 0.8])
+    adversaries = {"iid": unit_vector_adversary(2),
+                   "alternating": PeriodicAdversary((RankOne(y), RankOne(-y))),
+                   "fixed": PeriodicAdversary((RankOne(y),))}
+    for name, adversary in adversaries.items():
+        config = ExperimentConfig(algo="fullinfo_ew", kernel=LINEAR, actions=actions,
+                                  adversary=adversary, n=n, seeds=(0, 1, 2))
+        for trace in run_experiment(config).traces:
+            assert np.all(trace.pseudo_regret_curve <= bound), name
+
+
 def test_horizon_validation():
     with pytest.raises(InputError):
         ExperimentConfig(algo="fullinfo_ew", kernel=LINEAR,
@@ -285,7 +316,10 @@ def test_periodic_and_schedule_adversaries():
     b = RankOne(np.array([0.0, 1.0]))
     per = PeriodicAdversary((a, b))
     sched = per.materialize(5, component_rng(4, "adv"))
-    assert [s is a for s in sched] == [True, False, True, False, True]
+    # the schedule holds arrays, so its rows are new objects with a's and
+    # b's kind and bytes, in the order a, b, a, b, a
+    assert [type(s) for s in sched] == [RankOne] * 5
+    assert [s.y.tobytes() for s in sched] == [w.y.tobytes() for w in (a, b, a, b, a)]
     with pytest.raises(InputError):
         PeriodicAdversary(())
 
@@ -293,6 +327,66 @@ def test_periodic_and_schedule_adversaries():
     assert len(explicit.materialize(3, component_rng(5, "adv"))) == 3
     with pytest.raises(InputError):
         explicit.materialize(4, component_rng(6, "adv"))
+
+
+def _row_bytes(w) -> bytes:
+    return np.asarray(w.y if type(w) is RankOne else w.w, dtype=np.float64).tobytes()
+
+
+def test_schedules_iterate_to_the_former_lists(tmp_path):
+    # every adversary materializes a Schedule whose rows, built on demand,
+    # have the kinds and bytes of the list of objects it used to return
+    quad = KernelSpec.quadratic(G=2.0)
+    points = component_rng(3, "listed-points").standard_normal((7, 3))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    csv = tmp_path / "points.csv"
+    np.savetxt(csv, points, delimiter=",")
+    mixed = (RankOne(points[0]), make_explicit(quad, np.arange(12.0) / 40),
+             RankOne(points[1]))
+    adversaries = {
+        "iid": unit_vector_adversary(3),
+        "periodic-mixed": PeriodicAdversary(mixed),
+        "schedule-mixed": ScheduleAdversary(mixed * 3),
+        "cli-fixed": parse_adversary("fixed:" + ",".join(["0.1"] * 12), quad, 3),
+        "cli-fixed-point": parse_adversary("fixed-point:0.6,0,0.8", quad, 3),
+        "cli-zero": parse_adversary("zero", quad, 3),
+        "cli-periodic": parse_adversary(f"periodic:{csv}", quad, 3),
+        "cli-schedule": parse_adversary(f"schedule:{csv}", quad, 3),
+    }
+    for name, adversary in adversaries.items():
+        n = 7 if name == "cli-schedule" else 9
+        schedule = adversary.materialize(n, component_rng(4, "adversary"))
+        want = listed_schedule(adversary, n, component_rng(4, "adversary"))
+        assert isinstance(schedule, Schedule) and len(schedule) == n, name
+        assert [type(w) for w in schedule] == [type(w) for w in want], name
+        assert [_row_bytes(w) for w in schedule] == [_row_bytes(w) for w in want], name
+        assert schedule_hash(schedule) == schedule_hash(want), name
+
+
+@pytest.mark.parametrize("algo", ["fullinfo_ew", "cg"])
+def test_run_experiment_builds_no_action_objects(monkeypatch, algo):
+    # the i.i.d. schedule is drawn as arrays, and the hash, the learner and
+    # the accounting read those arrays: no RankOne is built for any round
+    import kernelbandits.fullinfo as fullinfo_mod
+    import kernelbandits.harness as harness_mod
+    import kernelbandits.kernels as kernels_mod
+
+    built = []
+
+    class CountedRankOne(kernels_mod.RankOne):
+        def __init__(self, y):
+            built.append(1)
+            super().__init__(y)
+
+    for module in (kernels_mod, harness_mod, fullinfo_mod):
+        monkeypatch.setattr(module, "RankOne", CountedRankOne, raising=False)
+    config = ExperimentConfig(algo=algo, kernel=LINEAR, actions=ball_directions(8),
+                              adversary=unit_vector_adversary(2), n=600, seeds=(0,))
+    assert len(run_experiment(config).traces[0].losses) == 600
+    assert built == []
+    # the counter sees rows that are built
+    next(iter(unit_vector_adversary(2).materialize(3, component_rng(0, "adv"))))
+    assert built == [1]
 
 
 def test_schedule_hash_distinguishes_content():

@@ -12,6 +12,7 @@ from kernelbandits.kernels import (
     ExplicitVector,
     KernelSpec,
     RankOne,
+    Schedule,
     check_norm_bound,
     feature_map,
     feature_matrix,
@@ -214,3 +215,37 @@ def test_loss_matrix_rows_do_not_depend_on_the_block_split(spec):
         scalar = np.array([[loss_eval(spec, a, w) for a in actions]
                            for w in schedule[:40]])
         assert np.abs(whole[:40] - scalar).max() <= 1e-12, kind
+
+
+@pytest.mark.parametrize("spec", BIT_KERNELS, ids=lambda s: s.variant)
+def test_loss_matrix_on_schedule_slices_equals_lists(spec):
+    # whole-schedule passes read views of the schedule's arrays; each block
+    # must have the bits of the same rows gathered from a list of actions,
+    # on either side of the block edges
+    actions = component_rng(9, "slice-actions").standard_normal((12, 3))
+    actions /= 1.25 * np.linalg.norm(actions, axis=1)[:, None]
+    for kind, listed in kernel_schedules(spec, 3, 600, seed=9).items():
+        schedule = Schedule.of(listed)
+        for start, stop in ((0, 255), (0, 256), (0, 257), (255, 511), (256, 512),
+                            (257, 513), (255, 600), (257, 600)):
+            assert np.array_equal(loss_matrix(spec, actions, schedule[start:stop]),
+                                  loss_matrix(spec, actions, listed[start:stop])), \
+                (kind, start, stop)
+
+
+def test_malformed_schedules_raise_input_error():
+    # rank-one rows of two lengths cannot form one array of points
+    with pytest.raises(InputError):
+        loss_matrix(LINEAR, np.eye(2), [RankOne(np.array([1.0, 0.0])),
+                                        RankOne(np.array([1.0, 0.0, 0.0]))])
+    with pytest.raises(InputError):
+        Schedule.of([ExplicitVector(np.zeros(2)), ExplicitVector(np.zeros(6))])
+    with pytest.raises(InputError):
+        Schedule.of([np.array([1.0, 0.0])])
+    # an explicit vector must have the kernel's feature dimension (6 for the
+    # quadratic kernel on R^2)
+    for w in (np.zeros(5), np.zeros(2)):
+        with pytest.raises(InputError):
+            loss_matrix(QUAD, np.eye(2), [RankOne(np.array([0.6, 0.8])), ExplicitVector(w)])
+    with pytest.raises(InputError):
+        Schedule(np.ones(3, dtype=bool), np.zeros((2, 2)), np.zeros((3, 0)))

@@ -176,16 +176,19 @@ def test_surrogate_set_is_convex():
     member, nonzero = surrogate_membership(obj)
     assert nonzero.tolist() == [True, True, False]
 
-    def random_feasible():
-        while True:
-            v = rng.standard_normal(3)
-            v[nonzero] = np.abs(v[nonzero])
-            if member(v):
-                return v
-
-    for _ in range(10_000):
-        x, y = random_feasible(), random_feasible()
-        assert member(0.5 * (x + y))
+    # rejection sampling in blocks: a (k, 3) draw is k draws of 3 from the
+    # same stream, so the feasible rows, in order, are the candidates one
+    # draw at a time would accept; consecutive rows make the 10000 pairs
+    pairs = 10_000
+    feasible = np.empty((0, 3))
+    while feasible.shape[0] < 2 * pairs:
+        v = rng.standard_normal((8192, 3))
+        v[:, nonzero] = np.abs(v[:, nonzero])
+        feasible = np.vstack([feasible, v[member(v)]])
+    x, y = feasible[0:2 * pairs:2], feasible[1:2 * pairs:2]
+    assert member(x).all() and member(y).all()
+    assert member(0.5 * (x + y)).all()
+    assert member(x[0]) is True and member(-x[0]) is False
 
 
 def test_sampler_validation():
