@@ -258,12 +258,13 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, oracle,
     index, its loss and the atom count.
     """
     rows = len(schedule)
-    rank_one, points, vectors = schedule.rank_one, schedule.points, schedule.vectors
+    rank_one, index = schedule.rank_one, schedule.index
+    points, vectors = schedule.points, schedule.vectors
     adversary = np.empty((rows, state.x1.size))
     if rank_one.any():
-        adversary[rank_one] = feature_matrix(kernel, points[rank_one])
+        adversary[rank_one] = feature_matrix(kernel, schedule.rank_one_points())
     if not rank_one.all():
-        adversary[~rank_one] = vectors[~rank_one]
+        adversary[~rank_one] = schedule.explicit_vectors()
     u = rng.bit_generator.random_raw(rows) / 2.0**64
 
     atoms, weights = state.combo.atoms, state.combo.weights
@@ -296,8 +297,8 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, oracle,
         t += 1
 
     features = None if rank_one.all() else feature_matrix(kernel, played)
-    losses = np.array([kernel_eval(kernel, played[i], points[i]) if rank_one[i]
-                       else float(features[i] @ vectors[i]) for i in range(rows)])
+    losses = np.array([kernel_eval(kernel, played[i], points[index[i]]) if rank_one[i]
+                       else float(features[i] @ vectors[index[i]]) for i in range(rows)])
     combo = ConvexCombination(atoms, normalized)
     return CGState(combo, mean, cum, x1, t), idx, losses, num_atoms
 

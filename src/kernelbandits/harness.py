@@ -1,21 +1,22 @@
 """Adversary generators, regret accounting and experiment orchestration.
 
 An adversary materializes its full action schedule before round one
-(obliviousness), as one :class:`kernels.Schedule`: a kind mask and arrays of
-rank-one points and explicit vectors, built once per run.  The i.i.d.
-unit-vector adversary draws it as one (n, d) Gaussian array with normalized
-rows; the periodic and explicit adversaries gather their actions once.  The
-schedule hash, the learners and the accounting read slices of those arrays,
-and every loss the accounting needs is an entry of one loss matrix
-L[t, j] = <Phi(a_j), w_t> (:func:`kernels.loss_matrix`).  Regret compares the
-player's cumulative loss with the best single action over the whole horizon:
-the best action is the argmin of L's column sums, taken over fixed blocks of
-rows, and that action's column of L, computed in one call, gives the partial
-sums that define the regret curve.  ``final_regret`` is realized regret:
-the losses of the actions actually drawn, so it carries the player's
-sampling noise and can be negative on a single run.  Expected regret is
-estimated by averaging final regrets over seeds, with a standard error
-attached.
+(obliviousness), as one :class:`kernels.Schedule`: a kind mask, arrays of
+rank-one points and explicit vectors and a per-row index into them, built
+once per run.  The i.i.d. unit-vector adversary draws it as one (n, d)
+Gaussian array with normalized rows; the periodic adversary stores its k
+actions once and indexes them in turn, and the explicit adversary gathers
+its actions once.  The schedule hash, the learners and the accounting read
+blocks of rows of those arrays, and every loss the accounting needs is an
+entry of one loss matrix L[t, j] = <Phi(a_j), w_t>
+(:func:`kernels.loss_matrix`).  Regret compares the player's cumulative loss
+with the best single action over the whole horizon: the best action is the
+argmin of L's column sums, and that action's column of L gives the partial
+sums that define the regret curve, both taken over fixed blocks of rows.
+``final_regret`` is realized regret: the losses of the actions actually
+drawn, so it carries the player's sampling noise and can be negative on a
+single run.  Expected regret is estimated by averaging final regrets over
+seeds, with a standard error attached.
 
 For full-information exponential weights the trace also carries
 pseudo-regret, sum_t <p_t, l_t> - min_a L_n(a), the expected loss under each
@@ -111,7 +112,8 @@ class _UnitVectorAdversary:
             while norms[t] == 0.0:
                 V[t] = rng.standard_normal(self.d)
                 norms[t] = np.linalg.norm(V[t])
-        return Schedule(np.ones(n, dtype=bool), V / norms[:, None], np.empty((n, 0)))
+        return Schedule(np.ones(n, dtype=bool), np.arange(n), V / norms[:, None],
+                        np.empty((0, 0)))
 
 
 def unit_vector_adversary(d: int) -> _UnitVectorAdversary:
@@ -129,19 +131,22 @@ def schedule_hash(schedule: Schedule) -> str:
 
     SHA-256 of the row count, each row's kind (rank-one or explicit) and
     length, and then every row's float64 payload (its point or its vector)
-    in row order, read from the schedule's arrays.
+    in row order.  The payloads are read in stretches of rows of one kind,
+    at most ``_LOSS_BLOCK_ROWS`` long, so memory stays flat in the horizon.
     """
     schedule = Schedule.of(schedule)
-    rank_one, points, vectors = schedule.rank_one, schedule.points, schedule.vectors
-    (n, d), D = points.shape, vectors.shape[1]
+    rank_one, index = schedule.rank_one, schedule.index
+    n, d, D = len(schedule), schedule.points.shape[1], schedule.vectors.shape[1]
     h = hashlib.sha256(np.int64(n).tobytes())
     h.update(rank_one.tobytes())
     h.update(np.where(rank_one, d, D).astype(np.int64).tobytes())
-    # a boolean mask over the side-by-side arrays selects each row's payload
-    # in row-major order
-    payload = np.hstack([np.broadcast_to(rank_one[:, None], (n, d)),
-                         np.broadcast_to(~rank_one[:, None], (n, D))])
-    h.update(np.hstack([points, vectors])[payload].tobytes())
+    # each stretch of rows of one kind is one gather; stretches end where the
+    # kind changes and at block edges (a cut made twice adds an empty stretch)
+    cuts = np.sort(np.concatenate([np.flatnonzero(np.diff(rank_one)) + 1,
+                                   np.arange(0, n, _LOSS_BLOCK_ROWS)]))
+    for start, stop in zip(cuts, np.append(cuts[1:], n)):
+        stored = schedule.points if rank_one[start] else schedule.vectors
+        h.update(np.asarray(stored[index[start:stop]], dtype=np.float64).tobytes())
     return h.hexdigest()
 
 
@@ -205,7 +210,11 @@ def build_trace(kernel: KernelSpec, actions: np.ndarray,
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     schedule = Schedule.of(schedule)
     best_idx, best_total = best_in_hindsight(kernel, actions, schedule)
-    best_per_round = loss_matrix(kernel, actions[best_idx][None, :], schedule)[:, 0]
+    best_per_round = np.empty(len(schedule))
+    for start in range(0, len(schedule), _LOSS_BLOCK_ROWS):
+        rows = slice(start, start + _LOSS_BLOCK_ROWS)
+        best_per_round[rows] = loss_matrix(kernel, actions[best_idx][None, :],
+                                           schedule[rows])[:, 0]
     best_cum = np.cumsum(best_per_round)
     losses = np.asarray(losses, dtype=float)
     pseudo = (None if expected_losses is None

@@ -8,11 +8,12 @@ must be rank-one (an embedded point).
 
 The adversary is oblivious, so its whole schedule is data fixed before round
 one: a :class:`Schedule` holds it as arrays, a per-row kind mask, the points
-of the rank-one rows and the vectors of the explicit rows.  Indexing one row
-or iterating gives :class:`RankOne` / :class:`ExplicitVector` objects, built
-on demand; slicing gives a :class:`Schedule` of array views.  Every entry
-that takes a schedule also takes a sequence of actions and converts it once
-with :meth:`Schedule.of`.
+of the rank-one rows and the vectors of the explicit rows, each stored once,
+and a per-row index into them.  Indexing one row or iterating gives
+:class:`RankOne` / :class:`ExplicitVector` objects, built on demand; slicing
+gives a :class:`Schedule` that shares the stored arrays.  Every entry that
+takes a schedule also takes a sequence of actions and converts it once with
+:meth:`Schedule.of`.
 
 Two vectorized paths carry the numerics.  :func:`feature_matrix` is the one
 explicit embedding, over all rows at once; :func:`feature_map` is its one-row
@@ -22,8 +23,8 @@ actions for the schedule's points, and products with :func:`feature_matrix`
 for its explicit vectors.  Each row is its own matrix-vector product, so a
 row does not depend on the block it is computed in, and the one-row call is
 the loss vector of one round.  Callers that walk a whole schedule take
-``_LOSS_BLOCK_ROWS`` rows at a time, slices of the schedule's arrays, so
-memory stays flat in the horizon.
+``_LOSS_BLOCK_ROWS`` rows at a time, slices of the schedule, so memory
+beyond the stored rows stays flat in the horizon.
 """
 
 from __future__ import annotations
@@ -127,48 +128,49 @@ class RankOne:
 AdversaryAction = ExplicitVector | RankOne
 
 
-def _gather_rows(rows: list, mask: np.ndarray, kind: str) -> np.ndarray:
-    """An (n, length) float array with ``rows`` at the True entries of
-    ``mask`` and zeros elsewhere; InputError unless the rows are vectors of
-    one length."""
+def _stack_rows(rows: list, kind: str) -> np.ndarray:
+    """``rows`` as one (len(rows), length) float array; InputError unless
+    they are vectors of one length."""
     if not rows:
-        return np.zeros((mask.size, 0))
+        return np.empty((0, 0))
     try:
         stacked = np.array(rows, dtype=float)
     except ValueError as exc:
         raise InputError(f"{kind} rows must be vectors of one length") from exc
     if stacked.ndim != 2:
         raise InputError(f"{kind} rows must be vectors of one length")
-    if stacked.shape[0] == mask.size:  # every row is of this kind
-        return stacked
-    out = np.zeros((mask.size, stacked.shape[1]))
-    out[mask] = stacked
-    return out
+    return stacked
 
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """An oblivious adversary's schedule, one row per round, as arrays.
 
-    Row t is the rank-one action Phi(points[t]) where ``rank_one[t]``, and
-    the explicit vector ``vectors[t]`` elsewhere; the other array's row t is
-    unused.  A schedule of one kind has a zero-width array for the other.
+    Row t is the rank-one action Phi(points[index[t]]) where ``rank_one[t]``,
+    and the explicit vector ``vectors[index[t]]`` elsewhere.  The arrays hold
+    each stored row once, so a periodic schedule keeps its k actions and an
+    n-long index, and a mixed one keeps each kind's rows without padding.
     ``len``, ``schedule[t]`` and iteration give rows as :class:`RankOne` /
     :class:`ExplicitVector` objects built on demand; a slice or an index
-    array gives a :class:`Schedule` of the selected rows (views, for a
-    slice).
+    array gives a :class:`Schedule` of the selected rows that shares the
+    stored arrays.
     """
 
     rank_one: np.ndarray  # (n,) bool
-    points: np.ndarray    # (n, d)
-    vectors: np.ndarray   # (n, D)
+    index: np.ndarray     # (n,) int, row t's position in points or vectors
+    points: np.ndarray    # (P, d)
+    vectors: np.ndarray   # (E, D)
 
     def __post_init__(self):
-        shapes = (self.rank_one.shape, self.points.shape, self.vectors.shape)
-        if (self.rank_one.dtype != bool or tuple(map(len, shapes)) != (1, 2, 2)
-                or len({shape[0] for shape in shapes}) != 1):
-            raise InputError("a schedule is a bool (n,) mask, (n, d) points and "
-                             "(n, D) vectors")
+        rank_one, index = self.rank_one, self.index
+        if (rank_one.dtype != bool or rank_one.ndim != 1 or index.shape != rank_one.shape
+                or index.dtype.kind not in "iu" or self.points.ndim != 2
+                or self.vectors.ndim != 2):
+            raise InputError("a schedule is a bool (n,) mask, an (n,) integer index, "
+                             "(P, d) points and (E, D) vectors")
+        stored = np.where(rank_one, self.points.shape[0], self.vectors.shape[0])
+        if not np.all((index >= 0) & (index < stored)):
+            raise InputError("schedule index outside its points or vectors")
 
     @classmethod
     def of(cls, actions) -> "Schedule":
@@ -177,15 +179,19 @@ class Schedule:
         must share a length."""
         if isinstance(actions, Schedule):
             return actions
-        actions = list(actions)
-        rank_one = np.array([isinstance(w, RankOne) for w in actions], dtype=bool)
-        if not all(isinstance(w, (RankOne, ExplicitVector)) for w in actions):
-            raise InputError("schedule rows must be RankOne or ExplicitVector actions")
-        points = _gather_rows([w.y for w, r in zip(actions, rank_one) if r], rank_one,
-                              "rank-one")
-        vectors = _gather_rows([w.w for w, r in zip(actions, rank_one) if not r],
-                               ~rank_one, "explicit")
-        return cls(rank_one, points, vectors)
+        rank_one, index, stored = [], [], {True: [], False: []}
+        for w in actions:
+            if not isinstance(w, (RankOne, ExplicitVector)):
+                raise InputError("schedule rows must be RankOne or ExplicitVector actions")
+            kind = isinstance(w, RankOne)
+            rows = stored[kind]
+            rank_one.append(kind)
+            index.append(len(rows))
+            rows.append(w.y if kind else w.w)
+        points = _stack_rows(stored[True], "rank-one")
+        vectors = _stack_rows(stored[False], "explicit")
+        rank_one, index = np.array(rank_one, dtype=bool), np.array(index, dtype=np.intp)
+        return cls(rank_one, index, points, vectors)
 
     def __len__(self) -> int:
         return self.rank_one.shape[0]
@@ -193,13 +199,21 @@ class Schedule:
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             if self.rank_one[key]:
-                return RankOne(self.points[key])
-            return ExplicitVector(self.vectors[key])
-        return Schedule(self.rank_one[key], self.points[key], self.vectors[key])
+                return RankOne(self.points[self.index[key]])
+            return ExplicitVector(self.vectors[self.index[key]])
+        return Schedule(self.rank_one[key], self.index[key], self.points, self.vectors)
 
     def __iter__(self):
         for t in range(len(self)):
             yield self[t]
+
+    def rank_one_points(self) -> np.ndarray:
+        """The points of the rank-one rows, in row order."""
+        return self.points[self.index[self.rank_one]]
+
+    def explicit_vectors(self) -> np.ndarray:
+        """The vectors of the explicit rows, in row order."""
+        return self.vectors[self.index[~self.rank_one]]
 
 
 def validate_points(points: np.ndarray, unit_ball: bool = False) -> np.ndarray:
@@ -423,8 +437,8 @@ def loss_matrix(spec: KernelSpec, actions: np.ndarray,
 
     The rank-one rows are the kernel of the inner products of the
     schedule's points with the actions; the explicit rows are products of
-    its vectors with the embedded actions.  Both read the schedule's arrays
-    directly, and a point whose dimension is not the actions', or a vector
+    its vectors with the embedded actions.  Both gather the stretch's rows
+    from the schedule's arrays, and a point whose dimension is not the actions', or a vector
     whose length is not the feature dimension, raises InputError.  Each row
     is computed on its own (see :func:`_row_products`), so a row's bits do
     not depend on how the schedule is split into blocks; the one-action call
@@ -436,14 +450,14 @@ def loss_matrix(spec: KernelSpec, actions: np.ndarray,
     rank_one = schedule.rank_one
     L = np.empty((rank_one.size, actions.shape[0]))
     if rank_one.any():
-        Y = schedule.points[rank_one]
+        Y = schedule.rank_one_points()
         if Y.shape[1] != actions.shape[1]:
             raise InputError(f"dimension mismatch: {Y.shape[1]} vs {actions.shape[1]}")
         L[rank_one] = _kernel_of_inner(spec, _row_products(actions, Y), Y, actions)
     if not rank_one.all():
         _require_explicit_losses(spec)
         features = feature_matrix(spec, actions)
-        W = schedule.vectors[~rank_one]
+        W = schedule.explicit_vectors()
         if W.shape[1] != features.shape[1]:
             raise InputError(f"explicit vector length {W.shape[1]} is not the "
                              f"feature dimension {features.shape[1]}")

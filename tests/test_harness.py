@@ -389,6 +389,54 @@ def test_run_experiment_builds_no_action_objects(monkeypatch, algo):
     assert built == [1]
 
 
+
+def test_schedule_hash_reads_the_rows_in_order_across_blocks():
+    # the hash reads stretches of rows of one kind, cut at the block size;
+    # the digest must be that of the byte stream built row by row
+    points = component_rng(8, "hash-points").standard_normal((700, 3))
+    vectors = component_rng(8, "hash-vectors").standard_normal((700, 5))
+    rows = [RankOne(points[t]) if t % 7 < 4 or 200 <= t < 530 else ExplicitVector(vectors[t])
+            for t in range(700)]
+    for n in (255, 256, 257, 513, 700):
+        want = hashlib.sha256(np.int64(n).tobytes())
+        want.update(np.array([type(w) is RankOne for w in rows[:n]]).tobytes())
+        want.update(np.array([len(_row_bytes(w)) // 8 for w in rows[:n]],
+                             dtype=np.int64).tobytes())
+        for w in rows[:n]:
+            want.update(_row_bytes(w))
+        assert schedule_hash(rows[:n]) == want.hexdigest(), n
+
+
+def test_explicit_schedules_store_each_row_once():
+    # a fixed or zero adversary stores its one vector, not n copies, a mixed
+    # schedule stores each kind's rows unpadded, and hashing and scoring a
+    # stored-once schedule hold a block of rows, not n of them
+    import tracemalloc
+
+    quad = KernelSpec.quadratic(G=2.0)
+    d, n = 16, 20000  # D = 272: n explicit rows would take 43.5 MB
+    actions = component_rng(2, "flat-actions").standard_normal((8, d))
+    actions /= np.linalg.norm(actions, axis=1)[:, None]
+    for spec in ("zero", "fixed:" + ",".join(["0.01"] * 272)):
+        schedule = parse_adversary(spec, quad, d).materialize(n, component_rng(0, "adv"))
+        assert len(schedule) == n and schedule.vectors.shape == (1, 272), spec
+        assert schedule.points.shape[0] == 0, spec
+        tracemalloc.start()
+        try:
+            schedule_hash(schedule)
+            build_trace(quad, actions, schedule, np.zeros(n), np.zeros(n, dtype=int))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, (spec, peak)
+
+    a, b = RankOne(np.array([0.6, 0.8])), make_explicit(quad, np.arange(6.0) / 20)
+    mixed = ScheduleAdversary((a, b, a) * 3).materialize(9, component_rng(0, "adv"))
+    assert mixed.points.shape == (6, 2) and mixed.vectors.shape == (3, 6)
+    periodic = PeriodicAdversary((a, b, a)).materialize(n, component_rng(0, "adv"))
+    assert periodic.points.shape == (2, 2) and periodic.vectors.shape == (1, 6)
+
+
 def test_schedule_hash_distinguishes_content():
     a = RankOne(np.array([1.0, 0.0]))
     b = RankOne(np.array([0.0, 1.0]))

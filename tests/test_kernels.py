@@ -247,5 +247,10 @@ def test_malformed_schedules_raise_input_error():
     for w in (np.zeros(5), np.zeros(2)):
         with pytest.raises(InputError):
             loss_matrix(QUAD, np.eye(2), [RankOne(np.array([0.6, 0.8])), ExplicitVector(w)])
+    # every row's index must point at a stored row of its kind
+    for index in (np.array([0, 1, 2]), np.array([0, -1, 1]), np.array([0, 1])):
+        with pytest.raises(InputError):
+            Schedule(np.ones(3, dtype=bool), index, np.zeros((2, 2)), np.empty((0, 0)))
     with pytest.raises(InputError):
-        Schedule(np.ones(3, dtype=bool), np.zeros((2, 2)), np.zeros((3, 0)))
+        Schedule(np.array([True, False]), np.array([0, 0]), np.zeros((1, 2)),
+                 np.empty((0, 0)))
