@@ -12,6 +12,11 @@ slack for rounding, once per run from the design alone
 checks its own round's covariance by a Cholesky factorization.  The exact
 smallest eigenvalue is computed, and checked against the floor, only on the
 rounds it is recorded.
+
+A round costs about one symmetric product, the covariance X^T X with
+X = sqrt(p_t) * F (:func:`~kernelbandits.design.action_covariance`), and one
+LU solve.  :func:`run_bandit` computes the per-run constants (1 - gamma,
+gamma nu, -eta and the floor) once and forms X in one reused buffer.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +36,8 @@ from .design import (
     reduce_to_span,
     whiten_features,
 )
-from .errors import HorizonTooShortError, IllConditionedCovarianceError, PreconditionError
+from .errors import (HorizonTooShortError, IllConditionedCovarianceError, InputError,
+                     PreconditionError)
 from .kernels import AdversaryAction, KernelSpec, Schedule, loss_eval
 from .proxy import EigendecayProfile, SampleBasis, effective_dimension, proxy_features
 from .rng import sample_index
@@ -177,16 +184,30 @@ def certify_covariance_floor(config: BanditConfig, features: np.ndarray,
     return floor, bound
 
 
-def _play_covariance(state: WeightState, config: BanditConfig,
-                     exploration: DiscreteDistribution,
-                     features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _RoundConstants(NamedTuple):
+    """What every round of one configuration and design reads."""
+
+    one_minus_gamma: float
+    gamma_nu: np.ndarray  # gamma times the design weights
+    neg_eta: float
+    floor: float  # gamma / (2m)
+
+
+def _round_constants(config: BanditConfig, exploration: DiscreteDistribution,
+                     features: np.ndarray) -> _RoundConstants:
+    return _RoundConstants(1.0 - config.gamma, config.gamma * exploration.weights,
+                           -config.eta, _covariance_floor(config, features))
+
+
+def _play_covariance(state: WeightState, consts: _RoundConstants, features: np.ndarray,
+                     work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The play distribution p_t = (1 - gamma) q_t + gamma nu and its
-    covariance Sigma_t."""
-    p = (1.0 - config.gamma) * state.probabilities() + config.gamma * exploration.weights
-    return p, action_covariance(p, features)
+    covariance Sigma_t, formed in ``work`` when given."""
+    p = consts.one_minus_gamma * state.probabilities() + consts.gamma_nu
+    return p, action_covariance(p, features, work)
 
 
-def _play_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
+def _play_round(state: WeightState, consts: _RoundConstants, kernel: KernelSpec,
                 actions: np.ndarray, features: np.ndarray, p: np.ndarray,
                 sigma: np.ndarray, w_t: AdversaryAction,
                 rng: np.random.Generator) -> tuple[WeightState, BanditRecord]:
@@ -197,11 +218,10 @@ def _play_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
     min_eig = None
     if state.round % _MIN_EIG_EVERY == 0:
         min_eig = float(np.linalg.eigvalsh(sigma)[0])
-        floor = _covariance_floor(config, features)
-        if not min_eig > floor:
-            raise IllConditionedCovarianceError(min_eig, floor)
+        if not min_eig > consts.floor:
+            raise IllConditionedCovarianceError(min_eig, consts.floor)
     w_hat = estimate_adversary(sigma, features[idx], loss)
-    new_state = state.stepped(-config.eta * (features @ w_hat))
+    new_state = state.stepped(consts.neg_eta * (features @ w_hat))
     return new_state, BanditRecord(state.round + 1, idx, float(loss), w_hat, min_eig)
 
 
@@ -221,9 +241,10 @@ def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
     """
     if state.round >= config.n:
         raise PreconditionError(f"horizon {config.n} already reached")
-    p, sigma = _play_covariance(state, config, exploration, features)
-    check_covariance_floor(sigma, _covariance_floor(config, features))
-    return _play_round(state, config, kernel, actions, features, p, sigma, w_t, rng)
+    consts = _round_constants(config, exploration, features)
+    p, sigma = _play_covariance(state, consts, features)
+    check_covariance_floor(sigma, consts.floor)
+    return _play_round(state, consts, kernel, actions, features, p, sigma, w_t, rng)
 
 
 def prepare_bandit_features(basis: SampleBasis, actions: np.ndarray):
@@ -257,7 +278,10 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     """Run the full horizon from uniform initial weights.
 
     The regret analysis telescopes from the uniform start, so q_1 is uniform
-    even though exploration is mixed in from the first round.
+    even though exploration is mixed in from the first round.  The first
+    ``config.n`` rows of ``schedule`` are played; a schedule shorter than
+    the horizon eta and gamma were set for raises InputError before any
+    draw.
 
     The covariance floor is certified once, before any draw, by
     :func:`certify_covariance_floor`; the rounds then run without a
@@ -269,26 +293,42 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     rounding it has to absorb is:
 
     - the computed p_i >= gamma nu_i (1 - 2u), since (1 - gamma) q_i >= 0;
-    - forming a covariance from weights summing to 1 moves it by at most
-      (N + 3) u M in spectral norm (a product of N terms and a
-      symmetrization, bounded by the trace of |F|^T diag(w) |F|), both for
-      Sigma_t and for the Sigma_nu handed to ``eigvalsh``;
+    - :func:`~kernelbandits.design.action_covariance` forms X^T X with
+      x_ik = fl(fl(sqrt(w_i)) f_ik).  Each product x_ik x_il carries four
+      roundings (sqrt(w_i) twice, two scalings) before the inner product of
+      N terms, so entry (k, l) is off by at most gamma_{N+4}
+      sum_i w_i |f_ik| |f_il| (Higham 2002, section 3.1), and the error
+      matrix by at most (N + 4) u M in spectral norm, to first order: that
+      norm is at most the trace of |F|^T diag(w) |F|, which is
+      sum_i w_i ||f_i||^2 <= M for weights summing to 1.  This holds both
+      for Sigma_t and for the Sigma_nu handed to ``eigvalsh``;
     - ``eigvalsh`` is backward stable, within c m u M, with c taken as 10.
 
     To first order in u, lambda_min(computed Sigma_t) >= gamma lambda_min -
     delta for the computed lambda_min of Sigma_nu and delta = 10 (N + m) u M,
-    which covers (2N + 8 + c m) u M.  So gamma lambda_min - delta >
-    gamma / (2m) certifies every round.  As a runtime cross-check the
-    sampled exact lambda_min (rounds 1, 51, 101, ...) raises
-    IllConditionedCovarianceError if it is not above the floor.
+    which covers (2 (N + 4) + 2 + c m) u M = (2N + 10 + 10m) u M, because
+    10 (N + m) - (2N + 10 + 10m) = 8N - 10 >= 0 for N >= 2.  At N = 1 the
+    covariances have rank one, so only m = 1 can be certified (for m > 1 the
+    computed lambda_min is within (5 + c m) u M < delta / gamma of 0), and
+    ``eigvalsh`` of a 1 x 1 matrix returns its entry: c = 0, and
+    12 u M <= 20 u M.  So gamma lambda_min - delta > gamma / (2m) certifies
+    every round.  As a runtime cross-check the sampled exact lambda_min
+    (rounds 1, 51, 101, ...) raises IllConditionedCovarianceError if it is
+    not above the floor.
     """
+    schedule = Schedule.of(schedule)
+    if len(schedule) < config.n:
+        raise InputError(f"schedule has {len(schedule)} rows, fewer than the "
+                         f"horizon n = {config.n}")
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     certify_covariance_floor(config, features, exploration)
+    consts = _round_constants(config, exploration, features)
+    work = np.empty(features.shape)
     state = WeightState.uniform(actions.shape[0])
     records = []
-    for w_t in Schedule.of(schedule)[: config.n]:
-        p, sigma = _play_covariance(state, config, exploration, features)
-        state, rec = _play_round(state, config, kernel, actions, features, p, sigma,
+    for w_t in schedule[: config.n]:
+        p, sigma = _play_covariance(state, consts, features, work)
+        state, rec = _play_round(state, consts, kernel, actions, features, p, sigma,
                                  w_t, rng)
         records.append(rec)
     return records, state

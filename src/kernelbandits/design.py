@@ -7,9 +7,11 @@ After whitening by the design covariance, the feature second-moment matrix
 of the design is the identity over m, which is what gives the mixed
 distribution its gamma/m eigenvalue floor.  `action_covariance` (the second
 moment) and `check_covariance_floor` (a Cholesky test that its smallest
-eigenvalue is above a floor) are the one covariance path.  The bandit forms
-the covariance every round and solves against it; a whole run certifies
-its floor once, from the design's covariance, and the one-round entry
+eigenvalue is above a floor) are the one covariance path.  The second moment
+of nonnegative weights w is X^T X with X = sqrt(w) * F, one symmetric
+product, so it is symmetric by construction.  The bandit forms the
+covariance every round and solves against it; a whole run certifies its
+floor once, from the design's covariance, and the one-round entry
 `bandit.bandit_round` checks its round by `check_covariance_floor`.
 """
 
@@ -148,14 +150,28 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
             exact = False
 
 
-def action_covariance(weights, features) -> np.ndarray:
-    """Symmetrized second moment sum_i w_i f_i f_i^T; weights not renormalized."""
+def action_covariance(weights, features, work: np.ndarray | None = None) -> np.ndarray:
+    """Second moment sum_i w_i f_i f_i^T of nonnegative weights, not
+    renormalized; a negative (or NaN) weight raises InputError.
+
+    The moment is X^T X with X = sqrt(w) * F row by row, which numpy hands to
+    BLAS as one symmetric rank-k update: half the flops of a general product,
+    and symmetric by construction, bit for bit.  Entry (k, l) is within
+    gamma_{N+4} sum_i w_i |f_ik| |f_il|, about (N + 4) u times that sum, of
+    the exact moment of the given weights and features: an inner product of
+    N terms (Higham 2002, section 3.1) of factors that each carry the
+    rounding of sqrt(w_i) and of one product.  ``work``, an (N, m) float
+    array, is overwritten with X, so a caller that forms a covariance every
+    round allocates it once.
+    """
     F = _as_feature_array(features)
     w = np.asarray(weights, dtype=float)
     if w.shape != (F.shape[0],):
         raise InputError("weight and feature counts differ")
-    sigma = F.T @ (F * w[:, None])
-    return 0.5 * (sigma + sigma.T)
+    if not w.min() >= 0.0:
+        raise InputError("covariance weights must be nonnegative")
+    X = np.multiply(F, np.sqrt(w)[:, None], out=work)
+    return X.T @ X
 
 
 def check_covariance_floor(sigma: np.ndarray, floor: float) -> None:

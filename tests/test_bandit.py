@@ -24,6 +24,7 @@ from kernelbandits.design import (
 from kernelbandits.errors import (
     HorizonTooShortError,
     IllConditionedCovarianceError,
+    InputError,
     PreconditionError,
 )
 from kernelbandits.kernels import KernelSpec, feature_matrix, make_explicit
@@ -208,6 +209,20 @@ def test_run_refuses_uncertified_design_before_round_one():
     assert _stream_untouched(rng)
 
 
+def test_run_refuses_schedule_shorter_than_horizon():
+    # eta and gamma are set for n rounds; a schedule of n - 1 rows is refused
+    # before the first draw, and one of n + 1 rows plays n
+    actions, features, nu, cfg = _setup(n=10)
+    w = make_explicit(LINEAR, np.zeros(3))
+    rng = component_rng(12, "player")
+    with pytest.raises(InputError):
+        run_bandit(LINEAR, actions, features, nu, cfg, [w] * 9, rng)
+    assert _stream_untouched(rng)
+    records, state = run_bandit(LINEAR, actions, features, nu, cfg, [w] * 11,
+                                component_rng(12, "player"))
+    assert len(records) == state.round == 10
+
+
 def test_sampled_min_eig_below_floor_raises(monkeypatch):
     # features in a plane make every play covariance singular; with the
     # certificate bypassed, the round-1 eigenvalue cross-check catches it
@@ -233,31 +248,47 @@ def test_certificate_of_whitened_design():
     assert bound < cfg.gamma * np.linalg.eigvalsh(action_covariance(nu.weights, features))[0]
 
 
-def _gaussian_setup(n=120):
-    # 30 unit vectors under gaussian:0.5, proxy rank m = 20
+def _gaussian_setup(n=120, m=20, p=60):
+    # 30 unit vectors under gaussian:0.5, proxy rank m (20 by default)
     kernel = KernelSpec.gaussian(0.5)
     actions = spanning_unit_vectors(30, 3, seed=0)
-    basis = build_proxy(kernel, actions, m=20, p=60, rng=component_rng(0, "proxy"))
+    basis = build_proxy(kernel, actions, m=m, p=p, rng=component_rng(0, "proxy"))
     features, nu, _ = prepare_bandit_features(basis, actions)
     cfg = BanditConfig(eta=0.05, gamma=0.5, m=features.shape[1], eps=0.0, n=n)
     return kernel, actions, features, nu, cfg
 
 
-@pytest.mark.parametrize("case", ["linear", "gaussian"])
-def test_run_bandit_is_a_fold_of_bandit_round(case):
+@pytest.mark.parametrize("case", ["linear", "gaussian", "gaussian-full-rank"])
+def test_run_bandit_is_a_fold_of_bandit_round(case, monkeypatch):
     # run_bandit and bandit_round share one round body; the run must have
-    # the bits of stepping bandit_round from the uniform start
+    # the bits of stepping bandit_round from the uniform start.  The
+    # full-rank case has m >= 0.8 N, the regime of the bench's m = 127 of
+    # N = 150.
     from kernelbandits.harness import unit_vector_adversary
 
     if case == "linear":
         kernel = LINEAR
         actions, features, nu, cfg = _setup(n=120)
-    else:
+    elif case == "gaussian":
         kernel, actions, features, nu, cfg = _gaussian_setup(n=120)
         assert features.shape[1] >= 20
+    else:
+        kernel, actions, features, nu, cfg = _gaussian_setup(n=120, m=27, p=90)
+        assert features.shape[1] >= 0.8 * features.shape[0]
+    # the run forms every round's covariance in one buffer; record it
+    buffers = []
+
+    def spy(weights, feats, work=None):
+        buffers.append(work)
+        return action_covariance(weights, feats, work)
+
+    monkeypatch.setattr(bandit, "action_covariance", spy)
     schedule = unit_vector_adversary(3).materialize(120, component_rng(13, "adv"))
     records, state = run_bandit(kernel, actions, features, nu, cfg, schedule,
                                 component_rng(13, "player"))
+    work = buffers[-1]
+    assert work is not None and all(b is work for b in buffers[-120:])
+    assert not any(np.shares_memory(r.w_hat, work) for r in records)
     fold_state, fold = WeightState.uniform(actions.shape[0]), []
     rng = component_rng(13, "player")
     for w_t in schedule:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,46 @@ def test_action_covariance_examples():
     assert np.array_equal(cov, cov.T)
     with pytest.raises(InputError):
         action_covariance(np.ones(3) / 3, F)
+
+
+def test_action_covariance_refuses_negative_weights():
+    # sqrt(w) needs w >= 0; zero weights are fine (see the examples above)
+    F = np.array([[1.0, 1.0], [2.0, -1.0]])
+    for w in ([1.5, -0.5], [-1e-300, 1.0], [np.nan, 1.0]):
+        with pytest.raises(InputError):
+            action_covariance(np.array(w), F)
+
+
+def test_action_covariance_is_bitwise_symmetric():
+    # X^T X is one symmetric product: entry (k, l) has the bits of (l, k),
+    # at the bench's N = 150, m = 127 and on small random cases
+    rng = component_rng(4, "sym")
+    for N, m in [(150, 127)] + [tuple(rng.integers(1, 12, size=2)) for _ in range(40)]:
+        F = rng.standard_normal((N, m))
+        w = rng.dirichlet(np.ones(N))
+        cov = action_covariance(w, F)
+        assert np.array_equal(cov, cov.T), (N, m)
+        work = np.empty((N, m))
+        assert np.array_equal(action_covariance(w, F, work), cov)
+
+
+def test_action_covariance_rounding_within_stated_bound():
+    # each entry is within (N + 4) u sum_i w_i |f_ik| |f_il| of the exact
+    # moment of the float inputs, computed in rationals
+    u = Fraction(np.finfo(float).eps) / 2
+    rng = component_rng(5, "exact")
+    for N, m in [(1, 1), (2, 1), (3, 2), (5, 3), (8, 4), (12, 3)]:
+        for _ in range(5):
+            F = rng.standard_normal((N, m)) * 10.0 ** rng.integers(-3, 4, size=(N, 1))
+            w = rng.dirichlet(np.full(N, 0.5))
+            cov = action_covariance(w, F)
+            wq = [Fraction(x) for x in w]
+            Fq = [[Fraction(x) for x in row] for row in F]
+            for k in range(m):
+                for l in range(m):
+                    exact = sum(wq[i] * Fq[i][k] * Fq[i][l] for i in range(N))
+                    scale = sum(wq[i] * abs(Fq[i][k] * Fq[i][l]) for i in range(N))
+                    assert abs(Fraction(cov[k, l]) - exact) <= (N + 4) * u * scale
 
 
 def test_action_covariance_matches_monte_carlo():

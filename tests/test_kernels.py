@@ -224,13 +224,27 @@ def test_loss_matrix_on_schedule_slices_equals_lists(spec):
     # on either side of the block edges
     actions = component_rng(9, "slice-actions").standard_normal((12, 3))
     actions /= 1.25 * np.linalg.norm(actions, axis=1)[:, None]
-    for kind, listed in kernel_schedules(spec, 3, 600, seed=9).items():
+    schedules = kernel_schedules(spec, 3, 600, seed=9)
+    for kind, listed in schedules.items():
         schedule = Schedule.of(listed)
         for start, stop in ((0, 255), (0, 256), (0, 257), (255, 511), (256, 512),
                             (257, 513), (255, 600), (257, 600)):
             assert np.array_equal(loss_matrix(spec, actions, schedule[start:stop]),
                                   loss_matrix(spec, actions, listed[start:stop])), \
                 (kind, start, stop)
+    if "mixed" not in schedules:
+        return
+    # a block of one kind is written without masks; its rows must have the
+    # bits of the same rows stored through the masks of a mixed block, both
+    # from a one-kind schedule and from one-kind rows of the mixed schedule
+    mixed = Schedule.of(schedules["mixed"])
+    every_row = loss_matrix(spec, actions, mixed)
+    explicit_rows = np.arange(600) % 3 == 0
+    for kind, rows in (("explicit", explicit_rows), ("rank_one", ~explicit_rows)):
+        pure = Schedule.of(schedules[kind])
+        assert np.array_equal(loss_matrix(spec, actions, pure)[rows], every_row[rows]), kind
+        assert np.array_equal(loss_matrix(spec, actions, mixed[rows]), every_row[rows]), kind
+    assert np.array_equal(loss_matrix(spec, actions, mixed[1:3]), every_row[1:3])
 
 
 def test_malformed_schedules_raise_input_error():
