@@ -15,8 +15,7 @@ rounds it is recorded.
 
 A round costs about one symmetric product, the covariance X^T X with
 X = sqrt(p_t) * F (:func:`~kernelbandits.design.action_covariance`), and one
-LU solve.  :func:`run_bandit` computes the per-run constants (1 - gamma,
-gamma nu, -eta and the floor) once and forms X in one reused buffer.
+LU solve.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -184,30 +182,16 @@ def certify_covariance_floor(config: BanditConfig, features: np.ndarray,
     return floor, bound
 
 
-class _RoundConstants(NamedTuple):
-    """What every round of one configuration and design reads."""
-
-    one_minus_gamma: float
-    gamma_nu: np.ndarray  # gamma times the design weights
-    neg_eta: float
-    floor: float  # gamma / (2m)
-
-
-def _round_constants(config: BanditConfig, exploration: DiscreteDistribution,
-                     features: np.ndarray) -> _RoundConstants:
-    return _RoundConstants(1.0 - config.gamma, config.gamma * exploration.weights,
-                           -config.eta, _covariance_floor(config, features))
-
-
-def _play_covariance(state: WeightState, consts: _RoundConstants, features: np.ndarray,
-                     work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _play_covariance(state: WeightState, config: BanditConfig,
+                     exploration: DiscreteDistribution,
+                     features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The play distribution p_t = (1 - gamma) q_t + gamma nu and its
-    covariance Sigma_t, formed in ``work`` when given."""
-    p = consts.one_minus_gamma * state.probabilities() + consts.gamma_nu
-    return p, action_covariance(p, features, work)
+    covariance Sigma_t."""
+    p = (1.0 - config.gamma) * state.probabilities() + config.gamma * exploration.weights
+    return p, action_covariance(p, features)
 
 
-def _play_round(state: WeightState, consts: _RoundConstants, kernel: KernelSpec,
+def _play_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
                 actions: np.ndarray, features: np.ndarray, p: np.ndarray,
                 sigma: np.ndarray, w_t: AdversaryAction,
                 rng: np.random.Generator) -> tuple[WeightState, BanditRecord]:
@@ -218,10 +202,11 @@ def _play_round(state: WeightState, consts: _RoundConstants, kernel: KernelSpec,
     min_eig = None
     if state.round % _MIN_EIG_EVERY == 0:
         min_eig = float(np.linalg.eigvalsh(sigma)[0])
-        if not min_eig > consts.floor:
-            raise IllConditionedCovarianceError(min_eig, consts.floor)
+        floor = _covariance_floor(config, features)
+        if not min_eig > floor:
+            raise IllConditionedCovarianceError(min_eig, floor)
     w_hat = estimate_adversary(sigma, features[idx], loss)
-    new_state = state.stepped(consts.neg_eta * (features @ w_hat))
+    new_state = state.stepped(-config.eta * (features @ w_hat))
     return new_state, BanditRecord(state.round + 1, idx, float(loss), w_hat, min_eig)
 
 
@@ -241,10 +226,9 @@ def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
     """
     if state.round >= config.n:
         raise PreconditionError(f"horizon {config.n} already reached")
-    consts = _round_constants(config, exploration, features)
-    p, sigma = _play_covariance(state, consts, features)
-    check_covariance_floor(sigma, consts.floor)
-    return _play_round(state, consts, kernel, actions, features, p, sigma, w_t, rng)
+    p, sigma = _play_covariance(state, config, exploration, features)
+    check_covariance_floor(sigma, _covariance_floor(config, features))
+    return _play_round(state, config, kernel, actions, features, p, sigma, w_t, rng)
 
 
 def prepare_bandit_features(basis: SampleBasis, actions: np.ndarray):
@@ -322,13 +306,11 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
                          f"horizon n = {config.n}")
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     certify_covariance_floor(config, features, exploration)
-    consts = _round_constants(config, exploration, features)
-    work = np.empty(features.shape)
     state = WeightState.uniform(actions.shape[0])
     records = []
     for w_t in schedule[: config.n]:
-        p, sigma = _play_covariance(state, consts, features, work)
-        state, rec = _play_round(state, consts, kernel, actions, features, p, sigma,
+        p, sigma = _play_covariance(state, config, exploration, features)
+        state, rec = _play_round(state, config, kernel, actions, features, p, sigma,
                                  w_t, rng)
         records.append(rec)
     return records, state

@@ -150,7 +150,7 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
             exact = False
 
 
-def action_covariance(weights, features, work: np.ndarray | None = None) -> np.ndarray:
+def action_covariance(weights, features) -> np.ndarray:
     """Second moment sum_i w_i f_i f_i^T of nonnegative weights, not
     renormalized; a negative (or NaN) weight raises InputError.
 
@@ -160,9 +160,7 @@ def action_covariance(weights, features, work: np.ndarray | None = None) -> np.n
     gamma_{N+4} sum_i w_i |f_ik| |f_il|, about (N + 4) u times that sum, of
     the exact moment of the given weights and features: an inner product of
     N terms (Higham 2002, section 3.1) of factors that each carry the
-    rounding of sqrt(w_i) and of one product.  ``work``, an (N, m) float
-    array, is overwritten with X, so a caller that forms a covariance every
-    round allocates it once.
+    rounding of sqrt(w_i) and of one product.
     """
     F = _as_feature_array(features)
     w = np.asarray(weights, dtype=float)
@@ -170,7 +168,7 @@ def action_covariance(weights, features, work: np.ndarray | None = None) -> np.n
         raise InputError("weight and feature counts differ")
     if not w.min() >= 0.0:
         raise InputError("covariance weights must be nonnegative")
-    X = np.multiply(F, np.sqrt(w)[:, None], out=work)
+    X = F * np.sqrt(w)[:, None]
     return X.T @ X
 
 

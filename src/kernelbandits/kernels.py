@@ -438,45 +438,31 @@ def loss_matrix(spec: KernelSpec, actions: np.ndarray,
     The rank-one rows are the kernel of the inner products of the
     schedule's points with the actions; the explicit rows are products of
     its vectors with the embedded actions.  Both gather the stretch's rows
-    from the schedule's arrays, and a point whose dimension is not the
-    actions', or a vector whose length is not the feature dimension, raises
-    InputError.  A stretch of one kind is its kind's block as computed, with
-    no mask.  Each row is computed on its own (see :func:`_row_products`), so
-    a row's bits do not depend on how the schedule is split into blocks; the
-    one-action call ``loss_matrix(spec, actions, [w])[0]`` is the loss vector
-    of a single round.
+    from the schedule's arrays, and a point whose dimension is not the actions', or a vector
+    whose length is not the feature dimension, raises InputError.  Each row
+    is computed on its own (see :func:`_row_products`), so a row's bits do
+    not depend on how the schedule is split into blocks; the one-action call
+    ``loss_matrix(spec, actions, [w])[0]`` is the loss vector of a single
+    round.
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     schedule = Schedule.of(schedule)
     rank_one = schedule.rank_one
-    some_rank_one, some_explicit = rank_one.any(), not rank_one.all()
-    if some_rank_one and not some_explicit:
-        return _rank_one_losses(spec, actions, schedule.points[schedule.index])
-    if some_explicit and not some_rank_one:
-        return _explicit_losses(spec, actions, schedule.vectors[schedule.index])
     L = np.empty((rank_one.size, actions.shape[0]))
-    if some_rank_one:
-        L[rank_one] = _rank_one_losses(spec, actions, schedule.rank_one_points())
-    if some_explicit:
-        L[~rank_one] = _explicit_losses(spec, actions, schedule.explicit_vectors())
+    if rank_one.any():
+        Y = schedule.rank_one_points()
+        if Y.shape[1] != actions.shape[1]:
+            raise InputError(f"dimension mismatch: {Y.shape[1]} vs {actions.shape[1]}")
+        L[rank_one] = _kernel_of_inner(spec, _row_products(actions, Y), Y, actions)
+    if not rank_one.all():
+        _require_explicit_losses(spec)
+        features = feature_matrix(spec, actions)
+        W = schedule.explicit_vectors()
+        if W.shape[1] != features.shape[1]:
+            raise InputError(f"explicit vector length {W.shape[1]} is not the "
+                             f"feature dimension {features.shape[1]}")
+        L[~rank_one] = _row_products(features, W)
     return L
-
-
-def _rank_one_losses(spec: KernelSpec, actions: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Rows K(a_j, y_t) of the loss matrix, one per point y_t."""
-    if Y.shape[1] != actions.shape[1]:
-        raise InputError(f"dimension mismatch: {Y.shape[1]} vs {actions.shape[1]}")
-    return _kernel_of_inner(spec, _row_products(actions, Y), Y, actions)
-
-
-def _explicit_losses(spec: KernelSpec, actions: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Rows <Phi(a_j), w_t> of the loss matrix, one per vector w_t."""
-    _require_explicit_losses(spec)
-    features = feature_matrix(spec, actions)
-    if W.shape[1] != features.shape[1]:
-        raise InputError(f"explicit vector length {W.shape[1]} is not the "
-                         f"feature dimension {features.shape[1]}")
-    return _row_products(features, W)
 
 
 def check_norm_bound(spec: KernelSpec, actions: np.ndarray) -> float:

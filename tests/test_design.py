@@ -156,8 +156,6 @@ def test_action_covariance_is_bitwise_symmetric():
         w = rng.dirichlet(np.ones(N))
         cov = action_covariance(w, F)
         assert np.array_equal(cov, cov.T), (N, m)
-        work = np.empty((N, m))
-        assert np.array_equal(action_covariance(w, F, work), cov)
 
 
 def test_action_covariance_rounding_within_stated_bound():

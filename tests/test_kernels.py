@@ -234,9 +234,9 @@ def test_loss_matrix_on_schedule_slices_equals_lists(spec):
                 (kind, start, stop)
     if "mixed" not in schedules:
         return
-    # a block of one kind is written without masks; its rows must have the
-    # bits of the same rows stored through the masks of a mixed block, both
-    # from a one-kind schedule and from one-kind rows of the mixed schedule
+    # a row's bits do not depend on which kinds share its block: a block of
+    # one kind, from a one-kind schedule or from one-kind rows of the mixed
+    # schedule, has the bits of the same rows of a mixed block
     mixed = Schedule.of(schedules["mixed"])
     every_row = loss_matrix(spec, actions, mixed)
     explicit_rows = np.arange(600) % 3 == 0
