@@ -59,8 +59,6 @@ from .kernels import (
     Schedule,
     feature_map,
     gram_matrix,
-    kernel_eval,
-    loss_eval,
     make_explicit,
     make_rank_one,
     quadratic_adversary,

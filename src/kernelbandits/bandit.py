@@ -13,9 +13,11 @@ checks its own round's covariance by a Cholesky factorization.  The exact
 smallest eigenvalue is computed, and checked against the floor, only on the
 rounds it is recorded.
 
-A round costs about one symmetric product, the covariance X^T X with
-X = sqrt(p_t) * F (:func:`~kernelbandits.design.action_covariance`), and one
-LU solve.
+The observed loss is the played entry of a row of
+:func:`~kernelbandits.kernels.loss_matrix`, the entry the regret accounting
+charges.  A round costs about one symmetric product, the covariance X^T X
+with X = sqrt(p_t) * F (:func:`~kernelbandits.design.action_covariance`),
+and one LU solve.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .design import (
 )
 from .errors import (HorizonTooShortError, IllConditionedCovarianceError, InputError,
                      PreconditionError)
-from .kernels import AdversaryAction, KernelSpec, Schedule, loss_eval
+from .kernels import _LOSS_BLOCK_ROWS, AdversaryAction, KernelSpec, Schedule, loss_matrix
 from .proxy import EigendecayProfile, SampleBasis, effective_dimension, proxy_features
 from .rng import sample_index
 from .weights import WeightState
@@ -191,14 +193,14 @@ def _play_covariance(state: WeightState, config: BanditConfig,
     return p, action_covariance(p, features)
 
 
-def _play_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
-                actions: np.ndarray, features: np.ndarray, p: np.ndarray,
-                sigma: np.ndarray, w_t: AdversaryAction,
+def _play_round(state: WeightState, config: BanditConfig, features: np.ndarray,
+                p: np.ndarray, sigma: np.ndarray, losses: np.ndarray,
                 rng: np.random.Generator) -> tuple[WeightState, BanditRecord]:
-    """A round whose covariance floor is certified: draw, observe, sample
-    lambda_min, estimate, step and record."""
+    """A round whose covariance floor is certified: draw, observe the played
+    entry of the loss row ``losses``, sample lambda_min, estimate, step and
+    record."""
     idx = sample_index(p, rng)
-    loss = loss_eval(kernel, actions[idx], w_t)
+    loss = losses[idx]
     min_eig = None
     if state.round % _MIN_EIG_EVERY == 0:
         min_eig = float(np.linalg.eigvalsh(sigma)[0])
@@ -228,7 +230,8 @@ def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
         raise PreconditionError(f"horizon {config.n} already reached")
     p, sigma = _play_covariance(state, config, exploration, features)
     check_covariance_floor(sigma, _covariance_floor(config, features))
-    return _play_round(state, config, kernel, actions, features, p, sigma, w_t, rng)
+    losses = loss_matrix(kernel, actions, [w_t])[0]
+    return _play_round(state, config, features, p, sigma, losses, rng)
 
 
 def prepare_bandit_features(basis: SampleBasis, actions: np.ndarray):
@@ -265,7 +268,7 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     even though exploration is mixed in from the first round.  The first
     ``config.n`` rows of ``schedule`` are played; a schedule shorter than
     the horizon eta and gamma were set for raises InputError before any
-    draw.
+    draw.  The loss matrix is read in blocks of ``_LOSS_BLOCK_ROWS`` rows.
 
     The covariance floor is certified once, before any draw, by
     :func:`certify_covariance_floor`; the rounds then run without a
@@ -308,9 +311,10 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     certify_covariance_floor(config, features, exploration)
     state = WeightState.uniform(actions.shape[0])
     records = []
-    for w_t in schedule[: config.n]:
-        p, sigma = _play_covariance(state, config, exploration, features)
-        state, rec = _play_round(state, config, kernel, actions, features, p, sigma,
-                                 w_t, rng)
-        records.append(rec)
+    for start in range(0, config.n, _LOSS_BLOCK_ROWS):
+        block = schedule[start:min(start + _LOSS_BLOCK_ROWS, config.n)]
+        for losses in loss_matrix(kernel, actions, block):
+            p, sigma = _play_covariance(state, config, exploration, features)
+            state, rec = _play_round(state, config, features, p, sigma, losses, rng)
+            records.append(rec)
     return records, state

@@ -25,7 +25,7 @@ from .harness import (
     run_experiment,
     unit_vector_adversary,
 )
-from .kernels import ExplicitVector, KernelSpec, RankOne, make_explicit, make_rank_one
+from .kernels import ExplicitVector, KernelSpec, feature_dim, make_explicit, make_rank_one
 from .proxy import (
     approximation_sup_error,
     build_proxy,
@@ -61,25 +61,30 @@ def _csv(path: str, ndmin: int = 2) -> np.ndarray:
         raise InputError(f"{path}: {exc}") from None
 
 
+# kernel forms: (fewest numbers, most numbers, usage)
+_KERNEL_FORMS = {"linear": (0, 1, "linear[:G]"), "quadratic": (0, 1, "quadratic[:G]"),
+                 "gaussian": (1, 2, "gaussian:<sigma>[:G]"),
+                 "poly": (2, 3, "poly:<degree>:<offset>[:G]")}
+
+
 def parse_kernel(text: str) -> KernelSpec:
     parts = text.split(":")
-    name = parts[0].lower()
+    name = "poly" if parts[0].lower() == "polynomial" else parts[0].lower()
+    if name not in _KERNEL_FORMS:
+        raise InputError(f"unknown kernel {text!r}")
+    fewest, most, usage = _KERNEL_FORMS[name]
     nums = [_number(float, part, "--kernel") for part in parts[1:]]
+    if not fewest <= len(nums) <= most:
+        raise InputError(f"--kernel {text!r}: expected {usage}")
     if name == "linear":
         return KernelSpec.linear(nums[0] if nums else 1.0)
     if name == "quadratic":
         return KernelSpec.quadratic(nums[0] if nums else 2.0)
     if name == "gaussian":
-        if len(nums) < 1:
-            raise InputError("gaussian kernel needs a sigma: gaussian:<sigma>[:G]")
         return KernelSpec.gaussian(nums[0], nums[1] if len(nums) > 1 else 1.0)
-    if name in ("poly", "polynomial"):
-        if len(nums) < 2:
-            raise InputError("polynomial kernel: poly:<degree>:<offset>[:G]")
-        degree, offset = _number(int, parts[1], "--kernel degree"), nums[1]
-        G = nums[2] if len(nums) > 2 else (offset + 1.0) ** (degree / 2.0)
-        return KernelSpec.polynomial(degree, offset, G)
-    raise InputError(f"unknown kernel {text!r}")
+    degree, offset = _number(int, parts[1], "--kernel degree"), nums[1]
+    G = nums[2] if len(nums) > 2 else (offset + 1.0) ** (degree / 2.0)
+    return KernelSpec.polynomial(degree, offset, G)
 
 
 def parse_actions(text: str) -> np.ndarray:
@@ -96,8 +101,6 @@ def parse_adversary(text: str, kernel: KernelSpec, d: int):
     if name == "zero":
         if kernel.variant == "gaussian":
             raise InputError("zero adversary needs an explicit feature space")
-        from .kernels import feature_dim
-
         return PeriodicAdversary((ExplicitVector(np.zeros(feature_dim(kernel, d))),))
     if name == "fixed":
         w = np.array([_number(float, v, "--adversary") for v in parts[1].split(",")])
@@ -108,11 +111,9 @@ def parse_adversary(text: str, kernel: KernelSpec, d: int):
     if name == "iid-unit":
         return unit_vector_adversary(d)
     if name == "periodic":
-        pts = _csv(parts[1])
-        return PeriodicAdversary(tuple(RankOne(p) for p in pts))
+        return PeriodicAdversary(tuple(make_rank_one(kernel, y) for y in _csv(parts[1])))
     if name == "schedule":
-        pts = _csv(parts[1])
-        return ScheduleAdversary(tuple(RankOne(p) for p in pts))
+        return ScheduleAdversary(tuple(make_rank_one(kernel, y) for y in _csv(parts[1])))
     raise InputError(f"unknown adversary {text!r}")
 
 
@@ -152,13 +153,10 @@ def _cmd_run(args) -> int:
     if isinstance(params, str) and params != "paper":
         params = _json(params, "--params")
     seeds = tuple(_number(int, s, "--seeds") for s in str(args.seeds).split(","))
-    covering = None
-    if args.actions.startswith("ball:"):
-        covering = 2.0 * np.sin(np.pi / (2 * actions.shape[0]))
     config = ExperimentConfig(
         algo=args.algo, kernel=kernel, actions=actions, adversary=adversary,
         n=args.n, seeds=seeds, params=params,
-        proxy_p=args.proxy_p, proxy_m=args.proxy_m, covering_radius=covering,
+        proxy_p=args.proxy_p, proxy_m=args.proxy_m,
     )
     result = run_experiment(config)
     out = Path(args.out)
@@ -170,13 +168,19 @@ def _cmd_run(args) -> int:
     # pseudo-regret is reported only when every seed's learner recorded it
     pseudo = [trace.final_pseudo_regret for trace in result.traces]
     pseudo_mean, pseudo_stderr = (None, None) if None in pseudo else _mean_and_stderr(pseudo)
+    # ball:K only: G^2 times the covering radius 2 sin(pi / 2K) of the
+    # directions (see ball_directions)
+    discretization = None
+    if args.actions.startswith("ball:"):
+        covering = 2.0 * np.sin(np.pi / (2 * actions.shape[0]))
+        discretization = kernel.norm_bound_G**2 * covering
     summary = {
         "mean_final_regret": result.mean_final_regret,
         "stderr_final_regret": result.stderr_final_regret,
         "mean_final_pseudo_regret": pseudo_mean,
         "stderr_final_pseudo_regret": pseudo_stderr,
         "seeds": list(seeds),
-        "discretization_error": result.discretization_error,
+        "discretization_error": discretization,
         # bandit_ew only: the floor gamma / (2m) and its once-per-run certificate
         "covariance_floor": result.details.get("covariance_floor"),
     }
@@ -187,11 +191,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_proxy_check(args) -> int:
     kernel = parse_kernel(args.kernel)
-    grid = np.linspace(0.0, 1.0, args.grid)[:, None] if args.dim == 1 else None
-    if grid is None:
-        side = np.linspace(0.0, 1.0, args.grid)
-        mesh = np.meshgrid(*([side] * args.dim))
-        grid = np.column_stack([m.ravel() for m in mesh])
+    if args.grid < 1 or args.dim < 1:
+        raise InputError(f"--grid and --dim must be >= 1, got {args.grid} and {args.dim}")
+    side = np.linspace(0.0, 1.0, args.grid)
+    grid = np.column_stack([m.ravel() for m in np.meshgrid(*([side] * args.dim))])
     rng = component_rng(args.seed, "proxy")
     m = args.m
     if m == 0:

@@ -87,7 +87,8 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     Maximizes log det(sum_i w_i f_i f_i^T) by Frank-Wolfe with away steps;
     the returned design satisfies the Kiefer-Wolfowitz certificate
     max_i f_i^T Sigma^-1 f_i <= m (1 + tol), or raises ToleranceNotMetError
-    after 10 000 steps without it.
+    after 10 000 steps without it.  A tol that is not positive and finite
+    raises InputError before the first step.
 
     A step w' = (1 - lam) w + lam e_j changes Sigma by a rank-one term, so
     Sigma^-1 and the leverages g follow by Sherman-Morrison in O(N m) per
@@ -96,6 +97,8 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     the certificate is accepted or refused: the certificate is always
     checked on the exact leverages.
     """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InputError(f"tol must be positive and finite, got {tol!r}")
     F = _as_feature_array(features)
     n, m = F.shape
     rank = np.linalg.matrix_rank(F)

@@ -34,9 +34,10 @@ from .kernels import (
     AdversaryAction,
     KernelSpec,
     Schedule,
+    _kernel_of_pairs,
+    _row_dots,
     feature_map,
     feature_matrix,
-    kernel_eval,
     loss_matrix,
 )
 from .quadratic import QuadraticObjective, trs_minimize
@@ -151,7 +152,7 @@ def _ew_block(log_weights: np.ndarray, eta: float, L: np.ndarray,
     probs = softmax(cum[:-1])
     idx = sample_indices(probs, rng)
     losses = L[np.arange(L.shape[0]), idx]
-    expected = np.matmul(probs[:, None, :], L[:, :, None])[:, 0, 0]
+    expected = _row_dots(probs, L)
     return idx, losses, expected, cum[-1]
 
 
@@ -251,20 +252,22 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, oracle,
     :func:`~kernelbandits.rng.sample_indices` on one raw 64-bit draw (the
     stretch's draws come from one call), moves the mean toward the
     oracle's output and adds the round's adversary feature to the running
-    sum.  The adversary features and the played points' explicit features
-    take one :func:`feature_matrix` call each per stretch, read from the
-    schedule's arrays; every output has the bits of per-round embeddings.
-    Returns the state after the stretch and, per round, the played atom
-    index, its loss and the atom count.
+    sum.  The adversary features take one :func:`feature_matrix` call per
+    stretch, read from the schedule's arrays.  The losses take one paired
+    kernel call for the rank-one rows and, for the explicit rows, one
+    embedding of the played points and one batched row product; every
+    output has the bits of per-round calls.  Returns the state after the
+    stretch and, per round, the played atom index, its loss and the atom
+    count.
     """
     rows = len(schedule)
-    rank_one, index = schedule.rank_one, schedule.index
-    points, vectors = schedule.points, schedule.vectors
+    rank_one = schedule.rank_one
+    Y, W = schedule.rank_one_points(), schedule.explicit_vectors()
     adversary = np.empty((rows, state.x1.size))
     if rank_one.any():
-        adversary[rank_one] = feature_matrix(kernel, schedule.rank_one_points())
+        adversary[rank_one] = feature_matrix(kernel, Y)
     if not rank_one.all():
-        adversary[~rank_one] = schedule.explicit_vectors()
+        adversary[~rank_one] = W
     u = rng.bit_generator.random_raw(rows) / 2.0**64
 
     atoms, weights = state.combo.atoms, state.combo.weights
@@ -296,9 +299,11 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, oracle,
         idx[i], num_atoms[i] = k, weights.size
         t += 1
 
-    features = None if rank_one.all() else feature_matrix(kernel, played)
-    losses = np.array([kernel_eval(kernel, played[i], points[index[i]]) if rank_one[i]
-                       else float(features[i] @ vectors[index[i]]) for i in range(rows)])
+    losses = np.empty(rows)
+    if rank_one.any():
+        losses[rank_one] = _kernel_of_pairs(kernel, played[rank_one], Y)
+    if not rank_one.all():
+        losses[~rank_one] = _row_dots(feature_matrix(kernel, played[~rank_one]), W)
     combo = ConvexCombination(atoms, normalized)
     return CGState(combo, mean, cum, x1, t), idx, losses, num_atoms
 

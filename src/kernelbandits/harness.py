@@ -249,7 +249,6 @@ class ExperimentConfig:
     params: object = "paper"
     proxy_p: int | None = None
     proxy_m: int | None = None
-    covering_radius: float | None = None
 
     def __post_init__(self):
         if self.algo not in ("bandit_ew", "fullinfo_ew", "cg"):
@@ -278,7 +277,6 @@ class ExperimentResult:
     mean_final_regret: float
     stderr_final_regret: float
     schedule_hashes: list[str] = field(default_factory=list)
-    discretization_error: float | None = None
     details: dict = field(default_factory=dict)
 
 
@@ -355,14 +353,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                   expected_losses=expected))
 
     mean, stderr = _mean_and_stderr([t.final_regret for t in traces])
-    disc = (kernel.norm_bound_G**2 * config.covering_radius
-            if config.covering_radius is not None else None)
     return ExperimentResult(
         traces=traces,
         mean_final_regret=mean,
         stderr_final_regret=stderr,
         schedule_hashes=hashes,
-        discretization_error=disc,
         details=details,
     )
 

@@ -15,14 +15,15 @@ gives a :class:`Schedule` that shares the stored arrays.  Every entry that
 takes a schedule also takes a sequence of actions and converts it once with
 :meth:`Schedule.of`.
 
-Two vectorized paths carry the numerics.  :func:`feature_matrix` is the one
-explicit embedding, over all rows at once; :func:`feature_map` is its one-row
-case.  :func:`loss_matrix` gives rows of the oblivious adversary's loss
-matrix L[t, j] = <Phi(a_j), w_t>: the kernel of the inner products with the
-actions for the schedule's points, and products with :func:`feature_matrix`
-for its explicit vectors.  Each row is its own matrix-vector product, so a
-row does not depend on the block it is computed in, and the one-row call is
-the loss vector of one round.  Callers that walk a whole schedule take
+Each kernel's formula is written once, in ``_kernel_of_inner``, from inner
+products (and, for the Gaussian, squared norms): the cross shape K(X_i, Y_j) serves
+:func:`cross_gram` and :func:`loss_matrix`, the paired shape K(X_i, Y_i) the
+norm checks and conditional gradient's losses.  :func:`feature_matrix` is
+the one explicit embedding.  :func:`loss_matrix` gives rows of the loss
+matrix L[t, j] = <Phi(a_j), w_t>; exponential weights and the bandit observe
+entries of these rows, the same entries the regret accounting charges.  Each
+row is its own matrix-vector product, so a row does not depend on the block
+it is computed in.  Callers that walk a whole schedule take
 ``_LOSS_BLOCK_ROWS`` rows at a time, slices of the schedule, so memory
 beyond the stored rows stays flat in the horizon.
 """
@@ -42,14 +43,12 @@ __all__ = [
     "ExplicitVector",
     "RankOne",
     "Schedule",
-    "kernel_eval",
     "cross_gram",
     "gram_matrix",
     "feature_map",
     "feature_matrix",
     "feature_dim",
     "has_feature_map",
-    "loss_eval",
     "loss_matrix",
     "adversary_norm",
     "make_explicit",
@@ -249,24 +248,6 @@ def feature_dim(spec: KernelSpec, d: int) -> int:
     )
 
 
-def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """K(x, y).  Symmetric in its arguments by construction."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise InputError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if spec.variant == "linear":
-        return float(x @ y)
-    if spec.variant == "quadratic":
-        s = float(x @ y)
-        return s * s + s
-    if spec.variant == "gaussian":
-        diff = x - y
-        return float(np.exp(-(diff @ diff) / (2.0 * spec.sigma**2)))
-    s = float(x @ y)
-    return (spec.offset + s) ** spec.degree
-
-
 def cross_gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Matrix of K(X_i, Y_j), vectorized over both point sets."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -276,19 +257,36 @@ def cross_gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _kernel_of_inner(spec, X @ Y.T, X, Y)
 
 
+def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """<X_i, Y_i> for each row i, one dot product per row: the bits of
+    ``X[i] @ Y[i]`` whatever the other rows are."""
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
 def _kernel_of_inner(spec: KernelSpec, S: np.ndarray, X: np.ndarray,
                      Y: np.ndarray) -> np.ndarray:
-    """K(X_i, Y_j) from the inner products S[i, j] = <X_i, Y_j>."""
+    """The kernel from inner products of the rows of X and Y: the cross
+    shape K(X_i, Y_j) from a 2-D S[i, j] = <X_i, Y_j>, or the paired shape
+    K(X_i, Y_i) from a 1-D S[i] = <X_i, Y_i>.  Each kernel's formula is
+    written here and nowhere else; only the Gaussian reads the points, for
+    their squared norms."""
     if spec.variant == "linear":
         return S
     if spec.variant == "quadratic":
         return S * S + S
     if spec.variant == "gaussian":
-        sq = (np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :]
-              - 2.0 * S)
+        x_sq, y_sq = np.sum(X * X, axis=1), np.sum(Y * Y, axis=1)
+        if S.ndim == 2:
+            x_sq, y_sq = x_sq[:, None], y_sq[None, :]
+        sq = x_sq + y_sq - 2.0 * S
         np.maximum(sq, 0.0, out=sq)
         return np.exp(-sq / (2.0 * spec.sigma**2))
     return (spec.offset + S) ** spec.degree
+
+
+def _kernel_of_pairs(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """K(X_i, Y_i) for each row i of two (n, d) arrays."""
+    return _kernel_of_inner(spec, _row_dots(X, Y), X, Y)
 
 
 def gram_matrix(spec: KernelSpec, points: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -359,8 +357,17 @@ def feature_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
 def adversary_norm(spec: KernelSpec, w: AdversaryAction) -> float:
     """Hilbert norm of an adversary action."""
     if isinstance(w, RankOne):
-        return float(np.sqrt(max(kernel_eval(spec, w.y, w.y), 0.0)))
+        y = np.atleast_2d(np.asarray(w.y, dtype=float))
+        return float(np.sqrt(max(_kernel_of_pairs(spec, y, y)[0], 0.0)))
     return float(np.linalg.norm(w.w))
+
+
+def _bounded(spec: KernelSpec, action: AdversaryAction) -> AdversaryAction:
+    """``action``, or InputError if its norm exceeds the kernel's bound G."""
+    norm = adversary_norm(spec, action)
+    if norm > spec.norm_bound_G + _NORM_TOL:
+        raise InputError(f"adversary norm {norm:.12g} exceeds bound {spec.norm_bound_G}")
+    return action
 
 
 def make_explicit(spec: KernelSpec, w: np.ndarray) -> ExplicitVector:
@@ -370,26 +377,12 @@ def make_explicit(spec: KernelSpec, w: np.ndarray) -> ExplicitVector:
             f"explicit adversary vectors require a finite feature map "
             f"({spec.variant} kernel has none)"
         )
-    w = np.asarray(w, dtype=float)
-    action = ExplicitVector(w)
-    norm = adversary_norm(spec, action)
-    if norm > spec.norm_bound_G + _NORM_TOL:
-        raise InputError(
-            f"adversary norm {norm:.12g} exceeds bound {spec.norm_bound_G}"
-        )
-    return action
+    return _bounded(spec, ExplicitVector(np.asarray(w, dtype=float)))
 
 
 def make_rank_one(spec: KernelSpec, y: np.ndarray) -> RankOne:
     """Rank-one adversary Phi(y), the mandatory form for the Gaussian kernel."""
-    y = np.asarray(y, dtype=float)
-    action = RankOne(y)
-    norm = adversary_norm(spec, action)
-    if norm > spec.norm_bound_G + _NORM_TOL:
-        raise InputError(
-            f"adversary norm {norm:.12g} exceeds bound {spec.norm_bound_G}"
-        )
-    return action
+    return _bounded(spec, RankOne(np.asarray(y, dtype=float)))
 
 
 def quadratic_adversary(spec: KernelSpec, A: np.ndarray, b: np.ndarray) -> ExplicitVector:
@@ -403,22 +396,6 @@ def quadratic_adversary(spec: KernelSpec, A: np.ndarray, b: np.ndarray) -> Expli
     if not np.allclose(A, A.T, atol=1e-12):
         raise InputError("A must be symmetric")
     return make_explicit(spec, np.concatenate([A.ravel(), b]))
-
-
-def _require_explicit_losses(spec: KernelSpec) -> None:
-    if not has_feature_map(spec):
-        raise InvalidCombinationError(
-            f"explicit adversary vector is invalid for the {spec.variant} kernel"
-        )
-
-
-def loss_eval(spec: KernelSpec, a: np.ndarray, w: AdversaryAction) -> float:
-    """Loss of playing a against adversary action w: <Phi(a), w>."""
-    a = np.asarray(a, dtype=float)
-    if isinstance(w, RankOne):
-        return kernel_eval(spec, a, w.y)
-    _require_explicit_losses(spec)
-    return float(feature_map(spec, a) @ w.w)
 
 
 def _row_products(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -438,12 +415,14 @@ def loss_matrix(spec: KernelSpec, actions: np.ndarray,
     The rank-one rows are the kernel of the inner products of the
     schedule's points with the actions; the explicit rows are products of
     its vectors with the embedded actions.  Both gather the stretch's rows
-    from the schedule's arrays, and a point whose dimension is not the actions', or a vector
-    whose length is not the feature dimension, raises InputError.  Each row
-    is computed on its own (see :func:`_row_products`), so a row's bits do
-    not depend on how the schedule is split into blocks; the one-action call
-    ``loss_matrix(spec, actions, [w])[0]`` is the loss vector of a single
-    round.
+    from the schedule's arrays, and a point whose dimension is not the
+    actions', or a vector whose length is not the feature dimension, raises
+    InputError.  Each row is computed on its own (see :func:`_row_products`),
+    so a row's bits do not depend on how the schedule is split into blocks:
+    the one-row call ``loss_matrix(spec, actions, [w])[0]`` has the bits of
+    that row of any block.  An entry's bits do depend on the number of
+    actions: a (1, d) action matrix takes another numpy kernel (a dot product,
+    not a matrix-vector product).
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     schedule = Schedule.of(schedule)
@@ -455,7 +434,9 @@ def loss_matrix(spec: KernelSpec, actions: np.ndarray,
             raise InputError(f"dimension mismatch: {Y.shape[1]} vs {actions.shape[1]}")
         L[rank_one] = _kernel_of_inner(spec, _row_products(actions, Y), Y, actions)
     if not rank_one.all():
-        _require_explicit_losses(spec)
+        if not has_feature_map(spec):
+            raise InvalidCombinationError(
+                f"explicit adversary vector is invalid for the {spec.variant} kernel")
         features = feature_matrix(spec, actions)
         W = schedule.explicit_vectors()
         if W.shape[1] != features.shape[1]:
@@ -471,7 +452,7 @@ def check_norm_bound(spec: KernelSpec, actions: np.ndarray) -> float:
     Returns the observed supremum.
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    diag = np.array([kernel_eval(spec, a, a) for a in actions])
+    diag = _kernel_of_pairs(spec, actions, actions)
     sup = float(np.sqrt(max(diag.max(), 0.0)))
     if sup > spec.norm_bound_G + _NORM_TOL:
         raise InputError(

@@ -132,11 +132,15 @@ def build_proxy(kernel: KernelSpec, points: np.ndarray, m: int | None, p: int,
     The p samples are rows of the point array ``points``, drawn uniformly
     with replacement from ``rng``.
     """
+    if p < 1:
+        raise InputError(f"need p >= 1 samples, got p={p}")
     if m is not None and m < 1:
         raise InputError("m must be >= 1")
     if m is not None and p < m:
         raise InputError(f"need p >= m, got p={p}, m={m}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[0] == 0:
+        raise InputError("points must be nonempty")
     idx = rng.integers(0, points.shape[0], size=p)
     return basis_from_samples(kernel, points[idx], m=m)
 

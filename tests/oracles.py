@@ -18,7 +18,10 @@ adversaries, one action object per round, the reference for the rows of
 their array schedules.  ``adversary_feature`` embeds one adversary action,
 ``mean_feature`` the feature-space mean of a convex combination, and
 ``min_oracle`` extends ``fullinfo.linear_min_oracle`` to finite sets by
-enumeration.  None of this is part of the learners themselves.
+enumeration.  ``kernel_eval`` and ``loss_eval`` are the scalar kernel and
+loss, each kernel's formula written out for one pair of points, the
+reference for the vectorized ``kernels.cross_gram`` and
+``kernels.loss_matrix``.  None of this is part of the learners themselves.
 """
 
 from __future__ import annotations
@@ -27,7 +30,12 @@ import numpy as np
 
 from kernelbandits import design
 from kernelbandits.design import DiscreteDistribution
-from kernelbandits.errors import InputError, RankDeficiencyError, ToleranceNotMetError
+from kernelbandits.errors import (
+    InputError,
+    InvalidCombinationError,
+    RankDeficiencyError,
+    ToleranceNotMetError,
+)
 from kernelbandits.fullinfo import (
     _ATOM_PRUNE,
     CGConfig,
@@ -44,11 +52,11 @@ from kernelbandits.kernels import (
     ExplicitVector,
     KernelSpec,
     RankOne,
+    _kernel_of_pairs,
     feature_dim,
     feature_map,
     feature_matrix,
     has_feature_map,
-    loss_eval,
     loss_matrix,
     make_explicit,
     make_rank_one,
@@ -59,6 +67,36 @@ from kernelbandits.rng import component_rng, sample_index
 # the rank-one-only Gaussian
 BIT_KERNELS = (KernelSpec.linear(G=1.0), KernelSpec.quadratic(G=2.0),
                KernelSpec.gaussian(0.5), KernelSpec.polynomial(3, 1.0, G=3.0))
+
+
+def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
+    """K(x, y).  Symmetric in its arguments by construction."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise InputError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    if spec.variant == "linear":
+        return float(x @ y)
+    if spec.variant == "quadratic":
+        s = float(x @ y)
+        return s * s + s
+    if spec.variant == "gaussian":
+        diff = x - y
+        return float(np.exp(-(diff @ diff) / (2.0 * spec.sigma**2)))
+    s = float(x @ y)
+    return (spec.offset + s) ** spec.degree
+
+
+def loss_eval(spec: KernelSpec, a: np.ndarray, w) -> float:
+    """Loss of playing a against adversary action w: <Phi(a), w>."""
+    a = np.asarray(a, dtype=float)
+    if isinstance(w, RankOne):
+        return kernel_eval(spec, a, w.y)
+    if not has_feature_map(spec):
+        raise InvalidCombinationError(
+            f"explicit adversary vector is invalid for the {spec.variant} kernel"
+        )
+    return float(feature_map(spec, a) @ w.w)
 
 
 def adversary_feature(spec: KernelSpec, w) -> np.ndarray:
@@ -302,7 +340,8 @@ def cg_fold_round(state: CGState, config: CGConfig, kernel: KernelSpec,
     t = state.t
     idx = sample_index(state.combo.weights, rng)
     a_t = state.combo.atoms[idx]
-    loss = loss_eval(kernel, a_t, w_t)
+    loss = (_kernel_of_pairs(kernel, a_t[None], w_t.y[None])[0] if isinstance(w_t, RankOne)
+            else loss_eval(kernel, a_t, w_t))
 
     gradient = config.eta * state.cum_adversary + 2.0 * (state.mean - state.x1)
     v_t = min_oracle(kernel, gradient, action_set)

@@ -18,6 +18,8 @@ def test_parse_kernel_variants():
         parse_kernel("mystery")
     with pytest.raises(InputError):
         parse_kernel("gaussian")
+    assert parse_kernel("gaussian:0.5:2").norm_bound_G == 2.0
+    assert parse_kernel("poly:2:1:3").norm_bound_G == 3.0
 
 
 def test_parse_actions_ball():
@@ -77,6 +79,18 @@ def test_run_summary_pseudo_regret_null_without_expected_losses(tmp_path):
     assert summary["covariance_floor"] is None
 
 
+def test_discretization_error_reported(tmp_path):
+    # ball:K actions cover the circle to within 2 sin(pi / 2K); summary.json
+    # reports G^2 times that radius
+    out = tmp_path / "results"
+    assert main(["run", "--algo", "cg", "--kernel", "linear", "--actions", "ball:64",
+                 "--adversary", "iid-unit", "--n", "10", "--seeds", "0",
+                 "--params", "paper", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["discretization_error"] == pytest.approx(
+        1.0 * 2 * np.sin(np.pi / 128))
+
+
 def test_run_summary_reports_covariance_floor_certificate(tmp_path):
     # the bandit certifies its covariance floor gamma / (2m) once per run;
     # summary.json carries the floor and the certified lower bound
@@ -124,6 +138,12 @@ def test_run_command_input_error_exit_code(tmp_path):
     {"config": {"bogus": 1}},
     {"actions": "BAD_CSV"},
     {"adversary": "periodic:BAD_CSV"},
+    {"adversary": "periodic:BIG_CSV"},
+    {"adversary": "schedule:BIG_CSV"},
+    {"kernel": "linear:1:2:3"},
+    {"kernel": "quadratic:2:9"},
+    {"kernel": "gaussian:0.5:1:7"},
+    {"kernel": "poly:2:1:4:5"},
 ], ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()))
 def test_run_command_malformed_input_exits_2(tmp_path, capsys, flags):
     args = {"algo": "fullinfo_ew", "kernel": "linear", "actions": "ball:8",
@@ -131,8 +151,11 @@ def test_run_command_malformed_input_exits_2(tmp_path, capsys, flags):
             "out": str(tmp_path / "out"), **flags}
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("0.1,abc\n0.2,0.3\n")
-    args = {key: value.replace("BAD_CSV", str(bad_csv)) if isinstance(value, str) else value
-            for key, value in args.items()}
+    # a point of norm 5 under G = 1, among five of norm 1
+    big_csv = tmp_path / "big.csv"
+    big_csv.write_text("5,0\n" + "0.6,0.8\n" * 5)
+    args = {key: value.replace("BAD_CSV", str(bad_csv)).replace("BIG_CSV", str(big_csv))
+            if isinstance(value, str) else value for key, value in args.items()}
     if "config" in args:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(args["config"]))
@@ -177,6 +200,14 @@ def test_design_command(tmp_path, capsys):
     assert weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_design_command_refuses_tolerance(tmp_path, capsys, tol):
+    feats = tmp_path / "feats.csv"
+    feats.write_text("1,0\n0,1\n0.5,0.5\n")
+    assert main(["design", "--features", str(feats), "--tol", tol]) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
 def test_sample_quad_command(tmp_path):
     B = tmp_path / "B.csv"
     b = tmp_path / "b.csv"
@@ -199,6 +230,14 @@ def test_proxy_check_command(capsys):
     report = json.loads(capsys.readouterr().out.strip())
     assert report["certified"] is True
     assert report["sup_error"] <= 0.05
+
+
+@pytest.mark.parametrize("flag, value", [("--grid", "0"), ("--dim", "0"), ("--p", "0")])
+def test_proxy_check_input_errors_exit_2(capsys, flag, value):
+    args = {"--kernel": "gaussian:0.5", "--p": "20", "--eps": "0.05", "--grid": "5",
+            flag: value}
+    assert main(["proxy-check"] + [item for pair in args.items() for item in pair]) == 2
+    assert "input error:" in capsys.readouterr().err
 
 
 def test_config_file_overrides(tmp_path):

@@ -127,6 +127,16 @@ def test_design_iteration_cap_raises_without_certificate(monkeypatch):
     assert err.value.iterations == 3 and err.value.achieved_gap > 1e-6
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_design_refuses_tolerance_before_the_first_step(monkeypatch, tol):
+    def no_steps(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(design, "_leverages", no_steps)
+    with pytest.raises(InputError):
+        d_optimal_design(np.eye(3), tol=tol)
+
+
 def test_action_covariance_examples():
     cov = action_covariance(np.full(3, 1.0 / 3), np.eye(3))
     assert np.allclose(cov, np.eye(3) / 3)

@@ -459,15 +459,29 @@ def test_schedule_hash_bytes_are_pinned():
         "dc0f32d901a0d3071c2a45360c417d21713a87b85004aee08765661071a4c45b")
 
 
-def test_discretization_error_reported():
-    actions = ball_directions(64)
-    config = ExperimentConfig(algo="cg", kernel=LINEAR, actions=actions,
-                              adversary=unit_vector_adversary(2), n=10,
-                              seeds=(0,), params="paper",
-                              covering_radius=2 * np.sin(np.pi / 128))
+_OBSERVED_KERNELS = {"linear": (KernelSpec.linear(), 3),
+                     "quadratic": (KernelSpec.quadratic(), 9),
+                     "gaussian": (KernelSpec.gaussian(0.5), 15)}
+
+
+@pytest.mark.parametrize("algo", ["bandit_ew", "fullinfo_ew"])
+@pytest.mark.parametrize("name", list(_OBSERVED_KERNELS))
+def test_learners_observe_the_charged_loss_matrix_entries(algo, name):
+    # the loss a learner observes is the entry of the loss matrix that the
+    # regret accounting charges, bit for bit, on both sides of a block edge
+    kernel, m = _OBSERVED_KERNELS[name]
+    actions = component_rng(21, "observed-actions").standard_normal((20, 3))
+    actions /= 1.25 * np.linalg.norm(actions, axis=1)[:, None]
+    params = {"eta": 0.05, "gamma": 0.5} if algo == "bandit_ew" else {"eta": 0.05}
+    config = ExperimentConfig(algo=algo, kernel=kernel, actions=actions,
+                              adversary=unit_vector_adversary(3), n=300, seeds=(0, 1),
+                              params=params, proxy_m=m)
     result = run_experiment(config)
-    assert result.discretization_error == pytest.approx(
-        1.0 * 2 * np.sin(np.pi / 128))
+    for seed, trace in zip(config.seeds, result.traces):
+        schedule = config.adversary.materialize(config.n, component_rng(seed, "adversary"))
+        L = loss_matrix(kernel, actions, schedule)
+        charged = L[np.arange(config.n), trace.action_indices]
+        assert trace.losses.tobytes() == charged.tobytes(), seed
 
 
 def test_bandit_experiment_end_to_end():

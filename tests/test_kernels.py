@@ -17,8 +17,6 @@ from kernelbandits.kernels import (
     feature_map,
     feature_matrix,
     gram_matrix,
-    kernel_eval,
-    loss_eval,
     loss_matrix,
     make_explicit,
     make_rank_one,
@@ -26,7 +24,7 @@ from kernelbandits.kernels import (
     validate_points,
 )
 from kernelbandits.rng import component_rng
-from oracles import BIT_KERNELS, kernel_schedules
+from oracles import BIT_KERNELS, kernel_eval, kernel_schedules, loss_eval
 
 LINEAR = KernelSpec.linear(G=1.0)
 QUAD = KernelSpec.quadratic(G=2.0)

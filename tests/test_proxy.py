@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kernelbandits.errors import DegenerateSpectrumWarning, InputError
-from kernelbandits.kernels import KernelSpec, feature_matrix, gram_matrix, kernel_eval
+from kernelbandits.kernels import KernelSpec, feature_matrix, gram_matrix
 from kernelbandits.proxy import (
     EigendecayProfile,
     approximation_sup_error,
@@ -15,6 +15,7 @@ from kernelbandits.proxy import (
     proxy_features,
 )
 from kernelbandits.rng import component_rng
+from oracles import kernel_eval
 
 LINEAR = KernelSpec.linear(G=3.0)
 GAUSS_HALF = KernelSpec.gaussian(0.5)
@@ -193,3 +194,8 @@ def test_build_proxy_input_validation():
         build_proxy(LINEAR, np.eye(3), m=5, p=3, rng=rng)
     with pytest.raises(InputError):
         build_proxy(LINEAR, np.eye(3), m=0, p=3, rng=rng)
+    # no samples, or no points to draw them from
+    with pytest.raises(InputError):
+        build_proxy(LINEAR, np.eye(3), m=None, p=0, rng=rng)
+    with pytest.raises(InputError):
+        build_proxy(LINEAR, np.empty((0, 3)), m=None, p=4, rng=rng)
