@@ -3,21 +3,25 @@
 Each round mixes the exponential-weights distribution with a fixed
 exploration design, plays one action, observes only its loss under the true
 kernel, and reconstructs an estimate of the adversary's proxy-feature vector
-by solving against the covariance of the mixed play distribution.  The
-exploration design keeps that covariance invertible: with the D-optimal
-design over whitened features its smallest eigenvalue is at least gamma / m
-in exact arithmetic.  :func:`run_bandit` certifies the floor gamma / (2m),
-slack for rounding, once per run from the design alone
-(:func:`certify_covariance_floor`); :func:`bandit_round`, the one-round entry,
-checks its own round's covariance by a Cholesky factorization.  The exact
-smallest eigenvalue is computed, and checked against the floor, only on the
-rounds it is recorded.
+from the covariance of the mixed play distribution.  The exploration design
+keeps that covariance invertible: with the D-optimal design over whitened
+features its smallest eigenvalue is at least gamma / m in exact arithmetic.
+:func:`run_bandit` certifies the floor gamma / (2m), slack for rounding, once
+per run from the design alone (:func:`certify_covariance_floor`);
+:func:`bandit_round`, the one-round entry, checks its own round's covariance
+by a Cholesky factorization.  The exact smallest eigenvalue is computed, and
+checked against the floor, only on the rounds it is recorded.
 
 The observed loss is the played entry of a row of
 :func:`~kernelbandits.kernels.loss_matrix`, the entry the regret accounting
-charges.  A round costs about one symmetric product, the covariance X^T X
-with X = sqrt(p_t) * F (:func:`~kernelbandits.design.action_covariance`),
-and one LU solve.
+charges.  The estimate takes one of two paths, chosen once per run from the
+inputs (see :func:`run_bandit`).  On the covariance path a round costs about
+one symmetric product, the covariance X^T X with X = sqrt(p_t) * F
+(:func:`~kernelbandits.design.action_covariance`), and one m x m LU solve.
+When the proxy rank m exceeds N / 2 and every design weight is at least
+1 / (2m), the complement path replaces both by one k x k solve in the
+k = N - m dimensional complement of the features' column space, and forms
+the covariance only on the rounds its smallest eigenvalue is recorded.
 """
 
 from __future__ import annotations
@@ -153,7 +157,10 @@ def theorem_regret_bound(config: BanditConfig, G: float, num_actions: int) -> fl
 def estimate_adversary(sigma: np.ndarray, phi_a: np.ndarray,
                        observed_loss: float) -> np.ndarray:
     """One-sample adversary estimate: observed loss times Sigma^-1 Phi(a),
-    by a linear solve against the play covariance Sigma."""
+    by an LU solve against the play covariance Sigma.  This is the
+    covariance path; a run whose inputs allow it computes the same estimate
+    through the complement of the features' column space instead (see
+    :func:`run_bandit`)."""
     return observed_loss * np.linalg.solve(sigma, phi_a)
 
 
@@ -184,31 +191,84 @@ def certify_covariance_floor(config: BanditConfig, features: np.ndarray,
     return floor, bound
 
 
-def _play_covariance(state: WeightState, config: BanditConfig,
-                     exploration: DiscreteDistribution,
-                     features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The play distribution p_t = (1 - gamma) q_t + gamma nu and its
-    covariance Sigma_t."""
-    p = (1.0 - config.gamma) * state.probabilities() + config.gamma * exploration.weights
-    return p, action_covariance(p, features)
+def _estimator_path(config: BanditConfig, features: np.ndarray,
+                    exploration: DiscreteDistribution) -> dict:
+    """The estimator a run takes, decided from its inputs: the complement
+    path when k = N - m < m and gamma min nu >= gamma / (2m), else the
+    covariance path.  Returns the path, k and the certified lower bound
+    gamma min nu on every play probability."""
+    num, m = features.shape
+    bound = config.gamma * float(exploration.weights.min())
+    complement = num - m < m and bound >= _covariance_floor(config, features)
+    return {"path": "complement" if complement else "covariance", "k": num - m,
+            "probability_lower_bound": bound}
+
+
+@dataclass(frozen=True)
+class _Complement:
+    """An orthonormal basis Z (N x k) of null(F^T), the complement of the
+    features' column space, and the back-projection F^+ = R^-1 Q_1^T (m x N),
+    both from one complete QR factorization F = Q R."""
+
+    basis: np.ndarray
+    back: np.ndarray
+
+
+def _complement(config: BanditConfig, features: np.ndarray,
+                exploration: DiscreteDistribution) -> _Complement | None:
+    """The complement of the features' column space when the run takes the
+    complement path, None on the covariance path."""
+    if _estimator_path(config, features, exploration)["path"] != "complement":
+        return None
+    m = features.shape[1]
+    q, r = np.linalg.qr(features, mode="complete")
+    return _Complement(np.ascontiguousarray(q[:, m:]), np.linalg.solve(r[:m], q[:, :m].T))
+
+
+def _complement_estimate(basis: np.ndarray, p: np.ndarray, idx: int,
+                         loss: float) -> np.ndarray:
+    """The estimated loss of every action, loss * F Sigma^-1 Phi(a_idx),
+    through the complement basis Z: (loss / p_i)(e_i - Y c) with Y = Z / p
+    and c = (Z^T Y)^-1 Z^T e_i (see :func:`run_bandit`)."""
+    y = basis / p[:, None]
+    v = -(y @ np.linalg.solve(basis.T @ y, basis[idx]))
+    v[idx] += 1.0
+    return (loss / p[idx]) * v
+
+
+def _play_distribution(state: WeightState, config: BanditConfig,
+                       exploration: DiscreteDistribution) -> np.ndarray:
+    """The play distribution p_t = (1 - gamma) q_t + gamma nu."""
+    return (1.0 - config.gamma) * state.probabilities() + config.gamma * exploration.weights
 
 
 def _play_round(state: WeightState, config: BanditConfig, features: np.ndarray,
-                p: np.ndarray, sigma: np.ndarray, losses: np.ndarray,
+                complement: _Complement | None, p: np.ndarray,
+                sigma: np.ndarray | None, losses: np.ndarray,
                 rng: np.random.Generator) -> tuple[WeightState, BanditRecord]:
     """A round whose covariance floor is certified: draw, observe the played
     entry of the loss row ``losses``, sample lambda_min, estimate, step and
-    record."""
+    record.  ``sigma`` is the round's covariance, or None to form it only
+    where it is read: every round of the covariance path, and the sampled
+    rounds of the complement path."""
     idx = sample_index(p, rng)
     loss = losses[idx]
+    sampled = state.round % _MIN_EIG_EVERY == 0
+    if sigma is None and (complement is None or sampled):
+        sigma = action_covariance(p, features)
     min_eig = None
-    if state.round % _MIN_EIG_EVERY == 0:
+    if sampled:
         min_eig = float(np.linalg.eigvalsh(sigma)[0])
         floor = _covariance_floor(config, features)
         if not min_eig > floor:
             raise IllConditionedCovarianceError(min_eig, floor)
-    w_hat = estimate_adversary(sigma, features[idx], loss)
-    new_state = state.stepped(-config.eta * (features @ w_hat))
+    if complement is None:
+        w_hat = estimate_adversary(sigma, features[idx], loss)
+        loss_hat = features @ w_hat
+    else:
+        loss_hat = _complement_estimate(complement.basis, p, idx, loss)
+        w_hat = complement.back @ loss_hat
+    new_state = state.stepped(-config.eta * loss_hat)
     return new_state, BanditRecord(state.round + 1, idx, float(loss), w_hat, min_eig)
 
 
@@ -224,14 +284,19 @@ def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
     any features and design, so it checks its own round: the covariance
     floor gamma / (2m), not the exact gamma / m, as slack for rounding, by a
     Cholesky factorization before the draw.  The record carries the exact
-    smallest eigenvalue on the sampled rounds only (see BanditRecord).
+    smallest eigenvalue on the sampled rounds only (see BanditRecord).  The
+    estimate takes the path :func:`run_bandit` would take on the same
+    inputs, so a run is a fold of this step; on the complement path each
+    call pays the run's one QR factorization.
     """
     if state.round >= config.n:
         raise PreconditionError(f"horizon {config.n} already reached")
-    p, sigma = _play_covariance(state, config, exploration, features)
+    p = _play_distribution(state, config, exploration)
+    sigma = action_covariance(p, features)
     check_covariance_floor(sigma, _covariance_floor(config, features))
     losses = loss_matrix(kernel, actions, [w_t])[0]
-    return _play_round(state, config, features, p, sigma, losses, rng)
+    complement = _complement(config, features, exploration)
+    return _play_round(state, config, features, complement, p, sigma, losses, rng)
 
 
 def prepare_bandit_features(basis: SampleBasis, actions: np.ndarray):
@@ -302,6 +367,61 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     every round.  As a runtime cross-check the sampled exact lambda_min
     (rounds 1, 51, 101, ...) raises IllConditionedCovarianceError if it is
     not above the floor.
+
+    The estimate.  Only the vector loss * F Sigma_t^-1 Phi(a_i) enters the
+    weight update (i the played index, Phi(a_i) = F^T e_i, F of full column
+    rank m).  Let D = diag(p_t) and let Z be an orthonormal basis of
+    null(F^T), k = N - m columns.  When D is positive, D^(1/2) F and
+    D^(-1/2) Z span orthogonal complements of R^N, since their cross product
+    is F^T Z = 0, so the projector onto the first is
+    I - D^(-1/2) Z M^-1 Z^T D^(-1/2) with M = Z^T D^-1 Z, and
+
+        F Sigma_t^-1 F^T = D^-1 - D^-1 Z M^-1 Z^T D^-1.
+
+    Column i gives the estimate (loss / p_i)(e_i - Y c), Y = D^-1 Z and
+    c = M^-1 Z^T e_i (:func:`_complement_estimate`): one k x k solve in place
+    of Sigma_t and its m x m LU.  The run takes this complement path when
+    k < m (it then costs about N k^2 < N m^2 flops a round) and
+    gamma min nu >= gamma / (2m); both are decided once, from the inputs.
+    The weights step by the estimated losses themselves.  One complete QR,
+    F = Q R, gives Z (the last k columns of Q) and the back-projection
+    F^+ = R^-1 Q_1^T, which turns the estimated losses into the recorded
+    w_hat.  Sigma_t is formed only on the sampled rounds.
+
+    The second condition bounds every play probability below: as above,
+    p_i >= gamma nu_i (1 - 2u) >= (gamma / 2m)(1 - 2u) > 0, so D^-1 is finite
+    and no p_i underflows.  Since p_i <= 1 and Z^T Z = I, the spectrum of M
+    lies in [1, 1 / min p] within [1, 2m / gamma], to first order in u: the
+    amplification 1 / lambda_min <= 2m / gamma that the floor gives Sigma_t
+    (for whitened features, whose norms are at most 1).  With c = 10 as
+    above, the rounding it has to absorb, to first order, is:
+
+    - the Householder QR gives Z with Z^T Z = I and F^T Z = 0 to within
+      c N u (Higham 2002, section 19.3): a perturbation of the features of
+      relative size c N u, the order of the roundings in Sigma_t itself;
+    - Y = Z / p rounds once per entry and Z^T Y sums N terms, so M is off by
+      at most gamma_{N+1} |Z|^T D^-1 |Z|, whose spectral norm is at most its
+      trace, tr M <= k ||M||; the LU of M is backward stable within c k u ||M||.
+      So c, with ||c|| <= ||M^-1|| <= 1, is off by at most
+      (N + 1 + c) k u ||M|| <= (N + 1 + c) k u / min p;
+    - Y c then carries that error times ||Y|| <= 1 / min p, plus
+      gamma_k |Y| |c| <= k^(3/2) u / min p, and forming e_i - Y c and the scale
+      loss / p_i add three roundings of size at most (1 + 1 / min p) u.
+
+    Since 1 / min p >= N >= 2 and k < N, these sum to at most
+
+        (N + 2 + c)(k + 1) u (1 / min p)^2 |loss| / p_i
+            <= (N + 2 + c)(k + 1) u (2m / gamma)^2 |loss| / p_i
+
+    in 2-norm.  The covariance path, with lam = lambda_min(Sigma_t) and
+    M_F = max_i ||f_i||^2, is within
+    ||F||_F ||f_i|| ((N + 4 + c m) M_F / lam^2 + (m + 1) / lam) u |loss|: the
+    error (N + 4 + c m) u M_F of Sigma_t and of its LU, amplified by
+    ||Sigma_t^-1||^2 ||f_i||, and the rounding of F w_hat.  Both bounds grow
+    with the amplification squared, (2m / gamma)^2 for whitened features.
+    Without the floor on nu, min p is bounded only by gamma min nu, which
+    can be 0, so 1 / p_j can be infinite; the covariance path stays for
+    those designs, and for k >= m.
     """
     schedule = Schedule.of(schedule)
     if len(schedule) < config.n:
@@ -309,12 +429,14 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
                          f"horizon n = {config.n}")
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     certify_covariance_floor(config, features, exploration)
+    complement = _complement(config, features, exploration)
     state = WeightState.uniform(actions.shape[0])
     records = []
     for start in range(0, config.n, _LOSS_BLOCK_ROWS):
         block = schedule[start:min(start + _LOSS_BLOCK_ROWS, config.n)]
         for losses in loss_matrix(kernel, actions, block):
-            p, sigma = _play_covariance(state, config, exploration, features)
-            state, rec = _play_round(state, config, features, p, sigma, losses, rng)
+            p = _play_distribution(state, config, exploration)
+            state, rec = _play_round(state, config, features, complement, p, None,
+                                     losses, rng)
             records.append(rec)
     return records, state

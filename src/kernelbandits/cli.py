@@ -183,6 +183,8 @@ def _cmd_run(args) -> int:
         "discretization_error": discretization,
         # bandit_ew only: the floor gamma / (2m) and its once-per-run certificate
         "covariance_floor": result.details.get("covariance_floor"),
+        # bandit_ew only: the estimator path, k = N - m, and gamma min nu
+        "bandit_estimator": result.details.get("bandit_estimator"),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))

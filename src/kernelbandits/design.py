@@ -9,10 +9,12 @@ distribution its gamma/m eigenvalue floor.  `action_covariance` (the second
 moment) and `check_covariance_floor` (a Cholesky test that its smallest
 eigenvalue is above a floor) are the one covariance path.  The second moment
 of nonnegative weights w is X^T X with X = sqrt(w) * F, one symmetric
-product, so it is symmetric by construction.  The bandit forms the
-covariance every round and solves against it; a whole run certifies its
-floor once, from the design's covariance, and the one-round entry
-`bandit.bandit_round` checks its round by `check_covariance_floor`.
+product, so it is symmetric by construction.  On its covariance path the
+bandit forms the covariance every round and solves against it (its
+complement path forms it only on the rounds it records lambda_min); a whole
+run certifies its floor once, from the design's covariance, and the
+one-round entry `bandit.bandit_round` checks its round by
+`check_covariance_floor`.
 """
 
 from __future__ import annotations

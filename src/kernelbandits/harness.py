@@ -323,6 +323,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         details["bandit_config"] = bcfg
         details["design_center_offset"] = center_offset
         details["covariance_floor"] = {"floor": floor, "certified_lower_bound": bound}
+        details["bandit_estimator"] = _bandit._estimator_path(bcfg, features, nu)
 
     for seed in config.seeds:
         adv_rng = component_rng(seed, "adversary")

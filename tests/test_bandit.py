@@ -20,6 +20,7 @@ from kernelbandits.design import (
     DiscreteDistribution,
     action_covariance,
     check_covariance_floor,
+    whiten_features,
 )
 from kernelbandits.errors import (
     HorizonTooShortError,
@@ -33,6 +34,7 @@ from kernelbandits.rng import component_rng
 from kernelbandits.weights import WeightState
 
 LINEAR = KernelSpec.linear(G=1.0)
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 def spanning_unit_vectors(n, d, seed=0):
@@ -258,12 +260,43 @@ def _gaussian_setup(n=120, m=20, p=60):
     return kernel, actions, features, nu, cfg
 
 
-@pytest.mark.parametrize("case", ["linear", "gaussian", "gaussian-full-rank"])
+def _complement_setup(n=120):
+    # 20 circle directions under gaussian:0.5, proxy rank m = 15 (k = 5 < m)
+    # and every design weight at least 1 / (2m): the complement path, the
+    # regime of the bench's m = 127 of N = 150
+    from kernelbandits.harness import ball_directions
+
+    kernel = KernelSpec.gaussian(0.5)
+    actions = ball_directions(20)
+    basis = build_proxy(kernel, actions, m=15, p=40, rng=component_rng(0, "proxy"))
+    features, nu, _ = prepare_bandit_features(basis, actions)
+    cfg = BanditConfig(eta=0.05, gamma=0.5, m=features.shape[1], eps=0.0, n=n)
+    return kernel, actions, features, nu, cfg
+
+
+def _path(cfg, features, nu) -> str:
+    return bandit._estimator_path(cfg, features, nu)["path"]
+
+
+def _path_case(case, n):
+    # the linear setup (m = 3 of N = 20) on the covariance path, or the
+    # complement setup on the complement path
+    if case == "linear":
+        kernel = LINEAR
+        actions, features, nu, cfg = _setup(n=n)
+    else:
+        kernel, actions, features, nu, cfg = _complement_setup(n=n)
+    assert _path(cfg, features, nu) == ("covariance" if case == "linear" else "complement")
+    return kernel, actions, features, nu, cfg
+
+
+@pytest.mark.parametrize("case", ["linear", "gaussian", "gaussian-full-rank",
+                                  "complement"])
 def test_run_bandit_is_a_fold_of_bandit_round(case):
     # run_bandit and bandit_round share one round body; the run must have
     # the bits of stepping bandit_round from the uniform start.  The
-    # full-rank case has m >= 0.8 N, the regime of the bench's m = 127 of
-    # N = 150.
+    # full-rank case has m >= 0.8 N but design weights below 1 / (2m), so it
+    # stays on the covariance path; the complement case takes the other.
     from kernelbandits.harness import unit_vector_adversary
 
     if case == "linear":
@@ -272,10 +305,15 @@ def test_run_bandit_is_a_fold_of_bandit_round(case):
     elif case == "gaussian":
         kernel, actions, features, nu, cfg = _gaussian_setup(n=120)
         assert features.shape[1] >= 20
-    else:
+    elif case == "gaussian-full-rank":
         kernel, actions, features, nu, cfg = _gaussian_setup(n=120, m=27, p=90)
         assert features.shape[1] >= 0.8 * features.shape[0]
-    schedule = unit_vector_adversary(3).materialize(120, component_rng(13, "adv"))
+    else:
+        kernel, actions, features, nu, cfg = _complement_setup(n=120)
+    assert _path(cfg, features, nu) == ("complement" if case == "complement"
+                                        else "covariance")
+    schedule = unit_vector_adversary(actions.shape[1]).materialize(
+        120, component_rng(13, "adv"))
     records, state = run_bandit(kernel, actions, features, nu, cfg, schedule,
                                 component_rng(13, "player"))
     fold_state, fold = WeightState.uniform(actions.shape[0]), []
@@ -310,13 +348,16 @@ def test_weights_concentrate_on_zero_loss_action():
     assert np.mean(mass) > 0.95
 
 
-def test_loss_estimate_magnitude_bound():
+@pytest.mark.parametrize("case", ["linear", "complement"])
+def test_loss_estimate_magnitude_bound(case):
+    # eta |l-hat| <= 1 under the theorem schedule gamma = 4 eta G^4 m
     from kernelbandits.harness import unit_vector_adversary
 
-    actions, features, nu, cfg = _setup(n=1000)
-    schedule = unit_vector_adversary(3).materialize(
+    kernel, actions, features, nu, cfg = _path_case(case, n=1000)
+    cfg = general_theorem_config(actions.shape[0], 1000, G=1.0, m=features.shape[1])
+    schedule = unit_vector_adversary(actions.shape[1]).materialize(
         1000, component_rng(6, "adversary"))
-    records, _ = run_bandit(LINEAR, actions, features, nu, cfg, schedule,
+    records, _ = run_bandit(kernel, actions, features, nu, cfg, schedule,
                             component_rng(6, "player"))
     worst = max(cfg.eta * np.abs(features @ r.w_hat).max() for r in records)
     assert worst <= 1.0 + 1e-9
@@ -364,25 +405,109 @@ def test_bit_for_bit_determinism(tmp_path):
         assert a.min_eig_sigma == b.min_eig_sigma
 
 
-def test_min_eig_recorded_on_sampled_rounds():
+@pytest.mark.parametrize("case", ["linear", "complement"])
+def test_min_eig_recorded_on_sampled_rounds(case):
     # bandit_round checks the floor on every call; the exact lambda_min is
     # recorded on rounds 1, 51, 101, ... and equals eigvalsh of that round's
-    # covariance
+    # covariance, on the complement path too, which forms it only there
     from kernelbandits.harness import unit_vector_adversary
 
-    actions, features, nu, cfg = _setup(n=120)
-    schedule = unit_vector_adversary(3).materialize(120, component_rng(10, "adv"))
+    kernel, actions, features, nu, cfg = _path_case(case, n=120)
+    schedule = unit_vector_adversary(actions.shape[1]).materialize(
+        120, component_rng(10, "adv"))
     state = WeightState.uniform(actions.shape[0])
     rng = component_rng(10, "player")
     for w_t in schedule:
         p = (1.0 - cfg.gamma) * state.probabilities() + cfg.gamma * nu.weights
-        state, rec = bandit_round(state, cfg, LINEAR, actions, features, nu, w_t, rng)
+        state, rec = bandit_round(state, cfg, kernel, actions, features, nu, w_t, rng)
         if rec.round in (1, 51, 101):
             exact = np.linalg.eigvalsh(action_covariance(p, features))[0]
             assert rec.min_eig_sigma == pytest.approx(exact, abs=1e-12)
             assert rec.min_eig_sigma >= cfg.gamma / (2 * cfg.m)
         else:
             assert rec.min_eig_sigma is None
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5, 0.05])
+@pytest.mark.parametrize("concentration", [1.0, 0.1])
+def test_complement_estimate_matches_the_covariance_solve(gamma, concentration):
+    # F Sigma^-1 F^T = D^-1 - D^-1 Z (Z^T D^-1 Z)^-1 Z^T D^-1 (run_bandit's
+    # docstring): for random whitened features, as the bandit plays them, and
+    # play distributions whose smallest probability is gamma / (2m), the
+    # complement estimate of every action agrees with the LU solve within the
+    # sum of the two paths' first-order rounding bounds derived there
+    rng = component_rng(14, "complement")
+    num, m = 40, 30
+    k = num - m
+    nu = DiscreteDistribution.uniform(num)
+    features = whiten_features(rng.standard_normal((num, m)), nu)
+    cfg = BanditConfig(eta=0.1, gamma=gamma, m=m, eps=0.0, n=10)
+    complement = bandit._complement(cfg, features, nu)
+    Z = complement.basis
+    assert Z.shape == (num, k)
+    assert np.abs(Z.T @ Z - np.eye(k)).max() <= 10 * num * _UNIT_ROUNDOFF
+    assert np.abs(features.T @ Z).max() <= 10 * num * _UNIT_ROUNDOFF * np.abs(features).max()
+    assert np.abs(complement.back @ features - np.eye(m)).max() <= 1e-12
+    floor = gamma / (2 * m)
+    frob = np.linalg.norm(features)
+    sq_norm_max = float(np.einsum("ij,ij->i", features, features).max())
+    for _ in range(5):
+        q = rng.dirichlet(np.full(num, concentration))
+        p = floor + (1.0 - num * floor) * q
+        p[int(np.argmin(q))] = floor
+        p_min = float(p.min())
+        assert p_min >= floor * (1 - 4 * _UNIT_ROUNDOFF)
+        spectrum = np.linalg.eigvalsh(Z.T @ (Z / p[:, None]))
+        assert spectrum[0] >= 1.0 - 1e-12
+        assert spectrum[-1] <= (1.0 / p_min) * (1 + 1e-12) <= 2 * m / gamma * (1 + 1e-12)
+        sigma = action_covariance(p, features)
+        lam = float(np.linalg.eigvalsh(sigma)[0])
+        for i in range(num):
+            loss = float(rng.uniform(-1.0, 1.0))
+            via_complement = bandit._complement_estimate(Z, p, i, loss)
+            via_covariance = features @ estimate_adversary(sigma, features[i], loss)
+            f_i = float(np.linalg.norm(features[i]))
+            bound_complement = (num + 12) * (k + 1) * _UNIT_ROUNDOFF * abs(loss) / (
+                p[i] * p_min**2)
+            bound_covariance = frob * f_i * _UNIT_ROUNDOFF * abs(loss) * (
+                (num + 4 + 10 * m) * sq_norm_max / lam**2 + (m + 1) / lam)
+            gap = float(np.linalg.norm(via_complement - via_covariance))
+            assert gap <= bound_complement + bound_covariance
+
+
+def test_estimator_path_selection():
+    # the complement path needs k = N - m < m and gamma min nu >= gamma / (2m)
+    _, _, features, nu, cfg = _gaussian_setup()
+    assert features.shape == (30, 20) and nu.weights.min() == 0.0
+    assert bandit._estimator_path(cfg, features, nu) == {
+        "path": "covariance", "k": 10, "probability_lower_bound": 0.0}
+    assert bandit._complement(cfg, features, nu) is None
+    # the same features under the uniform design, and with one weight just
+    # below or above 1 / (2m), the rest raised to keep the sum at 1
+    uniform = DiscreteDistribution.uniform(30)
+    assert _path(cfg, features, uniform) == "complement"
+    low = np.full(30, 1.0 / 30)
+    low[0] = 0.99 / (2 * 20)
+    low[1:] = (1.0 - low[0]) / 29
+    assert _path(cfg, features, DiscreteDistribution(low)) == "covariance"
+    low[0] = 1.01 / (2 * 20)
+    low[1:] = (1.0 - low[0]) / 29
+    assert _path(cfg, features, DiscreteDistribution(low)) == "complement"
+    # k >= m: the linear setup (m = 3 of N = 20) and the edge N = 2m
+    _, features, nu, cfg = _setup(n=100)
+    assert bandit._estimator_path(cfg, features, nu)["k"] == 17
+    assert _path(cfg, features, nu) == "covariance"
+    assert _path(cfg, features, DiscreteDistribution.uniform(20)) == "covariance"
+    edge = component_rng(15, "edge").standard_normal((6, 3))
+    cfg3 = BanditConfig(eta=0.1, gamma=0.5, m=3, eps=0.0, n=10)
+    assert _path(cfg3, edge, DiscreteDistribution.uniform(6)) == "covariance"
+    assert _path(cfg3, edge[:5], DiscreteDistribution.uniform(5)) == "complement"
+    # the bench's regime: m = 15 of N = 20 circle directions
+    _, _, features, nu, cfg = _complement_setup()
+    estimator = bandit._estimator_path(cfg, features, nu)
+    assert estimator["path"] == "complement" and estimator["k"] == 5
+    assert estimator["probability_lower_bound"] == cfg.gamma * nu.weights.min()
+    assert estimator["probability_lower_bound"] >= cfg.gamma / (2 * cfg.m)
 
 
 # sha256 of the action indices (int64) and losses (float64) of one seeded
@@ -394,6 +519,11 @@ _BANDIT_RUN_SHA256 = "b013ea67697df2386611850b9eb7d970eec5e9e56630e0fe739a8ca4ec
 # the same for gaussian:0.5 on 30 unit vectors, proxy rank m = 20, n = 300
 _GAUSSIAN_BANDIT_RUN_SHA256 = (
     "e57093938fc8c6d20b4727b64cbbd175916ae4a2415ce5294d2944b89c5055ba")
+# the same for gaussian:0.5 on 20 circle directions, m = 15, n = 300: a run
+# on the complement path, pinned before that path existed, so the switch of
+# estimator keeps the same seed's trace
+_COMPLEMENT_BANDIT_RUN_SHA256 = (
+    "f8fd0cb579cb18c0c319fbdd91e72adcd98bd155f3d6091a23d55d2c9cc36269")
 
 
 def _trace_digest(trace) -> str:
@@ -424,6 +554,21 @@ def test_gaussian_bandit_run_trace_is_pinned():
     result = run_experiment(config)
     assert result.details["bandit_config"].m == 20
     assert _trace_digest(result.traces[0]) == _GAUSSIAN_BANDIT_RUN_SHA256
+
+
+@pytest.mark.filterwarnings("error")
+def test_complement_bandit_run_trace_is_pinned():
+    from kernelbandits.harness import (ExperimentConfig, ball_directions, run_experiment,
+                                       unit_vector_adversary)
+
+    config = ExperimentConfig(algo="bandit_ew", kernel=KernelSpec.gaussian(0.5),
+                              actions=ball_directions(20),
+                              adversary=unit_vector_adversary(2), n=300, seeds=(0,),
+                              proxy_p=40, proxy_m=15,
+                              params={"eta": 0.05, "gamma": 0.5})
+    result = run_experiment(config)
+    assert result.details["bandit_estimator"]["path"] == "complement"
+    assert _trace_digest(result.traces[0]) == _COMPLEMENT_BANDIT_RUN_SHA256
 
 
 def test_hoeffding_inequality_exact():

@@ -77,6 +77,7 @@ def test_run_summary_pseudo_regret_null_without_expected_losses(tmp_path):
     assert summary["stderr_final_pseudo_regret"] is None
     assert summary["mean_final_regret"] is not None
     assert summary["covariance_floor"] is None
+    assert summary["bandit_estimator"] is None
 
 
 def test_discretization_error_reported(tmp_path):
@@ -112,6 +113,37 @@ def test_run_summary_reports_covariance_floor_certificate(tmp_path):
     assert certificate["floor"] == 0.5 / (2 * 2)
     assert certificate["certified_lower_bound"] > certificate["floor"]
     assert certificate["certified_lower_bound"] == pytest.approx(0.5 / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("kernel, actions, proxy_m, path, k", [
+    ("linear", "ball:8", 2, "covariance", 6),
+    ("gaussian:0.5", "ball:20", 15, "complement", 5),
+])
+def test_run_summary_reports_bandit_estimator(tmp_path, kernel, actions, proxy_m,
+                                              path, k):
+    # the bandit's estimator path, k = N - m and the certified lower bound
+    # gamma min nu on every play probability: m = 2 of 8 directions has
+    # k >= m, m = 15 of 20 circle directions has k < m and every design
+    # weight at least 1 / (2m)
+    from kernelbandits.harness import ExperimentConfig, run_experiment, unit_vector_adversary
+
+    out = tmp_path / "results"
+    params = {"eta": 0.05, "gamma": 0.5}
+    assert main(["run", "--algo", "bandit_ew", "--kernel", kernel,
+                 "--actions", actions, "--adversary", "iid-unit",
+                 "--n", "60", "--seeds", "0", "--params", json.dumps(params),
+                 "--proxy-m", str(proxy_m), "--out", str(out)]) == 0
+    estimator = json.loads((out / "summary.json").read_text())["bandit_estimator"]
+    config = ExperimentConfig(algo="bandit_ew", kernel=parse_kernel(kernel),
+                              actions=parse_actions(actions),
+                              adversary=unit_vector_adversary(2), n=60, seeds=(0,),
+                              params=params, proxy_m=proxy_m)
+    assert estimator == run_experiment(config).details["bandit_estimator"]
+    assert estimator["path"] == path
+    assert estimator["k"] == k
+    assert estimator["probability_lower_bound"] > 0.0
+    if path == "complement":
+        assert estimator["probability_lower_bound"] >= 0.5 / (2 * proxy_m)
 
 
 def test_run_command_input_error_exit_code(tmp_path):
