@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,7 @@ def _cmd_run(args) -> int:
     if args.actions.startswith("ball:"):
         covering = 2.0 * np.sin(np.pi / (2 * actions.shape[0]))
         discretization = kernel.norm_bound_G**2 * covering
+    bcfg = result.details.get("bandit_config")
     summary = {
         "mean_final_regret": result.mean_final_regret,
         "stderr_final_regret": result.stderr_final_regret,
@@ -185,6 +187,10 @@ def _cmd_run(args) -> int:
         "covariance_floor": result.details.get("covariance_floor"),
         # bandit_ew only: the estimator path, k = N - m, and gamma min nu
         "bandit_estimator": result.details.get("bandit_estimator"),
+        # bandit_ew only: the design's Kiefer-Wolfowitz ratio max_i g_i / m
+        # and centering offset, and the schedule (eta, gamma, m, eps, n)
+        "design": result.details.get("design"),
+        "bandit_config": asdict(bcfg) if bcfg is not None else None,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))

@@ -3,11 +3,17 @@
 The exploration distribution is the D-optimal design over the proxy features
 (the dual of the minimum-volume enclosing ellipsoid for origin-symmetric
 sets), computed by Frank-Wolfe with away steps on the log-det objective.
-After whitening by the design covariance, the feature second-moment matrix
-of the design is the identity over m, which is what gives the mixed
-distribution its gamma/m eigenvalue floor.  `action_covariance` (the second
-moment) and `check_covariance_floor` (a Cholesky test that its smallest
-eigenvalue is above a floor) are the one covariance path.  The second moment
+A step moves weight to or from one action j, so it needs only column j of
+the leverage matrix F Sigma^-1 F^T, formed from the last exact
+recomputation and the r rank-one terms added since: O(N m + N r) per step,
+r < ``_DESIGN_REFRESH``.  The leverages are recomputed exactly every
+``_DESIGN_REFRESH`` steps, after a near-zero pivot, and before the
+Kiefer-Wolfowitz certificate is accepted or refused.  After whitening by
+the design covariance, the feature second-moment matrix of the design is
+the identity over m, which is what gives the mixed distribution its gamma/m
+eigenvalue floor.  `action_covariance` (the second moment) and
+`check_covariance_floor` (a Cholesky test that its smallest eigenvalue is
+above a floor) are the one covariance path.  The second moment
 of nonnegative weights w is X^T X with X = sqrt(w) * F, one symmetric
 product, so it is symmetric by construction.  On its covariance path the
 bandit forms the covariance every round and solves against it (its
@@ -39,8 +45,8 @@ __all__ = [
 
 _SPAN_REL_TOL = 1e-10  # singular values at or below this times the largest are zero
 _DESIGN_MAX_ITER = 10_000  # Frank-Wolfe steps before d_optimal_design gives up
-_DESIGN_REFRESH = 50  # steps between from-scratch recomputations of Sigma^-1 and g
-# a rank-one update whose pivot 1 - lam or 1 + r g_j is at most this (the
+_DESIGN_REFRESH = 50  # bound on the rank-one terms since the last exact recomputation
+# a rank-one update whose pivot 1 - lam or 1 + q g_j is at most this (the
 # m = 1 add step has lam = 1) is replaced by a from-scratch recomputation
 _MIN_PIVOT = 1e-6
 
@@ -77,10 +83,10 @@ def _as_feature_array(features) -> np.ndarray:
 
 
 def _leverages(F: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sigma^-1 and g_i = f_i^T Sigma^-1 f_i for Sigma = sum_i w_i f_i f_i^T,
-    computed from scratch."""
-    sigma_inv = np.linalg.inv(F.T @ (F * w[:, None]))
-    return sigma_inv, np.einsum("ij,ij->i", F @ sigma_inv, F)
+    """H = F Sigma^-1 and g_i = f_i^T Sigma^-1 f_i for
+    Sigma = sum_i w_i f_i f_i^T, computed from scratch."""
+    H = F @ np.linalg.inv(F.T @ (F * w[:, None]))
+    return H, np.einsum("ij,ij->i", H, F)
 
 
 def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
@@ -93,11 +99,18 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     raises InputError before the first step.
 
     A step w' = (1 - lam) w + lam e_j changes Sigma by a rank-one term, so
-    Sigma^-1 and the leverages g follow by Sherman-Morrison in O(N m) per
-    step.  They are recomputed from scratch every ``_DESIGN_REFRESH`` steps,
-    after a step whose update would divide by a pivot near zero, and before
-    the certificate is accepted or refused: the certificate is always
-    checked on the exact leverages.
+    the leverage matrix G = F Sigma^-1 F^T changes by one too:
+    G' = (G - c v v^T) / (1 - lam) with v = G e_j, its column j, and
+    c = lam / (1 - lam + lam g_j).  Neither G nor Sigma^-1 is updated: G is
+    held as s (H F^T - V diag(c) V^T), with H = F Sigma_0^-1 from the last
+    exact recomputation and V the r N-vectors added since.  A step forms
+    only column j, s (H f_j - V (c * V[j])), and updates the leverages
+    g = diag(G) from it, in O(N m + N r) with no m x m temporary;
+    r < ``_DESIGN_REFRESH``.  H and g are recomputed from scratch (Sigma, its
+    inverse and F times that) every ``_DESIGN_REFRESH`` steps, after a step
+    whose update would divide by a pivot near zero, and before the
+    certificate is accepted or refused: the certificate is always checked on
+    exact leverages.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InputError(f"tol must be positive and finite, got {tol!r}")
@@ -107,8 +120,10 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     if rank < m:
         raise RankDeficiencyError(rank, m)
     w = np.full(n, 1.0 / n)
-    sigma_inv, g = _leverages(F, w)
-    exact = True
+    H, g = _leverages(F, w)
+    V = np.empty((n, _DESIGN_REFRESH))  # G = s (H F^T - V[:, :r] diag(c) V[:, :r]^T)
+    c = np.empty(_DESIGN_REFRESH)
+    s, r = 1.0, 0
     it = 0
     while True:
         j_add = int(np.argmax(g))
@@ -116,9 +131,9 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
         add_violation = g[j_add] / m - 1.0
         away_violation = 1.0 - g[j_away] / m
         converged = add_violation <= tol and away_violation <= tol
-        if (converged or it == _DESIGN_MAX_ITER) and not exact:
-            sigma_inv, g = _leverages(F, w)
-            exact = True
+        if (converged or it == _DESIGN_MAX_ITER) and r:
+            H, g = _leverages(F, w)
+            s, r = 1.0, 0
             continue
         if converged:
             return DiscreteDistribution(w)
@@ -141,18 +156,20 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
         np.maximum(w, 0.0, out=w)
         w /= w.sum()
         it += 1
-        # Sigma' = (1 - lam)(Sigma + r f_j f_j^T) with r = lam / (1 - lam)
+        # Sigma' = (1 - lam)(Sigma + q f_j f_j^T) with q = lam / (1 - lam)
         shrink = 1.0 - lam
         if (it % _DESIGN_REFRESH == 0 or shrink <= _MIN_PIVOT
                 or 1.0 + lam / shrink * gj <= _MIN_PIVOT):
-            sigma_inv, g = _leverages(F, w)
-            exact = True
+            H, g = _leverages(F, w)
+            s, r = 1.0, 0
         else:
-            u = sigma_inv @ F[j]
-            c = lam / (shrink + lam * gj)  # r / (1 + r g_j)
-            sigma_inv = (sigma_inv - c * np.outer(u, u)) / shrink
-            g = (g - c * (F @ u) ** 2) / shrink
-            exact = False
+            col = H @ F[j] - V[:, :r] @ (c[:r] * V[j, :r])  # G e_j / s
+            cj = lam / (shrink + lam * gj)  # q / (1 + q g_j)
+            g = (g - cj * (s * col) ** 2) / shrink
+            V[:, r] = col
+            c[r] = cj * s
+            s /= shrink
+            r += 1
 
 
 def action_covariance(weights, features) -> np.ndarray:

@@ -321,7 +321,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         features, nu, bcfg, center_offset = _bandit_setup(config)
         floor, bound = _bandit.certify_covariance_floor(bcfg, features, nu)
         details["bandit_config"] = bcfg
-        details["design_center_offset"] = center_offset
+        # whitening makes the design covariance I/m, so in exact arithmetic
+        # ||f_i||^2 = f_i^T Sigma_nu^-1 f_i / m: the largest squared row norm
+        # is the Kiefer-Wolfowitz ratio max_i g_i / m
+        details["design"] = {
+            "kw_ratio": float(np.einsum("ij,ij->i", features, features).max()),
+            "center_offset": center_offset,
+        }
         details["covariance_floor"] = {"floor": floor, "certified_lower_bound": bound}
         details["bandit_estimator"] = _bandit._estimator_path(bcfg, features, nu)
 

@@ -13,9 +13,10 @@ embeds everything it uses, the reference for the blocked pass of
 ``fullinfo.run_cg``.  ``kernel_schedules`` builds the rank-one, explicit
 and mixed adversary schedules that the bit-identity tests of the loss
 matrix, exponential weights and conditional gradient run on.
-``listed_schedule`` is the former list materialize of the harness
-adversaries, one action object per round, the reference for the rows of
-their array schedules.  ``adversary_feature`` embeds one adversary action,
+``fibonacci_sphere`` is the benchmark's Fibonacci lattice on the sphere,
+unrotated, for tests at the benchmark's shapes.  ``listed_schedule`` is the
+former list materialize of the harness adversaries, one action object per
+round, the reference for the rows of their array schedules.  ``adversary_feature`` embeds one adversary action,
 ``mean_feature`` the feature-space mean of a convex combination, and
 ``min_oracle`` extends ``fullinfo.linear_min_oracle`` to finite sets by
 enumeration.  ``kernel_eval`` and ``loss_eval`` are the scalar kernel and
@@ -251,6 +252,15 @@ def d_optimal_design_exact(features, tol: float = 1e-6) -> DiscreteDistribution:
         w[j] += lam
         np.maximum(w, 0.0, out=w)
         w /= w.sum()
+
+
+def fibonacci_sphere(num: int) -> np.ndarray:
+    """num Fibonacci-lattice points on the unit sphere in R^3."""
+    i = np.arange(num) + 0.5
+    z = 1.0 - 2.0 * i / num
+    r = np.sqrt(1.0 - z * z)
+    phi = i * np.pi * (3.0 - np.sqrt(5.0))
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
 def kernel_schedules(spec: KernelSpec, d: int, n: int, seed: int) -> dict:

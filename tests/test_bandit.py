@@ -32,6 +32,7 @@ from kernelbandits.kernels import KernelSpec, feature_matrix, make_explicit
 from kernelbandits.proxy import EigendecayProfile, build_proxy
 from kernelbandits.rng import component_rng
 from kernelbandits.weights import WeightState
+from oracles import fibonacci_sphere
 
 LINEAR = KernelSpec.linear(G=1.0)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
@@ -569,6 +570,33 @@ def test_complement_bandit_run_trace_is_pinned():
     result = run_experiment(config)
     assert result.details["bandit_estimator"]["path"] == "complement"
     assert _trace_digest(result.traces[0]) == _COMPLEMENT_BANDIT_RUN_SHA256
+
+
+def test_mean_regret_is_below_a_non_vacuous_theorem_bound():
+    """The paper schedule on 40 lattice points of the sphere, gaussian:2,
+    n = 3000: the theorem bound (~1.68 n) is below 2 G^2 n, the most any
+    player can lose to the best action, so it says something; the mean
+    realized regret over three seeds is below it.
+
+    The bound holds in expectation, for the pseudo-regret.  Against an
+    oblivious adversary the schedule does not depend on the play, so
+    E[realized regret] = E[pseudo-regret], and the test compares the mean
+    over seeds, an estimate of that expectation, with the bound.
+    """
+    from kernelbandits.harness import ExperimentConfig, run_experiment, unit_vector_adversary
+
+    kernel = KernelSpec.gaussian(2.0)
+    config = ExperimentConfig(algo="bandit_ew", kernel=kernel,
+                              actions=fibonacci_sphere(40),
+                              adversary=unit_vector_adversary(3), n=3000,
+                              seeds=(0, 1, 2))
+    result = run_experiment(config)
+    assert result.details["bandit_estimator"]["path"] == "complement"
+    assert result.details["bandit_estimator"]["k"] == 7
+    G = kernel.norm_bound_G
+    bound = theorem_regret_bound(result.details["bandit_config"], G, num_actions=40)
+    assert bound < 2.0 * G * G * config.n
+    assert result.mean_final_regret < bound
 
 
 def test_hoeffding_inequality_exact():

@@ -39,6 +39,7 @@ def test_run_command_writes_traces(tmp_path, capsys):
     assert (out / "trace_1.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert "mean_final_regret" in summary
+    assert summary["design"] is None and summary["bandit_config"] is None
     printed = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert printed["seeds"] == [0, 1]
 
@@ -78,6 +79,8 @@ def test_run_summary_pseudo_regret_null_without_expected_losses(tmp_path):
     assert summary["mean_final_regret"] is not None
     assert summary["covariance_floor"] is None
     assert summary["bandit_estimator"] is None
+    assert summary["design"] is None
+    assert summary["bandit_config"] is None
 
 
 def test_discretization_error_reported(tmp_path):
@@ -124,7 +127,9 @@ def test_run_summary_reports_bandit_estimator(tmp_path, kernel, actions, proxy_m
     # the bandit's estimator path, k = N - m and the certified lower bound
     # gamma min nu on every play probability: m = 2 of 8 directions has
     # k >= m, m = 15 of 20 circle directions has k < m and every design
-    # weight at least 1 / (2m)
+    # weight at least 1 / (2m).  The summary also carries the design's
+    # Kiefer-Wolfowitz ratio, max_i g_i / m in [1, 1 + tol] for a certified
+    # design, and the run's parameter schedule
     from kernelbandits.harness import ExperimentConfig, run_experiment, unit_vector_adversary
 
     out = tmp_path / "results"
@@ -133,12 +138,19 @@ def test_run_summary_reports_bandit_estimator(tmp_path, kernel, actions, proxy_m
                  "--actions", actions, "--adversary", "iid-unit",
                  "--n", "60", "--seeds", "0", "--params", json.dumps(params),
                  "--proxy-m", str(proxy_m), "--out", str(out)]) == 0
-    estimator = json.loads((out / "summary.json").read_text())["bandit_estimator"]
+    summary = json.loads((out / "summary.json").read_text())
+    estimator = summary["bandit_estimator"]
     config = ExperimentConfig(algo="bandit_ew", kernel=parse_kernel(kernel),
                               actions=parse_actions(actions),
                               adversary=unit_vector_adversary(2), n=60, seeds=(0,),
                               params=params, proxy_m=proxy_m)
-    assert estimator == run_experiment(config).details["bandit_estimator"]
+    details = run_experiment(config).details
+    assert estimator == details["bandit_estimator"]
+    assert summary["design"] == details["design"]
+    assert summary["design"]["kw_ratio"] == pytest.approx(1.0, abs=1e-6)
+    assert summary["design"]["center_offset"] >= 0.0
+    assert summary["bandit_config"] == {"eta": 0.05, "gamma": 0.5, "m": proxy_m,
+                                        "eps": 0.0, "n": 60}
     assert estimator["path"] == path
     assert estimator["k"] == k
     assert estimator["probability_lower_bound"] > 0.0

@@ -15,6 +15,7 @@ from kernelbandits.design import (
     whiten_features,
 )
 from kernelbandits.errors import (
+    DegenerateSpectrumWarning,
     IllConditionedCovarianceError,
     InputError,
     RankDeficiencyError,
@@ -23,7 +24,7 @@ from kernelbandits.errors import (
 from kernelbandits.kernels import KernelSpec
 from kernelbandits.proxy import build_proxy, proxy_features
 from kernelbandits.rng import component_rng
-from oracles import d_optimal_design_exact
+from oracles import d_optimal_design_exact, fibonacci_sphere
 
 
 def test_distribution_validation():
@@ -102,20 +103,39 @@ def test_kiefer_wolfowitz_certificate():
         assert _kw_ratio(F, des.weights) <= 1.0 + 1e-4
 
 
-def test_design_matches_exact_oracle():
-    # the rank-one updates follow the from-scratch loop step for step
+def test_design_matches_exact_oracle(monkeypatch):
+    # the rank-one updates follow the from-scratch loop step for step; the
+    # last set is the benchmark's (gaussian:0.5 on 150 lattice points of the
+    # sphere, proxy p = 300 at seed 0, m = 127), ~437 steps over ~9 windows
+    # of rank-one terms between exact recomputations
     sets = _kw_feature_sets()
     points = component_rng(4, "gauss").uniform(-1.0, 1.0, size=(60, 2)) / np.sqrt(2)
     basis = build_proxy(KernelSpec.gaussian(0.5), points, m=48, p=120,
                         rng=component_rng(4, "proxy"))
     sets.append(reduce_to_span(proxy_features(basis, points))[0])
     assert sets[-1].shape[1] >= 40
+    points = fibonacci_sphere(150)
+    with pytest.warns(DegenerateSpectrumWarning):  # 127 of 150 eigenvalues kept
+        basis = build_proxy(KernelSpec.gaussian(0.5), points, m=150, p=300,
+                            rng=component_rng(0, "proxy"))
+    sets.append(reduce_to_span(proxy_features(basis, points))[0])
+    assert sets[-1].shape == (150, 127)
+    recomputations = []
+    leverages = design._leverages
+
+    def counted(F, w):
+        recomputations.append(F.shape)
+        return leverages(F, w)
+
+    monkeypatch.setattr(design, "_leverages", counted)
     for F in sets:
         fast = d_optimal_design(F, tol=1e-6)
         exact = d_optimal_design_exact(F, tol=1e-6)
         assert np.abs(fast.weights - exact.weights).sum() <= 1e-12
         assert _kw_ratio(F, fast.weights) <= 1.0 + 1e-6
         assert _kw_ratio(F, exact.weights) <= 1.0 + 1e-6
+    # the start, one per full window of rank-one terms, and the certificate's
+    assert recomputations.count((150, 127)) >= 9
 
 
 def test_design_iteration_cap_raises_without_certificate(monkeypatch):

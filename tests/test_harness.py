@@ -497,7 +497,7 @@ def test_bandit_experiment_end_to_end():
     assert "bandit_config" in result.details
     cfg = result.details["bandit_config"]
     assert cfg.gamma <= 1.0
-    assert result.details["design_center_offset"] >= 0.0
+    assert result.details["design"]["center_offset"] >= 0.0
 
 
 def test_bandit_explicit_gamma_is_checked():
