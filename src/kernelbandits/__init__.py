@@ -11,7 +11,6 @@ from .bandit import (
     bandit_round,
     certify_covariance_floor,
     configure_bandit,
-    estimate_adversary,
     general_theorem_config,
     run_bandit,
     theorem_regret_bound,
@@ -77,7 +76,7 @@ from .quadratic import (
     quad_ew_sample,
     trs_minimize,
 )
-from .rng import component_rng, sample_index
+from .rng import component_rng
 from .weights import WeightState
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 Each round mixes the exponential-weights distribution with a fixed
 exploration design, plays one action, observes only its loss under the true
-kernel, and reconstructs an estimate of the adversary's proxy-feature vector
-from the covariance of the mixed play distribution.  The exploration design
+kernel, and estimates every action's loss through the inverse covariance of
+the proxy features under the mixed play distribution.  The exploration design
 keeps that covariance invertible: with the D-optimal design over whitened
 features its smallest eigenvalue is at least gamma / m in exact arithmetic.
 :func:`run_bandit` certifies the floor gamma / (2m), slack for rounding, once
@@ -12,16 +12,20 @@ per run from the design alone (:func:`certify_covariance_floor`);
 by a Cholesky factorization.  The exact smallest eigenvalue is computed, and
 checked against the floor, only on the rounds it is recorded.
 
-The observed loss is the played entry of a row of
-:func:`~kernelbandits.kernels.loss_matrix`, the entry the regret accounting
-charges.  The estimate takes one of two paths, chosen once per run from the
-inputs (see :func:`run_bandit`).  On the covariance path a round costs about
+The estimate takes one of two paths, chosen once per run from the inputs
+(see :func:`run_bandit`).  On the covariance path a round costs about
 one symmetric product, the covariance X^T X with X = sqrt(p_t) * F
 (:func:`~kernelbandits.design.action_covariance`), and one m x m LU solve.
 When the proxy rank m exceeds N / 2 and every design weight is at least
 1 / (2m), the complement path replaces both by one k x k solve in the
 k = N - m dimensional complement of the features' column space, and forms
 the covariance only on the rounds its smallest eigenvalue is recorded.
+
+:func:`run_bandit` steps blocks of ``_LOSS_BLOCK_ROWS`` rounds on one array
+of log weights.  A block makes one :func:`~kernelbandits.kernels.loss_matrix`
+call (its played entries are the losses the regret accounting charges) and
+one call for its raw 64-bit draws, one per round; the player stream feeds
+only the draws, so these are the bits of one draw per round.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +50,8 @@ from .errors import (HorizonTooShortError, IllConditionedCovarianceError, InputE
                      PreconditionError)
 from .kernels import _LOSS_BLOCK_ROWS, AdversaryAction, KernelSpec, Schedule, loss_matrix
 from .proxy import EigendecayProfile, SampleBasis, effective_dimension, proxy_features
-from .rng import sample_index
-from .weights import WeightState
+from .rng import _inverse_cdf
+from .weights import WeightState, softmax
 
 __all__ = [
     "BanditConfig",
@@ -53,7 +59,6 @@ __all__ = [
     "configure_bandit",
     "general_theorem_config",
     "theorem_regret_bound",
-    "estimate_adversary",
     "bandit_round",
     "certify_covariance_floor",
     "prepare_bandit_features",
@@ -85,10 +90,12 @@ class BanditConfig:
             raise PreconditionError(f"mixing coefficient gamma = {self.gamma!r}; need > 0")
 
 
-@dataclass(frozen=True)
-class BanditRecord:
+class BanditRecord(NamedTuple):
     """One round's play and estimate.
 
+    ``loss_hat_max`` is ||l-hat_t||_inf, the largest estimated loss in
+    absolute value: the regret analysis needs eta |l-hat_t(a)| <= 1, which
+    the theorem schedule gamma = 4 eta G^4 m gives in exact arithmetic.
     Every round's play covariance is above the floor gamma / (2m): certified
     for the whole run by :func:`run_bandit`, or for the one round by
     :func:`bandit_round`.  ``min_eig_sigma``, the exact smallest eigenvalue
@@ -100,7 +107,7 @@ class BanditRecord:
     round: int
     action_index: int
     loss: float
-    w_hat: np.ndarray
+    loss_hat_max: float
     min_eig_sigma: float | None
 
 
@@ -154,13 +161,10 @@ def theorem_regret_bound(config: BanditConfig, G: float, num_actions: int) -> fl
             + math.log(num_actions) / config.eta)
 
 
-def estimate_adversary(sigma: np.ndarray, phi_a: np.ndarray,
-                       observed_loss: float) -> np.ndarray:
-    """One-sample adversary estimate: observed loss times Sigma^-1 Phi(a),
-    by an LU solve against the play covariance Sigma.  This is the
-    covariance path; a run whose inputs allow it computes the same estimate
-    through the complement of the features' column space instead (see
-    :func:`run_bandit`)."""
+def _estimate_adversary(sigma: np.ndarray, phi_a: np.ndarray,
+                        observed_loss: float) -> np.ndarray:
+    """One-sample adversary estimate on the covariance path: observed loss
+    times Sigma^-1 Phi(a), by an LU solve against the play covariance."""
     return observed_loss * np.linalg.solve(sigma, phi_a)
 
 
@@ -204,25 +208,15 @@ def _estimator_path(config: BanditConfig, features: np.ndarray,
             "probability_lower_bound": bound}
 
 
-@dataclass(frozen=True)
-class _Complement:
-    """An orthonormal basis Z (N x k) of null(F^T), the complement of the
-    features' column space, and the back-projection F^+ = R^-1 Q_1^T (m x N),
-    both from one complete QR factorization F = Q R."""
-
-    basis: np.ndarray
-    back: np.ndarray
-
-
 def _complement(config: BanditConfig, features: np.ndarray,
-                exploration: DiscreteDistribution) -> _Complement | None:
-    """The complement of the features' column space when the run takes the
-    complement path, None on the covariance path."""
+                exploration: DiscreteDistribution) -> np.ndarray | None:
+    """An orthonormal basis Z (N x k) of null(F^T), the complement of the
+    features' column space, from one complete QR factorization, when the run
+    takes the complement path; None on the covariance path."""
     if _estimator_path(config, features, exploration)["path"] != "complement":
         return None
-    m = features.shape[1]
-    q, r = np.linalg.qr(features, mode="complete")
-    return _Complement(np.ascontiguousarray(q[:, m:]), np.linalg.solve(r[:m], q[:, :m].T))
+    q, _ = np.linalg.qr(features, mode="complete")
+    return np.ascontiguousarray(q[:, features.shape[1]:])
 
 
 def _complement_estimate(basis: np.ndarray, p: np.ndarray, idx: int,
@@ -236,40 +230,41 @@ def _complement_estimate(basis: np.ndarray, p: np.ndarray, idx: int,
     return (loss / p[idx]) * v
 
 
-def _play_distribution(state: WeightState, config: BanditConfig,
-                       exploration: DiscreteDistribution) -> np.ndarray:
-    """The play distribution p_t = (1 - gamma) q_t + gamma nu."""
-    return (1.0 - config.gamma) * state.probabilities() + config.gamma * exploration.weights
-
-
-def _play_round(state: WeightState, config: BanditConfig, features: np.ndarray,
-                complement: _Complement | None, p: np.ndarray,
-                sigma: np.ndarray | None, losses: np.ndarray,
-                rng: np.random.Generator) -> tuple[WeightState, BanditRecord]:
-    """A round whose covariance floor is certified: draw, observe the played
-    entry of the loss row ``losses``, sample lambda_min, estimate, step and
-    record.  ``sigma`` is the round's covariance, or None to form it only
-    where it is read: every round of the covariance path, and the sampled
-    rounds of the complement path."""
-    idx = sample_index(p, rng)
-    loss = losses[idx]
-    sampled = state.round % _MIN_EIG_EVERY == 0
-    if sigma is None and (complement is None or sampled):
-        sigma = action_covariance(p, features)
-    min_eig = None
-    if sampled:
-        min_eig = float(np.linalg.eigvalsh(sigma)[0])
-        floor = _covariance_floor(config, features)
-        if not min_eig > floor:
-            raise IllConditionedCovarianceError(min_eig, floor)
-    if complement is None:
-        w_hat = estimate_adversary(sigma, features[idx], loss)
-        loss_hat = features @ w_hat
-    else:
-        loss_hat = _complement_estimate(complement.basis, p, idx, loss)
-        w_hat = complement.back @ loss_hat
-    new_state = state.stepped(-config.eta * loss_hat)
-    return new_state, BanditRecord(state.round + 1, idx, float(loss), w_hat, min_eig)
+def _bandit_block(log_weights: np.ndarray, start: int, config: BanditConfig,
+                  features: np.ndarray, exploration: DiscreteDistribution,
+                  basis: np.ndarray | None, L: np.ndarray,
+                  rng: np.random.Generator) -> tuple:
+    """Rounds ``start`` + 1, ... on the rows of a block L of the loss matrix,
+    floor certified: each plays p_t = (1 - gamma) softmax + gamma nu by the
+    inverse-CDF rule on one raw draw, checks the sampled lambda_min, estimates
+    every action's loss (through ``basis``, or by LU when it is None) and
+    steps the log weights.  Returns the played indices, their losses,
+    ||l-hat_t||_inf, the sampled lambda_min (else None), the log weights."""
+    rows = L.shape[0]
+    u = rng.bit_generator.random_raw(rows) / 2.0**64
+    mix, gamma_nu = 1.0 - config.gamma, config.gamma * exploration.weights
+    floor, step = _covariance_floor(config, features), -config.eta
+    idx, loss_hat = np.empty(rows, dtype=np.int64), np.empty((rows, features.shape[0]))
+    min_eigs = [None] * rows
+    for i in range(rows):
+        p = mix * softmax(log_weights) + gamma_nu
+        j = idx[i] = _inverse_cdf(p, u[i])
+        sampled = (start + i) % _MIN_EIG_EVERY == 0
+        if basis is None or sampled:
+            sigma = action_covariance(p, features)
+        if sampled:
+            min_eigs[i] = min_eig = float(np.linalg.eigvalsh(sigma)[0])
+            if not min_eig > floor:
+                raise IllConditionedCovarianceError(min_eig, floor)
+        if basis is None:
+            loss_hat[i] = features @ _estimate_adversary(sigma, features[j], L[i, j])
+        else:
+            loss_hat[i] = _complement_estimate(basis, p, j, L[i, j])
+        log_weights = log_weights + step * loss_hat[i]
+        if not np.isfinite(log_weights).all():
+            raise InputError("log weights must be finite")
+    return (idx, L[np.arange(rows), idx], np.abs(loss_hat).max(axis=1), min_eigs,
+            log_weights)
 
 
 def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
@@ -284,19 +279,22 @@ def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
     any features and design, so it checks its own round: the covariance
     floor gamma / (2m), not the exact gamma / m, as slack for rounding, by a
     Cholesky factorization before the draw.  The record carries the exact
-    smallest eigenvalue on the sampled rounds only (see BanditRecord).  The
-    estimate takes the path :func:`run_bandit` would take on the same
-    inputs, so a run is a fold of this step; on the complement path each
-    call pays the run's one QR factorization.
+    smallest eigenvalue on the sampled rounds only (see BanditRecord).  It
+    is the one-row case of the block step of :func:`run_bandit`, so a run is
+    a fold of it; on the complement path each call pays the run's one QR.
     """
     if state.round >= config.n:
         raise PreconditionError(f"horizon {config.n} already reached")
-    p = _play_distribution(state, config, exploration)
-    sigma = action_covariance(p, features)
-    check_covariance_floor(sigma, _covariance_floor(config, features))
-    losses = loss_matrix(kernel, actions, [w_t])[0]
-    complement = _complement(config, features, exploration)
-    return _play_round(state, config, features, complement, p, sigma, losses, rng)
+    p = (1.0 - config.gamma) * state.probabilities() + config.gamma * exploration.weights
+    check_covariance_floor(action_covariance(p, features),
+                           _covariance_floor(config, features))
+    idx, losses, loss_hat_max, min_eig, log_weights = _bandit_block(
+        state.log_weights, state.round, config, features, exploration,
+        _complement(config, features, exploration),
+        loss_matrix(kernel, actions, [w_t]), rng)
+    return (WeightState(log_weights, state.round + 1),
+            BanditRecord(state.round + 1, int(idx[0]), float(losses[0]),
+                         float(loss_hat_max[0]), min_eig[0]))
 
 
 def prepare_bandit_features(basis: SampleBasis, actions: np.ndarray):
@@ -333,7 +331,9 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     even though exploration is mixed in from the first round.  The first
     ``config.n`` rows of ``schedule`` are played; a schedule shorter than
     the horizon eta and gamma were set for raises InputError before any
-    draw.  The loss matrix is read in blocks of ``_LOSS_BLOCK_ROWS`` rows.
+    draw.  The rounds run as block steps of ``_LOSS_BLOCK_ROWS`` rows (see
+    the module docstring), one raw draw per round taken per block, so every
+    output has the bits of a loop of :func:`bandit_round`.
 
     The covariance floor is certified once, before any draw, by
     :func:`certify_covariance_floor`; the rounds then run without a
@@ -384,9 +384,8 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     k < m (it then costs about N k^2 < N m^2 flops a round) and
     gamma min nu >= gamma / (2m); both are decided once, from the inputs.
     The weights step by the estimated losses themselves.  One complete QR,
-    F = Q R, gives Z (the last k columns of Q) and the back-projection
-    F^+ = R^-1 Q_1^T, which turns the estimated losses into the recorded
-    w_hat.  Sigma_t is formed only on the sampled rounds.
+    F = Q R, gives Z (the last k columns of Q).  Sigma_t is formed only on
+    the sampled rounds.
 
     The second condition bounds every play probability below: as above,
     p_i >= gamma nu_i (1 - 2u) >= (gamma / 2m)(1 - 2u) > 0, so D^-1 is finite
@@ -417,8 +416,9 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     M_F = max_i ||f_i||^2, is within
     ||F||_F ||f_i|| ((N + 4 + c m) M_F / lam^2 + (m + 1) / lam) u |loss|: the
     error (N + 4 + c m) u M_F of Sigma_t and of its LU, amplified by
-    ||Sigma_t^-1||^2 ||f_i||, and the rounding of F w_hat.  Both bounds grow
-    with the amplification squared, (2m / gamma)^2 for whitened features.
+    ||Sigma_t^-1||^2 ||f_i||, and the rounding of the product with F.  Both
+    bounds grow with the amplification squared, (2m / gamma)^2 for whitened
+    features.
     Without the floor on nu, min p is bounded only by gamma min nu, which
     can be 0, so 1 / p_j can be infinite; the covariance path stays for
     those designs, and for k >= m.
@@ -427,16 +427,20 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     if len(schedule) < config.n:
         raise InputError(f"schedule has {len(schedule)} rows, fewer than the "
                          f"horizon n = {config.n}")
+    n = config.n
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     certify_covariance_floor(config, features, exploration)
-    complement = _complement(config, features, exploration)
-    state = WeightState.uniform(actions.shape[0])
-    records = []
-    for start in range(0, config.n, _LOSS_BLOCK_ROWS):
-        block = schedule[start:min(start + _LOSS_BLOCK_ROWS, config.n)]
-        for losses in loss_matrix(kernel, actions, block):
-            p = _play_distribution(state, config, exploration)
-            state, rec = _play_round(state, config, features, complement, p, None,
-                                     losses, rng)
-            records.append(rec)
-    return records, state
+    basis = _complement(config, features, exploration)
+    log_weights = np.zeros(actions.shape[0])
+    idx, losses, loss_hat_max = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    min_eigs = [None] * n
+    for start in range(0, n, _LOSS_BLOCK_ROWS):
+        rows = slice(start, min(start + _LOSS_BLOCK_ROWS, n))
+        L = loss_matrix(kernel, actions, schedule[rows])
+        idx[rows], losses[rows], loss_hat_max[rows], min_eigs[rows], log_weights = (
+            _bandit_block(log_weights, start, config, features, exploration, basis,
+                          L, rng))
+    records = list(map(partial(tuple.__new__, BanditRecord),
+                       zip(range(1, n + 1), idx.tolist(), losses.tolist(),
+                           loss_hat_max.tolist(), min_eigs)))
+    return records, WeightState(log_weights, n)

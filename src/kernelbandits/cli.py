@@ -185,7 +185,7 @@ def _cmd_run(args) -> int:
         "discretization_error": discretization,
         # bandit_ew only: the floor gamma / (2m) and its once-per-run certificate
         "covariance_floor": result.details.get("covariance_floor"),
-        # bandit_ew only: the estimator path, k = N - m, and gamma min nu
+        # bandit_ew only: estimator path, k = N - m, gamma min nu, eta max |l-hat|
         "bandit_estimator": result.details.get("bandit_estimator"),
         # bandit_ew only: the design's Kiefer-Wolfowitz ratio max_i g_i / m
         # and centering offset, and the schedule (eta, gamma, m, eps, n)

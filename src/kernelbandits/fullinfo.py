@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from itertools import count
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -109,19 +111,17 @@ class CGState:
     t: int
 
 
-@dataclass(frozen=True)
-class FullInfoRecord:
+class FullInfoRecord(NamedTuple):
     """One exponential-weights round.  ``expected_loss`` is <p_t, l_t>, the
     loss of the play distribution, from which pseudo-regret is accounted."""
 
     round: int
     action_index: int
     loss: float
-    expected_loss: float | None = None
+    expected_loss: float
 
 
-@dataclass(frozen=True)
-class CGRecord:
+class CGRecord(NamedTuple):
     round: int
     action_index: int
     loss: float
@@ -202,8 +202,8 @@ def run_full_info_ew(kernel: KernelSpec, actions: np.ndarray,
                      rng: np.random.Generator) -> tuple[list[FullInfoRecord], WeightState]:
     """:func:`full_info_ew_play` with its outputs as one record per round."""
     idx, losses, expected, state = full_info_ew_play(kernel, actions, schedule, eta, rng)
-    records = [FullInfoRecord(t, i, loss, e) for t, (i, loss, e) in
-               enumerate(zip(idx.tolist(), losses.tolist(), expected.tolist()), 1)]
+    records = list(map(partial(tuple.__new__, FullInfoRecord),
+                       zip(count(1), idx.tolist(), losses.tolist(), expected.tolist())))
     return records, state
 
 
@@ -350,8 +350,8 @@ def run_cg(kernel: KernelSpec, action_set, schedule: Schedule,
         rows = slice(start, min(start + _LOSS_BLOCK_ROWS, n))
         state, idx[rows], losses[rows], num_atoms[rows] = _cg_block(
             state, config, kernel, oracle, schedule[rows], rng)
-    records = [CGRecord(t, i, loss, k) for t, (i, loss, k) in
-               enumerate(zip(idx.tolist(), losses.tolist(), num_atoms.tolist()), 1)]
+    records = list(map(partial(tuple.__new__, CGRecord),
+                       zip(count(1), idx.tolist(), losses.tolist(), num_atoms.tolist())))
     return records, state
 
 

@@ -330,6 +330,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         }
         details["covariance_floor"] = {"floor": floor, "certified_lower_bound": bound}
         details["bandit_estimator"] = _bandit._estimator_path(bcfg, features, nu)
+        loss_hat_max = []
 
     for seed in config.seeds:
         adv_rng = component_rng(seed, "adversary")
@@ -353,12 +354,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             else:
                 records, _ = _bandit.run_bandit(kernel, actions, features, nu, bcfg,
                                                 schedule, player_rng)
+                loss_hat_max.append(max(r.loss_hat_max for r in records))
             losses = np.array([r.loss for r in records])
             idxs = np.array([r.action_index for r in records])
             expected = None
         traces.append(build_trace(kernel, actions, schedule, losses, idxs,
                                   expected_losses=expected))
 
+    if config.algo == "bandit_ew":
+        # the analysis needs eta |l-hat_t(a)| <= 1 on every seed and round
+        details["bandit_estimator"]["max_eta_loss_hat"] = bcfg.eta * max(loss_hat_max)
     mean, stderr = _mean_and_stderr([t.final_regret for t in traces])
     return ExperimentResult(
         traces=traces,

@@ -16,7 +16,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["component_stream_id", "component_rng", "sample_index", "sample_indices"]
+__all__ = ["component_stream_id", "component_rng", "sample_indices"]
 
 
 def component_stream_id(component: str) -> int:
@@ -32,26 +32,28 @@ def component_rng(seed: int, component: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws over index order along the last axis of ``weights``,
-    one per row; a 1-D vector is the one-row case.
-
-    Each row takes the next raw 64-bit output of the stream, u = bits / 2^64:
-    the same bits as ``rng.integers(0, 2**64, dtype=np.uint64)``, one call
-    for all rows.  A row draws the first index whose running sum exceeds u
-    times the row's total, so ties and rounding resolve toward lower indices
-    and traces are reproducible byte-for-byte given the same generator.
-    """
-    weights = np.asarray(weights, dtype=float)
-    u = rng.bit_generator.random_raw(weights.shape[:-1]) / 2.0**64
+def _inverse_cdf(weights: np.ndarray, u) -> np.ndarray | int:
+    """The inverse-CDF index along the last axis of ``weights`` for uniforms
+    ``u`` of shape ``weights.shape[:-1]``: the first index whose running sum
+    exceeds u times the total, so ties and rounding resolve toward lower ones."""
     cum = weights.cumsum(axis=-1)
     targets = u * cum[..., -1]
     # searchsorted(side="right") on each nondecreasing row, capped at the last
     # index (u rounds to 1.0 for the top 2^10 bit patterns): the count of
-    # running sums <= target among all but the last
+    # running sums <= target among all but the last; one row takes the
+    # cheaper scalar comparison and whole-array count
+    if cum.ndim == 1:
+        return np.count_nonzero(cum[:-1] <= targets)
     return (cum[..., :-1] <= targets[..., None]).sum(axis=-1)
 
 
-def sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """One inverse-CDF draw: :func:`sample_indices` on a single row."""
-    return int(sample_indices(weights, rng))
+def sample_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray | int:
+    """Inverse-CDF draws along the last axis of ``weights`` by the rule of
+    :func:`_inverse_cdf`, one per row; a 1-D vector is the one-row case.
+    Each row takes the next raw 64-bit output of the stream, u = bits / 2^64:
+    the same bits as ``rng.integers(0, 2**64, dtype=np.uint64)``, one call
+    for all rows, so traces are reproducible byte-for-byte given the same
+    generator."""
+    weights = np.asarray(weights, dtype=float)
+    return _inverse_cdf(weights, rng.bit_generator.random_raw(weights.shape[:-1]) / 2.0**64)
+

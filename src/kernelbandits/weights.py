@@ -45,7 +45,3 @@ class WeightState:
 
     def probabilities(self) -> np.ndarray:
         return softmax(self.log_weights)
-
-    def stepped(self, delta: np.ndarray) -> "WeightState":
-        """New state with log weights shifted by ``delta`` and round + 1."""
-        return WeightState(self.log_weights + delta, self.round + 1)

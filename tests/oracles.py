@@ -8,6 +8,8 @@ every step, the reference for the rank-one updates of
 ``design.d_optimal_design``.  ``ew_fold_oracle`` is exponential weights as
 a plain per-round loop with scalar draws (``scalar_inverse_cdf``), the
 reference for the blocked pass of ``fullinfo.full_info_ew_play``;
+``sample_index`` is one draw per call, ``rng.sample_indices`` on one row,
+the reference for the learners' blocks of raw draws;
 ``cg_fold_round`` is a self-contained conditional-gradient round that
 embeds everything it uses, the reference for the blocked pass of
 ``fullinfo.run_cg``.  ``kernel_schedules`` builds the rank-one, explicit
@@ -62,7 +64,7 @@ from kernelbandits.kernels import (
     make_explicit,
     make_rank_one,
 )
-from kernelbandits.rng import component_rng, sample_index
+from kernelbandits.rng import component_rng, sample_indices
 
 # kernels with every loss path: explicit maps (linear, quadratic, cubic) and
 # the rank-one-only Gaussian
@@ -300,6 +302,12 @@ def listed_schedule(adversary, n: int, rng: np.random.Generator) -> list:
             V[t] = rng.standard_normal(adversary.d)
             norms[t] = np.linalg.norm(V[t])
     return [RankOne(v) for v in V / norms[:, None]]
+
+
+def sample_index(weights, rng: np.random.Generator) -> int:
+    """One inverse-CDF draw, taking one raw output of the stream:
+    ``sample_indices`` on a single row."""
+    return int(sample_indices(weights, rng))
 
 
 def scalar_inverse_cdf(weights, bits) -> int:

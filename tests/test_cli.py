@@ -129,23 +129,36 @@ def test_run_summary_reports_bandit_estimator(tmp_path, kernel, actions, proxy_m
     # k >= m, m = 15 of 20 circle directions has k < m and every design
     # weight at least 1 / (2m).  The summary also carries the design's
     # Kiefer-Wolfowitz ratio, max_i g_i / m in [1, 1 + tol] for a certified
-    # design, and the run's parameter schedule
-    from kernelbandits.harness import ExperimentConfig, run_experiment, unit_vector_adversary
+    # design, and the run's parameter schedule.  max_eta_loss_hat is
+    # eta ||l-hat_t||_inf over both seeds and every round
+    from kernelbandits.bandit import run_bandit
+    from kernelbandits.harness import (ExperimentConfig, _bandit_setup, run_experiment,
+                                       unit_vector_adversary)
+    from kernelbandits.rng import component_rng
 
     out = tmp_path / "results"
     params = {"eta": 0.05, "gamma": 0.5}
     assert main(["run", "--algo", "bandit_ew", "--kernel", kernel,
                  "--actions", actions, "--adversary", "iid-unit",
-                 "--n", "60", "--seeds", "0", "--params", json.dumps(params),
+                 "--n", "60", "--seeds", "0,1", "--params", json.dumps(params),
                  "--proxy-m", str(proxy_m), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     estimator = summary["bandit_estimator"]
     config = ExperimentConfig(algo="bandit_ew", kernel=parse_kernel(kernel),
                               actions=parse_actions(actions),
-                              adversary=unit_vector_adversary(2), n=60, seeds=(0,),
+                              adversary=unit_vector_adversary(2), n=60, seeds=(0, 1),
                               params=params, proxy_m=proxy_m)
     details = run_experiment(config).details
     assert estimator == details["bandit_estimator"]
+    features, nu, bcfg, _ = _bandit_setup(config)
+    worst = max(
+        r.loss_hat_max
+        for seed in (0, 1)
+        for r in run_bandit(config.kernel, config.actions, features, nu, bcfg,
+                            config.adversary.materialize(60, component_rng(seed, "adversary")),
+                            component_rng(seed, "player"))[0])
+    assert estimator["max_eta_loss_hat"] == 0.05 * worst
+    assert estimator["max_eta_loss_hat"] > 0.0
     assert summary["design"] == details["design"]
     assert summary["design"]["kw_ratio"] == pytest.approx(1.0, abs=1e-6)
     assert summary["design"]["center_offset"] >= 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kernelbandits import design
-from kernelbandits.bandit import estimate_adversary
+from kernelbandits.bandit import _estimate_adversary
 from kernelbandits.design import (
     DiscreteDistribution,
     action_covariance,
@@ -223,7 +223,7 @@ def test_action_covariance_matches_monte_carlo():
 
 
 def _solves(sigma, phi, loss):
-    return np.abs(sigma @ estimate_adversary(sigma, phi, loss) - loss * phi).max() <= 1e-8
+    return np.abs(sigma @ _estimate_adversary(sigma, phi, loss) - loss * phi).max() <= 1e-8
 
 
 def test_check_covariance_floor_examples():

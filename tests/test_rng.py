@@ -1,7 +1,7 @@
 import numpy as np
 
-from kernelbandits.rng import component_rng, sample_index, sample_indices
-from oracles import scalar_inverse_cdf
+from kernelbandits.rng import _inverse_cdf, component_rng, sample_indices
+from oracles import sample_index, scalar_inverse_cdf
 
 
 def test_block_draws_equal_single_draws():
@@ -55,3 +55,40 @@ def test_sample_index_caps_at_the_last_index():
     assert sample_index(weights, _FixedBits(0)) == 0
     assert sample_index(np.array([0.0, 0.0, 1.0]), _FixedBits(0)) == 2
     assert sample_index(np.array([1.0]), _FixedBits(2**64 - 1)) == 0
+
+
+class _ListedBits:
+    """Stand-in generator whose raw stream serves the listed 64-bit values
+    in order, one per draw, whether they are asked for singly or in a block."""
+
+    def __init__(self, values):
+        self.bit_generator = self
+        self.values = np.asarray(values, dtype=np.uint64)
+
+    def random_raw(self, size):
+        rows = int(np.prod(size, dtype=int))
+        drawn, self.values = self.values[:rows], self.values[rows:]
+        return drawn.reshape(size)
+
+
+def test_one_block_of_raw_draws_gives_per_row_draws():
+    # the bandit's block step takes a block's raw draws with one call and
+    # applies the inverse-CDF rule row by row; that must give the index of
+    # one sample_index call per row, on rows with zero weights and on the
+    # top 2^10 bit patterns, where u rounds to 1.0 and the index is capped
+    weights = component_rng(3, "weights").random((300, 9))
+    weights[::3, :4] = 0.0
+    weights[::5, 4] = 0.0
+    weights[::4, -1] = 0.0
+    top = [2**64 - 1, 2**64 - 1024, 2**64 - 1025, 0]
+    bits = np.concatenate([component_rng(4, "draws").bit_generator.random_raw(300 - 8),
+                           np.array(top * 2, dtype=np.uint64)])
+    blocked = [int(_inverse_cdf(w, u)) for w, u in zip(weights, bits / 2.0**64)]
+    singles = _ListedBits(bits)
+    assert blocked == [sample_index(w, singles) for w in weights]
+    assert blocked == [scalar_inverse_cdf(w, b) for w, b in zip(weights, bits)]
+    # the top patterns draw the last index, on rows 292 and 296 too, whose
+    # last weight is zero
+    capped = [t for t, b in enumerate(bits) if b >= 2**64 - 1024]
+    assert capped == [292, 293, 296, 297]
+    assert [blocked[t] for t in capped] == [8, 8, 8, 8]
