@@ -43,7 +43,7 @@ from .kernels import (
     loss_matrix,
 )
 from .quadratic import QuadraticObjective, trs_minimize
-from .rng import sample_indices
+from .rng import _inverse_cdf, sample_indices
 from .weights import WeightState, softmax
 
 __all__ = [
@@ -275,8 +275,7 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, oracle,
     played = np.empty((rows, atoms.shape[1]))
     idx, num_atoms = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64)
     for i in range(rows):
-        running = weights.cumsum()
-        k = np.count_nonzero(running[:-1] <= u[i] * running[-1])
+        k = _inverse_cdf(weights, u[i])
         played[i] = atoms[k]
 
         gradient = config.eta * cum + 2.0 * (mean - x1)

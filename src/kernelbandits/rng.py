@@ -37,14 +37,13 @@ def _inverse_cdf(weights: np.ndarray, u) -> np.ndarray | int:
     ``u`` of shape ``weights.shape[:-1]``: the first index whose running sum
     exceeds u times the total, so ties and rounding resolve toward lower ones."""
     cum = weights.cumsum(axis=-1)
-    targets = u * cum[..., -1]
     # searchsorted(side="right") on each nondecreasing row, capped at the last
     # index (u rounds to 1.0 for the top 2^10 bit patterns): the count of
-    # running sums <= target among all but the last; one row takes the
+    # running sums <= u * total among all but the last; one row takes the
     # cheaper scalar comparison and whole-array count
     if cum.ndim == 1:
-        return np.count_nonzero(cum[:-1] <= targets)
-    return (cum[..., :-1] <= targets[..., None]).sum(axis=-1)
+        return np.count_nonzero(cum[:-1] <= u * cum[-1])
+    return (cum[..., :-1] <= (u * cum[..., -1])[..., None]).sum(axis=-1)
 
 
 def sample_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray | int:
