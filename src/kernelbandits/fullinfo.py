@@ -7,16 +7,18 @@ of rows of L; the single round :func:`full_info_round` is the one-row case
 of the same block step.
 
 The conditional-gradient iterate lives in the explicit feature space but is
-stored as a convex combination of action points, which doubles as the
-sampling distribution for the play.  :func:`run_cg` is one pass over blocks
-of ``_LOSS_BLOCK_ROWS`` rounds that embeds a finite action set once: the
-linear-minimization oracle is the argmin of Phi(actions) @ gradient and the
-new atom's feature is a row of Phi(actions).  Each block embeds its
-adversary actions, and the points it played, with one call each and draws
-its randoms with one call; the state moves one round at a time, so every
-output has the bits of per-round embeddings.  The single round
-:func:`cg_round` is the one-row case of the same block step.  On the unit
-ball the oracle is a trust-region solve per round.
+stored as a convex combination of points, which doubles as the sampling
+distribution for the play: one dense weight vector over a table of atoms.
+On a finite action set the table is the action set, and the
+linear-minimization oracle is the argmin row of Phi(actions) @ gradient;
+on the unit ball it is the start point and one trust-region solution per
+round.  :func:`run_cg` is one pass over blocks of ``_LOSS_BLOCK_ROWS``
+rounds that embeds a finite action set once.  Each block embeds its
+adversary actions, and the points it played, with one call each, and draws
+every round from its stored weights with one call; the state moves one
+round at a time, so every output has the bits of per-round embeddings.
+The single round :func:`cg_round` is the one-row case of the same block
+step.
 """
 
 from __future__ import annotations
@@ -102,7 +104,12 @@ class CGConfig:
 @dataclass(frozen=True)
 class CGState:
     """Round state: the combination, its feature-space mean maintained
-    incrementally, the running sum of past adversary features, and t."""
+    incrementally, the running sum of past adversary features, and t.
+
+    After a round the combination's atoms are the whole atom table, zero
+    weights included: the action set on a finite set.  :func:`cg_start`
+    gives the one-atom combination of the start point, which the first
+    round maps onto the table."""
 
     combo: ConvexCombination
     mean: np.ndarray
@@ -122,6 +129,11 @@ class FullInfoRecord(NamedTuple):
 
 
 class CGRecord(NamedTuple):
+    """One conditional-gradient round.  ``action_index`` is the atom-table
+    row played, which is the action-set row on a finite set and, on the unit
+    ball, a row of the combination's atoms; ``num_atoms`` counts the nonzero
+    weights after the round."""
+
     round: int
     action_index: int
     loss: float
@@ -224,87 +236,127 @@ def cg_start(kernel: KernelSpec, a1: np.ndarray) -> CGState:
 
 
 def _cg_oracle(kernel: KernelSpec, action_set):
-    """The linear-minimization oracle as gradient -> (v, Phi(v)).
+    """CG's atom table and its linear-minimization oracle, as
+    ``table_for(combo, rows) -> (table, weights, oracle)``: the table a
+    stretch of ``rows`` rounds plays from, ``combo``'s weights over it, and
+    ``oracle(gradient) -> (j, Phi(table[j]))``.
 
-    A finite action set is embedded here, once: v is the row of the lowest
-    argmin of Phi @ gradient, and Phi(v) is that row of Phi.  The unit ball
-    solves :func:`linear_min_oracle` and embeds its output."""
+    A finite action set is the table, embedded here once: j is the lowest
+    argmin of Phi @ gradient, and each atom of ``combo`` maps to its lowest
+    equal row, which is the row that argmin picks; an atom outside the set
+    raises :class:`InputError`.  On the unit ball the table is ``combo``'s
+    atoms followed by one row per round, which the oracle fills with the
+    :func:`linear_min_oracle` solution."""
     if isinstance(action_set, UnitBall):
-        def oracle(gradient):
-            v = linear_min_oracle(kernel, gradient, action_set)
-            return v, feature_map(kernel, v)
-        return oracle
+        def table_for(combo, rows):
+            table = np.concatenate([combo.atoms, np.empty((rows, action_set.dim))])
+            new_rows = count(combo.weights.size)
+
+            def oracle(gradient):
+                j = next(new_rows)
+                table[j] = linear_min_oracle(kernel, gradient, action_set)
+                return j, feature_map(kernel, table[j])
+            return table, combo.weights, oracle
+        return table_for
     actions = np.atleast_2d(np.asarray(action_set, dtype=float))
     features = feature_matrix(kernel, actions)
 
     def oracle(gradient):
         j = int((features @ gradient).argmin())
-        return actions[j], features[j]
-    return oracle
+        return j, features[j]
+
+    def table_for(combo, rows):
+        atoms = combo.atoms
+        if np.array_equal(atoms, actions):
+            return actions, combo.weights, oracle
+        if atoms.shape[1] != actions.shape[1]:
+            raise InputError("start atoms and actions differ in dimension")
+        equal = (atoms[:, None, :] == actions).all(axis=2)
+        if not equal.any(axis=1).all():
+            raise InputError("a start atom is not a row of the action set")
+        weights = np.zeros(actions.shape[0])
+        np.add.at(weights, equal.argmax(axis=1), combo.weights)
+        return actions, weights, oracle
+    return table_for
 
 
-def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, oracle,
+def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
               schedule: Schedule, rng: np.random.Generator,
               ) -> tuple[CGState, np.ndarray, np.ndarray, np.ndarray]:
     """Conditional-gradient rounds over a nonempty stretch of the schedule.
 
-    Each round plays an atom by the inverse-CDF rule of
-    :func:`~kernelbandits.rng.sample_indices` on one raw 64-bit draw (the
-    stretch's draws come from one call), moves the mean toward the
-    oracle's output and adds the round's adversary feature to the running
-    sum.  The adversary features take one :func:`feature_matrix` call per
-    stretch, read from the schedule's arrays.  The losses take one paired
-    kernel call for the rank-one rows and, for the explicit rows, one
+    The play distribution is one dense weight vector over the atom table of
+    ``table_for`` (see :func:`_cg_oracle`).  Each round moves the mean
+    toward the oracle's output and the weights toward its row j: v =
+    (1 - gamma_t) w, v[j] += gamma_t, entries below ``_ATOM_PRUNE`` zeroed,
+    then w = p / sum p for p = v / sum v, the two normalizations of a
+    :class:`DiscreteDistribution` of p.  On the unit ball the sums run over
+    the rows filled so far, as in a one-row call.  The weights never depend
+    on the draws, so the stretch keeps every round's weights, checks them
+    once as that class would (each sum p within 1e-8 of 1, no weight below
+    -1e-12), and draws every round by the inverse-CDF rule of
+    :func:`~kernelbandits.rng.sample_indices`: one call for the raw 64-bit
+    draws, one walk over the columns that hold weight, each row capped at
+    its last positive weight (u rounds to 1.0 for the top 2^10 bit
+    patterns), so a zero-weight row is never played.  The running adversary
+    sums are one cumulative sum down the stretch, which adds the rows one at
+    a time.  The adversary features take one :func:`feature_matrix` call
+    per stretch, read from the schedule's arrays.  The losses take one
+    paired kernel call for the rank-one rows and, for the explicit rows, one
     embedding of the played points and one batched row product; every
     output has the bits of per-round calls.  Returns the state after the
-    stretch and, per round, the played atom index, its loss and the atom
-    count.
+    stretch and, per round, the played table row, its loss and the count of
+    nonzero weights.
     """
     rows = len(schedule)
+    table, w, oracle = table_for(state.combo, rows)
     rank_one = schedule.rank_one
     Y, W = schedule.rank_one_points(), schedule.explicit_vectors()
-    adversary = np.empty((rows, state.x1.size))
+    adversary = np.empty((rows + 1, state.x1.size))
+    adversary[0] = state.cum_adversary
     if rank_one.any():
-        adversary[rank_one] = feature_matrix(kernel, Y)
+        adversary[1:][rank_one] = feature_matrix(kernel, Y)
     if not rank_one.all():
-        adversary[~rank_one] = W
+        adversary[1:][~rank_one] = W
+    cum = np.cumsum(adversary, axis=0)
+    eta_cum = config.eta * cum[:-1]
     u = rng.bit_generator.random_raw(rows) / 2.0**64
 
-    atoms, weights = state.combo.atoms, state.combo.weights
-    mean, cum, x1, t = state.mean, state.cum_adversary, state.x1, state.t
-    played = np.empty((rows, atoms.shape[1]))
-    idx, num_atoms = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64)
+    weights, totals = np.zeros((rows + 1, table.shape[0])), np.empty(rows)
+    live = w.size
+    weights[0, :live] = w
+    mean, x1, t = state.mean, state.x1, state.t
     for i in range(rows):
-        k = _inverse_cdf(weights, u[i])
-        played[i] = atoms[k]
+        j, phi = oracle(eta_cum[i] + 2.0 * (mean - x1))
+        gamma_t = config.gamma(t + i)
+        if j >= live:
+            live = j + 1
+        v = (1.0 - gamma_t) * weights[i, :live]
+        v[j] += gamma_t
+        v[v < _ATOM_PRUNE] = 0.0
+        p = v / np.add.reduce(v)
+        totals[i] = np.add.reduce(p)
+        np.divide(p, totals[i], out=weights[i + 1, :live])
+        mean = (1.0 - gamma_t) * mean + gamma_t * phi
 
-        gradient = config.eta * cum + 2.0 * (mean - x1)
-        v_t, phi_v = oracle(gradient)
-        gamma_t = config.gamma(t)
-        weights = (1.0 - gamma_t) * weights
-        match = (atoms == v_t).all(axis=1).nonzero()[0]
-        if match.size:
-            weights[match[0]] += gamma_t
-        else:
-            atoms, weights = np.vstack([atoms, v_t[None, :]]), np.append(weights, gamma_t)
-        keep = weights >= _ATOM_PRUNE
-        if not keep.all():
-            atoms, weights = atoms[keep], weights[keep]
-        normalized = weights / weights.sum()
-        weights = DiscreteDistribution(normalized).weights
-
-        mean = (1.0 - gamma_t) * mean + gamma_t * phi_v
-        cum = cum + adversary[i]
-        idx[i], num_atoms[i] = k, weights.size
-        t += 1
-
+    summed = np.abs(totals - 1.0) <= 1e-8
+    if not summed.all():
+        raise InputError(f"weights sum to {totals[~summed][0]!r}, not 1")
+    cols = np.flatnonzero(weights.any(axis=0))
+    held = weights[:, cols]
+    if held.min() < -1e-12:
+        raise InputError("distribution weights must be nonnegative")
+    last = cols.size - 1 - (held[:-1, ::-1] > 0).argmax(axis=1)
+    idx = cols[np.minimum(_inverse_cdf(held[:-1], u), last)]
+    played = table[idx]
     losses = np.empty(rows)
     if rank_one.any():
         losses[rank_one] = _kernel_of_pairs(kernel, played[rank_one], Y)
     if not rank_one.all():
         losses[~rank_one] = _row_dots(feature_matrix(kernel, played[~rank_one]), W)
-    combo = ConvexCombination(atoms, normalized)
-    return CGState(combo, mean, cum, x1, t), idx, losses, num_atoms
+    combo = ConvexCombination(table, p)
+    return (CGState(combo, mean, cum[-1], x1, t + rows), idx, losses,
+            np.count_nonzero(held[1:], axis=1))
 
 
 def cg_round(state: CGState, config: CGConfig, kernel: KernelSpec,
@@ -317,6 +369,8 @@ def cg_round(state: CGState, config: CGConfig, kernel: KernelSpec,
     mixing rate.  The potential at round t aggregates adversary actions
     strictly before t, so the freshly observed action enters at t + 1.
 
+    On a finite set the state's atoms map onto the action set (see
+    :func:`run_cg`) and the record's ``action_index`` is the played row.
     This is the one-row case of the blocked pass in :func:`run_cg`, with
     the same bits; it embeds a finite action set on every call.
     """
@@ -333,14 +387,17 @@ def run_cg(kernel: KernelSpec, action_set, schedule: Schedule,
 
     One pass over blocks of ``_LOSS_BLOCK_ROWS`` rounds that embeds a finite
     action set once; every output has the bits of a loop of
-    :func:`cg_round`.
+    :func:`cg_round`.  On a finite set the start point ``a1`` (default: the
+    first row) maps to its lowest equal row, and one that is not a row of
+    the set raises :class:`InputError` before round one.
     """
     if a1 is None:
         if isinstance(action_set, UnitBall):
             raise InputError("unit-ball action set needs an explicit start point")
         a1 = np.atleast_2d(np.asarray(action_set, dtype=float))[0]
     state = cg_start(kernel, a1)
-    oracle = _cg_oracle(kernel, action_set)
+    table_for = _cg_oracle(kernel, action_set)
+    table_for(state.combo, 0)  # refuses a bad start even when no round runs
     schedule = Schedule.of(schedule)
     n = len(schedule)
     idx, losses = np.empty(n, dtype=np.int64), np.empty(n)
@@ -348,7 +405,7 @@ def run_cg(kernel: KernelSpec, action_set, schedule: Schedule,
     for start in range(0, n, _LOSS_BLOCK_ROWS):
         rows = slice(start, min(start + _LOSS_BLOCK_ROWS, n))
         state, idx[rows], losses[rows], num_atoms[rows] = _cg_block(
-            state, config, kernel, oracle, schedule[rows], rng)
+            state, config, kernel, table_for, schedule[rows], rng)
     records = list(map(partial(tuple.__new__, CGRecord),
                        zip(count(1), idx.tolist(), losses.tolist(), num_atoms.tolist())))
     return records, state

@@ -9,8 +9,10 @@ every step, the reference for the rank-one updates of
 a plain per-round loop with scalar draws (``scalar_inverse_cdf``), the
 reference for the blocked pass of ``fullinfo.full_info_ew_play``;
 ``sample_index`` is one draw per call, ``rng.sample_indices`` on one row,
-the reference for the learners' blocks of raw draws;
-``cg_fold_round`` is a self-contained conditional-gradient round that
+the reference for the learners' blocks of raw draws, and ``FixedBits`` a
+stand-in generator that repeats one raw value, such as the top patterns
+where u rounds to 1.0; ``cg_fold_round`` is a self-contained
+conditional-gradient round over dense weights on the atom table that
 embeds everything it uses, the reference for the blocked pass of
 ``fullinfo.run_cg``.  ``kernel_schedules`` builds the rank-one, explicit
 and mixed adversary schedules that the bit-identity tests of the loss
@@ -304,6 +306,17 @@ def listed_schedule(adversary, n: int, rng: np.random.Generator) -> list:
     return [RankOne(v) for v in V / norms[:, None]]
 
 
+class FixedBits:
+    """Stand-in generator whose raw stream repeats one 64-bit value."""
+
+    def __init__(self, value):
+        self.bit_generator = self
+        self.value = np.uint64(value)
+
+    def random_raw(self, size):
+        return np.full(size, self.value, dtype=np.uint64)
+
+
 def sample_index(weights, rng: np.random.Generator) -> int:
     """One inverse-CDF draw, taking one raw output of the stream:
     ``sample_indices`` on a single row."""
@@ -340,39 +353,51 @@ def ew_fold_oracle(kernel: KernelSpec, actions, schedule, eta: float,
     return np.array(idx, dtype=np.int64), np.array(losses), np.array(expected), log_weights
 
 
-def _merge_atom(atoms: np.ndarray, weights: np.ndarray, point: np.ndarray,
-                weight: float) -> tuple[np.ndarray, np.ndarray]:
-    match = np.nonzero((atoms == point).all(axis=1))[0]
-    if match.size:
-        weights = weights.copy()
-        weights[match[0]] += weight
-        return atoms, weights
-    return np.vstack([atoms, point[None, :]]), np.append(weights, weight)
+def _lowest_equal_row(table: np.ndarray, point: np.ndarray) -> int:
+    rows = np.flatnonzero((table == point).all(axis=1))
+    if not rows.size:
+        raise InputError("a start atom is not a row of the action set")
+    return int(rows[0])
 
 
 def cg_fold_round(state: CGState, config: CGConfig, kernel: KernelSpec,
                   action_set, w_t, rng: np.random.Generator) -> tuple[CGState, CGRecord]:
-    """One conditional-gradient round as a self-contained step: a scalar
-    draw, a per-round embedding of the action set for the oracle, of the new
-    atom and of the adversary action, and a validated combination."""
+    """One conditional-gradient round as a self-contained step over dense
+    weights on the atom table: a finite set's rows, each atom of the
+    combination moved onto its lowest equal row, or on the unit ball the
+    combination's atoms plus one appended row for the oracle's output.  A
+    scalar draw over the weights up to the last positive one, a per-round
+    embedding of the action set for the oracle, of the new atom and of the
+    adversary action, and a validated combination."""
     t = state.t
-    idx = sample_index(state.combo.weights, rng)
-    a_t = state.combo.atoms[idx]
+    if isinstance(action_set, UnitBall):
+        table, weights = state.combo.atoms, state.combo.weights
+    else:
+        table = np.atleast_2d(np.asarray(action_set, dtype=float))
+        weights = np.zeros(table.shape[0])
+        for atom, w in zip(state.combo.atoms, state.combo.weights):
+            weights[_lowest_equal_row(table, atom)] += w
+    idx = sample_index(weights[: np.flatnonzero(weights)[-1] + 1], rng)
+    a_t = table[idx]
     loss = (_kernel_of_pairs(kernel, a_t[None], w_t.y[None])[0] if isinstance(w_t, RankOne)
             else loss_eval(kernel, a_t, w_t))
 
     gradient = config.eta * state.cum_adversary + 2.0 * (state.mean - state.x1)
     v_t = min_oracle(kernel, gradient, action_set)
     gamma_t = config.gamma(t)
+    if isinstance(action_set, UnitBall):
+        table, weights = np.vstack([table, v_t[None, :]]), np.append(weights, 0.0)
+        j = table.shape[0] - 1
+    else:
+        j = _lowest_equal_row(table, v_t)
 
-    weights = (1.0 - gamma_t) * state.combo.weights
-    atoms, weights = _merge_atom(state.combo.atoms, weights, v_t, gamma_t)
-    keep = weights >= _ATOM_PRUNE
-    atoms, weights = atoms[keep], weights[keep]
-    combo = ConvexCombination(atoms, weights / weights.sum())
+    weights = (1.0 - gamma_t) * weights
+    weights[j] += gamma_t
+    weights[weights < _ATOM_PRUNE] = 0.0
+    combo = ConvexCombination(table, weights / weights.sum())
 
     mean = (1.0 - gamma_t) * state.mean + gamma_t * feature_map(kernel, v_t)
     cum = state.cum_adversary + adversary_feature(kernel, w_t)
     new_state = CGState(combo, mean, cum, state.x1, t + 1)
-    record = CGRecord(t, idx, float(loss), num_atoms=combo.weights.size)
+    record = CGRecord(t, idx, float(loss), num_atoms=int(np.count_nonzero(combo.weights)))
     return new_state, record

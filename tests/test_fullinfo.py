@@ -29,6 +29,7 @@ from kernelbandits.rng import component_rng
 from kernelbandits.weights import WeightState
 from oracles import (
     BIT_KERNELS,
+    FixedBits,
     cg_fold_round,
     ew_fold_oracle,
     ftrl_oracle,
@@ -148,14 +149,16 @@ def test_cg_theorem_schedule():
 
 
 def test_cg_first_round_replaces_iterate():
-    # gamma_1 = 1: X_2 = Phi(v_1), a single atom
+    # gamma_1 = 1: X_2 = Phi(v_1), a single atom: one nonzero weight over
+    # the action set
     actions = ball_directions(8)
     cfg = cg_theorem_config(16)
     state = cg_start(LINEAR, actions[0])
     w = make_explicit(LINEAR, np.array([1.0, 0.0]))
     state, rec = cg_round(state, cfg, LINEAR, actions, w, component_rng(4, "cg"))
-    assert state.combo.weights.size == 1
-    assert state.combo.weights[0] == pytest.approx(1.0)
+    held = np.flatnonzero(state.combo.weights)
+    assert held.size == 1
+    assert state.combo.weights[held[0]] == pytest.approx(1.0)
     assert rec.num_atoms == 1
 
 
@@ -166,7 +169,11 @@ def test_cg_zero_gamma_keeps_iterate():
     w = make_explicit(LINEAR, np.array([0.0, 1.0]))
     new_state, _ = cg_round(state, cfg, LINEAR, actions, w, component_rng(5, "cg"))
     assert np.array_equal(new_state.mean, state.mean)
-    assert np.array_equal(new_state.combo.atoms, state.combo.atoms)
+    # the combination now spans the action set; its held atoms and their
+    # weights are the start's
+    held = new_state.combo.weights > 0
+    assert np.array_equal(new_state.combo.atoms[held], state.combo.atoms)
+    assert np.array_equal(new_state.combo.weights[held], state.combo.weights)
 
 
 def test_cg_mean_identity_every_round():
@@ -198,7 +205,7 @@ def test_cg_converges_to_opposing_atom():
 
 
 def _cg_bytes(records, state):
-    """Bytes of the rounds, atom indices, atom counts and losses of a run,
+    """Bytes of the rounds, played rows, atom counts and losses of a run,
     then of its final atoms, weights, mean, adversary sum and round."""
     ints = np.array([[r.round, r.action_index, r.num_atoms] for r in records],
                     dtype=np.int64).reshape(-1, 3)
@@ -223,6 +230,14 @@ def _cg_fold_bytes(step, kernel, action_set, schedule, config, rng, a1, lengths)
 _CUBIC = KernelSpec.polynomial(3, 1.0, G=3.0)
 
 
+def _repeated_rows() -> np.ndarray:
+    """Twelve points in the 0.8-ball of R^3, with every third one repeated
+    in front of them: its first row, CG's default start, is one of them."""
+    points = component_rng(6, "cg-fold-actions").standard_normal((12, 3))
+    points /= 1.25 * np.linalg.norm(points, axis=1)[:, None]
+    return np.vstack([points[::3], points])
+
+
 @pytest.mark.parametrize("spec, ball", [(LINEAR, False), (QUAD, False), (_CUBIC, False),
                                         (LINEAR, True), (QUAD, True)],
                          ids=["linear", "quadratic", "cubic", "ball-linear",
@@ -233,16 +248,14 @@ def test_cg_block_pass_equals_per_round_fold(spec, ball):
     # time, and cg_fold_round embeds everything on every round.  Lengths
     # around the block size cover a partial, an exact and a carried block.
     # The finite set repeats rows (the start point among them), so the
-    # oracle's output is often an atom already held and merges into it.
+    # start and the oracle's outputs must land on the lowest equal row.
     # The unit ball solves a trust-region problem per round, so it runs
     # only the mixed schedule, which has both kinds of adversary action.
     lengths = (1, 255, 256, 257, 1000)
     if ball:
         d, action_set, a1 = 2, UnitBall(2), np.array([0.6, -0.8])
     else:
-        points = component_rng(6, "cg-fold-actions").standard_normal((12, 3))
-        points /= 1.25 * np.linalg.norm(points, axis=1)[:, None]
-        d, action_set = 3, np.vstack([points[::3], points])
+        d, action_set = 3, _repeated_rows()
         a1 = action_set[0]
     config = cg_theorem_config(1000)
     schedules = kernel_schedules(spec, d, 1000, seed=6)
@@ -261,9 +274,73 @@ def test_cg_block_pass_equals_per_round_fold(spec, ball):
             assert blocked == folds[1][n], (kind, n)
 
 
-# sha256 of the int64 atom indices then the float64 losses of the run in
-# test_cg_run_trace_is_pinned, recorded before the pass was blocked
-_CG_RUN_SHA256 = "f74d1c2c48e0ed2f71908ebb09d71dee6474f6ea475e3f80d2fc9930fefa756e"
+@pytest.mark.parametrize("spec", [LINEAR, QUAD, _CUBIC], ids=["linear", "quadratic", "cubic"])
+def test_cg_losses_are_entries_of_their_own_column(spec):
+    # action_index is the action-set row played, so each loss is the entry
+    # of the loss matrix in that row's column, on every kind of schedule and
+    # on a set whose rows repeat
+    action_set, n = _repeated_rows(), 1000
+    for kind, schedule in kernel_schedules(spec, 3, n, seed=6).items():
+        records, _ = run_cg(spec, action_set, schedule, cg_theorem_config(n),
+                            component_rng(6, "player"))
+        idx = np.array([r.action_index for r in records])
+        losses = np.array([r.loss for r in records])
+        own = loss_matrix(spec, action_set, schedule)[np.arange(n), idx]
+        assert np.abs(own - losses).max() <= 1e-12, kind
+
+
+def test_cg_never_plays_a_zero_weight_row():
+    # the top 2^10 raw patterns make u round to 1.0, so the inverse-CDF walk
+    # runs past every weight; the last eight rows here are shrunken copies of
+    # the first eight, never an argmin, so they never get mass, and every
+    # draw must stop at the last row that has weight
+    directions = ball_directions(8)
+    actions = np.vstack([directions, 0.5 * directions])
+    n = 300
+    schedule = unit_vector_adversary(2).materialize(n, component_rng(15, "adv"))
+    config = cg_theorem_config(n)
+    for value in (2**64 - 1, 2**64 - 1024):
+        state, records = cg_start(LINEAR, actions[0]), []
+        before = np.eye(len(actions))[0]  # the start is row 0
+        for w in schedule:
+            state, rec = cg_round(state, config, LINEAR, actions, w, FixedBits(value))
+            assert before[rec.action_index] > 0
+            assert rec.action_index == np.flatnonzero(before)[-1]
+            records.append(rec)
+            before = state.combo.weights
+            assert not before[8:].any()
+        blocked, _ = run_cg(LINEAR, actions, schedule, config, FixedBits(value))
+        assert blocked == records
+
+
+def test_cg_start_must_be_a_row_of_a_finite_set():
+    # a start point outside a finite action set would be played in round
+    # one; a start repeated in the set maps to its lowest equal row, the
+    # row the oracle's lowest-index argmin picks
+    directions = ball_directions(8)
+    actions = np.vstack([directions[3:], directions])
+    schedule = unit_vector_adversary(2).materialize(16, component_rng(16, "adv"))
+    config = cg_theorem_config(16)
+    for outside in (0.5 * directions[0], np.array([1.0, 0.0, 0.0])):
+        with pytest.raises(InputError):
+            run_cg(LINEAR, actions, schedule, config, component_rng(16, "cg"), a1=outside)
+        with pytest.raises(InputError):
+            run_cg(LINEAR, actions, [], config, component_rng(16, "cg"), a1=outside)
+        with pytest.raises(InputError):
+            cg_round(cg_start(LINEAR, outside), config, LINEAR, actions, schedule[0],
+                     component_rng(16, "cg"))
+    records, _ = run_cg(LINEAR, actions, schedule, config, component_rng(16, "cg"),
+                        a1=directions[5])
+    _, first = cg_round(cg_start(LINEAR, directions[5]), config, LINEAR, actions,
+                        schedule[0], component_rng(16, "cg"))
+    assert records[0].action_index == first.action_index == 2
+
+
+# sha256 of the int64 action indices then the float64 losses of the run in
+# test_cg_run_trace_is_pinned.  It moved when CG's weights became one dense
+# vector over the action set: the inverse-CDF walk runs in action-set order,
+# not in the order the atoms entered, and action_index is the action-set row
+_CG_RUN_SHA256 = "6e155b2c018e65485de3df9bdd3fbcb1c328826ace2895c1cd3e850ce6f85717"
 
 
 def test_cg_run_trace_is_pinned():

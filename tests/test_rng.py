@@ -1,7 +1,7 @@
 import numpy as np
 
 from kernelbandits.rng import _inverse_cdf, component_rng, sample_indices
-from oracles import sample_index, scalar_inverse_cdf
+from oracles import FixedBits, sample_index, scalar_inverse_cdf
 
 
 def test_block_draws_equal_single_draws():
@@ -34,27 +34,16 @@ def test_sample_indices_follow_thescalar_inverse_cdf():
     assert [sample_index(w, rng) for w in weights] == expected
 
 
-class _FixedBits:
-    """Stand-in generator whose raw stream repeats one 64-bit value."""
-
-    def __init__(self, value):
-        self.bit_generator = self
-        self.value = np.uint64(value)
-
-    def random_raw(self, size):
-        return np.full(size, self.value, dtype=np.uint64)
-
-
 def test_sample_index_caps_at_the_last_index():
     # u rounds to 1.0 for the top 2^10 bit patterns, so u * total can reach
     # the total; the draw is then the last index, as searchsorted + min gives
     weights = np.array([0.25, 0.5, 0.25])
     for value in (2**64 - 1, 2**64 - 1024):
-        assert sample_index(weights, _FixedBits(value)) == 2
+        assert sample_index(weights, FixedBits(value)) == 2
         assert scalar_inverse_cdf(weights, value) == 2
-    assert sample_index(weights, _FixedBits(0)) == 0
-    assert sample_index(np.array([0.0, 0.0, 1.0]), _FixedBits(0)) == 2
-    assert sample_index(np.array([1.0]), _FixedBits(2**64 - 1)) == 0
+    assert sample_index(weights, FixedBits(0)) == 0
+    assert sample_index(np.array([0.0, 0.0, 1.0]), FixedBits(0)) == 2
+    assert sample_index(np.array([1.0]), FixedBits(2**64 - 1)) == 0
 
 
 class _ListedBits:
