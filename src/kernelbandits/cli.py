@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bandit import theorem_regret_bound
 from .design import d_optimal_design, design_weights_csv
 from .errors import InputError, NumericalError, PreconditionError
 from .harness import (
@@ -176,6 +177,8 @@ def _cmd_run(args) -> int:
         covering = 2.0 * np.sin(np.pi / (2 * actions.shape[0]))
         discretization = kernel.norm_bound_G**2 * covering
     bcfg = result.details.get("bandit_config")
+    bound = (None if bcfg is None else
+             theorem_regret_bound(bcfg, kernel.norm_bound_G, actions.shape[0]))
     summary = {
         "mean_final_regret": result.mean_final_regret,
         "stderr_final_regret": result.stderr_final_regret,
@@ -191,6 +194,11 @@ def _cmd_run(args) -> int:
         # and centering offset, and the schedule (eta, gamma, m, eps, n)
         "design": result.details.get("design"),
         "bandit_config": asdict(bcfg) if bcfg is not None else None,
+        # bandit_ew only: the theorem's regret bound at that schedule, and
+        # whether it is vacuous, at least 2 G^2 n, the most any player can
+        # lose to the best action over n rounds
+        "theorem_bound": bound,
+        "vacuous": None if bound is None else bound >= 2.0 * kernel.norm_bound_G**2 * bcfg.n,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))

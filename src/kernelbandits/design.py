@@ -123,13 +123,20 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     H, g = _leverages(F, w)
     V = np.empty((n, _DESIGN_REFRESH))  # G = s (H F^T - V[:, :r] diag(c) V[:, :r]^T)
     c = np.empty(_DESIGN_REFRESH)
+    support = np.empty(n, dtype=bool)  # w > 0: the away step's candidates
+    away = np.empty(n)  # g on the support, +inf off it
+    term = np.empty(n)  # cj (s col)^2, the step's change to g before the shrink
     s, r = 1.0, 0
     it = 0
     while True:
-        j_add = int(np.argmax(g))
-        j_away = int(np.argmin(np.where(w > 0, g, np.inf)))
-        add_violation = g[j_add] / m - 1.0
-        away_violation = 1.0 - g[j_away] / m
+        j_add = int(g.argmax())
+        np.greater(w, 0.0, out=support)
+        away.fill(np.inf)
+        np.copyto(away, g, where=support)
+        j_away = int(away.argmin())
+        g_add, g_away = float(g[j_add]), float(g[j_away])
+        add_violation = g_add / m - 1.0
+        away_violation = 1.0 - g_away / m
         converged = add_violation <= tol and away_violation <= tol
         if (converged or it == _DESIGN_MAX_ITER) and r:
             H, g = _leverages(F, w)
@@ -141,23 +148,23 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
             raise ToleranceNotMetError(max(add_violation, away_violation), tol,
                                        _DESIGN_MAX_ITER)
         if add_violation >= away_violation:
-            j, gj = j_add, g[j_add]
+            j, gj = j_add, g_add
             lam = (gj - m) / (m * (gj - 1.0))  # gj > m >= 1 here
         else:
-            j, gj = j_away, g[j_away]
-            lam_min = -w[j] / (1.0 - w[j]) if w[j] < 1.0 else 0.0
+            j, gj, wj = j_away, g_away, float(w[j_away])
+            lam_min = -wj / (1.0 - wj) if wj < 1.0 else 0.0
             if gj > 1.0:
                 # negative step removes mass from j, clipped to keep w >= 0
                 lam = max((gj - m) / (m * (gj - 1.0)), lam_min)
             else:
                 lam = lam_min  # log det increases all the way to dropping j
-        w = (1.0 - lam) * w
+        # Sigma' = (1 - lam)(Sigma + q f_j f_j^T) with q = lam / (1 - lam)
+        shrink = 1.0 - lam
+        w *= shrink
         w[j] += lam
         np.maximum(w, 0.0, out=w)
         w /= w.sum()
         it += 1
-        # Sigma' = (1 - lam)(Sigma + q f_j f_j^T) with q = lam / (1 - lam)
-        shrink = 1.0 - lam
         if (it % _DESIGN_REFRESH == 0 or shrink <= _MIN_PIVOT
                 or 1.0 + lam / shrink * gj <= _MIN_PIVOT):
             H, g = _leverages(F, w)
@@ -165,7 +172,11 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
         else:
             col = H @ F[j] - V[:, :r] @ (c[:r] * V[j, :r])  # G e_j / s
             cj = lam / (shrink + lam * gj)  # q / (1 + q g_j)
-            g = (g - cj * (s * col) ** 2) / shrink
+            np.multiply(col, s, out=term)
+            np.square(term, out=term)
+            term *= cj
+            g -= term
+            g /= shrink
             V[:, r] = col
             c[r] = cj * s
             s /= shrink
@@ -235,14 +246,19 @@ def reduce_to_span(features):
     """Project features onto their span when they are rank deficient.
 
     Returns (reduced features, orthonormal basis of the span).  The basis has
-    shape (rank, m) so original-space vectors map down via basis @ v.
+    shape (rank, m) so original-space vectors map down via basis @ v.  The
+    rank comes from the singular values alone; only a rank-deficient set pays
+    for the right singular vectors.  A full-rank set is returned as it is,
+    with the identity as its basis.
     """
     F = _as_feature_array(features)
-    u, s, vt = np.linalg.svd(F, full_matrices=False)
+    s = np.linalg.svd(F, compute_uv=False)
     rank = int((s > _SPAN_REL_TOL * s[0]).sum()) if s.size and s[0] > 0 else 0
     if rank == 0:
         raise InputError("feature set is identically zero")
-    basis = vt[:rank]
+    if rank == F.shape[1]:
+        return F, np.eye(rank)
+    basis = np.linalg.svd(F, full_matrices=False)[2][:rank]
     return F @ basis.T, basis
 
 

@@ -43,6 +43,7 @@ from .kernels import (
     feature_map,
     feature_matrix,
     loss_matrix,
+    validate_points,
 )
 from .quadratic import QuadraticObjective, trs_minimize
 from .rng import _inverse_cdf, sample_indices
@@ -389,11 +390,17 @@ def run_cg(kernel: KernelSpec, action_set, schedule: Schedule,
     action set once; every output has the bits of a loop of
     :func:`cg_round`.  On a finite set the start point ``a1`` (default: the
     first row) maps to its lowest equal row, and one that is not a row of
-    the set raises :class:`InputError` before round one.
+    the set raises :class:`InputError` before round one.  On a
+    :class:`UnitBall` the start point is required, and one outside the ball
+    (beyond the slack of ``validate_points``) or of another dimension raises
+    :class:`InputError` before round one.
     """
-    if a1 is None:
-        if isinstance(action_set, UnitBall):
+    if isinstance(action_set, UnitBall):
+        if a1 is None:
             raise InputError("unit-ball action set needs an explicit start point")
+        if validate_points(a1, unit_ball=True).shape != (1, action_set.dim):
+            raise InputError(f"start point must be one point of R^{action_set.dim}")
+    elif a1 is None:
         a1 = np.atleast_2d(np.asarray(action_set, dtype=float))[0]
     state = cg_start(kernel, a1)
     table_for = _cg_oracle(kernel, action_set)

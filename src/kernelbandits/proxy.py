@@ -4,6 +4,11 @@ The proxy feature map projects the (possibly infinite dimensional) kernel
 embedding onto the span of the top eigenvectors of a sampled covariance,
 computed through the Gram matrix: draw p points, eigendecompose the
 (1/p)-scaled Gram, and normalize each eigenvector's image in feature space.
+Points drawn with replacement repeat, and the p x p Gram has only as many
+distinct rows as distinct samples, s: `basis_from_samples` eigendecomposes
+an s x s matrix with the same nonzero spectrum and expands its eigenvectors
+back to the p samples, the same basis in exact arithmetic (one eigh at
+s = 127 in place of p = 300 for 150 actions).
 The resulting m-dimensional kernel approximates the original uniformly when
 the spectrum decays fast enough; `effective_dimension` turns a decay profile
 into the truncation level needed for a target approximation error.
@@ -38,9 +43,11 @@ _EIG_FLOOR_REL = 1e-10  # Gram eigenvalues at or below this times the largest dr
 class SampleBasis:
     """Data defining the proxy feature map.
 
-    ``eig_coeffs`` rows are the unit-norm Gram eigenvectors; ``normalizers``
-    are the feature-space norms of the corresponding eigenvector images,
-    which satisfy normalizers_j**2 = p * eigenvalues_j.
+    ``eig_coeffs`` rows are the unit-norm eigenvectors of the p x p scaled
+    Gram, one coefficient per sample, so repeated samples share their
+    coefficient; ``normalizers`` are the feature-space norms of the
+    corresponding eigenvector images, which satisfy
+    normalizers_j**2 = p * eigenvalues_j.
     """
 
     sample_points: np.ndarray  # (p, d)
@@ -92,17 +99,28 @@ def basis_from_samples(kernel: KernelSpec, samples: np.ndarray,
                        m: int | None = None) -> SampleBasis:
     """Proxy basis from an explicit sample set (deterministic).
 
+    Equal sample rows are merged first: with s distinct rows u_1..u_s, drawn
+    c_1..c_s times, the p x p Gram is P K_u P^T with P the p x s indicator
+    of the draws, and P^T P = C = diag(c).  So the s x s matrix
+    C^1/2 K_u C^1/2 / p has the nonzero spectrum of the scaled Gram, and an
+    eigenvector b of it gives the unit-norm Gram eigenvector P C^-1/2 b
+    with the same eigenvalue: one eigh at s x s in place of p x p, and the
+    same basis in exact arithmetic.  Rows are merged when numpy's ``unique``
+    finds them equal (-0.0 equals 0.0, which the kernel cannot tell apart;
+    a row with a NaN is never merged).
+
     Eigenvalues at or below 1e-10 times the largest are dropped, reducing m,
     rather than dividing by near-zero normalizers.
     ``m=None`` keeps the whole observed spectrum above the floor.
     """
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     p = pts.shape[0]
-    K_scaled = gram_matrix(kernel, pts, scale=1.0 / p)
-    vals, vecs = np.linalg.eigh(K_scaled)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    distinct, draws, counts = np.unique(pts, axis=0, return_inverse=True,
+                                        return_counts=True)
+    root = np.sqrt(counts)
+    vals, vecs = np.linalg.eigh(gram_matrix(kernel, distinct, scale=1.0 / p)
+                                * np.outer(root, root))
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     floor = _EIG_FLOOR_REL * max(vals[0], 0.0)
     observed = int((vals > floor).sum())
     if m is None:
@@ -120,7 +138,7 @@ def basis_from_samples(kernel: KernelSpec, samples: np.ndarray,
     if m_eff == 0:
         raise InputError("Gram spectrum entirely below the eigenvalue floor")
     eigenvalues = vals[:m_eff]
-    eig_coeffs = vecs[:, :m_eff].T
+    eig_coeffs = (vecs[:, :m_eff] / root[:, None])[draws.ravel()].T
     normalizers = np.sqrt(p * eigenvalues)
     return SampleBasis(pts, eig_coeffs, eigenvalues, normalizers, kernel)
 

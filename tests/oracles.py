@@ -5,7 +5,10 @@ the hull of the embedded actions; the conditional-gradient analysis bounds
 the gap between CG's iterate and that minimizer.  ``d_optimal_design_exact``
 is the D-optimal design loop that re-forms and inverts the covariance on
 every step, the reference for the rank-one updates of
-``design.d_optimal_design``.  ``ew_fold_oracle`` is exponential weights as
+``design.d_optimal_design``.  ``gram_basis_oracle`` is the proxy basis
+from one eigh of the whole p x p sample Gram, the reference for the
+eigensolve over distinct samples of ``proxy.basis_from_samples``.
+``ew_fold_oracle`` is exponential weights as
 a plain per-round loop with scalar draws (``scalar_inverse_cdf``), the
 reference for the blocked pass of ``fullinfo.full_info_ew_play``;
 ``sample_index`` is one draw per call, ``rng.sample_indices`` on one row,
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from kernelbandits import design
+from kernelbandits import design, proxy
 from kernelbandits.design import DiscreteDistribution
 from kernelbandits.errors import (
     InputError,
@@ -61,11 +64,13 @@ from kernelbandits.kernels import (
     feature_dim,
     feature_map,
     feature_matrix,
+    gram_matrix,
     has_feature_map,
     loss_matrix,
     make_explicit,
     make_rank_one,
 )
+from kernelbandits.proxy import SampleBasis
 from kernelbandits.rng import component_rng, sample_indices
 
 # kernels with every loss path: explicit maps (linear, quadratic, cubic) and
@@ -256,6 +261,20 @@ def d_optimal_design_exact(features, tol: float = 1e-6) -> DiscreteDistribution:
         w[j] += lam
         np.maximum(w, 0.0, out=w)
         w /= w.sum()
+
+
+def gram_basis_oracle(kernel: KernelSpec, samples: np.ndarray,
+                      m: int | None = None) -> SampleBasis:
+    """``proxy.basis_from_samples`` by one eigh of the whole p x p scaled
+    Gram, repeated samples and all, with the same eigenvalue floor (no
+    warning, no error on an empty spectrum)."""
+    pts = np.atleast_2d(np.asarray(samples, dtype=float))
+    p = pts.shape[0]
+    vals, vecs = np.linalg.eigh(gram_matrix(kernel, pts, scale=1.0 / p))
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    observed = int((vals > proxy._EIG_FLOOR_REL * max(vals[0], 0.0)).sum())
+    k = observed if m is None else min(m, observed)
+    return SampleBasis(pts, vecs[:, :k].T, vals[:k], np.sqrt(p * vals[:k]), kernel)
 
 
 def fibonacci_sphere(num: int) -> np.ndarray:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from kernelbandits.bandit import BanditConfig, theorem_regret_bound
 from kernelbandits.cli import main, parse_actions, parse_kernel
-from kernelbandits.errors import InputError
+from kernelbandits.errors import DegenerateSpectrumWarning, InputError
+from oracles import fibonacci_sphere
 
 
 def test_parse_kernel_variants():
@@ -81,6 +83,8 @@ def test_run_summary_pseudo_regret_null_without_expected_losses(tmp_path):
     assert summary["bandit_estimator"] is None
     assert summary["design"] is None
     assert summary["bandit_config"] is None
+    assert summary["theorem_bound"] is None
+    assert summary["vacuous"] is None
 
 
 def test_discretization_error_reported(tmp_path):
@@ -93,6 +97,33 @@ def test_discretization_error_reported(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["discretization_error"] == pytest.approx(
         1.0 * 2 * np.sin(np.pi / 128))
+
+
+@pytest.mark.parametrize("kernel, num, n, gamma, bound_per_round", [
+    # the shape of the bench's bandit-gauss150: 127 of 150 eigenvalues kept
+    ("gaussian:0.5", 150, 1000, 0.92, 7.7),
+    # the non-vacuous case of test_mean_regret_is_below_a_non_vacuous_theorem_bound
+    ("gaussian:2", 40, 3000, 0.20, 1.68),
+])
+def test_run_summary_reports_theorem_bound(tmp_path, kernel, num, n, gamma,
+                                           bound_per_round):
+    # summary.json carries the theorem's bound at the paper schedule, and
+    # flags it vacuous when it is at least 2 G^2 n, the most any player can
+    # lose to the best action (G = 1 for the Gaussian kernel)
+    actions = tmp_path / "actions.csv"
+    np.savetxt(actions, fibonacci_sphere(num), delimiter=",")
+    out = tmp_path / "results"
+    with pytest.warns(DegenerateSpectrumWarning):
+        assert main(["run", "--algo", "bandit_ew", "--kernel", kernel,
+                     "--actions", str(actions), "--adversary", "iid-unit",
+                     "--n", str(n), "--seeds", "0", "--params", "paper",
+                     "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    config = BanditConfig(**summary["bandit_config"])
+    assert config.gamma == pytest.approx(gamma, abs=0.005)
+    assert summary["theorem_bound"] == theorem_regret_bound(config, 1.0, num)
+    assert summary["theorem_bound"] / n == pytest.approx(bound_per_round, abs=0.01)
+    assert summary["vacuous"] is (bound_per_round >= 2.0)
 
 
 def test_run_summary_reports_covariance_floor_certificate(tmp_path):

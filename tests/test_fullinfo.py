@@ -512,6 +512,20 @@ def test_run_cg_requires_start_for_ball():
                component_rng(13, "cg"))
 
 
+def test_run_cg_refuses_a_ball_start_outside_the_ball():
+    # a start outside the ball is played in round one: (3, 0) would lose
+    # 3.0 under the linear kernel, above its bound G = 1
+    schedule = [make_explicit(LINEAR, [1.0, 0.0])] * 3
+    config = cg_theorem_config(3)
+    for outside in ([3.0, 0.0], [1.0 + 1e-9, 0.0], [0.6, 0.8, 0.0], [np.nan, 0.0]):
+        with pytest.raises(InputError):
+            run_cg(LINEAR, UnitBall(2), schedule, config, component_rng(17, "cg"),
+                   a1=np.array(outside))
+    records, _ = run_cg(LINEAR, UnitBall(2), schedule, config, component_rng(17, "cg"),
+                        a1=np.array([0.6, -0.8]))
+    assert records[0].loss == pytest.approx(0.6)
+
+
 def test_run_cg_on_unit_ball_with_quadratic_kernel():
     rng = component_rng(14, "ball")
     n = 64

@@ -15,7 +15,7 @@ from kernelbandits.proxy import (
     proxy_features,
 )
 from kernelbandits.rng import component_rng
-from oracles import kernel_eval
+from oracles import fibonacci_sphere, gram_basis_oracle, kernel_eval
 
 LINEAR = KernelSpec.linear(G=3.0)
 GAUSS_HALF = KernelSpec.gaussian(0.5)
@@ -199,3 +199,66 @@ def test_build_proxy_input_validation():
         build_proxy(LINEAR, np.eye(3), m=None, p=0, rng=rng)
     with pytest.raises(InputError):
         build_proxy(LINEAR, np.empty((0, 3)), m=None, p=4, rng=rng)
+
+
+def _sample_sets(points: np.ndarray, rng: np.random.Generator) -> dict:
+    """Samples with repeats (drawn with replacement), one row repeated, and
+    no repeats."""
+    return {"with_replacement": points[rng.integers(0, points.shape[0], size=90)],
+            "identical": np.tile(points[3], (12, 1)),
+            "distinct": points}
+
+
+@pytest.mark.parametrize("kernel", [LINEAR, KernelSpec.quadratic(G=2.0), GAUSS_HALF],
+                         ids=["linear", "quadratic", "gaussian"])
+@pytest.mark.parametrize("draw", ["with_replacement", "identical", "distinct"])
+def test_distinct_sample_eigensolve_matches_the_full_gram(kernel, draw):
+    # the eigh over the s distinct samples gives the basis of the p x p
+    # eigh: the same m, the same eigenvalues and the same induced kernel
+    # F F^T, with p-length unit-norm eigenvectors
+    rng = component_rng(13, f"distinct-{kernel.variant}")
+    points = rng.standard_normal((30, 3))
+    points /= np.maximum(np.linalg.norm(points, axis=1), 1.0)[:, None]
+    samples = _sample_sets(points, rng)[draw]
+    fast = basis_from_samples(kernel, samples, m=None)
+    exact = gram_basis_oracle(kernel, samples)
+    assert fast.m == exact.m
+    assert fast.eig_coeffs.shape == exact.eig_coeffs.shape == (fast.m, samples.shape[0])
+    assert np.abs(fast.eigenvalues - exact.eigenvalues).max() <= 1e-12 * exact.eigenvalues[0]
+    assert np.abs(fast.eig_coeffs @ fast.eig_coeffs.T - np.eye(fast.m)).max() <= 1e-12
+    probes = np.vstack([points, rng.standard_normal((20, 3)) / 2.0])
+    F, F_exact = proxy_features(fast, probes), proxy_features(exact, probes)
+    assert np.abs(F @ F.T - F_exact @ F_exact.T).max() <= 1e-12
+    if draw == "identical":
+        assert fast.m == 1
+
+
+def test_proxy_eigensolve_runs_over_the_distinct_samples(monkeypatch):
+    # the bench's proxy: 300 draws from 150 lattice points hit 127 of them,
+    # and the one eigh is 127 x 127, not 300 x 300
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    with pytest.warns(DegenerateSpectrumWarning):
+        basis = build_proxy(GAUSS_HALF, fibonacci_sphere(150), m=150, p=300,
+                            rng=component_rng(0, "proxy"))
+    s = np.unique(basis.sample_points, axis=0).shape[0]
+    assert s == 127
+    assert shapes == [(s, s)]
+    assert basis.eig_coeffs.shape == (basis.m, 300)
+
+
+def test_proxy_at_six_hundred_actions():
+    # gaussian:2 on 600 lattice points, p = 1200: the spectrum above the
+    # floor has 49 eigenvalues, and the proxy kernel is within 1e-8 of the
+    # kernel on the actions
+    points = fibonacci_sphere(600)
+    kernel = KernelSpec.gaussian(2.0)
+    basis = build_proxy(kernel, points, m=None, p=1200, rng=component_rng(0, "proxy"))
+    assert basis.m == 49
+    assert approximation_sup_error(kernel, basis, points) <= 1e-8
