@@ -138,6 +138,7 @@ def basis_from_samples(kernel: KernelSpec, samples: np.ndarray,
     if m_eff == 0:
         raise InputError("Gram spectrum entirely below the eigenvalue floor")
     eigenvalues = vals[:m_eff]
+    # ravel: numpy 2.0.0 returns the inverse of a unique over axis 0 as a column
     eig_coeffs = (vecs[:, :m_eff] / root[:, None])[draws.ravel()].T
     normalizers = np.sqrt(p * eigenvalues)
     return SampleBasis(pts, eig_coeffs, eigenvalues, normalizers, kernel)
