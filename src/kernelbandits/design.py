@@ -2,13 +2,18 @@
 
 The exploration distribution is the D-optimal design over the proxy features
 (the dual of the minimum-volume enclosing ellipsoid for origin-symmetric
-sets), computed by Frank-Wolfe with away steps on the log-det objective.
-A step moves weight to or from one action j, so it needs only column j of
-the leverage matrix F Sigma^-1 F^T, formed from the last exact
-recomputation and the r rank-one terms added since: O(N m + N r) per step,
-r < ``_DESIGN_REFRESH``.  The leverages are recomputed exactly every
-``_DESIGN_REFRESH`` steps, after a near-zero pivot, and before the
-Kiefer-Wolfowitz certificate is accepted or refused.  After whitening by
+sets), computed by steps on the log-det objective.  From the uniform start,
+while N <= m (m + 1) / 2, each step is a Newton step on all N weights, one
+N x N solve, O(N^3 + N^2 m); the first step refused (a weight would not
+stay positive, or log det would fall) hands the rest of the call to
+Frank-Wolfe with away steps, the only steps that can empty a support point
+and the only ones taken for N > m (m + 1) / 2.  A Frank-Wolfe step moves
+weight to or from one action j, so it needs only column j of the leverage
+matrix F Sigma^-1 F^T, formed from the last exact recomputation and the r
+rank-one terms added since: O(N m + N r) per step, r < ``_DESIGN_REFRESH``.
+The leverages are recomputed exactly after every Newton step, every
+``_DESIGN_REFRESH`` Frank-Wolfe steps, after a near-zero pivot, and before
+the Kiefer-Wolfowitz certificate is accepted or refused.  After whitening by
 the design covariance, the feature second-moment matrix of the design is
 the identity over m, which is what gives the mixed distribution its gamma/m
 eigenvalue floor.  `action_covariance` (the second moment) and
@@ -44,7 +49,7 @@ __all__ = [
 ]
 
 _SPAN_REL_TOL = 1e-10  # singular values at or below this times the largest are zero
-_DESIGN_MAX_ITER = 10_000  # Frank-Wolfe steps before d_optimal_design gives up
+_DESIGN_MAX_ITER = 10_000  # Newton and Frank-Wolfe steps before d_optimal_design gives up
 _DESIGN_REFRESH = 50  # bound on the rank-one terms since the last exact recomputation
 # a rank-one update whose pivot 1 - lam or 1 + q g_j is at most this (the
 # m = 1 add step has lam = 1) is replaced by a from-scratch recomputation
@@ -89,17 +94,56 @@ def _leverages(F: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return H, np.einsum("ij,ij->i", H, F)
 
 
+def _newton_step(F: np.ndarray, H: np.ndarray, g: np.ndarray,
+                 w: np.ndarray) -> np.ndarray | None:
+    """Weights after one Newton step on log det Sigma over the rows of F, or
+    None when the step is refused; w itself is never written.
+
+    With H = F Sigma^-1 and g exact at w, K = (H F^T) o (H F^T) is the
+    negative Hessian of log det Sigma in w and g its gradient; the step
+    d = a - (sum a / sum b) b, from K [a b] = [g 1], keeps sum w = 1.  The
+    step is refused when K is singular, when a weight would not stay
+    positive, or when log det Sigma would decrease, measured as
+    log det(Sigma^-1 Sigma') = log det(H^T (w' * F)).
+    """
+    K = H @ F.T
+    K *= K
+    try:
+        a, b = np.linalg.solve(K, np.column_stack((g, np.ones_like(g)))).T
+    except np.linalg.LinAlgError:
+        return None
+    new = w + (a - a.sum() / b.sum() * b)
+    if not new.min() > 0.0:
+        return None
+    new /= new.sum()
+    sign, gain = np.linalg.slogdet(H.T @ (F * new[:, None]))
+    if not (sign > 0.0 and gain >= 0.0):
+        return None
+    return new
+
+
 def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     """D-optimal design weights over the feature rows.
 
-    Maximizes log det(sum_i w_i f_i f_i^T) by Frank-Wolfe with away steps;
-    the returned design satisfies the Kiefer-Wolfowitz certificate
-    max_i f_i^T Sigma^-1 f_i <= m (1 + tol), or raises ToleranceNotMetError
-    after 10 000 steps without it.  A tol that is not positive and finite
-    raises InputError before the first step.
+    Maximizes log det(sum_i w_i f_i f_i^T) by Newton steps, then
+    Frank-Wolfe with away steps; the returned design satisfies the
+    Kiefer-Wolfowitz certificate max_i f_i^T Sigma^-1 f_i <= m (1 + tol), or
+    raises ToleranceNotMetError after 10 000 steps of both kinds without it.
+    A tol that is not positive and finite raises InputError before the first
+    step.
 
-    A step w' = (1 - lam) w + lam e_j changes Sigma by a rank-one term, so
-    the leverage matrix G = F Sigma^-1 F^T changes by one too:
+    Newton steps come first, from the uniform start, and only while
+    n <= m (m + 1) / 2: above that the negative Hessian K = G o G on the
+    weights, with G = F Sigma^-1 F^T, has rank below n and is singular.
+    Each one solves K [a b] = [g 1] at exact H = F Sigma^-1 and g, steps by
+    d = a - (sum a / sum b) b (``_newton_step``), and recomputes H and g at
+    the new weights: O(n^3 + n^2 m) per attempt.  An accepted step keeps
+    every weight positive and log det from falling, so the support stays
+    all n rows.  The first refused step leaves w as it is, and the rest of
+    the call takes Frank-Wolfe steps, so a refusal costs one solve.
+
+    A Frank-Wolfe step w' = (1 - lam) w + lam e_j changes Sigma by a
+    rank-one term, so G changes by one too:
     G' = (G - c v v^T) / (1 - lam) with v = G e_j, its column j, and
     c = lam / (1 - lam + lam g_j).  Neither G nor Sigma^-1 is updated: G is
     held as s (H F^T - V diag(c) V^T), with H = F Sigma_0^-1 from the last
@@ -107,10 +151,10 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     only column j, s (H f_j - V (c * V[j])), and updates the leverages
     g = diag(G) from it, in O(N m + N r) with no m x m temporary;
     r < ``_DESIGN_REFRESH``.  H and g are recomputed from scratch (Sigma, its
-    inverse and F times that) every ``_DESIGN_REFRESH`` steps, after a step
-    whose update would divide by a pivot near zero, and before the
-    certificate is accepted or refused: the certificate is always checked on
-    exact leverages.
+    inverse and F times that) every ``_DESIGN_REFRESH`` Frank-Wolfe steps,
+    after a step whose update would divide by a pivot near zero, and before
+    the certificate is accepted or refused: the certificate is always
+    checked on exact leverages.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InputError(f"tol must be positive and finite, got {tol!r}")
@@ -121,6 +165,7 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
         raise RankDeficiencyError(rank, m)
     w = np.full(n, 1.0 / n)
     H, g = _leverages(F, w)
+    newton = n <= m * (m + 1) // 2  # the rank of K is at most m (m + 1) / 2
     V = np.empty((n, _DESIGN_REFRESH))  # G = s (H F^T - V[:, :r] diag(c) V[:, :r]^T)
     c = np.empty(_DESIGN_REFRESH)
     support = np.empty(n, dtype=bool)  # w > 0: the away step's candidates
@@ -147,6 +192,14 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
         if it == _DESIGN_MAX_ITER:
             raise ToleranceNotMetError(max(add_violation, away_violation), tol,
                                        _DESIGN_MAX_ITER)
+        if newton:  # no Frank-Wolfe step yet: H and g are exact at w
+            stepped = _newton_step(F, H, g, w)
+            if stepped is not None:
+                w = stepped
+                H, g = _leverages(F, w)
+                it += 1
+                continue
+            newton = False
         if add_violation >= away_violation:
             j, gj = j_add, g_add
             lam = (gj - m) / (m * (gj - 1.0))  # gj > m >= 1 here

@@ -225,16 +225,21 @@ def run_cg_with_gaps(kernel: KernelSpec, actions, schedule, config: CGConfig,
 
 def d_optimal_design_exact(features, tol: float = 1e-6) -> DiscreteDistribution:
     """``design.d_optimal_design`` with Sigma, its inverse and every
-    leverage f_i^T Sigma^-1 f_i computed from scratch on each step."""
+    leverage f_i^T Sigma^-1 f_i computed from scratch on each step: Newton
+    steps on the whole leverage matrix G = F Sigma^-1 F^T from the uniform
+    start while n <= m (m + 1) / 2, up to the first refused one, then
+    Frank-Wolfe steps."""
     F = np.atleast_2d(np.asarray(features, dtype=float))
     n, m = F.shape
     rank = np.linalg.matrix_rank(F)
     if rank < m:
         raise RankDeficiencyError(rank, m)
     w = np.full(n, 1.0 / n)
+    newton = n <= m * (m + 1) // 2
     for it in range(design._DESIGN_MAX_ITER + 1):
         sigma = F.T @ (F * w[:, None])
-        g = np.einsum("ij,jk,ik->i", F, np.linalg.inv(sigma), F)  # f^T S^-1 f
+        G = F @ np.linalg.inv(sigma) @ F.T
+        g = np.diag(G).copy()  # f^T S^-1 f
         j_add = int(np.argmax(g))
         support = w > 0
         g_support = np.where(support, g, np.inf)
@@ -246,6 +251,22 @@ def d_optimal_design_exact(features, tol: float = 1e-6) -> DiscreteDistribution:
         if it == design._DESIGN_MAX_ITER:
             raise ToleranceNotMetError(max(add_violation, away_violation), tol,
                                        design._DESIGN_MAX_ITER)
+        if newton:
+            # maximize g^T d - d^T (G o G) d / 2 subject to sum d = 0; keep the
+            # step only if every weight stays positive and log det does not fall
+            try:
+                a, b = np.linalg.solve(G * G, np.column_stack((g, np.ones(n)))).T
+            except np.linalg.LinAlgError:
+                a = b = None
+            if a is not None:
+                stepped = w + (a - a.sum() / b.sum() * b)
+                if stepped.min() > 0.0:
+                    stepped /= stepped.sum()
+                    after = np.linalg.slogdet(F.T @ (F * stepped[:, None]))
+                    if after[0] > 0 and after[1] >= np.linalg.slogdet(sigma)[1]:
+                        w = stepped
+                        continue
+            newton = False
         if add_violation >= away_violation:
             j, gj = j_add, g[j_add]
             lam = (gj - m) / (m * (gj - 1.0))  # gj > m >= 1 here

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -103,23 +104,37 @@ def test_kiefer_wolfowitz_certificate():
         assert _kw_ratio(F, des.weights) <= 1.0 + 1e-4
 
 
+def _bench_design_set():
+    """The benchmark's design input: gaussian:0.5 on 150 lattice points of
+    the sphere, proxy p = 300 at seed 0, reduced to its span, m = 127."""
+    points = fibonacci_sphere(150)
+    with pytest.warns(DegenerateSpectrumWarning):  # 127 of 150 eigenvalues kept
+        basis = build_proxy(KernelSpec.gaussian(0.5), points, m=150, p=300,
+                            rng=component_rng(0, "proxy"))
+    F = reduce_to_span(proxy_features(basis, points))[0]
+    assert F.shape == (150, 127)
+    return F
+
+
+def _two_axes_and_a_diagonal(c):
+    # n = 3 = m (m + 1) / 2: from the uniform start a Newton step is refused
+    # for c = 0.9 and taken once, then refused, for c = 0.95
+    return np.array([[1.0, 0.0], [0.0, 1.0], [c / np.sqrt(2), c / np.sqrt(2)]])
+
+
 def test_design_matches_exact_oracle(monkeypatch):
-    # the rank-one updates follow the from-scratch loop step for step; the
-    # last set is the benchmark's (gaussian:0.5 on 150 lattice points of the
-    # sphere, proxy p = 300 at seed 0, m = 127), ~437 steps over ~9 windows
-    # of rank-one terms between exact recomputations
+    # the fast loop follows the from-scratch loop step for step: Frank-Wolfe
+    # steps by rank-one updates on the random sets, Newton steps on the
+    # benchmark's set (the last), one Newton step then Frank-Wolfe on the
+    # c = 0.95 set
     sets = _kw_feature_sets()
     points = component_rng(4, "gauss").uniform(-1.0, 1.0, size=(60, 2)) / np.sqrt(2)
     basis = build_proxy(KernelSpec.gaussian(0.5), points, m=48, p=120,
                         rng=component_rng(4, "proxy"))
     sets.append(reduce_to_span(proxy_features(basis, points))[0])
     assert sets[-1].shape[1] >= 40
-    points = fibonacci_sphere(150)
-    with pytest.warns(DegenerateSpectrumWarning):  # 127 of 150 eigenvalues kept
-        basis = build_proxy(KernelSpec.gaussian(0.5), points, m=150, p=300,
-                            rng=component_rng(0, "proxy"))
-    sets.append(reduce_to_span(proxy_features(basis, points))[0])
-    assert sets[-1].shape == (150, 127)
+    sets += [_two_axes_and_a_diagonal(0.9), _two_axes_and_a_diagonal(0.95)]
+    sets.append(_bench_design_set())
     recomputations = []
     leverages = design._leverages
 
@@ -134,8 +149,56 @@ def test_design_matches_exact_oracle(monkeypatch):
         assert np.abs(fast.weights - exact.weights).sum() <= 1e-12
         assert _kw_ratio(F, fast.weights) <= 1.0 + 1e-6
         assert _kw_ratio(F, exact.weights) <= 1.0 + 1e-6
-    # the start, one per full window of rank-one terms, and the certificate's
-    assert recomputations.count((150, 127)) >= 9
+    # the start and one after each of the three Newton steps
+    assert recomputations.count((150, 127)) == 4
+
+
+def _record_newton_steps(monkeypatch):
+    taken = []
+    newton_step = design._newton_step
+
+    def recorded(F, H, g, w):
+        stepped = newton_step(F, H, g, w)
+        taken.append(stepped is not None)
+        return stepped
+
+    monkeypatch.setattr(design, "_newton_step", recorded)
+    return taken
+
+
+def test_newton_steps_alone_certify_the_benchmark_set(monkeypatch):
+    # three steps in all, each one a Newton step: a fourth step of any kind
+    # would exceed the cap
+    F = _bench_design_set()
+    m = F.shape[1]
+    taken = _record_newton_steps(monkeypatch)
+    monkeypatch.setattr(design, "_DESIGN_MAX_ITER", 3)
+    nu = d_optimal_design(F, tol=1e-6)
+    assert taken == [True, True, True]
+    assert _kw_ratio(F, nu.weights) <= 1.0 + 1e-6
+    assert nu.weights.min() >= 1.0 / (2 * m)  # the bandit's complement path
+
+
+def test_design_above_the_newton_size_keeps_the_frank_wolfe_weights(monkeypatch):
+    # n = 30 > m (m + 1) / 2 = 15: no Newton step is tried, and the weights
+    # have the bits of the Frank-Wolfe loop before Newton steps were added
+    taken = _record_newton_steps(monkeypatch)
+    F = component_rng(3, "cap").standard_normal((30, 5))
+    w = d_optimal_design(F).weights
+    assert taken == []
+    assert hashlib.sha256(w.tobytes()).hexdigest() == (
+        "e988f1edb7202d97c41ed73244bfd2f8143ee58c6049c7bf4ff3bc4e7e9a06d0")
+
+
+def test_refused_newton_step_leaves_the_weights_unchanged():
+    # the design puts no weight on the diagonal point, and the Newton step
+    # from the uniform start would make its weight negative
+    F = _two_axes_and_a_diagonal(0.9)
+    w = np.full(3, 1.0 / 3)
+    H, g = design._leverages(F, w)
+    assert design._newton_step(F, H, g, w) is None
+    assert np.array_equal(w, np.full(3, 1.0 / 3))
+    assert np.array_equal(d_optimal_design(F).weights[2:], [0.0])
 
 
 def test_design_iteration_cap_raises_without_certificate(monkeypatch):
