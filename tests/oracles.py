@@ -4,7 +4,7 @@
 the hull of the embedded actions; the conditional-gradient analysis bounds
 the gap between CG's iterate and that minimizer.  ``d_optimal_design_exact``
 is the D-optimal design loop that re-forms and inverts the covariance on
-every step, the reference for the rank-one updates of
+every step, the reference for the Newton steps and rank-one updates of
 ``design.d_optimal_design``.  ``gram_basis_oracle`` is the proxy basis
 from one eigh of the whole p x p sample Gram, the reference for the
 eigensolve over distinct samples of ``proxy.basis_from_samples``.
