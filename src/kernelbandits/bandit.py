@@ -6,14 +6,14 @@ kernel, and estimates every action's loss through the inverse covariance of
 the proxy features under the mixed play distribution.  The exploration design
 keeps that covariance invertible: with the D-optimal design over whitened
 features its smallest eigenvalue is at least gamma / m in exact arithmetic.
-:func:`run_bandit` certifies the floor gamma / (2m), slack for rounding, once
-per run from the design alone (:func:`certify_covariance_floor`);
+A run certifies the floor gamma / (2m), slack for rounding, once per run
+from the design alone (:func:`certify_covariance_floor`);
 :func:`bandit_round`, the one-round entry, checks its own round's covariance
 by a Cholesky factorization.  The exact smallest eigenvalue is computed, and
 checked against the floor, only on the rounds it is recorded.
 
 The estimate takes one of two paths, chosen once per run from the inputs
-(see :func:`run_bandit`).  On the covariance path a round costs about
+(see :func:`_bandit_play`).  On the covariance path a round costs about
 one symmetric product, the covariance X^T X with X = sqrt(p_t) * F
 (:func:`~kernelbandits.design.action_covariance`), and one m x m LU solve.
 When the proxy rank m exceeds N / 2 and every design weight is at least
@@ -21,10 +21,10 @@ When the proxy rank m exceeds N / 2 and every design weight is at least
 k = N - m dimensional complement of the features' column space, and forms
 the covariance only on the rounds its smallest eigenvalue is recorded.
 
-:func:`run_bandit` steps blocks of ``_LOSS_BLOCK_ROWS`` rounds on one array
+:func:`_bandit_play` steps blocks of ``_LOSS_BLOCK_ROWS`` rounds on one array
 of log weights.  A block makes one :func:`~kernelbandits.kernels.loss_matrix`
-call (its played entries are the losses the regret accounting charges) and
-one call for its raw 64-bit draws, one per round; the player stream feeds
+call, whose rows give the played losses, <p_t, l_t> and the loss totals,
+and one call for its raw 64-bit draws, one per round; the player stream feeds
 only the draws, so these are the bits of one draw per round.
 """
 
@@ -182,7 +182,7 @@ def certify_covariance_floor(config: BanditConfig, features: np.ndarray,
     Returns (floor, certified lower bound gamma lambda_min(Sigma_nu) - delta)
     with lambda_min(Sigma_nu) from one ``eigvalsh``, or raises
     IllConditionedCovarianceError carrying that bound (as ``min_eig``) and
-    the floor.  See :func:`run_bandit` for the argument and for delta.
+    the floor.  See :func:`_bandit_play` for the argument and for delta.
     """
     num, m = features.shape
     floor = _covariance_floor(config, features)
@@ -223,7 +223,7 @@ def _complement_estimate(basis: np.ndarray, p: np.ndarray, idx: int,
                          loss: float) -> np.ndarray:
     """The estimated loss of every action, loss * F Sigma^-1 Phi(a_idx),
     through the complement basis Z: (loss / p_i)(e_i - Y c) with Y = Z / p
-    and c = (Z^T Y)^-1 Z^T e_i (see :func:`run_bandit`)."""
+    and c = (Z^T Y)^-1 Z^T e_i (see :func:`_bandit_play`)."""
     y = basis / p[:, None]
     v = -(y @ np.linalg.solve(basis.T @ y, basis[idx]))
     v[idx] += 1.0
@@ -239,15 +239,16 @@ def _bandit_block(log_weights: np.ndarray, start: int, config: BanditConfig,
     inverse-CDF rule on one raw draw, checks the sampled lambda_min, estimates
     every action's loss (through ``basis``, or by LU when it is None) and
     steps the log weights.  Returns the played indices, their losses,
-    ||l-hat_t||_inf, the sampled lambda_min (else None), the log weights."""
+    <p_t, L[t]>, ||l-hat_t||_inf, the sampled lambda_min (else None), the log weights."""
     rows = L.shape[0]
     u = rng.bit_generator.random_raw(rows) / 2.0**64
     mix, gamma_nu = 1.0 - config.gamma, config.gamma * exploration.weights
     floor, step = _covariance_floor(config, features), -config.eta
     idx, loss_hat = np.empty(rows, dtype=np.int64), np.empty((rows, features.shape[0]))
-    min_eigs = [None] * rows
+    min_eigs, expected = [None] * rows, np.empty(rows)
     for i in range(rows):
         p = mix * softmax(log_weights) + gamma_nu
+        expected[i] = p @ L[i]
         j = idx[i] = _inverse_cdf(p, u[i])
         sampled = (start + i) % _MIN_EIG_EVERY == 0
         if basis is None or sampled:
@@ -263,8 +264,8 @@ def _bandit_block(log_weights: np.ndarray, start: int, config: BanditConfig,
         log_weights = log_weights + step * loss_hat[i]
         if not np.isfinite(log_weights).all():
             raise InputError("log weights must be finite")
-    return (idx, L[np.arange(rows), idx], np.abs(loss_hat).max(axis=1), min_eigs,
-            log_weights)
+    return (idx, L[np.arange(rows), idx], expected, np.abs(loss_hat).max(axis=1),
+            min_eigs, log_weights)
 
 
 def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
@@ -288,7 +289,7 @@ def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
     p = (1.0 - config.gamma) * state.probabilities() + config.gamma * exploration.weights
     check_covariance_floor(action_covariance(p, features),
                            _covariance_floor(config, features))
-    idx, losses, loss_hat_max, min_eig, log_weights = _bandit_block(
+    idx, losses, _, loss_hat_max, min_eig, log_weights = _bandit_block(
         state.log_weights, state.round, config, features, exploration,
         _complement(config, features, exploration),
         loss_matrix(kernel, actions, [w_t]), rng)
@@ -321,11 +322,12 @@ def prepare_bandit_features(basis: SampleBasis, actions: np.ndarray):
     return F, nu, center_offset
 
 
-def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
-               exploration: DiscreteDistribution, config: BanditConfig,
-               schedule: Schedule,
-               rng: np.random.Generator) -> tuple[list[BanditRecord], WeightState]:
-    """Run the full horizon from uniform initial weights.
+def _bandit_play(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
+                 exploration: DiscreteDistribution, config: BanditConfig,
+                 schedule: Schedule, rng: np.random.Generator) -> tuple:
+    """Run the full horizon from uniform initial weights.  Returns the played
+    indices, their losses, <p_t, l_t>, the per-action loss totals,
+    ||l-hat_t||_inf, the sampled lambda_min (else None) and the final state.
 
     The regret analysis telescopes from the uniform start, so q_1 is uniform
     even though exploration is mixed in from the first round.  The first
@@ -431,16 +433,28 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     certify_covariance_floor(config, features, exploration)
     basis = _complement(config, features, exploration)
-    log_weights = np.zeros(actions.shape[0])
-    idx, losses, loss_hat_max = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
-    min_eigs = [None] * n
+    log_weights, totals = np.zeros(actions.shape[0]), np.zeros(actions.shape[0])
+    idx, losses, expected = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    loss_hat_max, min_eigs = np.empty(n), [None] * n
     for start in range(0, n, _LOSS_BLOCK_ROWS):
         rows = slice(start, min(start + _LOSS_BLOCK_ROWS, n))
         L = loss_matrix(kernel, actions, schedule[rows])
-        idx[rows], losses[rows], loss_hat_max[rows], min_eigs[rows], log_weights = (
-            _bandit_block(log_weights, start, config, features, exploration, basis,
-                          L, rng))
+        totals += L.sum(axis=0)
+        (idx[rows], losses[rows], expected[rows], loss_hat_max[rows], min_eigs[rows],
+         log_weights) = _bandit_block(log_weights, start, config, features,
+                                      exploration, basis, L, rng)
+    return (idx, losses, expected, totals, loss_hat_max, min_eigs,
+            WeightState(log_weights, n))
+
+
+def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
+               exploration: DiscreteDistribution, config: BanditConfig,
+               schedule: Schedule,
+               rng: np.random.Generator) -> tuple[list[BanditRecord], WeightState]:
+    """:func:`_bandit_play` with its outputs as one record per round."""
+    idx, losses, _, _, loss_hat_max, min_eigs, state = _bandit_play(
+        kernel, actions, features, exploration, config, schedule, rng)
     records = list(map(partial(tuple.__new__, BanditRecord),
-                       zip(range(1, n + 1), idx.tolist(), losses.tolist(),
+                       zip(range(1, len(idx) + 1), idx.tolist(), losses.tolist(),
                            loss_hat_max.tolist(), min_eigs)))
-    return records, WeightState(log_weights, n)
+    return records, state

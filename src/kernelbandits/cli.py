@@ -167,9 +167,8 @@ def _cmd_run(args) -> int:
             "actions": args.actions, "adversary": args.adversary}
     for seed, trace in zip(seeds, result.traces):
         emit_trace(trace, out / f"trace_{seed}.csv", config_echo={**echo, "seed": seed})
-    # pseudo-regret is reported only when every seed's learner recorded it
-    pseudo = [trace.final_pseudo_regret for trace in result.traces]
-    pseudo_mean, pseudo_stderr = (None, None) if None in pseudo else _mean_and_stderr(pseudo)
+    pseudo_mean, pseudo_stderr = _mean_and_stderr(
+        [trace.final_pseudo_regret for trace in result.traces])
     # ball:K only: G^2 times the covering radius 2 sin(pi / 2K) of the
     # directions (see ball_directions)
     discretization = None

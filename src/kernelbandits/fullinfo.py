@@ -12,13 +12,16 @@ distribution for the play: one dense weight vector over a table of atoms.
 On a finite action set the table is the action set, and the
 linear-minimization oracle is the argmin row of Phi(actions) @ gradient;
 on the unit ball it is the start point and one trust-region solution per
-round.  :func:`run_cg` is one pass over blocks of ``_LOSS_BLOCK_ROWS``
-rounds that embeds a finite action set once.  Each block embeds its
-adversary actions, and the points it played, with one call each, and draws
-every round from its stored weights with one call; the state moves one
-round at a time, so every output has the bits of per-round embeddings.
-The single round :func:`cg_round` is the one-row case of the same block
-step.
+round.  :func:`_cg_play` is one pass over blocks of ``_LOSS_BLOCK_ROWS``
+rounds that embeds a finite action set once.  Each block embeds its adversary
+actions, and the points it played, with one call each, and draws every
+round from its stored weights with one call; the state moves one round at
+a time, so every output has the bits of per-round embeddings.  The single
+round :func:`cg_round` is the one-row case of the same block step.
+
+Both passes return the expected losses <p_t, l_t>, for pseudo-regret, and
+the per-action loss totals; CG, which forms no L, returns <x_t, w_t> for
+its iterate x_t and Phi(actions) sum_t w_t from its running adversary sum.
 """
 
 from __future__ import annotations
@@ -187,34 +190,34 @@ def full_info_round(state: WeightState, eta: float, kernel: KernelSpec,
 
 def full_info_ew_play(kernel: KernelSpec, actions: np.ndarray,
                       schedule: Schedule, eta: float,
-                      rng: np.random.Generator,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, WeightState]:
+                      rng: np.random.Generator) -> tuple:
     """Exponential weights from a uniform start over a whole schedule.
 
     One pass over blocks of ``_LOSS_BLOCK_ROWS`` rows of the loss matrix,
     carrying the log weights between blocks, so memory stays flat in the
     horizon.  Every output has the bits of a loop of :func:`full_info_round`.
     Returns the played indices, their losses, the expected losses
-    <p_t, l_t> and the final state.
+    <p_t, l_t>, the per-action loss totals and the final state.
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     schedule = Schedule.of(schedule)
     n = len(schedule)
-    log_weights = np.zeros(actions.shape[0])
+    log_weights, totals = np.zeros(actions.shape[0]), np.zeros(actions.shape[0])
     idx, losses, expected = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
     for start in range(0, n, _LOSS_BLOCK_ROWS):
         rows = slice(start, min(start + _LOSS_BLOCK_ROWS, n))
         L = loss_matrix(kernel, actions, schedule[rows])
+        totals += L.sum(axis=0)
         idx[rows], losses[rows], expected[rows], log_weights = _ew_block(
             log_weights, eta, L, rng)
-    return idx, losses, expected, WeightState(log_weights, n)
+    return idx, losses, expected, totals, WeightState(log_weights, n)
 
 
 def run_full_info_ew(kernel: KernelSpec, actions: np.ndarray,
                      schedule: Schedule, eta: float,
                      rng: np.random.Generator) -> tuple[list[FullInfoRecord], WeightState]:
     """:func:`full_info_ew_play` with its outputs as one record per round."""
-    idx, losses, expected, state = full_info_ew_play(kernel, actions, schedule, eta, rng)
+    idx, losses, expected, _, state = full_info_ew_play(kernel, actions, schedule, eta, rng)
     records = list(map(partial(tuple.__new__, FullInfoRecord),
                        zip(count(1), idx.tolist(), losses.tolist(), expected.tolist())))
     return records, state
@@ -239,8 +242,8 @@ def cg_start(kernel: KernelSpec, a1: np.ndarray) -> CGState:
 def _cg_oracle(kernel: KernelSpec, action_set):
     """CG's atom table and its linear-minimization oracle, as
     ``table_for(combo, rows) -> (table, weights, oracle)``: the table a
-    stretch of ``rows`` rounds plays from, ``combo``'s weights over it, and
-    ``oracle(gradient) -> (j, Phi(table[j]))``.
+    stretch of ``rows`` rounds plays from, ``combo``'s weights over it and
+    ``oracle(gradient) -> (j, Phi(table[j]))``; and the embedded actions.
 
     A finite action set is the table, embedded here once: j is the lowest
     argmin of Phi @ gradient, and each atom of ``combo`` maps to its lowest
@@ -258,7 +261,7 @@ def _cg_oracle(kernel: KernelSpec, action_set):
                 table[j] = linear_min_oracle(kernel, gradient, action_set)
                 return j, feature_map(kernel, table[j])
             return table, combo.weights, oracle
-        return table_for
+        return table_for, None
     actions = np.atleast_2d(np.asarray(action_set, dtype=float))
     features = feature_matrix(kernel, actions)
 
@@ -278,12 +281,12 @@ def _cg_oracle(kernel: KernelSpec, action_set):
         weights = np.zeros(actions.shape[0])
         np.add.at(weights, equal.argmax(axis=1), combo.weights)
         return actions, weights, oracle
-    return table_for
+    return table_for, features
 
 
 def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
               schedule: Schedule, rng: np.random.Generator,
-              ) -> tuple[CGState, np.ndarray, np.ndarray, np.ndarray]:
+              ) -> tuple[CGState, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Conditional-gradient rounds over a nonempty stretch of the schedule.
 
     The play distribution is one dense weight vector over the atom table of
@@ -306,8 +309,8 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
     paired kernel call for the rank-one rows and, for the explicit rows, one
     embedding of the played points and one batched row product; every
     output has the bits of per-round calls.  Returns the state after the
-    stretch and, per round, the played table row, its loss and the count of
-    nonzero weights.
+    stretch and, per round, the played table row, its loss, <x_t, w_t> for
+    the mean x_t it played from and the count of nonzero weights.
     """
     rows = len(schedule)
     table, w, oracle = table_for(state.combo, rows)
@@ -327,7 +330,9 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
     live = w.size
     weights[0, :live] = w
     mean, x1, t = state.mean, state.x1, state.t
+    means = np.empty((rows, x1.size))
     for i in range(rows):
+        means[i] = mean
         j, phi = oracle(eta_cum[i] + 2.0 * (mean - x1))
         gamma_t = config.gamma(t + i)
         if j >= live:
@@ -357,7 +362,7 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
         losses[~rank_one] = _row_dots(feature_matrix(kernel, played[~rank_one]), W)
     combo = ConvexCombination(table, p)
     return (CGState(combo, mean, cum[-1], x1, t + rows), idx, losses,
-            np.count_nonzero(held[1:], axis=1))
+            _row_dots(means, adversary[1:]), np.count_nonzero(held[1:], axis=1))
 
 
 def cg_round(state: CGState, config: CGConfig, kernel: KernelSpec,
@@ -375,15 +380,15 @@ def cg_round(state: CGState, config: CGConfig, kernel: KernelSpec,
     This is the one-row case of the blocked pass in :func:`run_cg`, with
     the same bits; it embeds a finite action set on every call.
     """
-    new_state, idx, losses, num_atoms = _cg_block(
-        state, config, kernel, _cg_oracle(kernel, action_set), Schedule.of([w_t]), rng)
+    new_state, idx, losses, _, num_atoms = _cg_block(
+        state, config, kernel, _cg_oracle(kernel, action_set)[0], Schedule.of([w_t]), rng)
     record = CGRecord(state.t, int(idx[0]), float(losses[0]), num_atoms=int(num_atoms[0]))
     return new_state, record
 
 
-def run_cg(kernel: KernelSpec, action_set, schedule: Schedule,
-           config: CGConfig, rng: np.random.Generator,
-           a1: np.ndarray | None = None) -> tuple[list[CGRecord], CGState]:
+def _cg_play(kernel: KernelSpec, action_set, schedule: Schedule,
+             config: CGConfig, rng: np.random.Generator,
+             a1: np.ndarray | None = None) -> tuple:
     """Run the conditional-gradient method over a full adversary schedule.
 
     One pass over blocks of ``_LOSS_BLOCK_ROWS`` rounds that embeds a finite
@@ -393,7 +398,9 @@ def run_cg(kernel: KernelSpec, action_set, schedule: Schedule,
     the set raises :class:`InputError` before round one.  On a
     :class:`UnitBall` the start point is required, and one outside the ball
     (beyond the slack of ``validate_points``) or of another dimension raises
-    :class:`InputError` before round one.
+    :class:`InputError` before round one.  Returns the played rows, their
+    losses, <x_t, w_t>, the action totals Phi(actions) sum_t w_t (None on
+    the unit ball, which has no action set), the atom counts and the state.
     """
     if isinstance(action_set, UnitBall):
         if a1 is None:
@@ -403,16 +410,26 @@ def run_cg(kernel: KernelSpec, action_set, schedule: Schedule,
     elif a1 is None:
         a1 = np.atleast_2d(np.asarray(action_set, dtype=float))[0]
     state = cg_start(kernel, a1)
-    table_for = _cg_oracle(kernel, action_set)
+    table_for, features = _cg_oracle(kernel, action_set)
     table_for(state.combo, 0)  # refuses a bad start even when no round runs
     schedule = Schedule.of(schedule)
     n = len(schedule)
-    idx, losses = np.empty(n, dtype=np.int64), np.empty(n)
+    idx, losses, expected = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
     num_atoms = np.empty(n, dtype=np.int64)
     for start in range(0, n, _LOSS_BLOCK_ROWS):
         rows = slice(start, min(start + _LOSS_BLOCK_ROWS, n))
-        state, idx[rows], losses[rows], num_atoms[rows] = _cg_block(
+        state, idx[rows], losses[rows], expected[rows], num_atoms[rows] = _cg_block(
             state, config, kernel, table_for, schedule[rows], rng)
+    totals = None if features is None else features @ state.cum_adversary
+    return idx, losses, expected, totals, num_atoms, state
+
+
+def run_cg(kernel: KernelSpec, action_set, schedule: Schedule,
+           config: CGConfig, rng: np.random.Generator,
+           a1: np.ndarray | None = None) -> tuple[list[CGRecord], CGState]:
+    """:func:`_cg_play` with its outputs as one record per round."""
+    idx, losses, _, _, num_atoms, state = _cg_play(kernel, action_set, schedule,
+                                                   config, rng, a1)
     records = list(map(partial(tuple.__new__, CGRecord),
                        zip(count(1), idx.tolist(), losses.tolist(), num_atoms.tolist())))
     return records, state

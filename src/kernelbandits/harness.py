@@ -10,22 +10,21 @@ its actions once.  The schedule hash, the learners and the accounting read
 blocks of rows of those arrays, and every loss the accounting needs is an
 entry of one loss matrix L[t, j] = <Phi(a_j), w_t>
 (:func:`kernels.loss_matrix`).  Regret compares the player's cumulative loss
-with the best single action over the whole horizon: the best action is the
-argmin of L's column sums, and that action's column of L gives the partial
-sums that define the regret curve, both taken over fixed blocks of rows.
+with the best single action over the whole horizon, the argmin of L's
+column sums; that action's column of full-width rows of L, the bits the
+learners observe, gives the partial sums that define the regret curve.
 ``final_regret`` is realized regret: the losses of the actions actually
 drawn, so it carries the player's sampling noise and can be negative on a
 single run.  Expected regret is estimated by averaging final regrets over
 seeds, with a standard error attached.
 
-For full-information exponential weights the trace also carries
-pseudo-regret, sum_t <p_t, l_t> - min_a L_n(a), the expected loss under each
-round's play distribution against the same best action.  That is the
-quantity the regret theorems bound; it alone is bounded pathwise (for
-exponential weights from a uniform start it is >= 0 on every loss sequence,
-and at most log N / eta + eta (e - 2) G^4 t at every prefix t when
-eta G^2 <= 1).
-The bandit and conditional-gradient learners do not record it yet.
+Every learner returns its played indices and losses, the expected losses
+<p_t, l_t> and the per-action loss totals; :func:`run_experiment` takes the
+best action from those totals, so L is formed twice per run.  Its traces
+carry pseudo-regret, sum_t <p_t, l_t> - min_a L_n(a), the quantity the
+regret theorems bound; it alone is bounded pathwise (for exponential
+weights from a uniform start it is >= 0 on every loss sequence, and at most
+log N / eta + eta (e - 2) G^4 t at every prefix t when eta G^2 <= 1).
 """
 
 from __future__ import annotations
@@ -156,7 +155,8 @@ class RegretTrace:
 
     ``regret_curve`` and ``final_regret`` are realized regret.
     ``pseudo_regret_curve`` is the same bookkeeping on the expected losses
-    <p_t, l_t>; it is None for learners that do not record them.
+    <p_t, l_t>, which every learner of :func:`run_experiment` records; it is
+    None on a :func:`build_trace` trace, which has realized losses only.
     """
 
     losses: np.ndarray
@@ -200,33 +200,31 @@ def best_in_hindsight(kernel: KernelSpec, actions: np.ndarray,
 
 def build_trace(kernel: KernelSpec, actions: np.ndarray,
                 schedule: Schedule, losses: np.ndarray,
-                action_indices: np.ndarray, *,
-                expected_losses: np.ndarray | None = None) -> RegretTrace:
-    """Regret curves against the best fixed action in hindsight.
-
-    ``losses`` are the realized per-round losses; ``expected_losses``, when
-    given, are the per-round <p_t, l_t> and yield the pseudo-regret curve.
-    """
+                action_indices: np.ndarray) -> RegretTrace:
+    """Realized regret of the per-round ``losses`` against the best fixed
+    action of :func:`best_in_hindsight` (no pseudo-regret curve); its column
+    takes a second pass over L, as in :func:`run_experiment`."""
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     schedule = Schedule.of(schedule)
-    best_idx, best_total = best_in_hindsight(kernel, actions, schedule)
+    return _regret_trace(kernel, actions, schedule, losses, action_indices, None,
+                         *best_in_hindsight(kernel, actions, schedule))
+
+
+def _regret_trace(kernel: KernelSpec, actions: np.ndarray, schedule: Schedule, losses,
+                  action_indices, expected_losses, best_idx, best_total) -> RegretTrace:
+    """The trace against a known best action, whose column of full-width
+    rows of L, the bits the learners observe, is formed here."""
     best_per_round = np.empty(len(schedule))
     for start in range(0, len(schedule), _LOSS_BLOCK_ROWS):
         rows = slice(start, start + _LOSS_BLOCK_ROWS)
-        best_per_round[rows] = loss_matrix(kernel, actions[best_idx][None, :],
-                                           schedule[rows])[:, 0]
+        best_per_round[rows] = loss_matrix(kernel, actions, schedule[rows])[:, best_idx]
     best_cum = np.cumsum(best_per_round)
     losses = np.asarray(losses, dtype=float)
     pseudo = (None if expected_losses is None
               else np.cumsum(np.asarray(expected_losses, dtype=float)) - best_cum)
-    return RegretTrace(
-        losses=losses,
-        action_indices=np.asarray(action_indices, dtype=int),
-        best_action_index=best_idx,
-        best_fixed_cum_loss=best_total,
-        regret_curve=np.cumsum(losses) - best_cum,
-        pseudo_regret_curve=pseudo,
-    )
+    return RegretTrace(losses=losses, action_indices=np.asarray(action_indices, dtype=int),
+                       best_action_index=best_idx, best_fixed_cum_loss=best_total,
+                       regret_curve=np.cumsum(losses) - best_cum, pseudo_regret_curve=pseudo)
 
 
 @dataclass
@@ -311,7 +309,8 @@ def _mean_and_stderr(finals: list[float]) -> tuple[float, float]:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """One trace per seed; mean final regret with its standard error."""
+    """One trace per seed, each with its realized and pseudo-regret; mean
+    final regret with its standard error."""
     kernel, actions = config.kernel, config.actions
     traces: list[RegretTrace] = []
     hashes: list[str] = []
@@ -342,24 +341,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             eta = (_fullinfo.full_info_eta(actions.shape[0], kernel.norm_bound_G,
                                            config.n)
                    if config.params == "paper" else config.params["eta"])
-            idxs, losses, expected, _ = _fullinfo.full_info_ew_play(
-                kernel, actions, schedule, eta, player_rng)
+            play = _fullinfo.full_info_ew_play(kernel, actions, schedule, eta, player_rng)
+        elif config.algo == "cg":
+            cg_config = (_fullinfo.cg_theorem_config(config.n)
+                         if config.params == "paper"
+                         else _fullinfo.CGConfig(**config.params))
+            play = _fullinfo._cg_play(kernel, actions, schedule, cg_config, player_rng)
         else:
-            if config.algo == "cg":
-                cg_config = (_fullinfo.cg_theorem_config(config.n)
-                             if config.params == "paper"
-                             else _fullinfo.CGConfig(**config.params))
-                records, _ = _fullinfo.run_cg(kernel, actions, schedule, cg_config,
-                                              player_rng)
-            else:
-                records, _ = _bandit.run_bandit(kernel, actions, features, nu, bcfg,
-                                                schedule, player_rng)
-                loss_hat_max.append(max(r.loss_hat_max for r in records))
-            losses = np.array([r.loss for r in records])
-            idxs = np.array([r.action_index for r in records])
-            expected = None
-        traces.append(build_trace(kernel, actions, schedule, losses, idxs,
-                                  expected_losses=expected))
+            play = _bandit._bandit_play(kernel, actions, features, nu, bcfg, schedule,
+                                        player_rng)
+            loss_hat_max.append(float(play[4].max()))
+        idxs, losses, expected, totals = play[:4]
+        best = int(np.argmin(totals))
+        traces.append(_regret_trace(kernel, actions, schedule, losses, idxs, expected,
+                                    best, float(totals[best])))
 
     if config.algo == "bandit_ew":
         # the analysis needs eta |l-hat_t(a)| <= 1 on every seed and round

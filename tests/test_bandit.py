@@ -27,10 +27,11 @@ from kernelbandits.errors import (
     InputError,
     PreconditionError,
 )
-from kernelbandits.kernels import KernelSpec, feature_matrix, make_explicit
+from kernelbandits.harness import best_in_hindsight
+from kernelbandits.kernels import KernelSpec, feature_matrix, loss_matrix, make_explicit
 from kernelbandits.proxy import EigendecayProfile, build_proxy
 from kernelbandits.rng import component_rng
-from kernelbandits.weights import WeightState
+from kernelbandits.weights import WeightState, softmax
 from oracles import fibonacci_sphere
 
 LINEAR = KernelSpec.linear(G=1.0)
@@ -319,12 +320,21 @@ def test_run_bandit_is_a_fold_of_bandit_round(case):
         n, component_rng(13, "adv"))
     records, state = run_bandit(kernel, actions, features, nu, cfg, schedule,
                                 component_rng(13, "player"))
-    fold_state, fold = WeightState.uniform(actions.shape[0]), []
+    fold_state, fold, expected = WeightState.uniform(actions.shape[0]), [], []
     rng = component_rng(13, "player")
     for w_t in schedule:
+        # the expected loss <p_t, l_t> under the mixed play distribution
+        p = (1.0 - cfg.gamma) * softmax(fold_state.log_weights) + cfg.gamma * nu.weights
+        expected.append(p @ loss_matrix(kernel, actions, [w_t])[0])
         fold_state, rec = bandit_round(fold_state, cfg, kernel, actions, features,
                                        nu, w_t, rng)
         fold.append(rec)
+    play = bandit._bandit_play(kernel, actions, features, nu, cfg, schedule,
+                               component_rng(13, "player"))
+    assert play[2].tobytes() == np.array(expected).tobytes()
+    # the loss totals have the bits of best_in_hindsight's column sums
+    best, total = best_in_hindsight(kernel, actions, schedule)
+    assert int(np.argmin(play[3])) == best and play[3][best] == total
     assert len(records) == len(fold) == n
     for a, b in zip(records, fold):
         assert (a.round, a.action_index) == (b.round, b.action_index)
@@ -579,12 +589,13 @@ def test_mean_regret_is_below_a_non_vacuous_theorem_bound():
     """The paper schedule on 40 lattice points of the sphere, gaussian:2,
     n = 3000: the theorem bound (~1.68 n) is below 2 G^2 n, the most any
     player can lose to the best action, so it says something; the mean
-    realized regret over three seeds is below it.
+    realized regret over three seeds is below it, and so is the mean
+    pseudo-regret.
 
     The bound holds in expectation, for the pseudo-regret.  Against an
     oblivious adversary the schedule does not depend on the play, so
-    E[realized regret] = E[pseudo-regret], and the test compares the mean
-    over seeds, an estimate of that expectation, with the bound.
+    E[realized regret] = E[pseudo-regret], and the test compares the means
+    over seeds, estimates of that expectation, with the bound.
     """
     from kernelbandits.harness import ExperimentConfig, run_experiment, unit_vector_adversary
 
@@ -600,6 +611,7 @@ def test_mean_regret_is_below_a_non_vacuous_theorem_bound():
     bound = theorem_regret_bound(result.details["bandit_config"], G, num_actions=40)
     assert bound < 2.0 * G * G * config.n
     assert result.mean_final_regret < bound
+    assert np.mean([trace.final_pseudo_regret for trace in result.traces]) < bound
 
 
 def test_hoeffding_inequality_exact():

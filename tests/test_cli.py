@@ -67,18 +67,29 @@ def test_run_summary_reports_pseudo_regret(tmp_path):
     assert summary["mean_final_pseudo_regret"] != summary["mean_final_regret"]
 
 
-def test_run_summary_pseudo_regret_null_without_expected_losses(tmp_path):
-    # conditional gradient records no expected losses: the keys are present
-    # and null rather than missing or a realized-regret stand-in
-    out = tmp_path / "results"
-    assert main(["run", "--algo", "cg", "--kernel", "linear",
-                 "--actions", "ball:8", "--adversary", "iid-unit",
-                 "--n", "50", "--seeds", "0,1", "--params", "paper",
-                 "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["mean_final_pseudo_regret"] is None
-    assert summary["stderr_final_pseudo_regret"] is None
-    assert summary["mean_final_regret"] is not None
+def test_run_summary_reports_pseudo_regret_for_cg_and_bandit(tmp_path):
+    # conditional gradient and the bandit record their expected losses too,
+    # <x_t, w_t> and <p_t, l_t> for the mixed p_t, so their summaries carry
+    # the pseudo-regret of their traces; the bandit-only keys stay null for cg
+    from kernelbandits.harness import ExperimentConfig, run_experiment, unit_vector_adversary
+    from kernelbandits.kernels import KernelSpec
+
+    for algo in ("bandit_ew", "cg"):
+        out = tmp_path / algo
+        assert main(["run", "--algo", algo, "--kernel", "linear",
+                     "--actions", "ball:8", "--adversary", "iid-unit",
+                     "--n", "50", "--seeds", "0,1", "--params", "paper",
+                     "--proxy-m", "2", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        config = ExperimentConfig(algo=algo, kernel=KernelSpec.linear(),
+                                  actions=parse_actions("ball:8"),
+                                  adversary=unit_vector_adversary(2), n=50, seeds=(0, 1),
+                                  proxy_m=2)
+        finals = np.array([t.final_pseudo_regret for t in run_experiment(config).traces])
+        assert summary["mean_final_pseudo_regret"] == finals.mean()
+        assert summary["stderr_final_pseudo_regret"] == finals.std(ddof=1) / np.sqrt(2)
+        assert summary["mean_final_pseudo_regret"] != summary["mean_final_regret"]
+    # the last summary is cg's
     assert summary["covariance_floor"] is None
     assert summary["bandit_estimator"] is None
     assert summary["design"] is None

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from kernelbandits import fullinfo
 from kernelbandits.errors import InputError, ToleranceNotMetError
 from kernelbandits.fullinfo import (
+    _ATOM_PRUNE,
     CGConfig,
     ConvexCombination,
     UnitBall,
@@ -354,6 +356,34 @@ def test_cg_run_trace_is_pinned():
     digest = hashlib.sha256(trace.action_indices.astype(np.int64).tobytes()
                             + trace.losses.astype(np.float64).tobytes()).hexdigest()
     assert digest == _CG_RUN_SHA256
+
+
+@pytest.mark.parametrize("spec", [LINEAR, QUAD], ids=["linear", "quadratic"])
+def test_cg_expected_losses_match_the_play_distribution(spec):
+    # CG forms no loss matrix: its expected loss is <x_t, w_t> for the mean
+    # x_t it plays from, and its totals Phi(actions) sum_t w_t.  A cg_round
+    # fold gives sum_j p_tj L[t, j] over the weights it plays.  The mean and
+    # the weights follow the same recursion apart from rounding and the
+    # pruned weights (at most N below _ATOM_PRUNE a round), and each round
+    # contracts their gap by 1 - gamma_t, so the gap stays below
+    # (N _ATOM_PRUNE + 10 N u) G^2 / gamma_n, with gamma_n = 2 / sqrt(n)
+    actions = component_rng(7, "cg-count-actions").standard_normal((40, 3))
+    actions /= 1.25 * np.linalg.norm(actions, axis=1)[:, None]
+    n, num = 600, actions.shape[0]
+    schedule = kernel_schedules(spec, 3, n, seed=7)["mixed"]
+    config = cg_theorem_config(n)
+    idx, _, expected, totals, _, _ = fullinfo._cg_play(spec, actions, schedule, config,
+                                                        component_rng(7, "cg"))
+    state, rng, folded = cg_start(spec, actions[0]), component_rng(7, "cg"), []
+    for w in schedule:
+        folded.append(state.combo.weights @ loss_matrix(spec, state.combo.atoms, [w])[0])
+        state, _ = cg_round(state, config, spec, actions, w, rng)
+    G = spec.norm_bound_G
+    bound = (num * _ATOM_PRUNE + 10 * num * np.finfo(float).eps / 2) * G**2 * math.sqrt(n) / 2
+    assert np.abs(expected - np.array(folded)).max() <= bound
+    columns = loss_matrix(spec, actions, schedule).sum(axis=0)
+    assert int(np.argmin(totals)) == int(np.argmin(columns))
+    assert np.abs(totals - columns).max() <= 1e-9 * n
 
 
 def test_run_cg_embeds_the_action_set_once(monkeypatch):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kernelbandits import harness
 from kernelbandits.cli import parse_adversary
 from kernelbandits.errors import (
     HorizonTooShortError,
@@ -111,11 +112,101 @@ def test_trace_regret_accounting():
     assert trace.final_regret == 4.0
     assert trace.cum_loss == 4.0
     assert trace.pseudo_regret_curve is None and trace.final_pseudo_regret is None
-    # a play distribution with half its mass on each action expects 0.5
-    trace = build_trace(LINEAR, actions, [w] * 4, losses, np.zeros(4, dtype=int),
-                        expected_losses=np.full(4, 0.5))
+    # a play distribution with half its mass on each action expects 0.5;
+    # run_experiment's traces take the best action from the learner's totals
+    trace = harness._regret_trace(LINEAR, actions, Schedule.of([w] * 4), losses,
+                                  np.zeros(4, dtype=int), np.full(4, 0.5), 1, 0.0)
     assert np.array_equal(trace.pseudo_regret_curve, [0.5, 1.0, 1.5, 2.0])
     assert trace.final_regret == 4.0
+
+
+def test_always_best_player_has_zero_regret():
+    # the best action's column of L comes from full-width rows, the bits the
+    # learners observe, so a player who always plays it, charged those
+    # losses, has a regret curve of exactly 0 (a one-action column takes
+    # another numpy kernel and drifted by up to 2.5e-14 here)
+    actions, n = ball_directions(64), 2000
+    schedule = unit_vector_adversary(2).materialize(n, component_rng(0, "adversary"))
+    best, _ = best_in_hindsight(LINEAR, actions, schedule)
+    rows = _LOSS_BLOCK_ROWS
+    losses = np.concatenate([loss_matrix(LINEAR, actions, schedule[t:t + rows])[:, best]
+                             for t in range(0, n, rows)])
+    trace = build_trace(LINEAR, actions, schedule, losses, np.full(n, best))
+    assert trace.best_action_index == best
+    assert np.array_equal(trace.regret_curve, np.zeros(n))
+
+
+@pytest.mark.parametrize("algo", ["fullinfo_ew", "bandit_ew", "cg"])
+def test_loss_matrix_rows_per_run(monkeypatch, algo):
+    # every learner returns its loss totals, so a run forms L at most twice
+    # per seed: in the learner's pass (none for CG) and for the best
+    # action's column, counted over every module that imports loss_matrix
+    import kernelbandits.bandit as bandit_mod
+    import kernelbandits.fullinfo as fullinfo_mod
+    import kernelbandits.kernels as kernels_mod
+
+    rows = []
+
+    def counted(spec, actions, schedule):
+        rows.append(len(Schedule.of(schedule)))
+        return loss_matrix(spec, actions, schedule)
+
+    for module in (kernels_mod, harness, fullinfo_mod, bandit_mod):
+        monkeypatch.setattr(module, "loss_matrix", counted)
+    n, seeds = 600, (0, 1)
+    config = ExperimentConfig(algo=algo, kernel=LINEAR, actions=ball_directions(8),
+                              adversary=unit_vector_adversary(2), n=n, seeds=seeds,
+                              proxy_m=2)
+    run_experiment(config)
+    assert 0 < sum(rows) <= 2 * n * len(seeds)
+
+
+@pytest.mark.filterwarnings("ignore::kernelbandits.errors.DegenerateSpectrumWarning")
+@pytest.mark.parametrize("algo", ["fullinfo_ew", "bandit_ew", "cg"])
+def test_record_views_match_run_experiment(algo):
+    # the benchmark times run_full_info_ew, run_cg and run_bandit after its
+    # own phased set-up and checks their records against run_experiment's
+    # trace (bench/workloads.py::check_experiment); on its tiny shapes the
+    # index and loss bytes must agree, and the best action's column sum must
+    # be the least within 1e-9 n
+    from kernelbandits import bandit, fullinfo, proxy
+    from kernelbandits.kernels import cross_gram
+    from oracles import fibonacci_sphere
+
+    kernel, actions, n = {
+        "fullinfo_ew": (LINEAR, ball_directions(8), 300),
+        "bandit_ew": (KernelSpec.gaussian(2.0), fibonacci_sphere(20), 300),
+        "cg": (KernelSpec.quadratic(), fibonacci_sphere(20), 50)}[algo]
+    num = actions.shape[0]
+    schedule = unit_vector_adversary(actions.shape[1]).materialize(
+        n, component_rng(0, "adversary"))
+    rng = component_rng(0, "player")
+    if algo == "fullinfo_ew":
+        eta = fullinfo.full_info_eta(num, kernel.norm_bound_G, n)
+        records, _ = fullinfo.run_full_info_ew(kernel, actions, schedule, eta, rng)
+    elif algo == "cg":
+        records, _ = fullinfo.run_cg(kernel, actions, schedule,
+                                     fullinfo.cg_theorem_config(n), rng)
+    else:
+        basis = proxy.build_proxy(kernel, actions, m=num, p=2 * num,
+                                  rng=component_rng(0, "proxy"))
+        features, nu, _ = bandit.prepare_bandit_features(basis, actions)
+        eps = proxy.approximation_sup_error(kernel, basis, actions)
+        bcfg = bandit.general_theorem_config(num, n, kernel.norm_bound_G,
+                                             features.shape[1], eps=eps)
+        records, _ = bandit.run_bandit(kernel, actions, features, nu, bcfg, schedule, rng)
+    config = ExperimentConfig(algo=algo, kernel=kernel, actions=actions,
+                              adversary=unit_vector_adversary(actions.shape[1]), n=n)
+    result = run_experiment(config)
+    trace = result.traces[0]
+    if algo == "bandit_ew":
+        assert result.details["bandit_config"] == bcfg
+    idx = np.array([r.action_index for r in records], dtype=np.int64)
+    losses = np.array([r.loss for r in records])
+    assert idx.tobytes() == trace.action_indices.astype(np.int64).tobytes()
+    assert losses.tobytes() == trace.losses.tobytes()
+    columns = cross_gram(kernel, schedule.rank_one_points(), actions).sum(axis=0)
+    assert columns[trace.best_action_index] <= columns.min() + 1e-9 * n
 
 
 def test_run_experiment_single_round_nonnegative_regret():
@@ -263,9 +354,11 @@ def test_emit_parse_round_trip(tmp_path):
     assert header == "round,action_index,loss,cum_loss,cum_regret"
 
 
-# sha256 of the CSV that test_emit_trace_bytes_are_pinned writes, recorded
-# while emit_trace still formatted one row per loop iteration
-_EMIT_TRACE_SHA256 = "77863446ab5138e84c6dcae95a4a65dd820993c6df59be5f8fa025e6d1d0def5"
+# sha256 of the CSV that test_emit_trace_bytes_are_pinned writes.  It moved
+# when the best action's column of L came from full-width rows instead of
+# one-action rows: only cum_regret changed, on 337 of 600 rows, by at most
+# 7.1e-15; the indices and losses kept their bytes
+_EMIT_TRACE_SHA256 = "d5c14de4246e3b8ad7c003ebd2a50667382b59ab1a1cdee2df467da5e5ca05f5"
 
 
 def test_emit_trace_bytes_are_pinned(tmp_path):
