@@ -9,7 +9,6 @@ that measures expected regret against the theory's bounds.
 from .bandit import (
     BanditConfig,
     bandit_round,
-    certify_covariance_floor,
     configure_bandit,
     general_theorem_config,
     run_bandit,
@@ -18,7 +17,6 @@ from .bandit import (
 from .design import (
     DiscreteDistribution,
     action_covariance,
-    check_covariance_floor,
     d_optimal_design,
     whiten_features,
 )

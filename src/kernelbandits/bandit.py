@@ -6,11 +6,11 @@ kernel, and estimates every action's loss through the inverse covariance of
 the proxy features under the mixed play distribution.  The exploration design
 keeps that covariance invertible: with the D-optimal design over whitened
 features its smallest eigenvalue is at least gamma / m in exact arithmetic.
-A run certifies the floor gamma / (2m), slack for rounding, once per run
-from the design alone (:func:`certify_covariance_floor`);
-:func:`bandit_round`, the one-round entry, checks its own round's covariance
-by a Cholesky factorization.  The exact smallest eigenvalue is computed, and
-checked against the floor, only on the rounds it is recorded.
+The floor gamma / (2m), slack for rounding, is certified from the design
+alone, once per call of :func:`run_bandit` or of :func:`bandit_round`, its
+one-round case, by one rule (:func:`_certify_run`), which also chooses the
+estimator.  The exact smallest eigenvalue is computed, and checked against
+the floor, only on the rounds it is recorded.
 
 The estimate takes one of two paths, chosen once per run from the inputs
 (see :func:`_bandit_play`).  On the covariance path a round costs about
@@ -41,7 +41,6 @@ import numpy as np
 from .design import (
     DiscreteDistribution,
     action_covariance,
-    check_covariance_floor,
     d_optimal_design,
     reduce_to_span,
     whiten_features,
@@ -60,7 +59,6 @@ __all__ = [
     "general_theorem_config",
     "theorem_regret_bound",
     "bandit_round",
-    "certify_covariance_floor",
     "prepare_bandit_features",
     "run_bandit",
 ]
@@ -96,8 +94,8 @@ class BanditRecord(NamedTuple):
     ``loss_hat_max`` is ||l-hat_t||_inf, the largest estimated loss in
     absolute value: the regret analysis needs eta |l-hat_t(a)| <= 1, which
     the theorem schedule gamma = 4 eta G^4 m gives in exact arithmetic.
-    Every round's play covariance is above the floor gamma / (2m): certified
-    for the whole run by :func:`run_bandit`, or for the one round by
+    Every round's play covariance is above the floor gamma / (2m), certified
+    from the design once per call of :func:`run_bandit` or
     :func:`bandit_round`.  ``min_eig_sigma``, the exact smallest eigenvalue
     of that round's play covariance, is sampled: it is recorded, and checked
     against the floor, on rounds 1, 51, 101, ... (every ``_MIN_EIG_EVERY`` =
@@ -168,55 +166,47 @@ def _estimate_adversary(sigma: np.ndarray, phi_a: np.ndarray,
     return observed_loss * np.linalg.solve(sigma, phi_a)
 
 
-def _covariance_floor(config: BanditConfig, features: np.ndarray) -> float:
-    """gamma / (2m): half the exact-arithmetic floor gamma / m, as slack for
-    rounding."""
-    return 0.5 * config.gamma / features.shape[1]
+class _RunCertificate(NamedTuple):
+    """What a run settles once, before its first draw (see :func:`_certify_run`)."""
+
+    floor: float
+    bound: float
+    kw_ratio: float
+    estimator: dict
+    basis: np.ndarray | None
 
 
-def certify_covariance_floor(config: BanditConfig, features: np.ndarray,
-                             exploration: DiscreteDistribution) -> tuple[float, float]:
+def _certify_run(config: BanditConfig, features: np.ndarray,
+                 exploration: DiscreteDistribution) -> _RunCertificate:
     """Certify, from the design alone, that every round's play covariance
-    has its smallest eigenvalue above the floor gamma / (2m).
+    has its smallest eigenvalue above the floor gamma / (2m), half the
+    exact-arithmetic floor gamma / m as slack for rounding, and choose the
+    run's estimator.  See :func:`_bandit_play` for the argument and for delta.
 
-    Returns (floor, certified lower bound gamma lambda_min(Sigma_nu) - delta)
-    with lambda_min(Sigma_nu) from one ``eigvalsh``, or raises
-    IllConditionedCovarianceError carrying that bound (as ``min_eig``) and
-    the floor.  See :func:`_bandit_play` for the argument and for delta.
+    Returns the floor; the certified lower bound gamma lambda_min(Sigma_nu) -
+    delta, with lambda_min(Sigma_nu) from one ``eigvalsh``; the largest
+    squared feature norm, for whitened features the Kiefer-Wolfowitz ratio;
+    the estimator: the complement path when k = N - m < m and
+    gamma min nu >= gamma / (2m), else the covariance path, with k and the
+    certified lower bound gamma min nu on every play probability; and, on
+    the complement path, an orthonormal basis Z (N x k) of null(F^T) from one
+    complete QR factorization (None on the covariance path).  Raises
+    IllConditionedCovarianceError carrying the bound (as ``min_eig``) and the
+    floor when the bound is not above the floor.
     """
     num, m = features.shape
-    floor = _covariance_floor(config, features)
+    floor = 0.5 * config.gamma / m
     lam_nu = float(np.linalg.eigvalsh(action_covariance(exploration.weights, features))[0])
     max_sq_norm = float(np.einsum("ij,ij->i", features, features).max())
-    delta = 10.0 * (num + m) * _UNIT_ROUNDOFF * max_sq_norm
-    bound = config.gamma * lam_nu - delta
+    bound = config.gamma * lam_nu - 10.0 * (num + m) * _UNIT_ROUNDOFF * max_sq_norm
     if not bound > floor:
         raise IllConditionedCovarianceError(bound, floor)
-    return floor, bound
-
-
-def _estimator_path(config: BanditConfig, features: np.ndarray,
-                    exploration: DiscreteDistribution) -> dict:
-    """The estimator a run takes, decided from its inputs: the complement
-    path when k = N - m < m and gamma min nu >= gamma / (2m), else the
-    covariance path.  Returns the path, k and the certified lower bound
-    gamma min nu on every play probability."""
-    num, m = features.shape
-    bound = config.gamma * float(exploration.weights.min())
-    complement = num - m < m and bound >= _covariance_floor(config, features)
-    return {"path": "complement" if complement else "covariance", "k": num - m,
-            "probability_lower_bound": bound}
-
-
-def _complement(config: BanditConfig, features: np.ndarray,
-                exploration: DiscreteDistribution) -> np.ndarray | None:
-    """An orthonormal basis Z (N x k) of null(F^T), the complement of the
-    features' column space, from one complete QR factorization, when the run
-    takes the complement path; None on the covariance path."""
-    if _estimator_path(config, features, exploration)["path"] != "complement":
-        return None
-    q, _ = np.linalg.qr(features, mode="complete")
-    return np.ascontiguousarray(q[:, features.shape[1]:])
+    p_min, basis = config.gamma * float(exploration.weights.min()), None
+    if num - m < m and p_min >= floor:
+        basis = np.ascontiguousarray(np.linalg.qr(features, mode="complete")[0][:, m:])
+    estimator = {"path": "covariance" if basis is None else "complement", "k": num - m,
+                 "probability_lower_bound": p_min}
+    return _RunCertificate(floor, bound, max_sq_norm, estimator, basis)
 
 
 def _complement_estimate(basis: np.ndarray, p: np.ndarray, idx: int,
@@ -232,18 +222,19 @@ def _complement_estimate(basis: np.ndarray, p: np.ndarray, idx: int,
 
 def _bandit_block(log_weights: np.ndarray, start: int, config: BanditConfig,
                   features: np.ndarray, exploration: DiscreteDistribution,
-                  basis: np.ndarray | None, L: np.ndarray,
+                  certificate: _RunCertificate, L: np.ndarray,
                   rng: np.random.Generator) -> tuple:
     """Rounds ``start`` + 1, ... on the rows of a block L of the loss matrix,
-    floor certified: each plays p_t = (1 - gamma) softmax + gamma nu by the
-    inverse-CDF rule on one raw draw, checks the sampled lambda_min, estimates
-    every action's loss (through ``basis``, or by LU when it is None) and
-    steps the log weights.  Returns the played indices, their losses,
-    <p_t, L[t]>, ||l-hat_t||_inf, the sampled lambda_min (else None), the log weights."""
+    under the run's ``certificate``: each plays p_t = (1 - gamma) softmax +
+    gamma nu by the inverse-CDF rule on one raw draw, checks the sampled
+    lambda_min against its floor, estimates every action's loss (through its
+    complement basis, or by LU when that is None) and steps the log weights.
+    Returns the played indices, their losses, <p_t, L[t]>, ||l-hat_t||_inf,
+    the sampled lambda_min (else None), the log weights."""
     rows = L.shape[0]
     u = rng.bit_generator.random_raw(rows) / 2.0**64
     mix, gamma_nu = 1.0 - config.gamma, config.gamma * exploration.weights
-    floor, step = _covariance_floor(config, features), -config.eta
+    floor, basis, step = certificate.floor, certificate.basis, -config.eta
     idx, loss_hat = np.empty(rows, dtype=np.int64), np.empty((rows, features.shape[0]))
     min_eigs, expected = [None] * rows, np.empty(rows)
     for i in range(rows):
@@ -276,22 +267,20 @@ def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
 
     The observed loss uses the exact kernel while the estimate lives in the
     proxy feature space; the mismatch is precisely the estimator bias the
-    regret analysis charges to the approximation level.  This entry takes
-    any features and design, so it checks its own round: the covariance
-    floor gamma / (2m), not the exact gamma / m, as slack for rounding, by a
-    Cholesky factorization before the draw.  The record carries the exact
-    smallest eigenvalue on the sampled rounds only (see BanditRecord).  It
-    is the one-row case of the block step of :func:`run_bandit`, so a run is
-    a fold of it; on the complement path each call pays the run's one QR.
+    regret analysis charges to the approximation level.  It is the one-row
+    case of the block step of :func:`run_bandit`, so a run is a fold of it:
+    each call certifies the covariance floor gamma / (2m) from the design,
+    before the draw, by the rule a run applies once (:func:`_certify_run`).
+    So it refuses exactly the inputs a run refuses, and each call pays the
+    run's certificate, on the complement path with its QR.  The record
+    carries the exact smallest eigenvalue on the sampled rounds only (see
+    BanditRecord).
     """
     if state.round >= config.n:
         raise PreconditionError(f"horizon {config.n} already reached")
-    p = (1.0 - config.gamma) * state.probabilities() + config.gamma * exploration.weights
-    check_covariance_floor(action_covariance(p, features),
-                           _covariance_floor(config, features))
     idx, losses, _, loss_hat_max, min_eig, log_weights = _bandit_block(
         state.log_weights, state.round, config, features, exploration,
-        _complement(config, features, exploration),
+        _certify_run(config, features, exploration),
         loss_matrix(kernel, actions, [w_t]), rng)
     return (WeightState(log_weights, state.round + 1),
             BanditRecord(state.round + 1, int(idx[0]), float(losses[0]),
@@ -324,9 +313,11 @@ def prepare_bandit_features(basis: SampleBasis, actions: np.ndarray):
 
 def _bandit_play(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
                  exploration: DiscreteDistribution, config: BanditConfig,
-                 schedule: Schedule, rng: np.random.Generator) -> tuple:
-    """Run the full horizon from uniform initial weights.  Returns the played
-    indices, their losses, <p_t, l_t>, the per-action loss totals,
+                 schedule: Schedule, rng: np.random.Generator,
+                 certificate: _RunCertificate) -> tuple:
+    """Run the full horizon from uniform initial weights, under the
+    ``certificate`` of :func:`_certify_run` for these inputs.  Returns the
+    played indices, their losses, <p_t, l_t>, the per-action loss totals,
     ||l-hat_t||_inf, the sampled lambda_min (else None) and the final state.
 
     The regret analysis telescopes from the uniform start, so q_1 is uniform
@@ -337,9 +328,9 @@ def _bandit_play(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     the module docstring), one raw draw per round taken per block, so every
     output has the bits of a loop of :func:`bandit_round`.
 
-    The covariance floor is certified once, before any draw, by
-    :func:`certify_covariance_floor`; the rounds then run without a
-    factorization of their own.  The argument: p_t = (1 - gamma) q_t +
+    The covariance floor is certified once per run, before any draw, by
+    :func:`_certify_run`; the rounds then run without a factorization of
+    their own.  The argument: p_t = (1 - gamma) q_t +
     gamma nu, so Sigma_t = (1 - gamma) Sigma_{q_t} + gamma Sigma_nu, and
     Sigma_{q_t} is PSD, so Weyl's inequality gives
     lambda_min(Sigma_t) >= gamma lambda_min(Sigma_nu) on every round.  With
@@ -431,8 +422,6 @@ def _bandit_play(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
                          f"horizon n = {config.n}")
     n = config.n
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    certify_covariance_floor(config, features, exploration)
-    basis = _complement(config, features, exploration)
     log_weights, totals = np.zeros(actions.shape[0]), np.zeros(actions.shape[0])
     idx, losses, expected = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
     loss_hat_max, min_eigs = np.empty(n), [None] * n
@@ -442,7 +431,7 @@ def _bandit_play(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
         totals += L.sum(axis=0)
         (idx[rows], losses[rows], expected[rows], loss_hat_max[rows], min_eigs[rows],
          log_weights) = _bandit_block(log_weights, start, config, features,
-                                      exploration, basis, L, rng)
+                                      exploration, certificate, L, rng)
     return (idx, losses, expected, totals, loss_hat_max, min_eigs,
             WeightState(log_weights, n))
 
@@ -451,9 +440,11 @@ def run_bandit(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
                exploration: DiscreteDistribution, config: BanditConfig,
                schedule: Schedule,
                rng: np.random.Generator) -> tuple[list[BanditRecord], WeightState]:
-    """:func:`_bandit_play` with its outputs as one record per round."""
+    """:func:`_bandit_play`, certified by :func:`_certify_run`, with its
+    outputs as one record per round."""
     idx, losses, _, _, loss_hat_max, min_eigs, state = _bandit_play(
-        kernel, actions, features, exploration, config, schedule, rng)
+        kernel, actions, features, exploration, config, schedule, rng,
+        _certify_run(config, features, exploration))
     records = list(map(partial(tuple.__new__, BanditRecord),
                        zip(range(1, len(idx) + 1), idx.tolist(), losses.tolist(),
                            loss_hat_max.tolist(), min_eigs)))

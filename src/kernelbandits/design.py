@@ -16,16 +16,13 @@ The leverages are recomputed exactly after every Newton step, every
 the Kiefer-Wolfowitz certificate is accepted or refused.  After whitening by
 the design covariance, the feature second-moment matrix of the design is
 the identity over m, which is what gives the mixed distribution its gamma/m
-eigenvalue floor.  `action_covariance` (the second moment) and
-`check_covariance_floor` (a Cholesky test that its smallest eigenvalue is
-above a floor) are the one covariance path.  The second moment
-of nonnegative weights w is X^T X with X = sqrt(w) * F, one symmetric
-product, so it is symmetric by construction.  On its covariance path the
-bandit forms the covariance every round and solves against it (its
-complement path forms it only on the rounds it records lambda_min); a whole
-run certifies its floor once, from the design's covariance, and the
-one-round entry `bandit.bandit_round` checks its round by
-`check_covariance_floor`.
+eigenvalue floor.  `action_covariance` (the second moment) is the one
+covariance path.  The second moment of nonnegative weights w is X^T X with
+X = sqrt(w) * F, one symmetric product, so it is symmetric by construction.
+On its covariance path the bandit forms the covariance every round and
+solves against it (its complement path forms it only on the rounds it
+records lambda_min); each run, and each one-round call, certifies its floor
+once, from the design's covariance.
 """
 
 from __future__ import annotations
@@ -35,14 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IllConditionedCovarianceError, InputError, RankDeficiencyError,
-                     ToleranceNotMetError)
+from .errors import InputError, RankDeficiencyError, ToleranceNotMetError
 
 __all__ = [
     "DiscreteDistribution",
     "d_optimal_design",
     "action_covariance",
-    "check_covariance_floor",
     "whiten_features",
     "reduce_to_span",
     "design_weights_csv",
@@ -256,26 +251,6 @@ def action_covariance(weights, features) -> np.ndarray:
         raise InputError("covariance weights must be nonnegative")
     X = F * np.sqrt(w)[:, None]
     return X.T @ X
-
-
-def check_covariance_floor(sigma: np.ndarray, floor: float) -> None:
-    """Refuse a covariance whose smallest eigenvalue is not above ``floor``.
-
-    cholesky(sigma - floor I) succeeds iff lambda_min(sigma) > floor, so the
-    check needs no spectrum.  The shift subtracts floor from the diagonal of
-    a copy, which has the bits of sigma - floor * eye(m) without forming the
-    identity.  On refusal the error carries the exact lambda_min from
-    eigvalsh.
-    """
-    if floor <= 0:
-        raise InputError("floor must be positive")
-    shifted = np.array(sigma, dtype=float)
-    shifted.flat[::shifted.shape[0] + 1] -= floor  # the diagonal
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        raise IllConditionedCovarianceError(float(np.linalg.eigvalsh(sigma)[0]),
-                                            floor) from None
 
 
 def whiten_features(features, design: DiscreteDistribution) -> np.ndarray:

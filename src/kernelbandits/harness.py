@@ -318,17 +318,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     if config.algo == "bandit_ew":
         features, nu, bcfg, center_offset = _bandit_setup(config)
-        floor, bound = _bandit.certify_covariance_floor(bcfg, features, nu)
+        certificate = _bandit._certify_run(bcfg, features, nu)
         details["bandit_config"] = bcfg
         # whitening makes the design covariance I/m, so in exact arithmetic
         # ||f_i||^2 = f_i^T Sigma_nu^-1 f_i / m: the largest squared row norm
         # is the Kiefer-Wolfowitz ratio max_i g_i / m
-        details["design"] = {
-            "kw_ratio": float(np.einsum("ij,ij->i", features, features).max()),
-            "center_offset": center_offset,
-        }
-        details["covariance_floor"] = {"floor": floor, "certified_lower_bound": bound}
-        details["bandit_estimator"] = _bandit._estimator_path(bcfg, features, nu)
+        details["design"] = {"kw_ratio": certificate.kw_ratio,
+                             "center_offset": center_offset}
+        details["covariance_floor"] = {"floor": certificate.floor,
+                                       "certified_lower_bound": certificate.bound}
+        details["bandit_estimator"] = dict(certificate.estimator)
         loss_hat_max = []
 
     for seed in config.seeds:
@@ -349,7 +348,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             play = _fullinfo._cg_play(kernel, actions, schedule, cg_config, player_rng)
         else:
             play = _bandit._bandit_play(kernel, actions, features, nu, bcfg, schedule,
-                                        player_rng)
+                                        player_rng, certificate)
             loss_hat_max.append(float(play[4].max()))
         idxs, losses, expected, totals = play[:4]
         best = int(np.argmin(totals))

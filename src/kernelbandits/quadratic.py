@@ -29,11 +29,9 @@ __all__ = [
     "QuadraticObjective",
     "trs_minimize",
     "quad_ew_sample",
-    "surrogate_membership",
     "chain_autocorrelation",
 ]
 
-_ZERO_EIG_TOL = 1e-10  # |eigenvalues| of B below this form the null-space block
 _INTERIOR_TOL = 1e-10  # slack on ||alpha||^2 <= 1 for trs_minimize's interior point
 _BLOCK = 256  # sampler steps per block of random numbers, and uniforms per refill
 _TAIL_LOG = 8.0  # envelope pieces are fine where the log-density is this close to its max
@@ -319,44 +317,6 @@ def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = No
         if kept < len(rows):
             chain[start + kept - burn_in:start + len(rows) - burn_in] = rows[kept:]
     return chain @ V.T
-
-
-def surrogate_membership(obj: QuadraticObjective):
-    """Membership test for the reparametrized constraint set.
-
-    Frame: the coordinates are those of the eigenbasis of B, the eigenvalues
-    with |lam_i| >= 1e-10 first, then the null-space block, each block
-    in ascending eigenvalue order.  In that frame, with alpha the eigen-
-    coordinates of a point of the unit ball and gamma = V^T b, a nonzero-
-    eigenvalue coordinate becomes beta_i = (alpha_i + s_i)^2 with shift
-    s_i = gamma_i / (2 lam_i), and a null-space coordinate stays alpha_i.
-    The ball is symmetric under alpha -> -alpha, so the image of the ball is
-
-        {beta_i >= 0 : sum_nonzero (sqrt(beta_i) - |s_i|)^2
-                       + sum_zero alpha_i^2 <= 1},
-
-    with the absolute shift |s_i|.  Each term is convex in beta_i, so the set
-    is convex for every B and b.  Returns (membership callback, mask), the
-    mask being True on the nonzero-eigenvalue block of the frame.  The
-    callback takes one point, and returns a bool, or a (k, d) stack of
-    points, and returns a (k,) bool array.
-    """
-    lam, V = np.linalg.eigh(obj.B)
-    gam = V.T @ obj.b
-    nonzero = np.abs(lam) >= _ZERO_EIG_TOL
-    order = np.concatenate([np.flatnonzero(nonzero), np.flatnonzero(~nonzero)])
-    lam, gam, nonzero = lam[order], gam[order], nonzero[order]
-    shift = np.zeros_like(lam)
-    shift[nonzero] = np.abs(gam[nonzero] / (2.0 * lam[nonzero]))
-
-    def member(v: np.ndarray):
-        v = np.asarray(v, dtype=float)
-        radial = np.where(nonzero, np.sqrt(np.maximum(v, 0.0)) - shift, v)
-        sq_norm = np.matmul(radial[..., None, :], radial[..., :, None])[..., 0, 0]
-        inside = ~np.any(v[..., nonzero] < 0.0, axis=-1) & (sq_norm <= 1.0 + 1e-12)
-        return inside if v.ndim > 1 else bool(inside)
-
-    return member, nonzero
 
 
 def chain_autocorrelation(samples: np.ndarray) -> float:

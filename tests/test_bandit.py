@@ -8,7 +8,6 @@ from kernelbandits import bandit
 from kernelbandits.bandit import (
     BanditConfig,
     bandit_round,
-    certify_covariance_floor,
     configure_bandit,
     general_theorem_config,
     prepare_bandit_features,
@@ -18,7 +17,6 @@ from kernelbandits.bandit import (
 from kernelbandits.design import (
     DiscreteDistribution,
     action_covariance,
-    check_covariance_floor,
     whiten_features,
 )
 from kernelbandits.errors import (
@@ -104,7 +102,7 @@ def test_estimator_unbiased_under_exact_summation():
         w = rng.standard_normal(4)
         w /= np.linalg.norm(w)
         sigma = action_covariance(p.weights, F)
-        check_covariance_floor(sigma, floor=1e-12)
+        assert np.linalg.eigvalsh(sigma)[0] > 1e-12
         acc = np.zeros(4)
         for a_idx in range(12):
             loss = float(F[a_idx] @ w)
@@ -153,7 +151,10 @@ def test_gamma_one_plays_pure_exploration():
 
 def test_round_refuses_covariance_below_floor():
     # point-mass design with the weights skewed onto another action: the mixed
-    # distribution puts almost all its mass on two of 6 features in d = 3
+    # distribution puts almost all its mass on two of 6 features in d = 3.
+    # The design spans one of 3 dimensions, so the certificate
+    # gamma lambda_min(Sigma_nu) - delta, which the error carries, is below
+    # the floor, as is the round's own covariance
     features = component_rng(12, "floor").standard_normal((6, 3))
     actions = spanning_unit_vectors(6, 3, seed=12)
     exploration = DiscreteDistribution(np.eye(6)[0])
@@ -165,9 +166,12 @@ def test_round_refuses_covariance_below_floor():
                      component_rng(12, "player"))
     p = 0.5 * state.probabilities() + 0.5 * exploration.weights
     sigma = features.T @ (features * p[:, None])
+    lam_nu = np.linalg.eigvalsh(action_covariance(exploration.weights, features))[0]
     assert err.value.floor == pytest.approx(0.5 / (2 * 3), rel=1e-15)
     assert err.value.min_eig < err.value.floor
-    assert err.value.min_eig == pytest.approx(np.linalg.eigvalsh(sigma)[0], abs=1e-12)
+    assert err.value.min_eig <= 0.5 * lam_nu
+    assert err.value.min_eig == pytest.approx(0.5 * lam_nu, abs=1e-12)
+    assert np.linalg.eigvalsh(sigma)[0] < err.value.floor
 
 
 def _point_mass_case():
@@ -187,8 +191,8 @@ def _stream_untouched(rng) -> bool:
 
 
 def test_round_refuses_covariance_below_floor_on_unsampled_round():
-    # round 2 records no eigenvalue, so the refusal is bandit_round's own
-    # Cholesky check, made before the draw
+    # round 2 records no eigenvalue, so the refusal is the certificate that
+    # bandit_round makes on every call, before the draw
     features, actions, exploration, cfg, w = _point_mass_case()
     state = WeightState(np.array([0.0, 50.0, 0.0, 0.0, 0.0, 0.0]), round=1)
     rng = component_rng(12, "player")
@@ -212,6 +216,31 @@ def test_run_refuses_uncertified_design_before_round_one():
     assert _stream_untouched(rng)
 
 
+def test_round_and_run_refuse_the_same_inputs():
+    # +-0.55 e_i in R^3 under the uniform design, gamma = 0.5: the uniform
+    # start's covariance 0.55^2 / 3 I is above the floor 1/12, but the
+    # certificate gamma lambda_min(Sigma_nu) - delta, about 0.050, is not.
+    # bandit_round is the one-row case of run_bandit, so both refuse before
+    # the first draw, with the same certified bound and floor
+    features = 0.55 * np.vstack([np.eye(3), -np.eye(3)])
+    nu = DiscreteDistribution.uniform(6)
+    cfg = BanditConfig(eta=0.1, gamma=0.5, m=3, eps=0.0, n=10)
+    w = make_explicit(LINEAR, np.zeros(3))
+    assert np.linalg.eigvalsh(action_covariance(nu.weights, features))[0] > 0.5 / 6
+    errors = []
+    for play in (lambda rng: bandit_round(WeightState.uniform(6), cfg, LINEAR, features,
+                                          features, nu, w, rng),
+                 lambda rng: run_bandit(LINEAR, features, features, nu, cfg, [w] * 10, rng)):
+        rng = component_rng(12, "player")
+        with pytest.raises(IllConditionedCovarianceError) as err:
+            play(rng)
+        assert _stream_untouched(rng)
+        errors.append((err.value.min_eig, err.value.floor))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == 0.5 / (2 * 3)
+    assert errors[0][0] == pytest.approx(0.5 * 0.55**2 / 3, abs=1e-12)
+
+
 def test_run_refuses_schedule_shorter_than_horizon():
     # eta and gamma are set for n rounds; a schedule of n - 1 rows is refused
     # before the first draw, and one of n + 1 rows plays n
@@ -226,15 +255,17 @@ def test_run_refuses_schedule_shorter_than_horizon():
     assert len(records) == state.round == 10
 
 
-def test_sampled_min_eig_below_floor_raises(monkeypatch):
-    # features in a plane make every play covariance singular; with the
-    # certificate bypassed, the round-1 eigenvalue cross-check catches it
+def test_sampled_min_eig_below_floor_raises():
+    # features in a plane make every play covariance singular; under a stale
+    # certificate, made before the features were moved into the plane, the
+    # round-1 eigenvalue cross-check catches it
     features, actions, _, cfg, w = _point_mass_case()
+    uniform = DiscreteDistribution.uniform(6)
+    certificate = bandit._certify_run(cfg, features, uniform)
     features[:, 2] = 0.0
-    monkeypatch.setattr(bandit, "certify_covariance_floor", lambda *args: None)
     with pytest.raises(IllConditionedCovarianceError) as err:
-        run_bandit(LINEAR, actions, features, DiscreteDistribution.uniform(6), cfg,
-                   [w] * 10, component_rng(12, "player"))
+        bandit._bandit_play(LINEAR, actions, features, uniform, cfg, [w] * 10,
+                            component_rng(12, "player"), certificate)
     assert err.value.floor == 0.5 / (2 * 3)
     assert abs(err.value.min_eig) <= 1e-12
 
@@ -243,7 +274,8 @@ def test_certificate_of_whitened_design():
     # after whitening Sigma_nu = I/m, so the certified bound is gamma/m less
     # a rounding term of order (N + m) u max ||f||^2
     actions, features, nu, cfg = _setup(n=100)
-    floor, bound = certify_covariance_floor(cfg, features, nu)
+    floor, bound, kw_ratio = bandit._certify_run(cfg, features, nu)[:3]
+    assert kw_ratio == float(np.einsum("ij,ij->i", features, features).max())
     m = features.shape[1]
     assert floor == 0.5 * cfg.gamma / m
     assert bound > floor
@@ -276,7 +308,7 @@ def _complement_setup(n=120):
 
 
 def _path(cfg, features, nu) -> str:
-    return bandit._estimator_path(cfg, features, nu)["path"]
+    return bandit._certify_run(cfg, features, nu).estimator["path"]
 
 
 def _path_case(case, n):
@@ -330,7 +362,8 @@ def test_run_bandit_is_a_fold_of_bandit_round(case):
                                        nu, w_t, rng)
         fold.append(rec)
     play = bandit._bandit_play(kernel, actions, features, nu, cfg, schedule,
-                               component_rng(13, "player"))
+                               component_rng(13, "player"),
+                               bandit._certify_run(cfg, features, nu))
     assert play[2].tobytes() == np.array(expected).tobytes()
     # the loss totals have the bits of best_in_hindsight's column sums
     best, total = best_in_hindsight(kernel, actions, schedule)
@@ -458,7 +491,7 @@ def test_complement_estimate_matches_the_covariance_solve(gamma, concentration):
     nu = DiscreteDistribution.uniform(num)
     features = whiten_features(rng.standard_normal((num, m)), nu)
     cfg = BanditConfig(eta=0.1, gamma=gamma, m=m, eps=0.0, n=10)
-    Z = bandit._complement(cfg, features, nu)
+    Z = bandit._certify_run(cfg, features, nu).basis
     assert Z.shape == (num, k)
     assert np.abs(Z.T @ Z - np.eye(k)).max() <= 10 * num * _UNIT_ROUNDOFF
     assert np.abs(features.T @ Z).max() <= 10 * num * _UNIT_ROUNDOFF * np.abs(features).max()
@@ -493,9 +526,10 @@ def test_estimator_path_selection():
     # the complement path needs k = N - m < m and gamma min nu >= gamma / (2m)
     _, _, features, nu, cfg = _gaussian_setup()
     assert features.shape == (30, 20) and nu.weights.min() == 0.0
-    assert bandit._estimator_path(cfg, features, nu) == {
+    certificate = bandit._certify_run(cfg, features, nu)
+    assert certificate.estimator == {
         "path": "covariance", "k": 10, "probability_lower_bound": 0.0}
-    assert bandit._complement(cfg, features, nu) is None
+    assert certificate.basis is None
     # the same features under the uniform design, and with one weight just
     # below or above 1 / (2m), the rest raised to keep the sum at 1
     uniform = DiscreteDistribution.uniform(30)
@@ -509,16 +543,19 @@ def test_estimator_path_selection():
     assert _path(cfg, features, DiscreteDistribution(low)) == "complement"
     # k >= m: the linear setup (m = 3 of N = 20) and the edge N = 2m
     _, features, nu, cfg = _setup(n=100)
-    assert bandit._estimator_path(cfg, features, nu)["k"] == 17
+    assert bandit._certify_run(cfg, features, nu).estimator["k"] == 17
     assert _path(cfg, features, nu) == "covariance"
     assert _path(cfg, features, DiscreteDistribution.uniform(20)) == "covariance"
+    # the path depends only on N, m and min nu, so each edge set is whitened
+    # by its uniform design first, which makes it certifiable
     edge = component_rng(15, "edge").standard_normal((6, 3))
     cfg3 = BanditConfig(eta=0.1, gamma=0.5, m=3, eps=0.0, n=10)
-    assert _path(cfg3, edge, DiscreteDistribution.uniform(6)) == "covariance"
-    assert _path(cfg3, edge[:5], DiscreteDistribution.uniform(5)) == "complement"
+    for num, path in ((6, "covariance"), (5, "complement")):
+        uniform = DiscreteDistribution.uniform(num)
+        assert _path(cfg3, whiten_features(edge[:num], uniform), uniform) == path
     # the bench's regime: m = 15 of N = 20 circle directions
     _, _, features, nu, cfg = _complement_setup()
-    estimator = bandit._estimator_path(cfg, features, nu)
+    estimator = bandit._certify_run(cfg, features, nu).estimator
     assert estimator["path"] == "complement" and estimator["k"] == 5
     assert estimator["probability_lower_bound"] == cfg.gamma * nu.weights.min()
     assert estimator["probability_lower_bound"] >= cfg.gamma / (2 * cfg.m)

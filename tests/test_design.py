@@ -9,7 +9,6 @@ from kernelbandits.bandit import _estimate_adversary
 from kernelbandits.design import (
     DiscreteDistribution,
     action_covariance,
-    check_covariance_floor,
     d_optimal_design,
     design_weights_csv,
     reduce_to_span,
@@ -17,7 +16,6 @@ from kernelbandits.design import (
 )
 from kernelbandits.errors import (
     DegenerateSpectrumWarning,
-    IllConditionedCovarianceError,
     InputError,
     RankDeficiencyError,
     ToleranceNotMetError,
@@ -42,7 +40,6 @@ def test_design_standard_basis_is_uniform():
     assert np.abs(d.weights - 0.25).max() <= 1e-6
     cov = action_covariance(d.weights, np.eye(4))
     assert np.abs(cov - np.eye(4) / 4).max() <= 1e-6
-    check_covariance_floor(cov, floor=0.1)
     assert np.linalg.eigvalsh(cov)[0] == pytest.approx(0.25, abs=1e-6)
 
 
@@ -289,46 +286,19 @@ def _solves(sigma, phi, loss):
     return np.abs(sigma @ _estimate_adversary(sigma, phi, loss) - loss * phi).max() <= 1e-8
 
 
-def test_check_covariance_floor_examples():
+def test_estimate_adversary_solves_examples():
     m = 4
     cov = action_covariance(np.full(m, 1.0 / m), np.eye(m))
-    check_covariance_floor(cov, floor=0.1)
     assert _solves(cov, np.arange(1.0, m + 1), 0.7)
     assert np.linalg.eigvalsh(cov)[0] == pytest.approx(1.0 / m)
-    check_covariance_floor(np.diag([2.0, 4.0]), 0.5)
     assert _solves(np.diag([2.0, 4.0]), np.array([1.0, -1.0]), 0.5)
 
     rng = component_rng(6, "spd")
     M = rng.standard_normal((5, 5))
     spd = M.T @ M + 0.1 * np.eye(5)
-    check_covariance_floor(spd, floor=0.05)
+    assert np.linalg.eigvalsh(spd)[0] > 0.05
     for phi in np.eye(5):
         assert _solves(spd, phi, 1.0)
-    with pytest.raises(InputError):
-        check_covariance_floor(spd, floor=0.0)
-
-
-def test_covariance_floor_error_carries_min_eig():
-    with pytest.raises(IllConditionedCovarianceError) as err:
-        check_covariance_floor(np.diag([1.0, 1e-8]), floor=1e-4)
-    assert err.value.min_eig == pytest.approx(1e-8)
-    assert err.value.floor == 1e-4
-
-
-def test_covariance_floor_is_exact_at_the_boundary():
-    # cholesky(sigma - floor I) decides lambda_min > floor to within rounding
-    q, _ = np.linalg.qr(component_rng(9, "boundary").standard_normal((6, 6)))
-    floor = 0.05
-    for scale, passes in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
-        sigma = q @ np.diag([floor * scale, 0.1, 0.3, 0.7, 1.0, 2.0]) @ q.T
-        sigma = 0.5 * (sigma + sigma.T)
-        if passes:
-            check_covariance_floor(sigma, floor)
-            continue
-        with pytest.raises(IllConditionedCovarianceError) as err:
-            check_covariance_floor(sigma, floor)
-        assert abs(err.value.min_eig - np.linalg.eigvalsh(sigma)[0]) <= 1e-12
-        assert err.value.floor == floor
 
 
 def test_mixture_eigenvalue_floor_after_whitening():

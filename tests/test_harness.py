@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kernelbandits import harness
+from kernelbandits import bandit, harness
 from kernelbandits.cli import parse_adversary
 from kernelbandits.errors import (
     HorizonTooShortError,
@@ -591,6 +591,33 @@ def test_bandit_experiment_end_to_end():
     cfg = result.details["bandit_config"]
     assert cfg.gamma <= 1.0
     assert result.details["design"]["center_offset"] >= 0.0
+
+
+def test_bandit_run_certifies_once_for_all_seeds(monkeypatch):
+    # on the complement path (20 circle directions, gaussian:0.5, m = 15):
+    # one certificate, and so one complete QR, per run_experiment call,
+    # shared by every seed
+    calls = {"qr": 0, "certify": 0}
+    qr, certify = np.linalg.qr, bandit._certify_run
+
+    def counting_qr(*args, **kwargs):
+        calls["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def counting_certify(*args):
+        calls["certify"] += 1
+        return certify(*args)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(bandit, "_certify_run", counting_certify)
+    config = ExperimentConfig(algo="bandit_ew", kernel=KernelSpec.gaussian(0.5),
+                              actions=ball_directions(20),
+                              adversary=unit_vector_adversary(2), n=60, seeds=(0, 1, 2),
+                              params={"eta": 0.05, "gamma": 0.5}, proxy_m=15, proxy_p=40)
+    result = run_experiment(config)
+    assert len(result.traces) == 3
+    assert result.details["bandit_estimator"]["path"] == "complement"
+    assert calls == {"qr": 1, "certify": 1}
 
 
 def test_bandit_explicit_gamma_is_checked():

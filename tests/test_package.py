@@ -55,7 +55,6 @@ _TEST_ONLY_PUBLIC = {
     "configure_bandit": ("paper construction: the bandit schedule from an eigendecay "
                          "profile; a caller would need a --params choice next to 'paper'"),
     "quadratic_adversary": "paper construction: the (A, b) adversary of quadratic losses",
-    "surrogate_membership": "paper construction: the convex reparametrized constraint set",
     "parse_trace": "reader of the CSV that emit_trace writes",
 }
 

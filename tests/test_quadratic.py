@@ -13,7 +13,6 @@ from kernelbandits.quadratic import (
     _uniforms,
     chain_autocorrelation,
     quad_ew_sample,
-    surrogate_membership,
     trs_minimize,
 )
 from kernelbandits.rng import component_rng
@@ -167,28 +166,6 @@ def test_sampler_sign_symmetry_without_linear_term():
         n = samples.shape[0]
         z = abs(pos - n / 2) / math.sqrt(n / 4)
         assert z <= 2.58  # |z| below the 1% two-sided normal quantile
-
-
-def test_surrogate_set_is_convex():
-    rng = component_rng(12, "convex")
-    obj = QuadraticObjective(np.diag([2.0, -3.0, 1e-14]),
-                             np.array([0.5, -0.2, 0.7]))
-    member, nonzero = surrogate_membership(obj)
-    assert nonzero.tolist() == [True, True, False]
-
-    # rejection sampling in blocks: a (k, 3) draw is k draws of 3 from the
-    # same stream, so the feasible rows, in order, are the candidates one
-    # draw at a time would accept; consecutive rows make the 10000 pairs
-    pairs = 10_000
-    feasible = np.empty((0, 3))
-    while feasible.shape[0] < 2 * pairs:
-        v = rng.standard_normal((8192, 3))
-        v[:, nonzero] = np.abs(v[:, nonzero])
-        feasible = np.vstack([feasible, v[member(v)]])
-    x, y = feasible[0:2 * pairs:2], feasible[1:2 * pairs:2]
-    assert member(x).all() and member(y).all()
-    assert member(0.5 * (x + y)).all()
-    assert member(x[0]) is True and member(-x[0]) is False
 
 
 def test_sampler_validation():
