@@ -124,8 +124,8 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     Frank-Wolfe with away steps; the returned design satisfies the
     Kiefer-Wolfowitz certificate max_i f_i^T Sigma^-1 f_i <= m (1 + tol), or
     raises ToleranceNotMetError after 10 000 steps of both kinds without it.
-    A tol that is not positive and finite raises InputError before the first
-    step.
+    A tol that is not positive and finite, or a feature that is not finite,
+    raises InputError before the first step.
 
     Newton steps come first, from the uniform start, and only while
     n <= m (m + 1) / 2: above that the negative Hessian K = G o G on the
@@ -154,6 +154,8 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     if not (tol > 0 and math.isfinite(tol)):
         raise InputError(f"tol must be positive and finite, got {tol!r}")
     F = _as_feature_array(features)
+    if not np.all(np.isfinite(F)):
+        raise InputError("features contain non-finite entries")
     n, m = F.shape
     rank = np.linalg.matrix_rank(F)
     if rank < m:

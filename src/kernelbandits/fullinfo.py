@@ -304,24 +304,19 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
     its last positive weight (u rounds to 1.0 for the top 2^10 bit
     patterns), so a zero-weight row is never played.  The running adversary
     sums are one cumulative sum down the stretch, which adds the rows one at
-    a time.  The adversary features take one :func:`feature_matrix` call
-    per stretch, read from the schedule's arrays.  The losses take one
-    paired kernel call for the rank-one rows and, for the explicit rows, one
-    embedding of the played points and one batched row product; every
-    output has the bits of per-round calls.  Returns the state after the
+    a time.  The adversary features are the stretch's explicit vectors, or
+    one :func:`feature_matrix` call on its points.  The losses take one
+    paired kernel call on rank-one rows, or one embedding of the played
+    points and one batched row product on explicit rows; every output has
+    the bits of per-round calls.  Returns the state after the
     stretch and, per round, the played table row, its loss, <x_t, w_t> for
     the mean x_t it played from and the count of nonzero weights.
     """
     rows = len(schedule)
     table, w, oracle = table_for(state.combo, rows)
-    rank_one = schedule.rank_one
-    Y, W = schedule.rank_one_points(), schedule.explicit_vectors()
-    adversary = np.empty((rows + 1, state.x1.size))
-    adversary[0] = state.cum_adversary
-    if rank_one.any():
-        adversary[1:][rank_one] = feature_matrix(kernel, Y)
-    if not rank_one.all():
-        adversary[1:][~rank_one] = W
+    X = schedule.gathered()
+    adversary = np.vstack((state.cum_adversary,
+                           feature_matrix(kernel, X) if schedule.rank_one else X))
     cum = np.cumsum(adversary, axis=0)
     eta_cum = config.eta * cum[:-1]
     u = rng.bit_generator.random_raw(rows) / 2.0**64
@@ -355,11 +350,8 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
     last = cols.size - 1 - (held[:-1, ::-1] > 0).argmax(axis=1)
     idx = cols[np.minimum(_inverse_cdf(held[:-1], u), last)]
     played = table[idx]
-    losses = np.empty(rows)
-    if rank_one.any():
-        losses[rank_one] = _kernel_of_pairs(kernel, played[rank_one], Y)
-    if not rank_one.all():
-        losses[~rank_one] = _row_dots(feature_matrix(kernel, played[~rank_one]), W)
+    losses = (_kernel_of_pairs(kernel, played, X) if schedule.rank_one
+              else _row_dots(feature_matrix(kernel, played), X))
     combo = ConvexCombination(table, p)
     return (CGState(combo, mean, cum[-1], x1, t + rows), idx, losses,
             _row_dots(means, adversary[1:]), np.count_nonzero(held[1:], axis=1))

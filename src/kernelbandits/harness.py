@@ -1,9 +1,10 @@
 """Adversary generators, regret accounting and experiment orchestration.
 
 An adversary materializes its full action schedule before round one
-(obliviousness), as one :class:`kernels.Schedule`: a kind mask, arrays of
-rank-one points and explicit vectors and a per-row index into them, built
-once per run.  The i.i.d. unit-vector adversary draws it as one (n, d)
+(obliviousness), as one :class:`kernels.Schedule`: one kind for every row
+(rank-one points or explicit vectors), the array of stored rows and a
+per-row index into it, built once per run; rows that mix the two kinds
+are refused.  The i.i.d. unit-vector adversary draws it as one (n, d)
 Gaussian array with normalized rows; the periodic adversary stores its k
 actions once and indexes them in turn, and the explicit adversary gathers
 its actions once.  The schedule hash, the learners and the accounting read
@@ -111,8 +112,7 @@ class _UnitVectorAdversary:
             while norms[t] == 0.0:
                 V[t] = rng.standard_normal(self.d)
                 norms[t] = np.linalg.norm(V[t])
-        return Schedule(np.ones(n, dtype=bool), np.arange(n), V / norms[:, None],
-                        np.empty((0, 0)))
+        return Schedule(True, np.arange(n), V / norms[:, None])
 
 
 def unit_vector_adversary(d: int) -> _UnitVectorAdversary:
@@ -130,22 +130,17 @@ def schedule_hash(schedule: Schedule) -> str:
 
     SHA-256 of the row count, each row's kind (rank-one or explicit) and
     length, and then every row's float64 payload (its point or its vector)
-    in row order.  The payloads are read in stretches of rows of one kind,
-    at most ``_LOSS_BLOCK_ROWS`` long, so memory stays flat in the horizon.
+    in row order.  The payloads are read ``_LOSS_BLOCK_ROWS`` rows at a
+    time, so memory stays flat in the horizon.
     """
     schedule = Schedule.of(schedule)
-    rank_one, index = schedule.rank_one, schedule.index
-    n, d, D = len(schedule), schedule.points.shape[1], schedule.vectors.shape[1]
+    n, rows, index = len(schedule), schedule.rows, schedule.index
     h = hashlib.sha256(np.int64(n).tobytes())
-    h.update(rank_one.tobytes())
-    h.update(np.where(rank_one, d, D).astype(np.int64).tobytes())
-    # each stretch of rows of one kind is one gather; stretches end where the
-    # kind changes and at block edges (a cut made twice adds an empty stretch)
-    cuts = np.sort(np.concatenate([np.flatnonzero(np.diff(rank_one)) + 1,
-                                   np.arange(0, n, _LOSS_BLOCK_ROWS)]))
-    for start, stop in zip(cuts, np.append(cuts[1:], n)):
-        stored = schedule.points if rank_one[start] else schedule.vectors
-        h.update(np.asarray(stored[index[start:stop]], dtype=np.float64).tobytes())
+    h.update(np.full(n, schedule.rank_one).tobytes())
+    h.update(np.full(n, rows.shape[1], dtype=np.int64).tobytes())
+    for start in range(0, n, _LOSS_BLOCK_ROWS):
+        block = rows[index[start:start + _LOSS_BLOCK_ROWS]]
+        h.update(np.asarray(block, dtype=np.float64).tobytes())
     return h.hexdigest()
 
 
@@ -236,6 +231,9 @@ class ExperimentConfig:
     explicit algorithm parameters: eta and gamma (eps optional) for
     bandit_ew, eta for fullinfo_ew, and exactly eta, gamma (a callable
     t -> gamma_t) and n for cg.  Each run seed gets its own adversary stream.
+    The bandit's proxy basis samples ``proxy_p`` actions (default: twice
+    the number of actions) and keeps ``proxy_m`` eigenvectors (default: the
+    whole sampled spectrum above the eigenvalue floor).
     """
 
     algo: str  # "bandit_ew" | "fullinfo_ew" | "cg"
@@ -282,9 +280,8 @@ def _bandit_setup(config: ExperimentConfig):
     kernel = config.kernel
     actions = config.actions
     num_actions = actions.shape[0]
-    p = config.proxy_p or 2 * num_actions
-    m_target = config.proxy_m or min(num_actions, p)
-    basis = build_proxy(kernel, actions, m=m_target, p=p,
+    p = 2 * num_actions if config.proxy_p is None else config.proxy_p
+    basis = build_proxy(kernel, actions, m=config.proxy_m, p=p,
                         rng=component_rng(0, "proxy"))
     features, nu, center_offset = _bandit.prepare_bandit_features(basis, actions)
     m = features.shape[1]

@@ -7,11 +7,11 @@ maps; the Gaussian kernel is infinite dimensional, so adversaries against it
 must be rank-one (an embedded point).
 
 The adversary is oblivious, so its whole schedule is data fixed before round
-one: a :class:`Schedule` holds it as arrays, a per-row kind mask, the points
-of the rank-one rows and the vectors of the explicit rows, each stored once,
-and a per-row index into them.  Indexing one row or iterating gives
+one: a :class:`Schedule` holds it as arrays, one kind for every row
+(rank-one points or explicit vectors), the stored rows, each once, and a
+per-row index into them.  Indexing one row or iterating gives
 :class:`RankOne` / :class:`ExplicitVector` objects, built on demand; slicing
-gives a :class:`Schedule` that shares the stored arrays.  Every entry that
+gives a :class:`Schedule` that shares the stored rows.  Every entry that
 takes a schedule also takes a sequence of actions and converts it once with
 :meth:`Schedule.of`.
 
@@ -127,97 +127,80 @@ class RankOne:
 AdversaryAction = ExplicitVector | RankOne
 
 
-def _stack_rows(rows: list, kind: str) -> np.ndarray:
-    """``rows`` as one (len(rows), length) float array; InputError unless
-    they are vectors of one length."""
-    if not rows:
-        return np.empty((0, 0))
-    try:
-        stacked = np.array(rows, dtype=float)
-    except ValueError as exc:
-        raise InputError(f"{kind} rows must be vectors of one length") from exc
-    if stacked.ndim != 2:
-        raise InputError(f"{kind} rows must be vectors of one length")
-    return stacked
-
-
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """An oblivious adversary's schedule, one row per round, as arrays.
 
-    Row t is the rank-one action Phi(points[index[t]]) where ``rank_one[t]``,
-    and the explicit vector ``vectors[index[t]]`` elsewhere.  The arrays hold
-    each stored row once, so a periodic schedule keeps its k actions and an
-    n-long index, and a mixed one keeps each kind's rows without padding.
-    ``len``, ``schedule[t]`` and iteration give rows as :class:`RankOne` /
+    Every row is of one kind: row t is the rank-one action
+    Phi(rows[index[t]]) when ``rank_one``, and the explicit vector
+    ``rows[index[t]]`` otherwise.  ``rows`` holds each stored row once, so a
+    periodic schedule keeps its k actions and an n-long index.  ``len``,
+    ``schedule[t]`` and iteration give rows as :class:`RankOne` /
     :class:`ExplicitVector` objects built on demand; a slice or an index
     array gives a :class:`Schedule` of the selected rows that shares the
-    stored arrays.
+    stored array.
     """
 
-    rank_one: np.ndarray  # (n,) bool
-    index: np.ndarray     # (n,) int, row t's position in points or vectors
-    points: np.ndarray    # (P, d)
-    vectors: np.ndarray   # (E, D)
+    rank_one: bool
+    index: np.ndarray  # (n,) int, row t's position in rows
+    rows: np.ndarray   # (R, d) points or (R, D) vectors
 
     def __post_init__(self):
-        rank_one, index = self.rank_one, self.index
-        if (rank_one.dtype != bool or rank_one.ndim != 1 or index.shape != rank_one.shape
-                or index.dtype.kind not in "iu" or self.points.ndim != 2
-                or self.vectors.ndim != 2):
-            raise InputError("a schedule is a bool (n,) mask, an (n,) integer index, "
-                             "(P, d) points and (E, D) vectors")
-        stored = np.where(rank_one, self.points.shape[0], self.vectors.shape[0])
-        if not np.all((index >= 0) & (index < stored)):
-            raise InputError("schedule index outside its points or vectors")
+        index = self.index
+        if (not isinstance(self.rank_one, bool) or index.ndim != 1
+                or index.dtype.kind not in "iu" or self.rows.ndim != 2):
+            raise InputError("a schedule is a bool kind, an (n,) integer index "
+                             "and (R, k) stored rows")
+        if not np.all((index >= 0) & (index < self.rows.shape[0])):
+            raise InputError("schedule index outside its stored rows")
 
     @classmethod
     def of(cls, actions) -> "Schedule":
-        """``actions`` itself if it is a Schedule; otherwise its RankOne and
-        ExplicitVector rows gathered into one, in order.  Rows of one kind
-        must share a length."""
+        """``actions`` itself if it is a Schedule; otherwise its rows, all
+        RankOne or all ExplicitVector vectors of one length, in order (no
+        rows give an empty rank-one schedule)."""
         if isinstance(actions, Schedule):
             return actions
-        rank_one, index, stored = [], [], {True: [], False: []}
+        kinds, rows = set(), []
         for w in actions:
             if not isinstance(w, (RankOne, ExplicitVector)):
                 raise InputError("schedule rows must be RankOne or ExplicitVector actions")
-            kind = isinstance(w, RankOne)
-            rows = stored[kind]
-            rank_one.append(kind)
-            index.append(len(rows))
-            rows.append(w.y if kind else w.w)
-        points = _stack_rows(stored[True], "rank-one")
-        vectors = _stack_rows(stored[False], "explicit")
-        rank_one, index = np.array(rank_one, dtype=bool), np.array(index, dtype=np.intp)
-        return cls(rank_one, index, points, vectors)
+            kinds.add(isinstance(w, RankOne))
+            rows.append(w.y if isinstance(w, RankOne) else w.w)
+        if len(kinds) > 1:
+            raise InputError("schedule rows must be all RankOne or all ExplicitVector")
+        try:
+            stacked = np.array(rows, dtype=float) if rows else np.empty((0, 0))
+        except ValueError as exc:
+            raise InputError("schedule rows must be vectors of one length") from exc
+        if stacked.ndim != 2:
+            raise InputError("schedule rows must be vectors of one length")
+        return cls(False not in kinds, np.arange(len(rows)), stacked)
 
     def __len__(self) -> int:
-        return self.rank_one.shape[0]
+        return self.index.shape[0]
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            if self.rank_one[key]:
-                return RankOne(self.points[self.index[key]])
-            return ExplicitVector(self.vectors[self.index[key]])
-        return Schedule(self.rank_one[key], self.index[key], self.points, self.vectors)
+            row = self.rows[self.index[key]]
+            return RankOne(row) if self.rank_one else ExplicitVector(row)
+        return Schedule(self.rank_one, self.index[key], self.rows)
 
     def __iter__(self):
         for t in range(len(self)):
             yield self[t]
 
-    def rank_one_points(self) -> np.ndarray:
-        """The points of the rank-one rows, in row order."""
-        return self.points[self.index[self.rank_one]]
-
-    def explicit_vectors(self) -> np.ndarray:
-        """The vectors of the explicit rows, in row order."""
-        return self.vectors[self.index[~self.rank_one]]
+    def gathered(self) -> np.ndarray:
+        """The stored rows in row order, one per round."""
+        return self.rows[self.index]
 
 
 def validate_points(points: np.ndarray, unit_ball: bool = False) -> np.ndarray:
-    """Check a (n, d) array of points: finite, and in the ball if required."""
+    """Check a (n, d) array of points: nonempty, finite, and in the ball if
+    required."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.size == 0:
+        raise InputError("points must be nonempty")
     if not np.all(np.isfinite(pts)):
         raise InputError("points contain non-finite coordinates")
     if unit_ball:
@@ -409,41 +392,37 @@ def _row_products(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 def loss_matrix(spec: KernelSpec, actions: np.ndarray,
                 schedule: Schedule) -> np.ndarray:
     """Rows L[t, j] = <Phi(a_j), w_t> of the loss matrix for a stretch of the
-    schedule, one row per adversary action; the schedule may mix rank-one
-    and explicit actions.
+    schedule, one row per adversary action.
 
-    The rank-one rows are the kernel of the inner products of the
-    schedule's points with the actions; the explicit rows are products of
-    its vectors with the embedded actions.  Both gather the stretch's rows
-    from the schedule's arrays, and a point whose dimension is not the
-    actions', or a vector whose length is not the feature dimension, raises
-    InputError.  Each row is computed on its own (see :func:`_row_products`),
-    so a row's bits do not depend on how the schedule is split into blocks:
-    the one-row call ``loss_matrix(spec, actions, [w])[0]`` has the bits of
-    that row of any block.  An entry's bits do depend on the number of
-    actions: a (1, d) action matrix takes another numpy kernel (a dot product,
-    not a matrix-vector product).
+    Rank-one rows are the kernel of the inner products of the schedule's
+    points with the actions; explicit rows are products of its vectors with
+    the embedded actions.  A point whose dimension is not the actions', or a
+    vector whose length is not the feature dimension, raises InputError; an
+    empty schedule gives a (0, N) matrix.  Each row is computed on its own
+    (see :func:`_row_products`), so a row's bits do not depend on how the
+    schedule is split into blocks: the one-row call
+    ``loss_matrix(spec, actions, [w])[0]`` has the bits of that row of any
+    block.  An entry's bits do depend on the number of actions: a (1, d)
+    action matrix takes another numpy kernel (a dot product, not a
+    matrix-vector product).
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     schedule = Schedule.of(schedule)
-    rank_one = schedule.rank_one
-    L = np.empty((rank_one.size, actions.shape[0]))
-    if rank_one.any():
-        Y = schedule.rank_one_points()
-        if Y.shape[1] != actions.shape[1]:
-            raise InputError(f"dimension mismatch: {Y.shape[1]} vs {actions.shape[1]}")
-        L[rank_one] = _kernel_of_inner(spec, _row_products(actions, Y), Y, actions)
-    if not rank_one.all():
-        if not has_feature_map(spec):
-            raise InvalidCombinationError(
-                f"explicit adversary vector is invalid for the {spec.variant} kernel")
-        features = feature_matrix(spec, actions)
-        W = schedule.explicit_vectors()
-        if W.shape[1] != features.shape[1]:
-            raise InputError(f"explicit vector length {W.shape[1]} is not the "
-                             f"feature dimension {features.shape[1]}")
-        L[~rank_one] = _row_products(features, W)
-    return L
+    if len(schedule) == 0:
+        return np.empty((0, actions.shape[0]))
+    X = schedule.gathered()
+    if schedule.rank_one:
+        if X.shape[1] != actions.shape[1]:
+            raise InputError(f"dimension mismatch: {X.shape[1]} vs {actions.shape[1]}")
+        return _kernel_of_inner(spec, _row_products(actions, X), X, actions)
+    if not has_feature_map(spec):
+        raise InvalidCombinationError(
+            f"explicit adversary vector is invalid for the {spec.variant} kernel")
+    features = feature_matrix(spec, actions)
+    if X.shape[1] != features.shape[1]:
+        raise InputError(f"explicit vector length {X.shape[1]} is not the "
+                         f"feature dimension {features.shape[1]}")
+    return _row_products(features, X)
 
 
 def check_norm_bound(spec: KernelSpec, actions: np.ndarray) -> float:

@@ -17,8 +17,8 @@ stand-in generator that repeats one raw value, such as the top patterns
 where u rounds to 1.0; ``cg_fold_round`` is a self-contained
 conditional-gradient round over dense weights on the atom table that
 embeds everything it uses, the reference for the blocked pass of
-``fullinfo.run_cg``.  ``kernel_schedules`` builds the rank-one, explicit
-and mixed adversary schedules that the bit-identity tests of the loss
+``fullinfo.run_cg``.  ``kernel_schedules`` builds the rank-one and
+explicit adversary schedules that the bit-identity tests of the loss
 matrix, exponential weights and conditional gradient run on.
 ``fibonacci_sphere`` is the benchmark's Fibonacci lattice on the sphere,
 unrotated, for tests at the benchmark's shapes.  ``listed_schedule`` is the
@@ -309,9 +309,8 @@ def fibonacci_sphere(num: int) -> np.ndarray:
 
 def kernel_schedules(spec: KernelSpec, d: int, n: int, seed: int) -> dict:
     """Seeded schedules of n adversary actions for points in R^d, by kind:
-    "rank_one" (unit points), and, when the kernel has a feature map,
-    "explicit" (feature vectors of norm G / 2) and "mixed" (every third row
-    explicit)."""
+    "rank_one" (unit points) and, when the kernel has a feature map,
+    "explicit" (feature vectors of norm G / 2)."""
     rng = component_rng(seed, f"schedules-{spec.variant}")
     Y = rng.standard_normal((n, d))
     Y /= np.linalg.norm(Y, axis=1)[:, None]
@@ -320,8 +319,6 @@ def kernel_schedules(spec: KernelSpec, d: int, n: int, seed: int) -> dict:
         W = rng.standard_normal((n, feature_dim(spec, d)))
         W *= 0.5 * spec.norm_bound_G / np.linalg.norm(W, axis=1)[:, None]
         out["explicit"] = [make_explicit(spec, w) for w in W]
-        out["mixed"] = [out["explicit"][t] if t % 3 == 0 else out["rank_one"][t]
-                        for t in range(n)]
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from kernelbandits.bandit import BanditConfig, theorem_regret_bound
 from kernelbandits.cli import main, parse_actions, parse_kernel
-from kernelbandits.errors import DegenerateSpectrumWarning, InputError
+from kernelbandits.errors import InputError
 from oracles import fibonacci_sphere
 
 
@@ -120,17 +120,19 @@ def test_run_summary_reports_theorem_bound(tmp_path, kernel, num, n, gamma,
                                            bound_per_round):
     # summary.json carries the theorem's bound at the paper schedule, and
     # flags it vacuous when it is at least 2 G^2 n, the most any player can
-    # lose to the best action (G = 1 for the Gaussian kernel)
+    # lose to the best action (G = 1 for the Gaussian kernel).  The default
+    # proxy keeps the whole spectrum above the floor (33 of 40 eigenvalues
+    # on the second set), with no warning.
     actions = tmp_path / "actions.csv"
     np.savetxt(actions, fibonacci_sphere(num), delimiter=",")
     out = tmp_path / "results"
-    with pytest.warns(DegenerateSpectrumWarning):
-        assert main(["run", "--algo", "bandit_ew", "--kernel", kernel,
-                     "--actions", str(actions), "--adversary", "iid-unit",
-                     "--n", str(n), "--seeds", "0", "--params", "paper",
-                     "--out", str(out)]) == 0
+    assert main(["run", "--algo", "bandit_ew", "--kernel", kernel,
+                 "--actions", str(actions), "--adversary", "iid-unit",
+                 "--n", str(n), "--seeds", "0", "--params", "paper",
+                 "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     config = BanditConfig(**summary["bandit_config"])
+    assert config.m == {150: 127, 40: 33}[num]
     assert config.gamma == pytest.approx(gamma, abs=0.005)
     assert summary["theorem_bound"] == theorem_regret_bound(config, 1.0, num)
     assert summary["theorem_bound"] / n == pytest.approx(bound_per_round, abs=0.01)
@@ -243,6 +245,9 @@ def test_run_command_input_error_exit_code(tmp_path):
     {"kernel": "quadratic:2:9"},
     {"kernel": "gaussian:0.5:1:7"},
     {"kernel": "poly:2:1:4:5"},
+    {"algo": "bandit_ew", "proxy-p": "0"},
+    {"algo": "bandit_ew", "proxy-m": "0"},
+    {"algo": "bandit_ew", "proxy-p": "4", "proxy-m": "5"},
 ], ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()))
 def test_run_command_malformed_input_exits_2(tmp_path, capsys, flags):
     args = {"algo": "fullinfo_ew", "kernel": "linear", "actions": "ball:8",
@@ -262,6 +267,17 @@ def test_run_command_malformed_input_exits_2(tmp_path, capsys, flags):
     argv = ["run"] + [item for key, value in args.items() for item in (f"--{key}", value)]
     assert main(argv) == 2
     assert "input error:" in capsys.readouterr().err
+
+
+def test_run_command_refuses_an_empty_action_set(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.warns(UserWarning, match="input contained no data"):
+        code = main(["run", "--algo", "fullinfo_ew", "--kernel", "linear",
+                     "--actions", str(empty), "--adversary", "iid-unit", "--n", "5",
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "points must be nonempty" in capsys.readouterr().err
 
 
 def test_run_command_precondition_exit_code(tmp_path):

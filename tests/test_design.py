@@ -217,6 +217,15 @@ def test_design_refuses_tolerance_before_the_first_step(monkeypatch, tol):
         d_optimal_design(np.eye(3), tol=tol)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_design_refuses_non_finite_features(bad):
+    # a NaN row made the rank check fail in the SVD and an inf row read as
+    # rank 0; either is an input error before any step
+    F = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, bad]])
+    with pytest.raises(InputError, match="non-finite"):
+        d_optimal_design(F)
+
+
 def test_action_covariance_examples():
     cov = action_covariance(np.full(3, 1.0 / 3), np.eye(3))
     assert np.allclose(cov, np.eye(3) / 3)

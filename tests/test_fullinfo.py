@@ -251,8 +251,6 @@ def test_cg_block_pass_equals_per_round_fold(spec, ball):
     # around the block size cover a partial, an exact and a carried block.
     # The finite set repeats rows (the start point among them), so the
     # start and the oracle's outputs must land on the lowest equal row.
-    # The unit ball solves a trust-region problem per round, so it runs
-    # only the mixed schedule, which has both kinds of adversary action.
     lengths = (1, 255, 256, 257, 1000)
     if ball:
         d, action_set, a1 = 2, UnitBall(2), np.array([0.6, -0.8])
@@ -260,10 +258,7 @@ def test_cg_block_pass_equals_per_round_fold(spec, ball):
         d, action_set = 3, _repeated_rows()
         a1 = action_set[0]
     config = cg_theorem_config(1000)
-    schedules = kernel_schedules(spec, d, 1000, seed=6)
-    for kind, full in schedules.items():
-        if ball and kind != "mixed":
-            continue
+    for kind, full in kernel_schedules(spec, d, 1000, seed=6).items():
         folds = [_cg_fold_bytes(step, spec, action_set, full, config,
                                 component_rng(6, "player"), a1, lengths)
                  for step in (cg_round, cg_fold_round)]
@@ -370,20 +365,20 @@ def test_cg_expected_losses_match_the_play_distribution(spec):
     actions = component_rng(7, "cg-count-actions").standard_normal((40, 3))
     actions /= 1.25 * np.linalg.norm(actions, axis=1)[:, None]
     n, num = 600, actions.shape[0]
-    schedule = kernel_schedules(spec, 3, n, seed=7)["mixed"]
     config = cg_theorem_config(n)
-    idx, _, expected, totals, _, _ = fullinfo._cg_play(spec, actions, schedule, config,
-                                                        component_rng(7, "cg"))
-    state, rng, folded = cg_start(spec, actions[0]), component_rng(7, "cg"), []
-    for w in schedule:
-        folded.append(state.combo.weights @ loss_matrix(spec, state.combo.atoms, [w])[0])
-        state, _ = cg_round(state, config, spec, actions, w, rng)
     G = spec.norm_bound_G
     bound = (num * _ATOM_PRUNE + 10 * num * np.finfo(float).eps / 2) * G**2 * math.sqrt(n) / 2
-    assert np.abs(expected - np.array(folded)).max() <= bound
-    columns = loss_matrix(spec, actions, schedule).sum(axis=0)
-    assert int(np.argmin(totals)) == int(np.argmin(columns))
-    assert np.abs(totals - columns).max() <= 1e-9 * n
+    for kind, schedule in kernel_schedules(spec, 3, n, seed=7).items():
+        idx, _, expected, totals, _, _ = fullinfo._cg_play(spec, actions, schedule, config,
+                                                            component_rng(7, "cg"))
+        state, rng, folded = cg_start(spec, actions[0]), component_rng(7, "cg"), []
+        for w in schedule:
+            folded.append(state.combo.weights @ loss_matrix(spec, state.combo.atoms, [w])[0])
+            state, _ = cg_round(state, config, spec, actions, w, rng)
+        assert np.abs(expected - np.array(folded)).max() <= bound, kind
+        columns = loss_matrix(spec, actions, schedule).sum(axis=0)
+        assert int(np.argmin(totals)) == int(np.argmin(columns)), kind
+        assert np.abs(totals - columns).max() <= 1e-9 * n, kind
 
 
 def test_run_cg_embeds_the_action_set_once(monkeypatch):
@@ -403,14 +398,14 @@ def test_run_cg_embeds_the_action_set_once(monkeypatch):
     monkeypatch.setattr(fullinfo_mod, "feature_matrix", counted)
     actions = component_rng(7, "cg-count-actions").standard_normal((40, 3))
     actions /= 1.25 * np.linalg.norm(actions, axis=1)[:, None]
-    n = 600
-    schedule = kernel_schedules(QUAD, 3, n, seed=7)["mixed"]
-    records, _ = run_cg(QUAD, actions, schedule, cg_theorem_config(n),
-                        component_rng(7, "cg"))
-    assert len(records) == n
-    assert sum(np.array_equal(points, actions) for points in calls) == 1
-    blocks = -(-n // 256)
-    assert len(calls) <= 2 + 2 * blocks
+    n, blocks = 600, -(-600 // 256)
+    for kind, schedule in kernel_schedules(QUAD, 3, n, seed=7).items():
+        calls.clear()
+        records, _ = run_cg(QUAD, actions, schedule, cg_theorem_config(n),
+                            component_rng(7, "cg"))
+        assert len(records) == n, kind
+        assert sum(np.array_equal(points, actions) for points in calls) == 1, kind
+        assert len(calls) <= 2 + blocks, kind
 
 
 def test_linear_min_oracle_finite_set():

@@ -67,30 +67,29 @@ def test_best_in_hindsight_matches_summation_oracle():
     # the winner is no worse than every fixed action
     assert np.all(total <= per_action + 1e-12)
 
-    # a schedule longer than two row blocks, mixing rank-one and explicit
-    # actions, against the per-round loss oracle
+    # schedules of either kind longer than two row blocks, against the
+    # per-round loss oracle
     quad = KernelSpec.quadratic(G=2.0)
     n = 2 * _LOSS_BLOCK_ROWS + 500
     explicit = rng.standard_normal((n, 12))
     explicit *= 1.5 / np.linalg.norm(explicit, axis=1)[:, None]
-    schedule = [make_explicit(quad, explicit[t]) if t % 3 == 0 else w
-                for t, w in enumerate(
-                    unit_vector_adversary(3).materialize(n, component_rng(2, "adv")))]
-    oracle = np.stack([loss_matrix(quad, actions, [w])[0] for w in schedule])
-    per_action = oracle.sum(axis=0)
-    idx, total = best_in_hindsight(quad, actions, schedule)
-    assert idx == int(np.argmin(per_action))
-    assert total == pytest.approx(per_action.min(), abs=1e-9)
-    played = rng.integers(0, 10, size=n)
-    losses = oracle[np.arange(n), played]
-    trace = build_trace(quad, actions, schedule, losses, played)
-    expected = np.cumsum(losses) - np.cumsum(oracle[:, idx])
-    assert np.abs(trace.regret_curve - expected).max() <= 1e-9
+    for schedule in (list(unit_vector_adversary(3).materialize(n, component_rng(2, "adv"))),
+                     [make_explicit(quad, w) for w in explicit]):
+        oracle = np.stack([loss_matrix(quad, actions, [w])[0] for w in schedule])
+        per_action = oracle.sum(axis=0)
+        idx, total = best_in_hindsight(quad, actions, schedule)
+        assert idx == int(np.argmin(per_action))
+        assert total == pytest.approx(per_action.min(), abs=1e-9)
+        played = rng.integers(0, 10, size=n)
+        losses = oracle[np.arange(n), played]
+        trace = build_trace(quad, actions, schedule, losses, played)
+        expected = np.cumsum(losses) - np.cumsum(oracle[:, idx])
+        assert np.abs(trace.regret_curve - expected).max() <= 1e-9
 
     # explicit actions have no meaning under the Gaussian kernel
     gauss = KernelSpec.gaussian(1.0)
     with pytest.raises(InvalidCombinationError):
-        best_in_hindsight(gauss, actions, schedule[1:3] + [ExplicitVector(np.zeros(3))])
+        best_in_hindsight(gauss, actions, [ExplicitVector(np.zeros(3))] * 3)
 
 
 def test_ties_break_to_lowest_index():
@@ -205,7 +204,7 @@ def test_record_views_match_run_experiment(algo):
     losses = np.array([r.loss for r in records])
     assert idx.tobytes() == trace.action_indices.astype(np.int64).tobytes()
     assert losses.tobytes() == trace.losses.tobytes()
-    columns = cross_gram(kernel, schedule.rank_one_points(), actions).sum(axis=0)
+    columns = cross_gram(kernel, schedule.gathered(), actions).sum(axis=0)
     assert columns[trace.best_action_index] <= columns.min() + 1e-9 * n
 
 
@@ -434,12 +433,13 @@ def test_schedules_iterate_to_the_former_lists(tmp_path):
     points /= np.linalg.norm(points, axis=1)[:, None]
     csv = tmp_path / "points.csv"
     np.savetxt(csv, points, delimiter=",")
-    mixed = (RankOne(points[0]), make_explicit(quad, np.arange(12.0) / 40),
-             RankOne(points[1]))
+    explicit = (make_explicit(quad, np.arange(12.0) / 40),
+                make_explicit(quad, -np.arange(12.0) / 50),
+                make_explicit(quad, np.arange(12.0) / 40))
     adversaries = {
         "iid": unit_vector_adversary(3),
-        "periodic-mixed": PeriodicAdversary(mixed),
-        "schedule-mixed": ScheduleAdversary(mixed * 3),
+        "periodic-explicit": PeriodicAdversary(explicit),
+        "schedule-explicit": ScheduleAdversary(explicit * 3),
         "cli-fixed": parse_adversary("fixed:" + ",".join(["0.1"] * 12), quad, 3),
         "cli-fixed-point": parse_adversary("fixed-point:0.6,0,0.8", quad, 3),
         "cli-zero": parse_adversary("zero", quad, 3),
@@ -484,26 +484,26 @@ def test_run_experiment_builds_no_action_objects(monkeypatch, algo):
 
 
 def test_schedule_hash_reads_the_rows_in_order_across_blocks():
-    # the hash reads stretches of rows of one kind, cut at the block size;
+    # the hash reads the rows a block at a time; on either kind of schedule
     # the digest must be that of the byte stream built row by row
     points = component_rng(8, "hash-points").standard_normal((700, 3))
     vectors = component_rng(8, "hash-vectors").standard_normal((700, 5))
-    rows = [RankOne(points[t]) if t % 7 < 4 or 200 <= t < 530 else ExplicitVector(vectors[t])
-            for t in range(700)]
-    for n in (255, 256, 257, 513, 700):
-        want = hashlib.sha256(np.int64(n).tobytes())
-        want.update(np.array([type(w) is RankOne for w in rows[:n]]).tobytes())
-        want.update(np.array([len(_row_bytes(w)) // 8 for w in rows[:n]],
-                             dtype=np.int64).tobytes())
-        for w in rows[:n]:
-            want.update(_row_bytes(w))
-        assert schedule_hash(rows[:n]) == want.hexdigest(), n
+    for rows in ([RankOne(y) for y in points], [ExplicitVector(w) for w in vectors]):
+        for n in (255, 256, 257, 513, 700):
+            want = hashlib.sha256(np.int64(n).tobytes())
+            want.update(np.array([type(w) is RankOne for w in rows[:n]]).tobytes())
+            want.update(np.array([len(_row_bytes(w)) // 8 for w in rows[:n]],
+                                 dtype=np.int64).tobytes())
+            for w in rows[:n]:
+                want.update(_row_bytes(w))
+            for schedule in (rows[:n], Schedule.of(rows)[:n]):
+                assert schedule_hash(schedule) == want.hexdigest(), (type(rows[0]), n)
 
 
 def test_explicit_schedules_store_each_row_once():
-    # a fixed or zero adversary stores its one vector, not n copies, a mixed
-    # schedule stores each kind's rows unpadded, and hashing and scoring a
-    # stored-once schedule hold a block of rows, not n of them
+    # a fixed or zero adversary stores its one vector, not n copies, a
+    # periodic one its k actions, and hashing and scoring a stored-once
+    # schedule hold a block of rows, not n of them
     import tracemalloc
 
     quad = KernelSpec.quadratic(G=2.0)
@@ -512,8 +512,8 @@ def test_explicit_schedules_store_each_row_once():
     actions /= np.linalg.norm(actions, axis=1)[:, None]
     for spec in ("zero", "fixed:" + ",".join(["0.01"] * 272)):
         schedule = parse_adversary(spec, quad, d).materialize(n, component_rng(0, "adv"))
-        assert len(schedule) == n and schedule.vectors.shape == (1, 272), spec
-        assert schedule.points.shape[0] == 0, spec
+        assert len(schedule) == n and schedule.rows.shape == (1, 272), spec
+        assert not schedule.rank_one, spec
         tracemalloc.start()
         try:
             schedule_hash(schedule)
@@ -523,11 +523,9 @@ def test_explicit_schedules_store_each_row_once():
             tracemalloc.stop()
         assert peak < 4e6, (spec, peak)
 
-    a, b = RankOne(np.array([0.6, 0.8])), make_explicit(quad, np.arange(6.0) / 20)
-    mixed = ScheduleAdversary((a, b, a) * 3).materialize(9, component_rng(0, "adv"))
-    assert mixed.points.shape == (6, 2) and mixed.vectors.shape == (3, 6)
+    a, b = RankOne(np.array([0.6, 0.8])), RankOne(np.array([0.0, 1.0]))
     periodic = PeriodicAdversary((a, b, a)).materialize(n, component_rng(0, "adv"))
-    assert periodic.points.shape == (2, 2) and periodic.vectors.shape == (1, 6)
+    assert len(periodic) == n and periodic.rows.shape == (3, 2)
 
 
 def test_schedule_hash_distinguishes_content():
@@ -541,15 +539,11 @@ def test_schedule_hash_distinguishes_content():
 
 
 def test_schedule_hash_bytes_are_pinned():
-    # digests recorded before the hash moved to type() checks and one
+    # a digest recorded before the hash moved to type() checks and one
     # fromiter of the row lengths; a faster hash must keep the same bytes
     schedule = unit_vector_adversary(3).materialize(1000, component_rng(0, "adversary"))
     assert schedule_hash(schedule) == (
         "30b901af41e59af2915f3160d4c8b0f6fa1a9da8171a738e0513871dfbcefdd1")
-    mixed = [ExplicitVector(np.arange(6.0) / 10) if t % 3 == 0 else w
-             for t, w in enumerate(schedule[:30])]
-    assert schedule_hash(mixed) == (
-        "dc0f32d901a0d3071c2a45360c417d21713a87b85004aee08765661071a4c45b")
 
 
 _OBSERVED_KERNELS = {"linear": (KernelSpec.linear(), 3),

@@ -8,6 +8,7 @@ from kernelbandits.errors import (
     InvalidCombinationError,
     UnsupportedFeatureMapError,
 )
+from kernelbandits.harness import PeriodicAdversary, ScheduleAdversary
 from kernelbandits.kernels import (
     ExplicitVector,
     KernelSpec,
@@ -222,27 +223,13 @@ def test_loss_matrix_on_schedule_slices_equals_lists(spec):
     # on either side of the block edges
     actions = component_rng(9, "slice-actions").standard_normal((12, 3))
     actions /= 1.25 * np.linalg.norm(actions, axis=1)[:, None]
-    schedules = kernel_schedules(spec, 3, 600, seed=9)
-    for kind, listed in schedules.items():
+    for kind, listed in kernel_schedules(spec, 3, 600, seed=9).items():
         schedule = Schedule.of(listed)
         for start, stop in ((0, 255), (0, 256), (0, 257), (255, 511), (256, 512),
                             (257, 513), (255, 600), (257, 600)):
             assert np.array_equal(loss_matrix(spec, actions, schedule[start:stop]),
                                   loss_matrix(spec, actions, listed[start:stop])), \
                 (kind, start, stop)
-    if "mixed" not in schedules:
-        return
-    # a row's bits do not depend on which kinds share its block: a block of
-    # one kind, from a one-kind schedule or from one-kind rows of the mixed
-    # schedule, has the bits of the same rows of a mixed block
-    mixed = Schedule.of(schedules["mixed"])
-    every_row = loss_matrix(spec, actions, mixed)
-    explicit_rows = np.arange(600) % 3 == 0
-    for kind, rows in (("explicit", explicit_rows), ("rank_one", ~explicit_rows)):
-        pure = Schedule.of(schedules[kind])
-        assert np.array_equal(loss_matrix(spec, actions, pure)[rows], every_row[rows]), kind
-        assert np.array_equal(loss_matrix(spec, actions, mixed[rows]), every_row[rows]), kind
-    assert np.array_equal(loss_matrix(spec, actions, mixed[1:3]), every_row[1:3])
 
 
 def test_malformed_schedules_raise_input_error():
@@ -258,11 +245,38 @@ def test_malformed_schedules_raise_input_error():
     # quadratic kernel on R^2)
     for w in (np.zeros(5), np.zeros(2)):
         with pytest.raises(InputError):
-            loss_matrix(QUAD, np.eye(2), [RankOne(np.array([0.6, 0.8])), ExplicitVector(w)])
-    # every row's index must point at a stored row of its kind
-    for index in (np.array([0, 1, 2]), np.array([0, -1, 1]), np.array([0, 1])):
+            loss_matrix(QUAD, np.eye(2), [ExplicitVector(w)])
+    # every row's index must point at a stored row
+    for index in (np.array([0, 1, 2]), np.array([0, -1, 1])):
         with pytest.raises(InputError):
-            Schedule(np.ones(3, dtype=bool), index, np.zeros((2, 2)), np.empty((0, 0)))
-    with pytest.raises(InputError):
-        Schedule(np.array([True, False]), np.array([0, 0]), np.zeros((1, 2)),
-                 np.empty((0, 0)))
+            Schedule(True, index, np.zeros((2, 2)))
+    # one kind flag, a 1-D integer index and a 2-D array of stored rows
+    for kind, index, rows in ((np.ones(2, dtype=bool), np.array([0, 0]), np.zeros((1, 2))),
+                              (True, np.array([[0]]), np.zeros((1, 2))),
+                              (True, np.array([0.0]), np.zeros((1, 2))),
+                              (True, np.array([0]), np.zeros(2))):
+        with pytest.raises(InputError):
+            Schedule(kind, index, rows)
+
+
+def test_schedules_hold_rows_of_one_kind():
+    # the adversary plays one element of the RKHS ball per round, all
+    # points or all explicit vectors: rows that mix the kinds are refused
+    # wherever a schedule is built from them
+    a, b = RankOne(np.array([0.6, 0.8])), ExplicitVector(np.arange(6.0) / 20)
+    for rows in ([a, b], [b, a, a], [a, b] * 3):
+        with pytest.raises(InputError):
+            Schedule.of(rows)
+        with pytest.raises(InputError):
+            PeriodicAdversary(tuple(rows)).materialize(4, component_rng(0, "adv"))
+        with pytest.raises(InputError):
+            ScheduleAdversary(tuple(rows)).materialize(len(rows), component_rng(0, "adv"))
+    # one kind, or no rows at all, is a schedule; an empty one gives a
+    # (0, N) loss matrix without checking its (absent) rows
+    for rows in ([a, a], [b, b]):
+        schedule = Schedule.of(rows)
+        assert schedule.rank_one == (rows[0] is a) and schedule.rows.shape[0] == 2
+    empty = Schedule.of([])
+    assert len(empty) == 0
+    for spec in (QUAD, GAUSS):
+        assert loss_matrix(spec, np.eye(2), empty).shape == (0, 2)
