@@ -70,8 +70,8 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 @dataclass(frozen=True)
 class BanditConfig:
     """Schedule parameters: step size, mixing coefficient, proxy dimension,
-    approximation level and horizon.  0 < gamma <= 1; the theorem schedules
-    set gamma = 4 eta G^4 m."""
+    approximation level and horizon.  0 < gamma <= 1, eta finite and > 0,
+    eps >= 0; the theorem schedules set gamma = 4 eta G^4 m."""
 
     eta: float
     gamma: float
@@ -86,6 +86,10 @@ class BanditConfig:
                 f"increase the horizon n (currently {self.n})")
         if not self.gamma > 0.0:
             raise PreconditionError(f"mixing coefficient gamma = {self.gamma!r}; need > 0")
+        if not (self.eta > 0.0 and math.isfinite(self.eta)):
+            raise PreconditionError(f"step size eta = {self.eta!r}; need finite and > 0")
+        if not self.eps >= 0.0:
+            raise PreconditionError(f"approximation level eps = {self.eps!r}; need >= 0")
 
 
 class BanditRecord(NamedTuple):

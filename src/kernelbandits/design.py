@@ -70,10 +70,6 @@ class DiscreteDistribution:
     def __len__(self) -> int:
         return self.weights.size
 
-    @classmethod
-    def uniform(cls, n: int) -> "DiscreteDistribution":
-        return cls(np.full(n, 1.0 / n))
-
 
 def _as_feature_array(features) -> np.ndarray:
     F = np.atleast_2d(np.asarray(features, dtype=float))

@@ -162,10 +162,6 @@ class RegretTrace:
     pseudo_regret_curve: np.ndarray | None = None
 
     @property
-    def cum_loss(self) -> float:
-        return float(self.losses.sum())
-
-    @property
     def final_regret(self) -> float:
         return float(self.regret_curve[-1])
 

@@ -60,10 +60,6 @@ class SampleBasis:
     def m(self) -> int:
         return self.eigenvalues.size
 
-    @property
-    def p(self) -> int:
-        return self.sample_points.shape[0]
-
 
 @dataclass(frozen=True)
 class EigendecayProfile:

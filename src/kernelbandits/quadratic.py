@@ -5,10 +5,12 @@ The trust-region subproblem is solved exactly from the eigendecomposition of
 B plus a one-dimensional secular-equation root find on the Lagrange
 multiplier, with boundary completion in the hard case (linear term orthogonal
 to the bottom eigenspace).  The sampler (:func:`quad_ew_sample`) runs one
-hit-and-run chain over the unit ball in the eigenbasis of B; each chord's
-conditional, a density exp(alpha t^2 + beta t) on an interval, is drawn
-exactly by rejection from a piecewise-exponential envelope (Gilks & Wild
-1992; Devroye 1986, ch. II).  Every step is followed by exact
+hit-and-run chain over the unit ball in the eigenbasis of B; on each chord
+it takes one slice-sampling step (Neal 2003, sec. 4.2) for the chord's
+conditional, a density exp(alpha t^2 + beta t) on an interval.  That step
+leaves the conditional invariant, so the chain's stationary law is exact
+(Lovasz & Vempala 2006), but a draw is not a fresh draw of its chord: it
+shares a slice with the point it moved from.  Every step is followed by exact
 Metropolis sign reflections of the eigen-coordinates, which carry the chain
 between the symmetric modes that hit-and-run alone rarely crosses.  The
 constraint set stays the unit ball, which is convex regardless of the signs
@@ -34,7 +36,6 @@ __all__ = [
 
 _INTERIOR_TOL = 1e-10  # slack on ||alpha||^2 <= 1 for trs_minimize's interior point
 _BLOCK = 256  # sampler steps per block of random numbers, and uniforms per refill
-_TAIL_LOG = 8.0  # envelope pieces are fine where the log-density is this close to its max
 
 
 @dataclass(frozen=True)
@@ -147,102 +148,22 @@ def _uniforms(rng: np.random.Generator):
         yield from rng.random(_BLOCK).tolist()
 
 
-def _split(a: float, b: float, alpha: float, rate: float) -> list[tuple]:
-    """[a, b] in equal pieces no wider than 1/rate, rate = sqrt|alpha|: the
-    secant (alpha >= 0) or the midpoint tangent (alpha < 0) of each."""
-    if not a < b:
-        return []
-    k = max(1, math.ceil((b - a) * rate))
-    ends = [a + (b - a) * j / k for j in range(k)] + [b]
-    if alpha >= 0.0:
-        return [(p, q, p, q) for p, q in zip(ends, ends[1:])]
-    return [(p, q, 0.5 * (p + q), 0.5 * (p + q)) for p, q in zip(ends, ends[1:])]
-
-
-def _envelope(alpha: float, beta: float, lo: float, hi: float) -> list[tuple]:
-    """Pieces (p, q, r1, r2) covering [lo, hi], each carrying the linear
-    majorant h(t) = g(t) - alpha (t - r1)(t - r2) of g(t) = alpha t^2 + beta t
-    on [p, q]: the secant (r1, r2 = p, q) where g is convex, a tangent
-    (r1 = r2) where it is concave.
-
-    Where the mass is, the pieces are at most 1/sqrt|alpha| wide, so
-    g - h >= -1/4 on them and a try is accepted with probability at least
-    e^-1/4.  That stretch is where g is within _TAIL_LOG of its maximum on
-    the chord; for convex g, within _TAIL_LOG + log(1 + L |g'|), L the chord
-    length and g' the slope at the high end, since the mass there may sit
-    within 1/|g'| of that end.  The rest is one piece per side: a tangent at
-    the inner end of a concave tail, or the secant over the low middle of a
-    convex chord.  Its envelope mass is at most ~e^-_TAIL_LOG of the whole.
+def _slice_chord(alpha: float, beta: float, lo: float, hi: float, uniform) -> float:
+    """One slice-sampling step from t = 0 for the density proportional to
+    exp(alpha t^2 + beta t) on the chord [lo, hi], lo <= 0 <= hi (Neal 2003,
+    sec. 4.2): a level y = log(1 - u) under g(0) = 0, then uniform proposals
+    on a bracket that shrinks towards 0 until one lies on the slice g >= y.
+    The step leaves that law invariant; 0 is on every slice, so it ends.
     """
-    rate = math.sqrt(abs(alpha))
-    if (hi - lo) * rate <= 1.0:
-        return _split(lo, hi, alpha, rate)
-    vertex = -beta / (2.0 * alpha)
-    if alpha < 0.0:
-        mode = min(max(vertex, lo), hi)
-        reach = math.sqrt((mode - vertex) ** 2 + _TAIL_LOG / -alpha)
-        core_lo, core_hi = max(lo, vertex - reach), min(hi, vertex + reach)
-        pieces = _split(core_lo, core_hi, alpha, rate)
-        if lo < core_lo:
-            pieces.insert(0, (lo, core_lo, core_lo, core_lo))
-        if core_hi < hi:
-            pieces.append((core_hi, hi, core_hi, core_hi))
-        return pieces
-    far = max(vertex - lo, hi - vertex)  # g is largest at the end farthest from it
-    cut = _TAIL_LOG + math.log1p(2.0 * alpha * far * (hi - lo))
-    reach_sq = far * far - cut / alpha
-    if reach_sq <= 0.0:
-        return _split(lo, hi, alpha, rate)
-    reach = math.sqrt(reach_sq)
-    hole_lo = min(max(lo, vertex - reach), hi)
-    hole_hi = max(min(hi, vertex + reach), lo)
-    pieces = _split(lo, hole_lo, alpha, rate)
-    if hole_lo < hole_hi:
-        pieces.append((hole_lo, hole_hi, hole_lo, hole_hi))
-    return pieces + _split(hole_hi, hi, alpha, rate)
-
-
-def _draw_chord(alpha: float, beta: float, lo: float, hi: float, uniform) -> float:
-    """Exact draw of t on [lo, hi] with density proportional to
-    exp(alpha t^2 + beta t), by rejection from the envelope of
-    :func:`_envelope`.  Masses and inverse CDFs are taken relative to each
-    piece's higher end and the chord's maximum of g, so none overflows.
-    """
-    pieces = _envelope(alpha, beta, lo, hi)
-    g_lo, g_hi = alpha * lo * lo + beta * lo, alpha * hi * hi + beta * hi
-    top = g_lo if g_lo > g_hi else g_hi
-    vertex = -beta / (2.0 * alpha) if alpha < 0.0 else lo
-    if lo < vertex < hi:
-        top = alpha * vertex * vertex + beta * vertex
-    table, total = [], 0.0
-    for p, q, r1, r2 in pieces:
-        slope = beta + alpha * (r1 + r2)
-        z = q if slope > 0.0 else p
-        level = alpha * z * z + beta * z - alpha * (z - r1) * (z - r2)
-        if slope == 0.0:
-            shrink, mass = 0.0, q - p
-        else:
-            steep = slope if slope > 0.0 else -slope
-            shrink = math.expm1(-steep * (q - p))
-            mass = -shrink / steep
-        total += math.exp(level - top) * mass
-        table.append((total, p, q, r1, r2, slope, shrink))
+    y = math.log1p(-uniform())
     while True:
-        pick = uniform() * total
-        for entry in table:
-            if pick < entry[0]:
-                break
-        _, p, q, r1, r2, slope, shrink = entry
-        v = uniform()
-        if slope == 0.0:
-            t = p + v * (q - p)
-        elif slope > 0.0:
-            t = q + math.log1p(v * shrink) / slope
-        else:
-            t = p + math.log1p(v * shrink) / slope
-        t = p if t < p else q if t > q else t
-        if uniform() < math.exp(alpha * (t - r1) * (t - r2)):
+        t = lo + (hi - lo) * uniform()
+        if alpha * t * t + beta * t >= y:
             return t
+        if t < 0.0:
+            lo = t
+        else:
+            hi = t
 
 
 def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = None,
@@ -251,19 +172,23 @@ def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = No
 
     Works in the eigenbasis of B, where the density separates per coordinate
     as exp(lam_i x_i^2 + gam_i x_i), and runs hit-and-run over the unit ball
-    from the origin.  Each step draws a uniform direction u, then a point
-    x + t u on the ball's chord through x from the exact conditional law,
-    density proportional to exp(alpha t^2 + beta t) with
-    alpha = sum lam_i u_i^2 and beta = sum (2 lam_i x_i + gam_i) u_i, by
-    rejection from a piecewise-exponential envelope (acceptance at least
-    about e^-1/4 per try).  After every step each coordinate is reflected,
-    x_i -> -x_i, with probability 1/2 * min(1, exp(-2 gam_i x_i)): a
-    Metropolis move with a symmetric proposal.  The ball is invariant under
+    from the origin.  Each step draws a uniform direction u, then moves to a
+    point x + t u on the ball's chord through x by one slice-sampling step
+    from t = 0 for the conditional law, density proportional to
+    exp(alpha t^2 + beta t) with alpha = sum lam_i u_i^2 and
+    beta = sum (2 lam_i x_i + gam_i) u_i: a level under the current point's
+    log-density, then uniform proposals on a bracket that shrinks towards
+    t = 0 until one is on the level's slice.  The step leaves the chord's law
+    invariant, so the stationary law is exact, but consecutive draws share a
+    slice, and there is no acceptance-rate guarantee: nothing bounds the
+    number of proposals a step takes.  After every step each coordinate is
+    reflected, x_i -> -x_i, with probability 1/2 * min(1, exp(-2 gam_i x_i)):
+    a Metropolis move with a symmetric proposal.  The ball is invariant under
     reflections and lam_i x_i^2 is even, so the move is reversible for any b
     and leaves the stationary law unchanged; with b = 0 each draw's signs are
     fair coins independent of the chain's past.
 
-    Directions, reflection draws and rejection uniforms come from ``rng`` in
+    Directions, reflection draws and slice uniforms come from ``rng`` in
     blocks of a fixed size, always whole, so the first n draws of a call do
     not depend on ``count``.  Returns the ``count`` states after ``burn_in``
     steps (default 1000 d).  Mixing is reported by the caller's diagnostics
@@ -297,14 +222,15 @@ def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = No
             for xi, ui, li in zip(x, u, lam_u):
                 xu += xi * ui
                 lam_xu += xi * li
-            # chord of the ball: ||x + t u||^2 = 1
-            root = math.sqrt(max(xu * xu - (xx - 1.0), 0.0))
+            # chord of the ball: ||x + t u||^2 = 1; clamping 1 - ||x||^2 at 0
+            # keeps t = 0 on it when rounding leaves x a hair outside the ball
+            root = math.sqrt(xu * xu + max(1.0 - xx, 0.0))
             t_lo, t_hi = -xu - root, -xu + root
             if not math.isfinite(t_lo) or not math.isfinite(t_hi) or t_hi - t_lo <= 1e-14:
                 step = start + len(rows)
                 raise DegenerateStartError(
                     f"degenerate chord of length {t_hi - t_lo!r} at step {step}")
-            t = _draw_chord(alpha, 2.0 * lam_xu + gam_u, t_lo, t_hi, uniform)
+            t = _slice_chord(alpha, 2.0 * lam_xu + gam_u, t_lo, t_hi, uniform)
             new, xx = [], 0.0
             for xi, ui, g2, ei in zip(x, u, twice_gam, e):
                 xi += t * ui

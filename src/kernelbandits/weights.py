@@ -42,6 +42,3 @@ class WeightState:
     @classmethod
     def uniform(cls, n: int) -> "WeightState":
         return cls(np.zeros(n), 0)
-
-    def probabilities(self) -> np.ndarray:
-        return softmax(self.log_weights)

@@ -78,6 +78,15 @@ def test_eps_must_not_exceed_G_squared():
         general_theorem_config(10, 100, G=1.0, m=2, eps=2.0)
 
 
+@pytest.mark.parametrize("eta,eps", [(0.0, 0.0), (-0.05, 0.0), (math.nan, 0.0),
+                                     (math.inf, 0.0), (0.05, -3.0), (0.05, math.nan)])
+def test_bandit_config_refuses_eta_and_eps_the_theorem_does_not_cover(eta, eps):
+    # theorem_regret_bound is a guarantee only for eta > 0 and eps >= 0: at
+    # eps = -3 it reads about -37000, at eta = -0.05 a finite, non-vacuous 400
+    with pytest.raises(PreconditionError):
+        BanditConfig(eta=eta, gamma=0.5, m=3, eps=eps, n=300)
+
+
 def test_horizon_too_short_raises():
     profile = EigendecayProfile("polynomial", C=50.0, beta=2.1, eigfn_bound_B=2.0)
     with pytest.raises(HorizonTooShortError):
@@ -164,7 +173,7 @@ def test_round_refuses_covariance_below_floor():
     with pytest.raises(IllConditionedCovarianceError) as err:
         bandit_round(state, cfg, LINEAR, actions, features, exploration, w,
                      component_rng(12, "player"))
-    p = 0.5 * state.probabilities() + 0.5 * exploration.weights
+    p = 0.5 * softmax(state.log_weights) + 0.5 * exploration.weights
     sigma = features.T @ (features * p[:, None])
     lam_nu = np.linalg.eigvalsh(action_covariance(exploration.weights, features))[0]
     assert err.value.floor == pytest.approx(0.5 / (2 * 3), rel=1e-15)
@@ -223,7 +232,7 @@ def test_round_and_run_refuse_the_same_inputs():
     # bandit_round is the one-row case of run_bandit, so both refuse before
     # the first draw, with the same certified bound and floor
     features = 0.55 * np.vstack([np.eye(3), -np.eye(3)])
-    nu = DiscreteDistribution.uniform(6)
+    nu = DiscreteDistribution(np.full(6, 1.0 / 6))
     cfg = BanditConfig(eta=0.1, gamma=0.5, m=3, eps=0.0, n=10)
     w = make_explicit(LINEAR, np.zeros(3))
     assert np.linalg.eigvalsh(action_covariance(nu.weights, features))[0] > 0.5 / 6
@@ -260,7 +269,7 @@ def test_sampled_min_eig_below_floor_raises():
     # certificate, made before the features were moved into the plane, the
     # round-1 eigenvalue cross-check catches it
     features, actions, _, cfg, w = _point_mass_case()
-    uniform = DiscreteDistribution.uniform(6)
+    uniform = DiscreteDistribution(np.full(6, 1.0 / 6))
     certificate = bandit._certify_run(cfg, features, uniform)
     features[:, 2] = 0.0
     with pytest.raises(IllConditionedCovarianceError) as err:
@@ -391,7 +400,7 @@ def test_weights_concentrate_on_zero_loss_action():
     for seed in range(50):
         _, state = run_bandit(LINEAR, actions, features, nu, cfg, [w] * 500,
                               component_rng(seed, "player"))
-        mass.append(state.probabilities()[1])
+        mass.append(softmax(state.log_weights)[1])
     assert np.mean(mass) > 0.95
 
 
@@ -420,15 +429,15 @@ def test_weight_monotonicity_for_dominated_action():
     w = make_explicit(LINEAR, np.array([1.0, 0.0]))
     state = WeightState.uniform(actions.shape[0])
     rng = component_rng(7, "player")
-    rel = [state.probabilities()[0]]
+    rel = [softmax(state.log_weights)[0]]
     for _ in range(200):
         new_state, _ = bandit_round(state, cfg, LINEAR, actions, features, nu, w, rng)
         # the log-weight step is -eta times the estimated losses
         est = state.log_weights - new_state.log_weights
         state = new_state
         if int(np.argmax(est)) == 0 and est[0] > np.partition(est, -2)[-2]:
-            assert state.probabilities()[0] < rel[-1]
-        rel.append(state.probabilities()[0])
+            assert softmax(state.log_weights)[0] < rel[-1]
+        rel.append(softmax(state.log_weights)[0])
 
 
 def test_bit_for_bit_determinism(tmp_path):
@@ -467,7 +476,7 @@ def test_min_eig_recorded_on_sampled_rounds(case):
     state = WeightState.uniform(actions.shape[0])
     rng = component_rng(10, "player")
     for w_t in schedule:
-        p = (1.0 - cfg.gamma) * state.probabilities() + cfg.gamma * nu.weights
+        p = (1.0 - cfg.gamma) * softmax(state.log_weights) + cfg.gamma * nu.weights
         state, rec = bandit_round(state, cfg, kernel, actions, features, nu, w_t, rng)
         if rec.round in (1, 51, 101):
             exact = np.linalg.eigvalsh(action_covariance(p, features))[0]
@@ -488,7 +497,7 @@ def test_complement_estimate_matches_the_covariance_solve(gamma, concentration):
     rng = component_rng(14, "complement")
     num, m = 40, 30
     k = num - m
-    nu = DiscreteDistribution.uniform(num)
+    nu = DiscreteDistribution(np.full(num, 1.0 / num))
     features = whiten_features(rng.standard_normal((num, m)), nu)
     cfg = BanditConfig(eta=0.1, gamma=gamma, m=m, eps=0.0, n=10)
     Z = bandit._certify_run(cfg, features, nu).basis
@@ -532,7 +541,7 @@ def test_estimator_path_selection():
     assert certificate.basis is None
     # the same features under the uniform design, and with one weight just
     # below or above 1 / (2m), the rest raised to keep the sum at 1
-    uniform = DiscreteDistribution.uniform(30)
+    uniform = DiscreteDistribution(np.full(30, 1.0 / 30))
     assert _path(cfg, features, uniform) == "complement"
     low = np.full(30, 1.0 / 30)
     low[0] = 0.99 / (2 * 20)
@@ -545,13 +554,13 @@ def test_estimator_path_selection():
     _, features, nu, cfg = _setup(n=100)
     assert bandit._certify_run(cfg, features, nu).estimator["k"] == 17
     assert _path(cfg, features, nu) == "covariance"
-    assert _path(cfg, features, DiscreteDistribution.uniform(20)) == "covariance"
+    assert _path(cfg, features, DiscreteDistribution(np.full(20, 1.0 / 20))) == "covariance"
     # the path depends only on N, m and min nu, so each edge set is whitened
     # by its uniform design first, which makes it certifiable
     edge = component_rng(15, "edge").standard_normal((6, 3))
     cfg3 = BanditConfig(eta=0.1, gamma=0.5, m=3, eps=0.0, n=10)
     for num, path in ((6, "covariance"), (5, "complement")):
-        uniform = DiscreteDistribution.uniform(num)
+        uniform = DiscreteDistribution(np.full(num, 1.0 / num))
         assert _path(cfg3, whiten_features(edge[:num], uniform), uniform) == path
     # the bench's regime: m = 15 of N = 20 circle directions
     _, _, features, nu, cfg = _complement_setup()

@@ -289,6 +289,20 @@ def test_run_command_precondition_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("params", [{"eta": 0.05, "gamma": 0.5, "eps": -3},
+                                    {"eta": -0.05, "gamma": 0.5}])
+def test_run_command_refuses_eta_and_eps_outside_the_theorem(tmp_path, capsys, params):
+    # before, both ran and wrote a summary.json with a finite theorem_bound
+    # and vacuous false (-37000 and 400)
+    out = tmp_path / "x"
+    code = main(["run", "--algo", "bandit_ew", "--kernel", "gaussian:2",
+                 "--actions", "ball:20", "--adversary", "iid-unit", "--n", "300",
+                 "--seeds", "0", "--params", json.dumps(params), "--out", str(out)])
+    assert code == 3
+    assert "need" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     import kernelbandits.cli as cli_mod
     from kernelbandits.errors import ToleranceNotMetError

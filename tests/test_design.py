@@ -66,7 +66,7 @@ def test_design_beats_uniform_logdet():
     F = rng.standard_normal((20, 3))
     F /= np.linalg.norm(F, axis=1)[:, None]
     des = d_optimal_design(F, tol=1e-6)
-    uni = DiscreteDistribution.uniform(20)
+    uni = DiscreteDistribution(np.full(20, 1.0 / 20))
     logdet = np.linalg.slogdet(action_covariance(des.weights, F))[1]
     logdet_uni = np.linalg.slogdet(action_covariance(uni.weights, F))[1]
     assert logdet >= logdet_uni - 1e-6

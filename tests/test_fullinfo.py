@@ -28,7 +28,7 @@ from kernelbandits.kernels import (
     make_explicit,
 )
 from kernelbandits.rng import component_rng
-from kernelbandits.weights import WeightState
+from kernelbandits.weights import WeightState, softmax
 from oracles import (
     BIT_KERNELS,
     FixedBits,
@@ -52,7 +52,7 @@ def test_zero_eta_never_changes_distribution():
     w = make_explicit(LINEAR, np.array([0.3, 0.4]))
     for _ in range(20):
         state, _ = full_info_round(state, 0.0, LINEAR, actions, w, rng)
-    assert np.allclose(state.probabilities(), 1.0 / 8)
+    assert np.allclose(softmax(state.log_weights), 1.0 / 8)
 
 
 def test_closed_form_weight_ratio():
@@ -63,7 +63,7 @@ def test_closed_form_weight_ratio():
     rng = component_rng(1, "fi")
     for t in range(1, 11):
         state, _ = full_info_round(state, 0.5, LINEAR, actions, w, rng)
-        probs = state.probabilities()
+        probs = softmax(state.log_weights)
         assert probs[0] / probs[1] == pytest.approx(math.exp(0.5 * t), rel=1e-9)
 
 
@@ -86,7 +86,7 @@ def test_distribution_equals_softmax_of_cumulative_losses():
         cum += loss_matrix(LINEAR, actions, [w])[0]
         expected = np.exp(-eta * cum - (-eta * cum).max())
         expected /= expected.sum()
-        assert np.abs(state.probabilities() - expected).max() <= 1e-12
+        assert np.abs(softmax(state.log_weights) - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("spec", BIT_KERNELS, ids=lambda s: s.variant)

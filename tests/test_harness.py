@@ -109,7 +109,7 @@ def test_trace_regret_accounting():
     assert trace.best_fixed_cum_loss == 0.0
     assert np.array_equal(trace.regret_curve, [1.0, 2.0, 3.0, 4.0])
     assert trace.final_regret == 4.0
-    assert trace.cum_loss == 4.0
+    assert trace.losses.sum() == 4.0
     assert trace.pseudo_regret_curve is None and trace.final_pseudo_regret is None
     # a play distribution with half its mass on each action expects 0.5;
     # run_experiment's traces take the best action from the learner's totals
@@ -227,7 +227,7 @@ def test_zero_adversary_gives_zero_regret():
                               actions=actions, adversary=zero, n=20,
                               seeds=(0,), params={"eta": 0.1})
     result = run_experiment(config)
-    assert result.traces[0].cum_loss == 0.0
+    assert result.traces[0].losses.sum() == 0.0
     assert result.traces[0].final_regret == 0.0
 
 

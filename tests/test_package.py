@@ -89,17 +89,64 @@ def _public_objects(modules: list[Path]) -> dict[str, object]:
     return objects
 
 
+def _attribute_reads(path: Path, classes: set[str]) -> list[tuple[tuple[str, str] | None,
+                                                                   set[str]]]:
+    """Attribute names a file reads, grouped by owner: (class, method) for a
+    function defined directly in a class body, None for everything else.  A
+    read through one of ``classes`` by name is recorded as "Class.attr"."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    parts = []
+    for stmt in tree.body:
+        body = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+        for node in body:
+            own = ((stmt.name, node.name) if isinstance(stmt, ast.ClassDef)
+                   and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None)
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    through = getattr(sub.value, "id", None)
+                    names.add(f"{through}.{sub.attr}" if through in classes else sub.attr)
+            parts.append((own, names))
+    return parts
+
+
+def _public_members(modules: list[Path], classes: set[str]) -> list[tuple[str, str]]:
+    """(class, name) of each method or property a public class defines in its
+    own body; dunders are exempt."""
+    members = []
+    for path in modules:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, ast.ClassDef) and stmt.name in classes:
+                members += [(stmt.name, node.name) for node in stmt.body
+                            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    return members
+
+
 def test_public_names_have_a_non_test_caller():
     # a name in __all__ must be read by the package or the benchmark outside
-    # its own definition; __init__.py re-exports and tests do not count
+    # its own definition; __init__.py re-exports and tests do not count.  So
+    # must each method and property of a public class, by attribute name: a
+    # read of another attribute with the same name counts too, unless it is
+    # read through another public class by name (WeightState.uniform is not
+    # DiscreteDistribution.uniform).
     modules, callers = _modules_and_callers()
     references = [entry for path in callers for entry in _statement_references(path)]
-    public = list(_public_objects(modules))
+    objects = _public_objects(modules)
+    public = list(objects)
     assert len(public) > 50
     uncalled = [name for name in public if name not in _TEST_ONLY_PUBLIC
                 and not any(name in names for own, names in references if own != name)]
     assert uncalled == []
     assert set(_TEST_ONLY_PUBLIC) <= set(public)
+    classes = {name for name, obj in objects.items() if inspect.isclass(obj)}
+    reads = [entry for path in callers for entry in _attribute_reads(path, classes)]
+    members = _public_members(modules, classes)
+    assert len(members) > 10
+    unread = [f"{cls}.{name}" for cls, name in members
+              if not any(name in names or f"{cls}.{name}" in names
+                         for own, names in reads if own != (cls, name))]
+    assert unread == []
 
 
 # Defaulted parameters that no non-test call sets, kept on purpose.

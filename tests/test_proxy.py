@@ -91,7 +91,8 @@ def test_sample_basis_invariants():
     assert np.all(mu > 0)
     assert np.all(np.diff(mu) <= 0)
     # normalizers_j^2 = p mu_j
-    assert np.abs(basis.normalizers**2 - basis.p * mu).max() <= 1e-8 * mu[0] * basis.p
+    p = basis.sample_points.shape[0]
+    assert np.abs(basis.normalizers**2 - p * mu).max() <= 1e-8 * mu[0] * p
     # rows of eig_coeffs orthonormal
     gram = basis.eig_coeffs @ basis.eig_coeffs.T
     assert np.abs(gram - np.eye(basis.m)).max() <= 1e-8
