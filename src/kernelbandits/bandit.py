@@ -50,7 +50,7 @@ from .errors import (HorizonTooShortError, IllConditionedCovarianceError, InputE
 from .kernels import _LOSS_BLOCK_ROWS, AdversaryAction, KernelSpec, Schedule, loss_matrix
 from .proxy import EigendecayProfile, SampleBasis, effective_dimension, proxy_features
 from .rng import _inverse_cdf
-from .weights import WeightState, softmax
+from .weights import WeightState, _check_step_size, softmax
 
 __all__ = [
     "BanditConfig",
@@ -86,8 +86,7 @@ class BanditConfig:
                 f"increase the horizon n (currently {self.n})")
         if not self.gamma > 0.0:
             raise PreconditionError(f"mixing coefficient gamma = {self.gamma!r}; need > 0")
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise PreconditionError(f"step size eta = {self.eta!r}; need finite and > 0")
+        _check_step_size(self.eta)
         if not self.eps >= 0.0:
             raise PreconditionError(f"approximation level eps = {self.eps!r}; need >= 0")
 

@@ -18,6 +18,7 @@ from .bandit import theorem_regret_bound
 from .design import d_optimal_design, design_weights_csv
 from .errors import InputError, NumericalError, PreconditionError
 from .harness import (
+    _PARAM_KEYS,
     ExperimentConfig,
     PeriodicAdversary,
     ScheduleAdversary,
@@ -184,6 +185,8 @@ def _cmd_run(args) -> int:
         "mean_final_pseudo_regret": pseudo_mean,
         "stderr_final_pseudo_regret": pseudo_stderr,
         "seeds": list(seeds),
+        # the resolved schedule, as the --params object that replays it
+        "params": result.details["params"],
         "discretization_error": discretization,
         # bandit_ew only: the floor gamma / (2m) and its once-per-run certificate
         "covariance_floor": result.details.get("covariance_floor"),
@@ -269,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--adversary", default="iid-unit")
     run.add_argument("--n", type=int, required=True)
     run.add_argument("--seeds", default="0")
-    run.add_argument("--params", default="paper", help="'paper' or JSON dict")
+    run.add_argument("--params", default="paper", help="'paper' or a JSON object: " + "; ".join(
+        f"{algo} {', '.join(k if v is None else f'[{k}]' for k, v in keys.items())}"
+        for algo, keys in _PARAM_KEYS.items()))
     run.add_argument("--proxy-p", type=int, default=None, dest="proxy_p")
     run.add_argument("--proxy-m", type=int, default=None, dest="proxy_m")
     run.add_argument("--out", required=True)

@@ -30,12 +30,12 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .design import DiscreteDistribution
-from .errors import InputError
+from .errors import InputError, PreconditionError
 from .kernels import (
     _LOSS_BLOCK_ROWS,
     AdversaryAction,
@@ -50,7 +50,7 @@ from .kernels import (
 )
 from .quadratic import QuadraticObjective, trs_minimize
 from .rng import _inverse_cdf, sample_indices
-from .weights import WeightState, softmax
+from .weights import WeightState, _check_step_size, softmax
 
 __all__ = [
     "UnitBall",
@@ -98,11 +98,17 @@ class ConvexCombination:
 
 @dataclass(frozen=True)
 class CGConfig:
-    """Step size and mixing schedule for the conditional-gradient method."""
+    """Step size eta and mixing scale c of the conditional-gradient method,
+    which mixes at gamma_t = min(1, c / sqrt(t)) in round t.  eta finite and
+    > 0, c finite and >= 0; the theorem schedule sets c = 2."""
 
     eta: float
-    gamma: Callable[[int], float]
-    n: int
+    c: float
+
+    def __post_init__(self):
+        _check_step_size(self.eta)
+        if not (self.c >= 0.0 and math.isfinite(self.c)):
+            raise PreconditionError(f"mixing scale c = {self.c!r}; need finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -148,8 +154,11 @@ def full_info_eta(num_actions: int, G: float, n: int) -> float:
     """Theorem step size sqrt(log|A| / (e-2)) / (G^2 sqrt(n)).
 
     The cardinality stands in for the volume of the action set; continuous
-    sets must be discretized by the caller.
+    sets must be discretized by the caller.  One action gives eta = 0, which
+    no learner takes, so it raises PreconditionError.
     """
+    if num_actions < 2:
+        raise PreconditionError("need at least 2 actions")
     return math.sqrt(math.log(num_actions) / (math.e - 2.0)) / (G * G * math.sqrt(n))
 
 
@@ -197,8 +206,10 @@ def full_info_ew_play(kernel: KernelSpec, actions: np.ndarray,
     carrying the log weights between blocks, so memory stays flat in the
     horizon.  Every output has the bits of a loop of :func:`full_info_round`.
     Returns the played indices, their losses, the expected losses
-    <p_t, l_t>, the per-action loss totals and the final state.
+    <p_t, l_t>, the per-action loss totals and the final state.  A step size
+    eta that is not finite and > 0 raises PreconditionError.
     """
+    _check_step_size(eta)
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     schedule = Schedule.of(schedule)
     n = len(schedule)
@@ -224,12 +235,11 @@ def run_full_info_ew(kernel: KernelSpec, actions: np.ndarray,
 
 
 def cg_theorem_config(n: int) -> CGConfig:
-    """Schedule from the regret theorem: eta = 1/(2 n^{3/4}),
-    gamma_t = min(1, 2/sqrt(t))."""
+    """Schedule from the regret theorem for horizon n: eta = 1/(2 n^{3/4})
+    and c = 2, so gamma_t = min(1, 2/sqrt(t))."""
     if n < 1:
         raise InputError("n must be >= 1")
-    return CGConfig(eta=0.5 * n ** -0.75,
-                    gamma=lambda t: min(1.0, 2.0 / math.sqrt(t)), n=n)
+    return CGConfig(eta=0.5 * n ** -0.75, c=2.0)
 
 
 def cg_start(kernel: KernelSpec, a1: np.ndarray) -> CGState:
@@ -290,8 +300,9 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
     """Conditional-gradient rounds over a nonempty stretch of the schedule.
 
     The play distribution is one dense weight vector over the atom table of
-    ``table_for`` (see :func:`_cg_oracle`).  Each round moves the mean
-    toward the oracle's output and the weights toward its row j: v =
+    ``table_for`` (see :func:`_cg_oracle`).  Each round t mixes at
+    gamma_t = min(1, c / sqrt(t)): it moves the mean toward the oracle's
+    output and the weights toward its row j: v =
     (1 - gamma_t) w, v[j] += gamma_t, entries below ``_ATOM_PRUNE`` zeroed,
     then w = p / sum p for p = v / sum v, the two normalizations of a
     :class:`DiscreteDistribution` of p.  On the unit ball the sums run over
@@ -329,7 +340,7 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
     for i in range(rows):
         means[i] = mean
         j, phi = oracle(eta_cum[i] + 2.0 * (mean - x1))
-        gamma_t = config.gamma(t + i)
+        gamma_t = min(1.0, config.c / math.sqrt(t + i))
         if j >= live:
             live = j + 1
         v = (1.0 - gamma_t) * weights[i, :live]

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,9 +67,10 @@ __all__ = [
     "ball_directions",
 ]
 
-# keys each algorithm reads from explicit params ("eps" is optional for the bandit)
-_PARAM_KEYS = {"bandit_ew": ("eta", "gamma"), "fullinfo_ew": ("eta",),
-               "cg": ("eta", "gamma", "n")}
+# the keys each algorithm reads from explicit params, each with its default
+# (None: required); every value is a real number
+_PARAM_KEYS = {"bandit_ew": {"eta": None, "gamma": None, "eps": 0.0},
+               "fullinfo_ew": {"eta": None}, "cg": {"eta": None, "c": None}}
 
 
 @dataclass(frozen=True)
@@ -224,9 +226,13 @@ class ExperimentConfig:
     the bandit's proxy basis, which every run draws from seed 0.
 
     ``params`` is either the string "paper" (theorem schedules) or a dict of
-    explicit algorithm parameters: eta and gamma (eps optional) for
-    bandit_ew, eta for fullinfo_ew, and exactly eta, gamma (a callable
-    t -> gamma_t) and n for cg.  Each run seed gets its own adversary stream.
+    explicit schedule parameters, real numbers under the keys of
+    ``_PARAM_KEYS``: eta and gamma (eps optional, default 0) for bandit_ew,
+    eta for fullinfo_ew, and eta and c, for gamma_t = min(1, c / sqrt(t)),
+    for cg.  A missing required key, a key the algorithm does not read and a
+    value that is not a real number (bools included) are input errors; the
+    dict is stored with its defaults filled in, and the ranges are checked
+    by the learner's own config.  Each run seed gets its own adversary stream.
     The bandit's proxy basis samples ``proxy_p`` actions (default: twice
     the number of actions) and keeps ``proxy_m`` eigenvectors (default: the
     whole sampled spectrum above the eigenvalue floor).
@@ -251,14 +257,22 @@ class ExperimentConfig:
             raise InputError("need at least one seed")
         if self.params != "paper":
             keys = _PARAM_KEYS[self.algo]
-            # cg passes params to CGConfig(**params), which takes exactly its keys
-            if (not isinstance(self.params, dict)
-                    or any(key not in self.params for key in keys)
-                    or (self.algo == "cg" and len(self.params) != len(keys))):
+            if not isinstance(self.params, dict):
                 raise InputError(f"{self.algo} params must be 'paper' or a dict of "
                                  f"{', '.join(keys)}; got {self.params!r}")
-            if self.algo == "cg" and not callable(self.params["gamma"]):
-                raise InputError("cg params: gamma must be a callable t -> gamma_t")
+            for key, value in self.params.items():
+                if key not in keys:
+                    raise InputError(f"{self.algo} params: {key!r} is not one of "
+                                     f"{', '.join(keys)}")
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise InputError(f"{self.algo} params: {key!r} must be a number, "
+                                     f"got {value!r}")
+            missing = [key for key, default in keys.items()
+                       if default is None and key not in self.params]
+            if missing:
+                raise InputError(f"{self.algo} params: missing {', '.join(missing)}")
+            self.params = {key: self.params.get(key, default)
+                           for key, default in keys.items()}
         self.actions = validate_points(self.actions, unit_ball=True)
         check_norm_bound(self.kernel, self.actions)
 
@@ -286,11 +300,7 @@ def _bandit_setup(config: ExperimentConfig):
         bcfg = _bandit.general_theorem_config(num_actions, config.n,
                                               kernel.norm_bound_G, m, eps=eps_hat)
     else:
-        params = dict(config.params)
-        bcfg = _bandit.BanditConfig(
-            eta=params["eta"], gamma=params["gamma"], m=m,
-            eps=params.get("eps", 0.0), n=config.n,
-        )
+        bcfg = _bandit.BanditConfig(**config.params, m=m, n=config.n)
     return features, nu, bcfg, center_offset
 
 
@@ -303,15 +313,27 @@ def _mean_and_stderr(finals: list[float]) -> tuple[float, float]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """One trace per seed, each with its realized and pseudo-regret; mean
-    final regret with its standard error."""
+    final regret with its standard error.  The schedule is resolved once per
+    call, and ``details["params"]`` holds it as the explicit params that
+    replay it."""
     kernel, actions = config.kernel, config.actions
+    paper = config.params == "paper"
     traces: list[RegretTrace] = []
     hashes: list[str] = []
     details: dict = {}
 
-    if config.algo == "bandit_ew":
+    if config.algo == "fullinfo_ew":
+        eta = (_fullinfo.full_info_eta(actions.shape[0], kernel.norm_bound_G, config.n)
+               if paper else config.params["eta"])
+        details["params"] = {"eta": eta}
+    elif config.algo == "cg":
+        cg_config = (_fullinfo.cg_theorem_config(config.n) if paper
+                     else _fullinfo.CGConfig(**config.params))
+        details["params"] = asdict(cg_config)
+    else:
         features, nu, bcfg, center_offset = _bandit_setup(config)
         certificate = _bandit._certify_run(bcfg, features, nu)
+        details["params"] = {key: getattr(bcfg, key) for key in _PARAM_KEYS[config.algo]}
         details["bandit_config"] = bcfg
         # whitening makes the design covariance I/m, so in exact arithmetic
         # ||f_i||^2 = f_i^T Sigma_nu^-1 f_i / m: the largest squared row norm
@@ -330,14 +352,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         player_rng = component_rng(seed, "player")
 
         if config.algo == "fullinfo_ew":
-            eta = (_fullinfo.full_info_eta(actions.shape[0], kernel.norm_bound_G,
-                                           config.n)
-                   if config.params == "paper" else config.params["eta"])
             play = _fullinfo.full_info_ew_play(kernel, actions, schedule, eta, player_rng)
         elif config.algo == "cg":
-            cg_config = (_fullinfo.cg_theorem_config(config.n)
-                         if config.params == "paper"
-                         else _fullinfo.CGConfig(**config.params))
             play = _fullinfo._cg_play(kernel, actions, schedule, cg_config, player_rng)
         else:
             play = _bandit._bandit_play(kernel, actions, features, nu, bcfg, schedule,

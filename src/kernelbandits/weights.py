@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, PreconditionError
 
 __all__ = ["WeightState", "softmax"]
+
+
+def _check_step_size(eta: float) -> None:
+    """The one step-size rule of every learner: eta finite and > 0."""
+    if not (eta > 0.0 and math.isfinite(eta)):
+        raise PreconditionError(f"step size eta = {eta!r}; need finite and > 0")
 
 
 def softmax(log_weights: np.ndarray) -> np.ndarray:

@@ -11,6 +11,9 @@ eigensolve over distinct samples of ``proxy.basis_from_samples``.
 ``ew_fold_oracle`` is exponential weights as
 a plain per-round loop with scalar draws (``scalar_inverse_cdf``), the
 reference for the blocked pass of ``fullinfo.full_info_ew_play``;
+``bandit_fold_oracle`` is the bandit written from the paper's algorithm,
+one round at a time with an explicit play covariance and a dense solve, the
+reference for the block step of ``bandit._bandit_play``;
 ``sample_index`` is one draw per call, ``rng.sample_indices`` on one row,
 the reference for the learners' blocks of raw draws, and ``FixedBits`` a
 stand-in generator that repeats one raw value, such as the top patterns
@@ -34,9 +37,11 @@ reference for the vectorized ``kernels.cross_gram`` and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from kernelbandits import design, proxy
+from kernelbandits import bandit, design, proxy
 from kernelbandits.design import DiscreteDistribution
 from kernelbandits.errors import (
     InputError,
@@ -390,6 +395,38 @@ def ew_fold_oracle(kernel: KernelSpec, actions, schedule, eta: float,
     return np.array(idx, dtype=np.int64), np.array(losses), np.array(expected), log_weights
 
 
+def bandit_fold_oracle(kernel: KernelSpec, actions, features: np.ndarray,
+                       exploration: DiscreteDistribution, config,
+                       schedule, rng: np.random.Generator):
+    """The bandit of the paper, one round at a time, over the first
+    ``config.n`` rows of ``schedule``: p_t = (1 - gamma) softmax(log weights)
+    + gamma nu, a scalar 64-bit draw through :func:`scalar_inverse_cdf`, the
+    observed loss L[t, i], the play covariance Sigma_t = sum_j p_j f_j f_j^T
+    formed explicitly, the estimate l-hat_t = L[t, i] F Sigma_t^-1 f_i by
+    ``np.linalg.solve`` and the step of every log weight by -eta l-hat_t.
+    The run's certificate is taken first, so it refuses what a run refuses.
+    Returns (indices, losses, expected losses <p_t, l_t>, ||l-hat_t||_inf,
+    final log weights)."""
+    bandit._certify_run(config, features, exploration)
+    actions = np.atleast_2d(np.asarray(actions, dtype=float))
+    log_weights = np.zeros(actions.shape[0])
+    idx, losses, expected, loss_hat_max = [], [], [], []
+    for _, w in zip(range(config.n), schedule):
+        ell = loss_matrix(kernel, actions, [w])[0]
+        shifted = np.exp(log_weights - log_weights.max())
+        p = (1.0 - config.gamma) * shifted / shifted.sum() + config.gamma * exploration.weights
+        i = scalar_inverse_cdf(p, rng.integers(0, 2**64, dtype=np.uint64))
+        sigma = features.T @ (p[:, None] * features)
+        loss_hat = ell[i] * (features @ np.linalg.solve(sigma, features[i]))
+        idx.append(i)
+        losses.append(ell[i])
+        expected.append(float(p @ ell))
+        loss_hat_max.append(float(np.abs(loss_hat).max()))
+        log_weights = log_weights - config.eta * loss_hat
+    return (np.array(idx, dtype=np.int64), np.array(losses), np.array(expected),
+            np.array(loss_hat_max), log_weights)
+
+
 def _lowest_equal_row(table: np.ndarray, point: np.ndarray) -> int:
     rows = np.flatnonzero((table == point).all(axis=1))
     if not rows.size:
@@ -421,7 +458,7 @@ def cg_fold_round(state: CGState, config: CGConfig, kernel: KernelSpec,
 
     gradient = config.eta * state.cum_adversary + 2.0 * (state.mean - state.x1)
     v_t = min_oracle(kernel, gradient, action_set)
-    gamma_t = config.gamma(t)
+    gamma_t = min(1.0, config.c / math.sqrt(t))
     if isinstance(action_set, UnitBall):
         table, weights = np.vstack([table, v_t[None, :]]), np.append(weights, 0.0)
         j = table.shape[0] - 1

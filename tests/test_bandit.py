@@ -591,44 +591,99 @@ def _trace_digest(trace) -> str:
                           + trace.losses.astype(np.float64).tobytes()).hexdigest()
 
 
+def _pinned_config(case):
+    # the runs of the pinned digests: the linear setup on the covariance path
+    # under the paper schedule, gaussian:0.5 on 30 unit vectors (m = 20, the
+    # covariance path) and on 20 circle directions (m = 15, the complement
+    # path) under explicit params
+    from kernelbandits.harness import (ExperimentConfig, ball_directions,
+                                       unit_vector_adversary)
+
+    if case == "linear":
+        return ExperimentConfig(algo="bandit_ew", kernel=LINEAR,
+                                actions=spanning_unit_vectors(20, 3, seed=0),
+                                adversary=unit_vector_adversary(3), n=200, seeds=(0,),
+                                proxy_p=80, proxy_m=3)
+    if case == "gaussian":
+        return ExperimentConfig(algo="bandit_ew", kernel=KernelSpec.gaussian(0.5),
+                                actions=spanning_unit_vectors(30, 3, seed=0),
+                                adversary=unit_vector_adversary(3), n=300, seeds=(0,),
+                                proxy_p=60, proxy_m=20,
+                                params={"eta": 0.05, "gamma": 0.5})
+    return ExperimentConfig(algo="bandit_ew", kernel=KernelSpec.gaussian(0.5),
+                            actions=ball_directions(20),
+                            adversary=unit_vector_adversary(2), n=300, seeds=(0,),
+                            proxy_p=40, proxy_m=15, params={"eta": 0.05, "gamma": 0.5})
+
+
+_PINNED_DIGESTS = {"linear": _BANDIT_RUN_SHA256, "gaussian": _GAUSSIAN_BANDIT_RUN_SHA256,
+                   "complement": _COMPLEMENT_BANDIT_RUN_SHA256}
+
+
 @pytest.mark.filterwarnings("error")
 def test_bandit_run_trace_is_pinned():
-    from kernelbandits.harness import ExperimentConfig, run_experiment, unit_vector_adversary
+    from kernelbandits.harness import run_experiment
 
-    config = ExperimentConfig(algo="bandit_ew", kernel=LINEAR,
-                              actions=spanning_unit_vectors(20, 3, seed=0),
-                              adversary=unit_vector_adversary(3), n=200, seeds=(0,),
-                              proxy_p=80, proxy_m=3)
-    assert _trace_digest(run_experiment(config).traces[0]) == _BANDIT_RUN_SHA256
+    assert _trace_digest(run_experiment(_pinned_config("linear")).traces[0]) == _BANDIT_RUN_SHA256
 
 
 @pytest.mark.filterwarnings("error")
 def test_gaussian_bandit_run_trace_is_pinned():
-    from kernelbandits.harness import ExperimentConfig, run_experiment, unit_vector_adversary
+    from kernelbandits.harness import run_experiment
 
-    config = ExperimentConfig(algo="bandit_ew", kernel=KernelSpec.gaussian(0.5),
-                              actions=spanning_unit_vectors(30, 3, seed=0),
-                              adversary=unit_vector_adversary(3), n=300, seeds=(0,),
-                              proxy_p=60, proxy_m=20,
-                              params={"eta": 0.05, "gamma": 0.5})
-    result = run_experiment(config)
+    result = run_experiment(_pinned_config("gaussian"))
     assert result.details["bandit_config"].m == 20
     assert _trace_digest(result.traces[0]) == _GAUSSIAN_BANDIT_RUN_SHA256
 
 
 @pytest.mark.filterwarnings("error")
 def test_complement_bandit_run_trace_is_pinned():
-    from kernelbandits.harness import (ExperimentConfig, ball_directions, run_experiment,
-                                       unit_vector_adversary)
+    from kernelbandits.harness import run_experiment
 
-    config = ExperimentConfig(algo="bandit_ew", kernel=KernelSpec.gaussian(0.5),
-                              actions=ball_directions(20),
-                              adversary=unit_vector_adversary(2), n=300, seeds=(0,),
-                              proxy_p=40, proxy_m=15,
-                              params={"eta": 0.05, "gamma": 0.5})
-    result = run_experiment(config)
+    result = run_experiment(_pinned_config("complement"))
     assert result.details["bandit_estimator"]["path"] == "complement"
     assert _trace_digest(result.traces[0]) == _COMPLEMENT_BANDIT_RUN_SHA256
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case, path", [("linear", "covariance"),
+                                        ("gaussian", "covariance"),
+                                        ("complement", "complement")])
+def test_run_bandit_matches_the_paper_oracle(case, path):
+    # the block step against the bandit written from the paper, with an
+    # explicit Sigma_t and a dense solve (oracles.bandit_fold_oracle), on the
+    # pinned runs: the same draws give the same indices, and so the oracle's
+    # trace has the pinned digest.  The log weights come from two routes that
+    # round differently (LU of Sigma_t by blocks, or the k x k complement
+    # solve, against a dense solve of a separately formed Sigma_t): each
+    # round's estimate is backward stable, off by about kappa (N + m) u of
+    # its size for kappa <= 2m / gamma, the condition number of a covariance
+    # above the floor gamma / (2m) with whitened rows of norm <= 1.  At these
+    # shapes kappa (N + m) u < 3e-13, so the log weights may differ by
+    # 1e-12 times the run's total step sum_t eta ||l-hat_t||_inf.  The
+    # expected losses differ only in the softmax's rounding.
+    from kernelbandits.harness import _bandit_setup
+    from oracles import bandit_fold_oracle
+
+    config = _pinned_config(case)
+    features, nu, cfg, _ = _bandit_setup(config)
+    certificate = bandit._certify_run(cfg, features, nu)
+    assert certificate.estimator["path"] == path
+    schedule = config.adversary.materialize(config.n, component_rng(0, "adversary"))
+    idx, losses, expected, _, loss_hat_max, _, state = bandit._bandit_play(
+        config.kernel, config.actions, features, nu, cfg, schedule,
+        component_rng(0, "player"), certificate)
+    o_idx, o_losses, o_expected, o_loss_hat_max, o_log_weights = bandit_fold_oracle(
+        config.kernel, config.actions, features, nu, cfg, schedule,
+        component_rng(0, "player"))
+    assert np.array_equal(idx, o_idx)
+    assert losses.tobytes() == o_losses.tobytes()
+    assert hashlib.sha256(o_idx.tobytes() + o_losses.tobytes()).hexdigest() == (
+        _PINNED_DIGESTS[case])
+    total_step = cfg.eta * o_loss_hat_max.sum()
+    assert np.abs(state.log_weights - o_log_weights).max() <= 1e-12 * total_step
+    assert np.abs(loss_hat_max - o_loss_hat_max).max() <= 1e-12 * o_loss_hat_max.max()
+    assert np.abs(expected - o_expected).max() <= 1e-14
 
 
 def test_mean_regret_is_below_a_non_vacuous_theorem_bound():

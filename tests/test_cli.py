@@ -231,6 +231,9 @@ def test_run_command_input_error_exit_code(tmp_path):
     {"params": "{}"},
     {"algo": "bandit_ew", "params": '{"eta": 0.1}'},
     {"algo": "cg", "params": '{"eta": 0.1, "gamma": 0.5, "n": 10}'},
+    {"algo": "bandit_ew", "params": '{"eta": "x", "gamma": 0.5}'},
+    {"params": '{"eta": null}'},
+    {"algo": "bandit_ew", "params": '{"eta": true, "gamma": 0.5}'},
     {"config": {"seeds": [0, 1]}},
     {"config": {"actions": ["ball:8"]}},
     {"config": {"kernel": 5}},
@@ -301,6 +304,72 @@ def test_run_command_refuses_eta_and_eps_outside_the_theorem(tmp_path, capsys, p
     assert code == 3
     assert "need" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("algo, params, key", [
+    ("fullinfo_ew", {"eta": 0.1, "zzz": 1}, "zzz"),
+    ("bandit_ew", {"eta": 0.05, "gamma": 0.5, "n": 7}, "n"),
+    ("cg", {"eta": 0.1, "c": 2, "gamma": 0.5}, "gamma"),
+])
+def test_run_command_names_a_key_the_algorithm_does_not_read(tmp_path, capsys, algo,
+                                                             params, key):
+    # refused, not dropped: the bandit would play the --n horizon, not n = 7
+    out = tmp_path / "x"
+    code = main(["run", "--algo", algo, "--kernel", "gaussian:2", "--actions", "ball:20",
+                 "--n", "100", "--params", json.dumps(params), "--out", str(out)])
+    assert code == 2
+    assert f"{key!r} is not one of" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("algo, params", [
+    ("fullinfo_ew", {"eta": -1}),
+    ("fullinfo_ew", {"eta": 0}),
+    ("fullinfo_ew", {"eta": float("inf")}),
+    ("cg", {"eta": -0.1, "c": 2}),
+    ("cg", {"eta": float("nan"), "c": 2}),
+    ("cg", {"eta": 0.1, "c": -1}),
+    ("cg", {"eta": 0.1, "c": float("inf")}),
+])
+def test_run_command_refuses_ew_and_cg_schedules_outside_the_theorem(tmp_path, capsys,
+                                                                     algo, params):
+    # the same step-size rule as the bandit's; c >= 0 keeps gamma_t in [0, 1]
+    out = tmp_path / "x"
+    code = main(["run", "--algo", algo, "--kernel", "linear", "--actions", "ball:8",
+                 "--n", "50", "--params", json.dumps(params), "--out", str(out)])
+    assert code == 3
+    assert "need finite" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_run_command_takes_explicit_cg_params(tmp_path):
+    out = tmp_path / "x"
+    assert main(["run", "--algo", "cg", "--kernel", "quadratic", "--actions", "ball:8",
+                 "--n", "50", "--params", '{"eta": 0.1, "c": 2}', "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["params"] == {"eta": 0.1, "c": 2}
+
+
+@pytest.mark.parametrize("algo, kernel, keys", [
+    ("bandit_ew", "gaussian:2", ["eta", "gamma", "eps"]),
+    ("fullinfo_ew", "gaussian:2", ["eta"]),
+    ("cg", "quadratic", ["eta", "c"]),
+])
+def test_run_replays_from_the_summary_params(tmp_path, algo, kernel, keys):
+    # summary.json's params is the resolved schedule as the --params object
+    # that replays it; JSON round-trips floats exactly, so the replay has
+    # the same trace bytes
+    flags = ["--algo", algo, "--kernel", kernel, "--actions", "ball:20",
+             "--adversary", "iid-unit", "--n", "120", "--seeds", "0,3"]
+    assert main(["run", *flags, "--params", "paper", "--out", str(tmp_path / "paper")]) == 0
+    params = json.loads((tmp_path / "paper" / "summary.json").read_text())["params"]
+    assert list(params) == keys
+    assert main(["run", *flags, "--params", json.dumps(params),
+                 "--out", str(tmp_path / "replay")]) == 0
+    replay = json.loads((tmp_path / "replay" / "summary.json").read_text())
+    assert replay["params"] == params
+    for seed in (0, 3):
+        assert ((tmp_path / "paper" / f"trace_{seed}.csv").read_bytes()
+                == (tmp_path / "replay" / f"trace_{seed}.csv").read_bytes())
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):

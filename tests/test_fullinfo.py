@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kernelbandits import fullinfo
-from kernelbandits.errors import InputError, ToleranceNotMetError
+from kernelbandits.errors import InputError, PreconditionError, ToleranceNotMetError
 from kernelbandits.fullinfo import (
     _ATOM_PRUNE,
     CGConfig,
@@ -72,6 +72,9 @@ def test_theorem_step_size():
     assert eta == pytest.approx(math.sqrt(math.log(50) / (math.e - 2)) / 100.0)
     eta = full_info_eta(10, G=2.0, n=25)
     assert eta == pytest.approx(math.sqrt(math.log(10) / (math.e - 2)) / (4 * 5))
+    # log 1 = 0 would give eta = 0, a step size no learner takes
+    with pytest.raises(PreconditionError, match="at least 2 actions"):
+        full_info_eta(1, G=1.0, n=100)
 
 
 def test_distribution_equals_softmax_of_cumulative_losses():
@@ -143,11 +146,28 @@ def test_fullinfo_run_trace_is_pinned():
 
 
 def test_cg_theorem_schedule():
+    # gamma_t = min(1, c / sqrt(t)) with c = 2: 1 at t = 1, 0.5 at t = 16
     cfg = cg_theorem_config(4096)
     assert cfg.eta == pytest.approx(1.0 / (2 * 4096**0.75))
-    assert cfg.gamma(1) == 1.0
-    assert cfg.gamma(16) == pytest.approx(0.5)
-    assert cfg.gamma(2) == pytest.approx(min(1.0, 2.0 / math.sqrt(2)))
+    assert cfg == CGConfig(eta=0.5 * 4096 ** -0.75, c=2.0)
+
+
+@pytest.mark.parametrize("eta, c", [(0.0, 2.0), (-0.1, 2.0), (math.inf, 2.0),
+                                    (math.nan, 2.0), (0.1, -1.0), (0.1, math.inf),
+                                    (0.1, math.nan)])
+def test_cg_config_refuses_eta_and_c_outside_the_theorem(eta, c):
+    # the step size of the potential must be finite and > 0, like the
+    # bandit's; the mixing scale c >= 0 keeps gamma_t in [0, 1]
+    with pytest.raises(PreconditionError, match="need finite"):
+        CGConfig(eta=eta, c=c)
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.inf, math.nan])
+def test_full_info_ew_play_refuses_eta_outside_the_theorem(eta):
+    schedule = unit_vector_adversary(2).materialize(5, component_rng(0, "adv"))
+    with pytest.raises(PreconditionError, match="need finite"):
+        fullinfo.full_info_ew_play(LINEAR, ball_directions(8), schedule, eta,
+                                   component_rng(0, "fi"))
 
 
 def test_cg_first_round_replaces_iterate():
@@ -166,7 +186,7 @@ def test_cg_first_round_replaces_iterate():
 
 def test_cg_zero_gamma_keeps_iterate():
     actions = ball_directions(8)
-    cfg = CGConfig(eta=0.01, gamma=lambda t: 0.0, n=4)
+    cfg = CGConfig(eta=0.01, c=0.0)
     state = cg_start(LINEAR, actions[0])
     w = make_explicit(LINEAR, np.array([0.0, 1.0]))
     new_state, _ = cg_round(state, cfg, LINEAR, actions, w, component_rng(5, "cg"))
@@ -497,7 +517,7 @@ def test_cg_gap_bound_against_ftrl_oracle():
     # gamma_t; early rounds can cross 4 G^2 gamma_t under adversarial
     # alignment, so the module-level property asserts the derivable constant.
     full = cg_theorem_config(4096)
-    cfg = CGConfig(eta=full.eta, gamma=full.gamma, n=128)
+    cfg = CGConfig(eta=full.eta, c=full.c)
     actions = ball_directions(32)
     for seed in (7, 11, 23):
         schedule = unit_vector_adversary(2).materialize(

@@ -208,6 +208,50 @@ def test_record_views_match_run_experiment(algo):
     assert columns[trace.best_action_index] <= columns.min() + 1e-9 * n
 
 
+@pytest.mark.parametrize("algo, params, message", [
+    ("fullinfo_ew", {}, "missing eta"),
+    ("bandit_ew", {"eta": 0.1}, "missing gamma"),
+    ("cg", {"c": 2.0}, "missing eta"),
+    ("fullinfo_ew", {"eta": 0.1, "gamma": 0.5}, "'gamma' is not one of eta"),
+    ("cg", {"eta": 0.1, "c": 2.0, "n": 10}, "'n' is not one of eta, c"),
+    ("bandit_ew", {"eta": True, "gamma": 0.5}, "'eta' must be a number"),
+    ("cg", {"eta": 0.1, "c": "2"}, "'c' must be a number"),
+    ("fullinfo_ew", {"eta": None}, "'eta' must be a number"),
+    ("cg", {"eta": 0.1, "c": lambda t: 1.0}, "'c' must be a number"),
+    ("fullinfo_ew", "theorem", "must be 'paper' or a dict"),
+])
+def test_explicit_params_follow_one_rule(algo, params, message):
+    # every algorithm's explicit params are the real numbers under its keys
+    # in _PARAM_KEYS: a missing required key, a key it does not read and a
+    # value that is not a real number are refused before any run
+    with pytest.raises(InputError, match=message):
+        ExperimentConfig(algo=algo, kernel=LINEAR, actions=ball_directions(4),
+                         adversary=unit_vector_adversary(2), n=10, params=params)
+
+
+def test_explicit_params_are_stored_with_their_defaults():
+    config = ExperimentConfig(algo="bandit_ew", kernel=LINEAR, actions=ball_directions(4),
+                              adversary=unit_vector_adversary(2), n=10,
+                              params={"gamma": np.float64(0.5), "eta": 1})
+    assert config.params == {"eta": 1, "gamma": 0.5, "eps": 0.0}
+
+
+@pytest.mark.parametrize("algo, resolver, params", [
+    ("fullinfo_ew", "full_info_eta", {"eta": full_info_eta(8, 1.0, 30)}),
+    ("cg", "cg_theorem_config", {"eta": 0.5 * 30 ** -0.75, "c": 2.0}),
+])
+def test_run_experiment_resolves_the_schedule_once(monkeypatch, algo, resolver, params):
+    # the theorem schedule depends on n and the action set, not on the seed
+    calls, resolve = [], getattr(harness._fullinfo, resolver)
+    monkeypatch.setattr(harness._fullinfo, resolver,
+                        lambda *args: calls.append(args) or resolve(*args))
+    result = run_experiment(ExperimentConfig(
+        algo=algo, kernel=LINEAR, actions=ball_directions(8),
+        adversary=unit_vector_adversary(2), n=30, seeds=(0, 1, 2)))
+    assert len(calls) == 1 and len(result.traces) == 3
+    assert result.details["params"] == params
+
+
 def test_run_experiment_single_round_nonnegative_regret():
     actions = ball_directions(6)
     config = ExperimentConfig(
