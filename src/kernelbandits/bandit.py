@@ -21,11 +21,11 @@ When the proxy rank m exceeds N / 2 and every design weight is at least
 k = N - m dimensional complement of the features' column space, and forms
 the covariance only on the rounds its smallest eigenvalue is recorded.
 
-:func:`_bandit_play` steps blocks of ``_LOSS_BLOCK_ROWS`` rounds on one array
-of log weights.  A block makes one :func:`~kernelbandits.kernels.loss_matrix`
+:func:`_bandit_play` steps the row blocks of the schedule on one array of
+log weights.  A block makes one :func:`~kernelbandits.kernels.loss_matrix`
 call, whose rows give the played losses, <p_t, l_t> and the loss totals,
-and one call for its raw 64-bit draws, one per round; the player stream feeds
-only the draws, so these are the bits of one draw per round.
+and one :func:`~kernelbandits.rng._uniforms` call for all its draws; the
+player stream feeds only the draws, so these are the bits of one per round.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from .design import (
 )
 from .errors import (HorizonTooShortError, IllConditionedCovarianceError, InputError,
                      PreconditionError)
-from .kernels import _LOSS_BLOCK_ROWS, AdversaryAction, KernelSpec, Schedule, loss_matrix
+from .kernels import AdversaryAction, KernelSpec, Schedule, _row_blocks, loss_matrix
 from .proxy import EigendecayProfile, SampleBasis, effective_dimension, proxy_features
-from .rng import _inverse_cdf
+from .rng import _inverse_cdf, _uniforms
 from .weights import WeightState, _check_step_size, softmax
 
 __all__ = [
@@ -235,7 +235,7 @@ def _bandit_block(log_weights: np.ndarray, start: int, config: BanditConfig,
     Returns the played indices, their losses, <p_t, L[t]>, ||l-hat_t||_inf,
     the sampled lambda_min (else None), the log weights."""
     rows = L.shape[0]
-    u = rng.bit_generator.random_raw(rows) / 2.0**64
+    u = _uniforms(rng, rows)
     mix, gamma_nu = 1.0 - config.gamma, config.gamma * exploration.weights
     floor, basis, step = certificate.floor, certificate.basis, -config.eta
     idx, loss_hat = np.empty(rows, dtype=np.int64), np.empty((rows, features.shape[0]))
@@ -327,8 +327,8 @@ def _bandit_play(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     even though exploration is mixed in from the first round.  The first
     ``config.n`` rows of ``schedule`` are played; a schedule shorter than
     the horizon eta and gamma were set for raises InputError before any
-    draw.  The rounds run as block steps of ``_LOSS_BLOCK_ROWS`` rows (see
-    the module docstring), one raw draw per round taken per block, so every
+    draw.  The rounds run as steps over the schedule's row blocks (see the
+    module docstring), one raw draw per round taken per block, so every
     output has the bits of a loop of :func:`bandit_round`.
 
     The covariance floor is certified once per run, before any draw, by
@@ -428,12 +428,11 @@ def _bandit_play(kernel: KernelSpec, actions: np.ndarray, features: np.ndarray,
     log_weights, totals = np.zeros(actions.shape[0]), np.zeros(actions.shape[0])
     idx, losses, expected = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
     loss_hat_max, min_eigs = np.empty(n), [None] * n
-    for start in range(0, n, _LOSS_BLOCK_ROWS):
-        rows = slice(start, min(start + _LOSS_BLOCK_ROWS, n))
+    for rows in _row_blocks(schedule[:n]):
         L = loss_matrix(kernel, actions, schedule[rows])
         totals += L.sum(axis=0)
         (idx[rows], losses[rows], expected[rows], loss_hat_max[rows], min_eigs[rows],
-         log_weights) = _bandit_block(log_weights, start, config, features,
+         log_weights) = _bandit_block(log_weights, rows.start, config, features,
                                       exploration, certificate, L, rng)
     return (idx, losses, expected, totals, loss_hat_max, min_eigs,
             WeightState(log_weights, n))

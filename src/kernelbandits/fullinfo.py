@@ -12,8 +12,8 @@ distribution for the play: one dense weight vector over a table of atoms.
 On a finite action set the table is the action set, and the
 linear-minimization oracle is the argmin row of Phi(actions) @ gradient;
 on the unit ball it is the start point and one trust-region solution per
-round.  :func:`_cg_play` is one pass over blocks of ``_LOSS_BLOCK_ROWS``
-rounds that embeds a finite action set once.  Each block embeds its adversary
+round.  :func:`_cg_play` is one pass over the row blocks of the schedule
+that embeds a finite action set once.  Each block embeds its adversary
 actions, and the points it played, with one call each, and draws every
 round from its stored weights with one call; the state moves one round at
 a time, so every output has the bits of per-round embeddings.  The single
@@ -37,11 +37,11 @@ import numpy as np
 from .design import DiscreteDistribution
 from .errors import InputError, PreconditionError
 from .kernels import (
-    _LOSS_BLOCK_ROWS,
     AdversaryAction,
     KernelSpec,
     Schedule,
     _kernel_of_pairs,
+    _row_blocks,
     _row_dots,
     feature_map,
     feature_matrix,
@@ -49,7 +49,7 @@ from .kernels import (
     validate_points,
 )
 from .quadratic import QuadraticObjective, trs_minimize
-from .rng import _inverse_cdf, sample_indices
+from .rng import sample_indices
 from .weights import WeightState, _check_step_size, softmax
 
 __all__ = [
@@ -189,7 +189,8 @@ def full_info_round(state: WeightState, eta: float, kernel: KernelSpec,
     carries the realized loss and the expected loss <p_t, l_t>.
 
     This is the one-row case of the blocked pass in
-    :func:`full_info_ew_play`, with the same bits."""
+    :func:`full_info_ew_play`, with the same bits and step-size rule."""
+    _check_step_size(eta)
     L = loss_matrix(kernel, actions, [w_t])
     idx, losses, expected, log_weights = _ew_block(state.log_weights, eta, L, rng)
     return (WeightState(log_weights, state.round + 1),
@@ -202,9 +203,9 @@ def full_info_ew_play(kernel: KernelSpec, actions: np.ndarray,
                       rng: np.random.Generator) -> tuple:
     """Exponential weights from a uniform start over a whole schedule.
 
-    One pass over blocks of ``_LOSS_BLOCK_ROWS`` rows of the loss matrix,
-    carrying the log weights between blocks, so memory stays flat in the
-    horizon.  Every output has the bits of a loop of :func:`full_info_round`.
+    One pass over the row blocks of the loss matrix, carrying the log
+    weights between blocks, so memory stays flat in the horizon.  Every
+    output has the bits of a loop of :func:`full_info_round`.
     Returns the played indices, their losses, the expected losses
     <p_t, l_t>, the per-action loss totals and the final state.  A step size
     eta that is not finite and > 0 raises PreconditionError.
@@ -215,8 +216,7 @@ def full_info_ew_play(kernel: KernelSpec, actions: np.ndarray,
     n = len(schedule)
     log_weights, totals = np.zeros(actions.shape[0]), np.zeros(actions.shape[0])
     idx, losses, expected = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
-    for start in range(0, n, _LOSS_BLOCK_ROWS):
-        rows = slice(start, min(start + _LOSS_BLOCK_ROWS, n))
+    for rows in _row_blocks(schedule):
         L = loss_matrix(kernel, actions, schedule[rows])
         totals += L.sum(axis=0)
         idx[rows], losses[rows], expected[rows], log_weights = _ew_block(
@@ -309,11 +309,9 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
     the rows filled so far, as in a one-row call.  The weights never depend
     on the draws, so the stretch keeps every round's weights, checks them
     once as that class would (each sum p within 1e-8 of 1, no weight below
-    -1e-12), and draws every round by the inverse-CDF rule of
-    :func:`~kernelbandits.rng.sample_indices`: one call for the raw 64-bit
-    draws, one walk over the columns that hold weight, each row capped at
-    its last positive weight (u rounds to 1.0 for the top 2^10 bit
-    patterns), so a zero-weight row is never played.  The running adversary
+    -1e-12), and draws every round with one
+    :func:`~kernelbandits.rng.sample_indices` call over the columns that hold
+    weight, whose rule never plays a zero weight.  The running adversary
     sums are one cumulative sum down the stretch, which adds the rows one at
     a time.  The adversary features are the stretch's explicit vectors, or
     one :func:`feature_matrix` call on its points.  The losses take one
@@ -330,7 +328,6 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
                            feature_matrix(kernel, X) if schedule.rank_one else X))
     cum = np.cumsum(adversary, axis=0)
     eta_cum = config.eta * cum[:-1]
-    u = rng.bit_generator.random_raw(rows) / 2.0**64
 
     weights, totals = np.zeros((rows + 1, table.shape[0])), np.empty(rows)
     live = w.size
@@ -358,8 +355,7 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
     held = weights[:, cols]
     if held.min() < -1e-12:
         raise InputError("distribution weights must be nonnegative")
-    last = cols.size - 1 - (held[:-1, ::-1] > 0).argmax(axis=1)
-    idx = cols[np.minimum(_inverse_cdf(held[:-1], u), last)]
+    idx = cols[sample_indices(held[:-1], rng)]
     played = table[idx]
     losses = (_kernel_of_pairs(kernel, played, X) if schedule.rank_one
               else _row_dots(feature_matrix(kernel, played), X))
@@ -394,7 +390,7 @@ def _cg_play(kernel: KernelSpec, action_set, schedule: Schedule,
              a1: np.ndarray | None = None) -> tuple:
     """Run the conditional-gradient method over a full adversary schedule.
 
-    One pass over blocks of ``_LOSS_BLOCK_ROWS`` rounds that embeds a finite
+    One pass over the row blocks of the schedule that embeds a finite
     action set once; every output has the bits of a loop of
     :func:`cg_round`.  On a finite set the start point ``a1`` (default: the
     first row) maps to its lowest equal row, and one that is not a row of
@@ -408,7 +404,7 @@ def _cg_play(kernel: KernelSpec, action_set, schedule: Schedule,
     if isinstance(action_set, UnitBall):
         if a1 is None:
             raise InputError("unit-ball action set needs an explicit start point")
-        if validate_points(a1, unit_ball=True).shape != (1, action_set.dim):
+        if validate_points(a1).shape != (1, action_set.dim):
             raise InputError(f"start point must be one point of R^{action_set.dim}")
     elif a1 is None:
         a1 = np.atleast_2d(np.asarray(action_set, dtype=float))[0]
@@ -419,8 +415,7 @@ def _cg_play(kernel: KernelSpec, action_set, schedule: Schedule,
     n = len(schedule)
     idx, losses, expected = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
     num_atoms = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _LOSS_BLOCK_ROWS):
-        rows = slice(start, min(start + _LOSS_BLOCK_ROWS, n))
+    for rows in _row_blocks(schedule):
         state, idx[rows], losses[rows], expected[rows], num_atoms[rows] = _cg_block(
             state, config, kernel, table_for, schedule[rows], rng)
     totals = None if features is None else features @ state.cum_adversary

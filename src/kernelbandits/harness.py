@@ -41,9 +41,9 @@ from . import bandit as _bandit
 from . import fullinfo as _fullinfo
 from .errors import InputError
 from .kernels import (
-    _LOSS_BLOCK_ROWS,
     KernelSpec,
     Schedule,
+    _row_blocks,
     check_norm_bound,
     loss_matrix,
     validate_points,
@@ -132,17 +132,16 @@ def schedule_hash(schedule: Schedule) -> str:
 
     SHA-256 of the row count, each row's kind (rank-one or explicit) and
     length, and then every row's float64 payload (its point or its vector)
-    in row order.  The payloads are read ``_LOSS_BLOCK_ROWS`` rows at a
-    time, so memory stays flat in the horizon.
+    in row order.  The payloads are read one row block at a time, so memory
+    stays flat in the horizon.
     """
     schedule = Schedule.of(schedule)
     n, rows, index = len(schedule), schedule.rows, schedule.index
     h = hashlib.sha256(np.int64(n).tobytes())
     h.update(np.full(n, schedule.rank_one).tobytes())
     h.update(np.full(n, rows.shape[1], dtype=np.int64).tobytes())
-    for start in range(0, n, _LOSS_BLOCK_ROWS):
-        block = rows[index[start:start + _LOSS_BLOCK_ROWS]]
-        h.update(np.asarray(block, dtype=np.float64).tobytes())
+    for block in _row_blocks(schedule):
+        h.update(np.asarray(rows[index[block]], dtype=np.float64).tobytes())
     return h.hexdigest()
 
 
@@ -178,15 +177,14 @@ def best_in_hindsight(kernel: KernelSpec, actions: np.ndarray,
                       schedule: Schedule) -> tuple[int, float]:
     """Exact enumeration of the best fixed action; ties to the lowest index.
 
-    The column sums of the loss matrix are accumulated over blocks of
-    ``_LOSS_BLOCK_ROWS`` rounds, so memory stays flat in the horizon.
+    The column sums of the loss matrix are accumulated over the row blocks
+    of the schedule, so memory stays flat in the horizon.
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     schedule = Schedule.of(schedule)
     totals = np.zeros(actions.shape[0])
-    for start in range(0, len(schedule), _LOSS_BLOCK_ROWS):
-        block = schedule[start:start + _LOSS_BLOCK_ROWS]
-        totals += loss_matrix(kernel, actions, block).sum(axis=0)
+    for rows in _row_blocks(schedule):
+        totals += loss_matrix(kernel, actions, schedule[rows]).sum(axis=0)
     idx = int(np.argmin(totals))
     return idx, float(totals[idx])
 
@@ -208,8 +206,7 @@ def _regret_trace(kernel: KernelSpec, actions: np.ndarray, schedule: Schedule, l
     """The trace against a known best action, whose column of full-width
     rows of L, the bits the learners observe, is formed here."""
     best_per_round = np.empty(len(schedule))
-    for start in range(0, len(schedule), _LOSS_BLOCK_ROWS):
-        rows = slice(start, start + _LOSS_BLOCK_ROWS)
+    for rows in _row_blocks(schedule):
         best_per_round[rows] = loss_matrix(kernel, actions, schedule[rows])[:, best_idx]
     best_cum = np.cumsum(best_per_round)
     losses = np.asarray(losses, dtype=float)
@@ -273,7 +270,7 @@ class ExperimentConfig:
                 raise InputError(f"{self.algo} params: missing {', '.join(missing)}")
             self.params = {key: self.params.get(key, default)
                            for key, default in keys.items()}
-        self.actions = validate_points(self.actions, unit_ball=True)
+        self.actions = validate_points(self.actions)
         check_norm_bound(self.kernel, self.actions)
 
 

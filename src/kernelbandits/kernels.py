@@ -23,13 +23,14 @@ the one explicit embedding.  :func:`loss_matrix` gives rows of the loss
 matrix L[t, j] = <Phi(a_j), w_t>; exponential weights and the bandit observe
 entries of these rows, the same entries the regret accounting charges.  Each
 row is its own matrix-vector product, so a row does not depend on the block
-it is computed in.  Callers that walk a whole schedule take
-``_LOSS_BLOCK_ROWS`` rows at a time, slices of the schedule, so memory
+it is computed in.  Every walk over a whole schedule takes its row blocks
+from :func:`_row_blocks`, the one reader of ``_LOSS_BLOCK_ROWS``, so memory
 beyond the stored rows stays flat in the horizon.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb, factorial
@@ -195,18 +196,23 @@ class Schedule:
         return self.rows[self.index]
 
 
-def validate_points(points: np.ndarray, unit_ball: bool = False) -> np.ndarray:
-    """Check a (n, d) array of points: nonempty, finite, and in the ball if
-    required."""
+def _row_blocks(schedule: Schedule) -> Iterator[slice]:
+    """Slices of ``_LOSS_BLOCK_ROWS`` rows that walk ``schedule`` in order."""
+    n = len(schedule)
+    for start in range(0, n, _LOSS_BLOCK_ROWS):
+        yield slice(start, min(start + _LOSS_BLOCK_ROWS, n))
+
+
+def validate_points(points: np.ndarray) -> np.ndarray:
+    """Check a (n, d) array of points: nonempty, finite, in the unit ball."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise InputError("points must be nonempty")
     if not np.all(np.isfinite(pts)):
         raise InputError("points contain non-finite coordinates")
-    if unit_ball:
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(norms > 1.0 + _BALL_TOL):
-            raise InputError(f"point norm {norms.max():.12g} exceeds 1")
+    norms = np.linalg.norm(pts, axis=1)
+    if np.any(norms > 1.0 + _BALL_TOL):
+        raise InputError(f"point norm {norms.max():.12g} exceeds 1")
     return pts
 
 
@@ -272,16 +278,13 @@ def _kernel_of_pairs(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarr
     return _kernel_of_inner(spec, _row_dots(X, Y), X, Y)
 
 
-def gram_matrix(spec: KernelSpec, points: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Scaled Gram matrix K(x_i, x_j) * scale over one point set."""
-    if scale <= 0:
-        raise InputError("scale must be positive")
+def gram_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """Gram matrix K(x_i, x_j) over one point set, exactly symmetric."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise InputError("points must be nonempty")
     G = cross_gram(spec, pts, pts)
-    G = 0.5 * (G + G.T)  # exact symmetry regardless of BLAS ordering
-    return G * scale
+    return 0.5 * (G + G.T)  # exact symmetry regardless of BLAS ordering
 
 
 def _poly_exponents(d: int, degree: int):

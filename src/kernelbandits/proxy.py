@@ -6,9 +6,9 @@ computed through the Gram matrix: draw p points, eigendecompose the
 (1/p)-scaled Gram, and normalize each eigenvector's image in feature space.
 Points drawn with replacement repeat, and the p x p Gram has only as many
 distinct rows as distinct samples, s: `basis_from_samples` eigendecomposes
-an s x s matrix with the same nonzero spectrum and expands its eigenvectors
-back to the p samples, the same basis in exact arithmetic (one eigh at
-s = 127 in place of p = 300 for 150 actions).
+an s x s matrix with the same nonzero spectrum, and its :class:`SampleBasis`
+keeps the s samples (s, d) and (m, s) coefficients, so the eigh and every
+feature pass run over s columns, not p (127 in place of 300 for 150 actions).
 The resulting m-dimensional kernel approximates the original uniformly when
 the spectrum decays fast enough; `effective_dimension` turns a decay profile
 into the truncation level needed for a target approximation error.
@@ -43,15 +43,15 @@ _EIG_FLOOR_REL = 1e-10  # Gram eigenvalues at or below this times the largest dr
 class SampleBasis:
     """Data defining the proxy feature map.
 
-    ``eig_coeffs`` rows are the unit-norm eigenvectors of the p x p scaled
-    Gram, one coefficient per sample, so repeated samples share their
-    coefficient; ``normalizers`` are the feature-space norms of the
-    corresponding eigenvector images, which satisfy
+    ``sample_points`` holds the s distinct rows of the p samples.  Row j of
+    ``eig_coeffs`` is the j-th unit-norm eigenvector of the p x p scaled
+    Gram, one coefficient per draw, summed over equal draws; ``normalizers``
+    are the feature-space norms of the eigenvector images, which satisfy
     normalizers_j**2 = p * eigenvalues_j.
     """
 
-    sample_points: np.ndarray  # (p, d)
-    eig_coeffs: np.ndarray     # (m, p)
+    sample_points: np.ndarray  # (s, d)
+    eig_coeffs: np.ndarray     # (m, s)
     eigenvalues: np.ndarray    # (m,), descending, > 0
     normalizers: np.ndarray    # (m,)
     kernel: KernelSpec
@@ -100,10 +100,10 @@ def basis_from_samples(kernel: KernelSpec, samples: np.ndarray,
     of the draws, and P^T P = C = diag(c).  So the s x s matrix
     C^1/2 K_u C^1/2 / p has the nonzero spectrum of the scaled Gram, and an
     eigenvector b of it gives the unit-norm Gram eigenvector P C^-1/2 b
-    with the same eigenvalue: one eigh at s x s in place of p x p, and the
-    same basis in exact arithmetic.  Rows are merged when numpy's ``unique``
-    finds them equal (-0.0 equals 0.0, which the kernel cannot tell apart;
-    a row with a NaN is never merged).
+    with the same eigenvalue, which sums over equal draws to C^1/2 b: one
+    eigh at s x s in place of p x p, and the same basis in exact arithmetic.
+    Rows are merged when numpy's ``unique`` finds them equal (-0.0 equals
+    0.0, which the kernel cannot tell apart; a row with a NaN is never merged).
 
     Eigenvalues at or below 1e-10 times the largest are dropped, reducing m,
     rather than dividing by near-zero normalizers.
@@ -111,10 +111,9 @@ def basis_from_samples(kernel: KernelSpec, samples: np.ndarray,
     """
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     p = pts.shape[0]
-    distinct, draws, counts = np.unique(pts, axis=0, return_inverse=True,
-                                        return_counts=True)
+    distinct, counts = np.unique(pts, axis=0, return_counts=True)
     root = np.sqrt(counts)
-    vals, vecs = np.linalg.eigh(gram_matrix(kernel, distinct, scale=1.0 / p)
+    vals, vecs = np.linalg.eigh(gram_matrix(kernel, distinct) * (1.0 / p)
                                 * np.outer(root, root))
     vals, vecs = vals[::-1], vecs[:, ::-1]
     floor = _EIG_FLOOR_REL * max(vals[0], 0.0)
@@ -134,10 +133,9 @@ def basis_from_samples(kernel: KernelSpec, samples: np.ndarray,
     if m_eff == 0:
         raise InputError("Gram spectrum entirely below the eigenvalue floor")
     eigenvalues = vals[:m_eff]
-    # ravel: numpy 2.0.0 returns the inverse of a unique over axis 0 as a column
-    eig_coeffs = (vecs[:, :m_eff] / root[:, None])[draws.ravel()].T
+    eig_coeffs = (vecs[:, :m_eff] * root[:, None]).T
     normalizers = np.sqrt(p * eigenvalues)
-    return SampleBasis(pts, eig_coeffs, eigenvalues, normalizers, kernel)
+    return SampleBasis(distinct, eig_coeffs, eigenvalues, normalizers, kernel)
 
 
 def build_proxy(kernel: KernelSpec, points: np.ndarray, m: int | None, p: int,
@@ -163,14 +161,14 @@ def build_proxy(kernel: KernelSpec, points: np.ndarray, m: int | None, p: int,
 def proxy_features(basis: SampleBasis, points: np.ndarray) -> np.ndarray:
     """Proxy feature vectors, one row per point.
 
-    Row j of the map is sum_k omega_jk K(x_k, .) divided by the normalizer.
+    Row j is sum_k omega_jk K(u_k, .) over the samples u_k, divided by the normalizer.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != basis.sample_points.shape[1]:
         raise InputError(
             f"dimension mismatch: {pts.shape[1]} vs {basis.sample_points.shape[1]}"
         )
-    kx = cross_gram(basis.kernel, pts, basis.sample_points)  # (n, p)
+    kx = cross_gram(basis.kernel, pts, basis.sample_points)  # (n, s)
     return (kx @ basis.eig_coeffs.T) / basis.normalizers
 
 

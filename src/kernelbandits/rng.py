@@ -8,6 +8,9 @@ name.  The generator is Philox4x64 keyed with the pair
 so any implementation of Philox and SHA-256 reproduces the same stream.  The
 generator algorithm is part of the package's external contract: traces are
 comparable across runs only because the draws are pinned down this way.
+Every learner draws here: :func:`_uniforms` reads the raw stream, one call
+per block of rounds, and :func:`_inverse_cdf` is the one rule from a uniform
+to an index; :func:`sample_indices` joins the two.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["component_stream_id", "component_rng", "sample_indices"]
+__all__ = ["component_stream_id", "component_rng"]
 
 
 def component_stream_id(component: str) -> int:
@@ -32,27 +35,31 @@ def component_rng(seed: int, component: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _uniforms(rng: np.random.Generator, shape) -> np.ndarray:
+    """u = bits / 2^64 for the stream's next raw 64-bit outputs, one per entry."""
+    return rng.bit_generator.random_raw(shape) / 2.0**64
+
+
 def _inverse_cdf(weights: np.ndarray, u) -> np.ndarray | int:
-    """The inverse-CDF index along the last axis of ``weights`` for uniforms
-    ``u`` of shape ``weights.shape[:-1]``: the first index whose running sum
-    exceeds u times the total, so ties and rounding resolve toward lower ones."""
+    """The inverse-CDF index of a row of ``weights``, or of each row of a 2-D
+    stack, for one uniform ``u`` per row: the first index whose running sum
+    exceeds u times the total, so ties and rounding resolve toward lower ones,
+    capped at the last index of positive weight (u rounds to 1.0 for the top
+    2^10 bit patterns, and a zero tail's running sums equal the total)."""
     cum = weights.cumsum(axis=-1)
-    # searchsorted(side="right") on each nondecreasing row, capped at the last
-    # index (u rounds to 1.0 for the top 2^10 bit patterns): the count of
-    # running sums <= u * total among all but the last; one row takes the
-    # cheaper scalar comparison and whole-array count
+    # searchsorted(side="right") on each nondecreasing row but its last entry;
+    # only a draw of the last index can have zero weight, and only it is capped
     if cum.ndim == 1:
-        return np.count_nonzero(cum[:-1] <= u * cum[-1])
-    return (cum[..., :-1] <= (u * cum[..., -1])[..., None]).sum(axis=-1)
+        i = np.count_nonzero(cum[:-1] <= u * cum[-1])
+        return i if weights[i] > 0 else weights.size - 1 - (weights[::-1] > 0).argmax()
+    idx = (cum[:, :-1] <= (u * cum[:, -1])[:, None]).sum(axis=-1)
+    if not weights[:, -1].all():
+        zero = np.flatnonzero(weights[np.arange(idx.size), idx] == 0)
+        idx[zero] = weights.shape[-1] - 1 - (weights[zero, ::-1] > 0).argmax(axis=-1)
+    return idx
 
 
 def sample_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray | int:
-    """Inverse-CDF draws along the last axis of ``weights`` by the rule of
-    :func:`_inverse_cdf`, one per row; a 1-D vector is the one-row case.
-    Each row takes the next raw 64-bit output of the stream, u = bits / 2^64:
-    the same bits as ``rng.integers(0, 2**64, dtype=np.uint64)``, one call
-    for all rows, so traces are reproducible byte-for-byte given the same
-    generator."""
-    weights = np.asarray(weights, dtype=float)
-    return _inverse_cdf(weights, rng.bit_generator.random_raw(weights.shape[:-1]) / 2.0**64)
-
+    """One draw per row of ``weights`` by :func:`_inverse_cdf`, from one
+    :func:`_uniforms` call; a 1-D vector is the one-row case."""
+    return _inverse_cdf(weights, _uniforms(rng, weights.shape[:-1]))

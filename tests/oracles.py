@@ -6,8 +6,8 @@ the gap between CG's iterate and that minimizer.  ``d_optimal_design_exact``
 is the D-optimal design loop that re-forms and inverts the covariance on
 every step, the reference for the Newton steps and rank-one updates of
 ``design.d_optimal_design``.  ``gram_basis_oracle`` is the proxy basis
-from one eigh of the whole p x p sample Gram, the reference for the
-eigensolve over distinct samples of ``proxy.basis_from_samples``.
+from one eigh of the whole p x p sample Gram, one row per draw, the
+reference for the distinct-sample basis of ``proxy.basis_from_samples``.
 ``ew_fold_oracle`` is exponential weights as
 a plain per-round loop with scalar draws (``scalar_inverse_cdf``), the
 reference for the blocked pass of ``fullinfo.full_info_ew_play``;
@@ -296,7 +296,7 @@ def gram_basis_oracle(kernel: KernelSpec, samples: np.ndarray,
     warning, no error on an empty spectrum)."""
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     p = pts.shape[0]
-    vals, vecs = np.linalg.eigh(gram_matrix(kernel, pts, scale=1.0 / p))
+    vals, vecs = np.linalg.eigh(gram_matrix(kernel, pts) * (1.0 / p))
     vals, vecs = vals[::-1], vecs[:, ::-1]
     observed = int((vals > proxy._EIG_FLOOR_REL * max(vals[0], 0.0)).sum())
     k = observed if m is None else min(m, observed)
@@ -368,10 +368,11 @@ def sample_index(weights, rng: np.random.Generator) -> int:
 def scalar_inverse_cdf(weights, bits) -> int:
     """The inverse-CDF rule for one draw: u = bits / 2^64 by Python's
     int -> float, then searchsorted on the running sum, capped at the last
-    index."""
+    index of positive weight."""
     u = int(bits) / 2.0**64
     cum = np.cumsum(weights)
-    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(weights) - 1)
+    last = int(np.flatnonzero(np.asarray(weights) > 0)[-1])
+    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), last)
 
 
 def ew_fold_oracle(kernel: KernelSpec, actions, schedule, eta: float,

@@ -46,13 +46,16 @@ QUAD = KernelSpec.quadratic(G=2.0)
 
 
 def test_zero_eta_never_changes_distribution():
+    # the block step at eta = 0 keeps the uniform start; the one-row round,
+    # like the whole pass, refuses that step size
     actions = ball_directions(8)
-    state = WeightState.uniform(8)
-    rng = component_rng(0, "fi")
     w = make_explicit(LINEAR, np.array([0.3, 0.4]))
-    for _ in range(20):
-        state, _ = full_info_round(state, 0.0, LINEAR, actions, w, rng)
-    assert np.allclose(softmax(state.log_weights), 1.0 / 8)
+    L = loss_matrix(LINEAR, actions, [w] * 20)
+    log_weights = fullinfo._ew_block(np.zeros(8), 0.0, L, component_rng(0, "fi"))[-1]
+    assert np.allclose(softmax(log_weights), 1.0 / 8)
+    with pytest.raises(PreconditionError):
+        full_info_round(WeightState.uniform(8), 0.0, LINEAR, actions, w,
+                        component_rng(0, "fi"))
 
 
 def test_closed_form_weight_ratio():

@@ -14,8 +14,8 @@ from kernelbandits.errors import (
     PreconditionError,
 )
 from kernelbandits.fullinfo import full_info_eta
+from kernelbandits.kernels import _LOSS_BLOCK_ROWS
 from kernelbandits.harness import (
-    _LOSS_BLOCK_ROWS,
     ExperimentConfig,
     PeriodicAdversary,
     ScheduleAdversary,

@@ -110,21 +110,19 @@ def test_feature_consistency_unit_ball():
 
 def test_gram_matrix_examples():
     x = np.array([[0.2, 0.4]])
-    assert np.allclose(gram_matrix(GAUSS, x, 1.0), [[1.0]])
+    assert np.allclose(gram_matrix(GAUSS, x), [[1.0]])
     two = np.array([[1.0, 0.0], [1.0, 0.0]])
-    G = gram_matrix(LINEAR, two, 1.0)
+    G = gram_matrix(LINEAR, two)
     assert np.array_equal(G, [[1.0, 1.0], [1.0, 1.0]])
     assert np.linalg.matrix_rank(G) == 1
 
     rng = component_rng(2, "gram")
     pts = rng.standard_normal((5, 3))
     F = feature_matrix(QUAD, pts)
-    assert np.abs(gram_matrix(QUAD, pts, 1.0) - F @ F.T).max() <= 1e-10
+    assert np.abs(gram_matrix(QUAD, pts) - F @ F.T).max() <= 1e-10
 
 
 def test_gram_scale_validation():
-    with pytest.raises(InputError):
-        gram_matrix(LINEAR, np.zeros((1, 2)), scale=0.0)
     with pytest.raises(InputError):
         gram_matrix(LINEAR, np.zeros((0, 2)))
 
@@ -135,7 +133,7 @@ def test_gram_scale_validation():
 def test_gram_symmetric_psd(points):
     pts = np.array(points)
     for spec in (LINEAR, QUAD, GAUSS):
-        G = gram_matrix(spec, pts, 1.0)
+        G = gram_matrix(spec, pts)
         assert np.array_equal(G, G.T)
         assert np.linalg.eigvalsh(G)[0] >= -1e-9
 
@@ -173,8 +171,8 @@ def test_validate_points():
     with pytest.raises(InputError):
         validate_points(np.array([[np.inf, 0.0]]))
     with pytest.raises(InputError):
-        validate_points(np.array([[1.1, 0.0]]), unit_ball=True)
-    out = validate_points(np.array([1.0, 0.0]), unit_ball=True)
+        validate_points(np.array([[1.1, 0.0]]))
+    out = validate_points(np.array([1.0, 0.0]))
     assert out.shape == (1, 2)
 
 

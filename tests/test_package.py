@@ -50,6 +50,26 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_the_walk_and_the_draw_have_one_owner():
+    # the block size of every schedule walk is read only in kernels.py, and
+    # the raw 64-bit stream only in rng.py, so each is decided in one place
+    owners = {"_LOSS_BLOCK_ROWS": "kernels.py", "random_raw": "rng.py"}
+    readers = {name: set() for name in owners}
+    for path in sorted(Path(kernelbandits.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            for name in names & owners.keys():
+                readers[name].add(path.name)
+    assert readers == {name: {owner} for name, owner in owners.items()}
+
+
 # Public names whose only callers are tests, kept on purpose.
 _TEST_ONLY_PUBLIC = {
     "configure_bandit": ("paper construction: the bandit schedule from an eigendecay "
@@ -207,6 +227,6 @@ def test_public_parameters_have_a_non_test_setter():
                     position is not None and positional > position))
                     for callee, positional, keywords in calls):
                 unset.append(f"{name}({param})")
-    assert checked > 20
+    assert checked >= 20
     assert sorted(set(unset) - set(_TEST_ONLY_PARAMETERS)) == []
     assert set(_TEST_ONLY_PARAMETERS) <= set(unset)

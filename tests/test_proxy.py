@@ -52,7 +52,7 @@ def _taylor_features(x: np.ndarray, sigma: float, deg: int) -> np.ndarray:
 def test_gaussian_spectrum_matches_taylor_feature_oracle():
     rng = component_rng(2, "proxy-taylor")
     xs = rng.random(200)
-    scaled_gram = gram_matrix(GAUSS_HALF, xs[:, None], scale=1.0 / 200)
+    scaled_gram = gram_matrix(GAUSS_HALF, xs[:, None]) * (1.0 / 200)
     eig_gram = np.sort(np.linalg.eigvalsh(scaled_gram))[::-1][:8]
     F = _taylor_features(xs, 0.5, 10)
     cov = F.T @ F / 200
@@ -85,17 +85,20 @@ def test_proxy_feature_dimension_mismatch():
 
 
 def test_sample_basis_invariants():
-    basis = build_proxy(GAUSS_HALF, np.linspace(0, 1, 40)[:, None], m=6, p=80,
-                        rng=component_rng(5, "inv"))
+    points, p = np.linspace(0, 1, 40)[:, None], 80
+    basis = build_proxy(GAUSS_HALF, points, m=6, p=p, rng=component_rng(5, "inv"))
     mu = basis.eigenvalues
     assert np.all(mu > 0)
     assert np.all(np.diff(mu) <= 0)
-    # normalizers_j^2 = p mu_j
-    p = basis.sample_points.shape[0]
+    # normalizers_j^2 = p mu_j, for the p samples drawn, not the s kept
     assert np.abs(basis.normalizers**2 - p * mu).max() <= 1e-8 * mu[0] * p
-    # rows of eig_coeffs orthonormal
-    gram = basis.eig_coeffs @ basis.eig_coeffs.T
-    assert np.abs(gram - np.eye(basis.m)).max() <= 1e-8
+    # the rows are the distinct draws, and C^-1/2 times the coefficients, for
+    # C the draw counts, is the orthonormal eigenvector set of the s x s eigh
+    draws = points[component_rng(5, "inv").integers(0, points.shape[0], size=p)]
+    rows, counts = np.unique(draws, axis=0, return_counts=True)
+    assert np.array_equal(basis.sample_points, rows)
+    b = basis.eig_coeffs / np.sqrt(counts)
+    assert np.abs(b @ b.T - np.eye(basis.m)).max() <= 1e-8
 
 
 def test_effective_dimension_examples():
@@ -123,7 +126,7 @@ def test_sup_error_of_degenerate_basis_is_kernel_sup():
     # a basis whose single direction is orthogonal to all probes
     basis = basis_from_samples(LINEAR, np.array([[0.0, 0.0, 1.0]]), m=1)
     probes = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.5, -0.5, 0.0]])
-    K = gram_matrix(LINEAR, probes, 1.0)
+    K = gram_matrix(LINEAR, probes)
     assert approximation_sup_error(LINEAR, basis, probes) == pytest.approx(
         np.abs(K).max()
     )
@@ -148,7 +151,7 @@ def test_gram_covariance_spectral_equivalence():
         pts /= np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None]
         F = feature_matrix(quad, pts)
         cov = F.T @ F / p
-        gram = gram_matrix(quad, pts, scale=1.0 / p)
+        gram = gram_matrix(quad, pts) * (1.0 / p)
         ev_cov = np.sort(np.linalg.eigvalsh(cov))[::-1]
         ev_gram = np.sort(np.linalg.eigvalsh(gram))[::-1]
         k = min(len(ev_cov), len(ev_gram))
@@ -214,19 +217,28 @@ def _sample_sets(points: np.ndarray, rng: np.random.Generator) -> dict:
                          ids=["linear", "quadratic", "gaussian"])
 @pytest.mark.parametrize("draw", ["with_replacement", "identical", "distinct"])
 def test_distinct_sample_eigensolve_matches_the_full_gram(kernel, draw):
-    # the eigh over the s distinct samples gives the basis of the p x p
-    # eigh: the same m, the same eigenvalues and the same induced kernel
-    # F F^T, with p-length unit-norm eigenvectors
+    # the basis over the s distinct samples is the basis of the p x p eigh
+    # over every draw: the same m, the same eigenvalues and normalizers, and
+    # the same induced kernel F F^T (the features themselves are fixed only
+    # up to a rotation within each eigenspace), with its rows the distinct
+    # samples, each once, and one coefficient per row
     rng = component_rng(13, f"distinct-{kernel.variant}")
     points = rng.standard_normal((30, 3))
     points /= np.maximum(np.linalg.norm(points, axis=1), 1.0)[:, None]
     samples = _sample_sets(points, rng)[draw]
+    p = samples.shape[0]
     fast = basis_from_samples(kernel, samples, m=None)
     exact = gram_basis_oracle(kernel, samples)
+    rows, counts = np.unique(samples, axis=0, return_counts=True)
     assert fast.m == exact.m
-    assert fast.eig_coeffs.shape == exact.eig_coeffs.shape == (fast.m, samples.shape[0])
-    assert np.abs(fast.eigenvalues - exact.eigenvalues).max() <= 1e-12 * exact.eigenvalues[0]
-    assert np.abs(fast.eig_coeffs @ fast.eig_coeffs.T - np.eye(fast.m)).max() <= 1e-12
+    assert np.array_equal(fast.sample_points, rows)
+    assert fast.eig_coeffs.shape == (fast.m, rows.shape[0])
+    top = exact.eigenvalues[0]
+    assert np.abs(fast.eigenvalues - exact.eigenvalues).max() <= 1e-12 * top
+    assert np.abs(fast.normalizers**2 - p * fast.eigenvalues).max() <= 1e-12 * p * top
+    # C^-1/2 times the coefficients is the orthonormal eigenvector set b
+    b = fast.eig_coeffs / np.sqrt(counts)
+    assert np.abs(b @ b.T - np.eye(fast.m)).max() <= 1e-12
     probes = np.vstack([points, rng.standard_normal((20, 3)) / 2.0])
     F, F_exact = proxy_features(fast, probes), proxy_features(exact, probes)
     assert np.abs(F @ F.T - F_exact @ F_exact.T).max() <= 1e-12
@@ -235,8 +247,8 @@ def test_distinct_sample_eigensolve_matches_the_full_gram(kernel, draw):
 
 
 def test_proxy_eigensolve_runs_over_the_distinct_samples(monkeypatch):
-    # the bench's proxy: 300 draws from 150 lattice points hit 127 of them,
-    # and the one eigh is 127 x 127, not 300 x 300
+    # the bench's proxy: 300 draws from 150 lattice points hit 127 of them;
+    # the one eigh is 127 x 127, not 300 x 300, and the basis keeps the 127
     shapes = []
     eigh = np.linalg.eigh
 
@@ -248,10 +260,12 @@ def test_proxy_eigensolve_runs_over_the_distinct_samples(monkeypatch):
     with pytest.warns(DegenerateSpectrumWarning):
         basis = build_proxy(GAUSS_HALF, fibonacci_sphere(150), m=150, p=300,
                             rng=component_rng(0, "proxy"))
-    s = np.unique(basis.sample_points, axis=0).shape[0]
+    draws = fibonacci_sphere(150)[component_rng(0, "proxy").integers(0, 150, size=300)]
+    assert np.array_equal(basis.sample_points, np.unique(draws, axis=0))
+    s = basis.sample_points.shape[0]
     assert s == 127
     assert shapes == [(s, s)]
-    assert basis.eig_coeffs.shape == (basis.m, 300)
+    assert basis.eig_coeffs.shape == (basis.m, s)
 
 
 def test_proxy_at_six_hundred_actions():

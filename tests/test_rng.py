@@ -1,5 +1,7 @@
 import numpy as np
 
+from kernelbandits.fullinfo import full_info_ew_play
+from kernelbandits.kernels import KernelSpec, make_rank_one
 from kernelbandits.rng import _inverse_cdf, component_rng, sample_indices
 from oracles import FixedBits, sample_index, scalar_inverse_cdf
 
@@ -76,8 +78,33 @@ def test_one_block_of_raw_draws_gives_per_row_draws():
     singles = _ListedBits(bits)
     assert blocked == [sample_index(w, singles) for w in weights]
     assert blocked == [scalar_inverse_cdf(w, b) for w, b in zip(weights, bits)]
-    # the top patterns draw the last index, on rows 292 and 296 too, whose
-    # last weight is zero
+    # the top patterns draw the last index of positive weight: 7 on rows 292
+    # and 296, whose last weight is zero
     capped = [t for t, b in enumerate(bits) if b >= 2**64 - 1024]
     assert capped == [292, 293, 296, 297]
-    assert [blocked[t] for t in capped] == [8, 8, 8, 8]
+    assert [blocked[t] for t in capped] == [7, 8, 7, 8]
+
+
+def test_the_draw_never_plays_a_zero_tail():
+    # u rounds to 1.0 for the top 2^10 bit patterns, so u times the total
+    # reaches the running sum at every index of a zero tail; the rule caps
+    # the draw at the last index of positive weight, for one row and a stack
+    rows = ([0.5, 0.5, 0.0], [0.25, 0.0, 0.5, 0.25, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0])
+    stack = np.array([[0.25, 0.0, 0.5, 0.25, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0],
+                      [0.5, 0.5, 0.0, 0.0, 0.0]])
+    for value in (2**64 - 1, 2**64 - 1024):
+        u = np.uint64(value) / 2.0**64
+        assert u == 1.0
+        for w, last in zip(rows, (1, 3, 1)):
+            assert _inverse_cdf(np.array(w), u) == last
+            assert scalar_inverse_cdf(w, value) == last
+        assert _inverse_cdf(stack, np.full(3, u)).tolist() == [3, 1, 1]
+        assert sample_indices(stack, FixedBits(value)).tolist() == [3, 1, 1]
+    # exponential weights at a large step: from round two on, the last two
+    # actions' probabilities underflow to 0, and the top pattern plays action 0
+    linear = KernelSpec.linear()
+    actions = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    schedule = [make_rank_one(linear, np.array([1.0, 0.0]))] * 300
+    idx = full_info_ew_play(linear, actions, schedule, 1000.0, FixedBits(2**64 - 1))[0]
+    assert idx[0] == 2
+    assert (idx[1:] == 0).all()
