@@ -7,17 +7,14 @@ while N <= m (m + 1) / 2, each step is a Newton step on all N weights, one
 N x N solve, O(N^3 + N^2 m); the first step refused (a weight would not
 stay positive, or log det would fall) hands the rest of the call to
 Frank-Wolfe with away steps, the only steps that can empty a support point
-and the only ones taken for N > m (m + 1) / 2.  A Frank-Wolfe step moves
-weight to or from one action j, so it needs only column j of the leverage
-matrix F Sigma^-1 F^T, formed from the last exact recomputation and the r
-rank-one terms added since: O(N m + N r) per step, r < ``_DESIGN_REFRESH``.
-The leverages are recomputed exactly after every Newton step, every
-``_DESIGN_REFRESH`` Frank-Wolfe steps, after a near-zero pivot, and before
-the Kiefer-Wolfowitz certificate is accepted or refused.  After whitening by
-the design covariance, the feature second-moment matrix of the design is
-the identity over m, which is what gives the mixed distribution its gamma/m
-eigenvalue floor.  `action_covariance` (the second moment) is the one
-covariance path.  The second moment of nonnegative weights w is X^T X with
+and the only ones taken for N > m (m + 1) / 2.  Every step of either kind
+starts from the leverages f_i^T Sigma^-1 f_i recomputed from scratch at the
+current weights, O(N m^2 + m^3), and the Kiefer-Wolfowitz certificate is
+checked on them before the step.  After whitening by the design
+covariance, the feature second-moment matrix of the design is the identity
+over m, which is what gives the mixed distribution its gamma/m eigenvalue
+floor.  `action_covariance` (the second moment) is the one covariance
+path.  The second moment of nonnegative weights w is X^T X with
 X = sqrt(w) * F, one symmetric product, so it is symmetric by construction.
 On its covariance path the bandit forms the covariance every round and
 solves against it (its complement path forms it only on the rounds it
@@ -45,10 +42,6 @@ __all__ = [
 
 _SPAN_REL_TOL = 1e-10  # singular values at or below this times the largest are zero
 _DESIGN_MAX_ITER = 10_000  # Newton and Frank-Wolfe steps before d_optimal_design gives up
-_DESIGN_REFRESH = 50  # bound on the rank-one terms since the last exact recomputation
-# a rank-one update whose pivot 1 - lam or 1 + q g_j is at most this (the
-# m = 1 add step has lam = 1) is replaced by a from-scratch recomputation
-_MIN_PIVOT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -123,29 +116,23 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     A tol that is not positive and finite, or a feature that is not finite,
     raises InputError before the first step.
 
-    Newton steps come first, from the uniform start, and only while
-    n <= m (m + 1) / 2: above that the negative Hessian K = G o G on the
-    weights, with G = F Sigma^-1 F^T, has rank below n and is singular.
-    Each one solves K [a b] = [g 1] at exact H = F Sigma^-1 and g, steps by
-    d = a - (sum a / sum b) b (``_newton_step``), and recomputes H and g at
-    the new weights: O(n^3 + n^2 m) per attempt.  An accepted step keeps
-    every weight positive and log det from falling, so the support stays
-    all n rows.  The first refused step leaves w as it is, and the rest of
-    the call takes Frank-Wolfe steps, so a refusal costs one solve.
+    Every step, and the certificate, reads H = F Sigma^-1 and the leverages
+    g_i = f_i^T Sigma^-1 f_i recomputed from scratch at the current weights
+    (``_leverages``, O(n m^2 + m^3)).  Newton steps come first, from the
+    uniform start, and only while n <= m (m + 1) / 2: above that the
+    negative Hessian K = G o G on the weights, with G = F Sigma^-1 F^T, has
+    rank below n and is singular.  Each one solves K [a b] = [g 1] and steps
+    by d = a - (sum a / sum b) b (``_newton_step``): O(n^3 + n^2 m) per
+    attempt.  An accepted step keeps every weight positive and log det from
+    falling, so the support stays all n rows.  The first refused step leaves
+    w as it is, and the rest of the call takes Frank-Wolfe steps, so a
+    refusal costs one solve.
 
-    A Frank-Wolfe step w' = (1 - lam) w + lam e_j changes Sigma by a
-    rank-one term, so G changes by one too:
-    G' = (G - c v v^T) / (1 - lam) with v = G e_j, its column j, and
-    c = lam / (1 - lam + lam g_j).  Neither G nor Sigma^-1 is updated: G is
-    held as s (H F^T - V diag(c) V^T), with H = F Sigma_0^-1 from the last
-    exact recomputation and V the r N-vectors added since.  A step forms
-    only column j, s (H f_j - V (c * V[j])), and updates the leverages
-    g = diag(G) from it, in O(N m + N r) with no m x m temporary;
-    r < ``_DESIGN_REFRESH``.  H and g are recomputed from scratch (Sigma, its
-    inverse and F times that) every ``_DESIGN_REFRESH`` Frank-Wolfe steps,
-    after a step whose update would divide by a pivot near zero, and before
-    the certificate is accepted or refused: the certificate is always
-    checked on exact leverages.
+    A Frank-Wolfe step w' = (1 - lam) w + lam e_j adds weight to the row of
+    largest leverage, or takes it from the support row of smallest leverage
+    (an away step, clipped so that no weight goes negative), whichever side
+    of the certificate is violated more, with lam the exact line search of
+    log det along that direction.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InputError(f"tol must be positive and finite, got {tol!r}")
@@ -157,40 +144,23 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     if rank < m:
         raise RankDeficiencyError(rank, m)
     w = np.full(n, 1.0 / n)
-    H, g = _leverages(F, w)
     newton = n <= m * (m + 1) // 2  # the rank of K is at most m (m + 1) / 2
-    V = np.empty((n, _DESIGN_REFRESH))  # G = s (H F^T - V[:, :r] diag(c) V[:, :r]^T)
-    c = np.empty(_DESIGN_REFRESH)
-    support = np.empty(n, dtype=bool)  # w > 0: the away step's candidates
-    away = np.empty(n)  # g on the support, +inf off it
-    term = np.empty(n)  # cj (s col)^2, the step's change to g before the shrink
-    s, r = 1.0, 0
-    it = 0
-    while True:
+    for it in range(_DESIGN_MAX_ITER + 1):
+        H, g = _leverages(F, w)
         j_add = int(g.argmax())
-        np.greater(w, 0.0, out=support)
-        away.fill(np.inf)
-        np.copyto(away, g, where=support)
-        j_away = int(away.argmin())
+        j_away = int(np.where(w > 0.0, g, np.inf).argmin())  # over the support
         g_add, g_away = float(g[j_add]), float(g[j_away])
         add_violation = g_add / m - 1.0
         away_violation = 1.0 - g_away / m
-        converged = add_violation <= tol and away_violation <= tol
-        if (converged or it == _DESIGN_MAX_ITER) and r:
-            H, g = _leverages(F, w)
-            s, r = 1.0, 0
-            continue
-        if converged:
+        if add_violation <= tol and away_violation <= tol:
             return DiscreteDistribution(w)
         if it == _DESIGN_MAX_ITER:
             raise ToleranceNotMetError(max(add_violation, away_violation), tol,
                                        _DESIGN_MAX_ITER)
-        if newton:  # no Frank-Wolfe step yet: H and g are exact at w
+        if newton:  # no Frank-Wolfe step yet
             stepped = _newton_step(F, H, g, w)
             if stepped is not None:
                 w = stepped
-                H, g = _leverages(F, w)
-                it += 1
                 continue
             newton = False
         if add_violation >= away_violation:
@@ -204,29 +174,10 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
                 lam = max((gj - m) / (m * (gj - 1.0)), lam_min)
             else:
                 lam = lam_min  # log det increases all the way to dropping j
-        # Sigma' = (1 - lam)(Sigma + q f_j f_j^T) with q = lam / (1 - lam)
-        shrink = 1.0 - lam
-        w *= shrink
+        w *= 1.0 - lam
         w[j] += lam
         np.maximum(w, 0.0, out=w)
         w /= w.sum()
-        it += 1
-        if (it % _DESIGN_REFRESH == 0 or shrink <= _MIN_PIVOT
-                or 1.0 + lam / shrink * gj <= _MIN_PIVOT):
-            H, g = _leverages(F, w)
-            s, r = 1.0, 0
-        else:
-            col = H @ F[j] - V[:, :r] @ (c[:r] * V[j, :r])  # G e_j / s
-            cj = lam / (shrink + lam * gj)  # q / (1 + q g_j)
-            np.multiply(col, s, out=term)
-            np.square(term, out=term)
-            term *= cj
-            g -= term
-            g /= shrink
-            V[:, r] = col
-            c[r] = cj * s
-            s /= shrink
-            r += 1
 
 
 def action_covariance(weights, features) -> np.ndarray:

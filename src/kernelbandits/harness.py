@@ -229,7 +229,8 @@ class ExperimentConfig:
     for cg.  A missing required key, a key the algorithm does not read and a
     value that is not a real number (bools included) are input errors; the
     dict is stored with its defaults filled in, and the ranges are checked
-    by the learner's own config.  Each run seed gets its own adversary stream.
+    by the learner's own config.  Each run seed gets its own adversary stream
+    and its own trace, so a repeated seed is an input error.
     The bandit's proxy basis samples ``proxy_p`` actions (default: twice
     the number of actions) and keeps ``proxy_m`` eigenvectors (default: the
     whole sampled spectrum above the eigenvalue floor).
@@ -252,6 +253,8 @@ class ExperimentConfig:
             raise InputError("horizon n must be >= 1")
         if len(self.seeds) < 1:
             raise InputError("need at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise InputError(f"seeds repeat: {self.seeds!r}")
         if self.params != "paper":
             keys = _PARAM_KEYS[self.algo]
             if not isinstance(self.params, dict):

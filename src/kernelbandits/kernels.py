@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, inf
 
 import numpy as np
 
@@ -83,16 +83,17 @@ class KernelSpec:
     def __post_init__(self):
         if self.variant not in ("linear", "quadratic", "gaussian", "polynomial"):
             raise InputError(f"unknown kernel variant {self.variant!r}")
-        if self.norm_bound_G <= 0:
-            raise InputError("norm_bound_G must be positive")
+        # chained comparisons are false for NaN, so they refuse it too
+        if not 0 < self.norm_bound_G < inf:
+            raise InputError("norm_bound_G must be positive and finite")
         if self.variant == "gaussian":
-            if self.sigma is None or self.sigma <= 0:
-                raise InputError("gaussian kernel needs sigma > 0")
+            if self.sigma is None or not 0 < self.sigma < inf:
+                raise InputError("gaussian kernel needs a finite sigma > 0")
         if self.variant == "polynomial":
             if self.degree is None or self.degree < 1:
                 raise InputError("polynomial kernel needs degree >= 1")
-            if self.offset is None or self.offset < 0:
-                raise InputError("polynomial kernel needs offset >= 0")
+            if self.offset is None or not 0 <= self.offset < inf:
+                raise InputError("polynomial kernel needs a finite offset >= 0")
 
     @classmethod
     def linear(cls, G: float = 1.0) -> "KernelSpec":
@@ -349,10 +350,12 @@ def adversary_norm(spec: KernelSpec, w: AdversaryAction) -> float:
 
 
 def _bounded(spec: KernelSpec, action: AdversaryAction) -> AdversaryAction:
-    """``action``, or InputError if its norm exceeds the kernel's bound G."""
+    """``action``, or InputError if its norm exceeds the kernel's bound G or
+    is NaN."""
     norm = adversary_norm(spec, action)
-    if norm > spec.norm_bound_G + _NORM_TOL:
-        raise InputError(f"adversary norm {norm:.12g} exceeds bound {spec.norm_bound_G}")
+    if not norm <= spec.norm_bound_G + _NORM_TOL:
+        raise InputError(f"adversary norm {norm:.12g} is not within bound "
+                         f"{spec.norm_bound_G}")
     return action
 
 

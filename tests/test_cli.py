@@ -251,6 +251,13 @@ def test_run_command_input_error_exit_code(tmp_path):
     {"algo": "bandit_ew", "proxy-p": "0"},
     {"algo": "bandit_ew", "proxy-m": "0"},
     {"algo": "bandit_ew", "proxy-p": "4", "proxy-m": "5"},
+    {"algo": "cg", "kernel": "quadratic", "adversary": "fixed-point:nan,0"},
+    {"adversary": "fixed:nan,0"},
+    {"kernel": "gaussian:inf"},
+    {"kernel": "gaussian:nan"},
+    {"kernel": "linear:nan"},
+    {"kernel": "poly:2:nan"},
+    {"seeds": "1,1"},
 ], ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()))
 def test_run_command_malformed_input_exits_2(tmp_path, capsys, flags):
     args = {"algo": "fullinfo_ew", "kernel": "linear", "actions": "ball:8",

@@ -45,8 +45,8 @@ def test_design_standard_basis_is_uniform():
 
 @pytest.mark.filterwarnings("error")
 def test_design_one_dimensional_prefers_larger_scalar():
-    # the add step from the uniform start has lam = 1: a singular rank-one
-    # update, which must be recomputed rather than divided by zero
+    # the add step from the uniform start has lam = 1 and empties the other
+    # point; the leverages at that one-point support must stay finite
     d = d_optimal_design(np.array([[2.0], [1.0]]))
     assert d.weights[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -120,10 +120,9 @@ def _two_axes_and_a_diagonal(c):
 
 
 def test_design_matches_exact_oracle(monkeypatch):
-    # the fast loop follows the from-scratch loop step for step: Frank-Wolfe
-    # steps by rank-one updates on the random sets, Newton steps on the
-    # benchmark's set (the last), one Newton step then Frank-Wolfe on the
-    # c = 0.95 set
+    # the design loop follows the oracle's loop step for step: Frank-Wolfe
+    # steps on the random sets, Newton steps on the benchmark's set (the
+    # last), one Newton step then Frank-Wolfe on the c = 0.95 set
     sets = _kw_feature_sets()
     points = component_rng(4, "gauss").uniform(-1.0, 1.0, size=(60, 2)) / np.sqrt(2)
     basis = build_proxy(KernelSpec.gaussian(0.5), points, m=48, p=120,
@@ -132,14 +131,7 @@ def test_design_matches_exact_oracle(monkeypatch):
     assert sets[-1].shape[1] >= 40
     sets += [_two_axes_and_a_diagonal(0.9), _two_axes_and_a_diagonal(0.95)]
     sets.append(_bench_design_set())
-    recomputations = []
-    leverages = design._leverages
-
-    def counted(F, w):
-        recomputations.append(F.shape)
-        return leverages(F, w)
-
-    monkeypatch.setattr(design, "_leverages", counted)
+    recomputations = _record_leverages(monkeypatch)
     for F in sets:
         fast = d_optimal_design(F, tol=1e-6)
         exact = d_optimal_design_exact(F, tol=1e-6)
@@ -148,6 +140,18 @@ def test_design_matches_exact_oracle(monkeypatch):
         assert _kw_ratio(F, exact.weights) <= 1.0 + 1e-6
     # the start and one after each of the three Newton steps
     assert recomputations.count((150, 127)) == 4
+
+
+def _record_leverages(monkeypatch):
+    shapes = []
+    leverages = design._leverages
+
+    def recorded(F, w):
+        shapes.append(F.shape)
+        return leverages(F, w)
+
+    monkeypatch.setattr(design, "_leverages", recorded)
+    return shapes
 
 
 def _record_newton_steps(monkeypatch):
@@ -177,14 +181,15 @@ def test_newton_steps_alone_certify_the_benchmark_set(monkeypatch):
 
 
 def test_design_above_the_newton_size_keeps_the_frank_wolfe_weights(monkeypatch):
-    # n = 30 > m (m + 1) / 2 = 15: no Newton step is tried, and the weights
-    # have the bits of the Frank-Wolfe loop before Newton steps were added
+    # n = 30 > m (m + 1) / 2 = 15: no Newton step is tried, the weights are
+    # the oracle's to 1e-12, and their bits are pinned
     taken = _record_newton_steps(monkeypatch)
     F = component_rng(3, "cap").standard_normal((30, 5))
     w = d_optimal_design(F).weights
     assert taken == []
+    assert np.abs(w - d_optimal_design_exact(F).weights).sum() <= 1e-12
     assert hashlib.sha256(w.tobytes()).hexdigest() == (
-        "e988f1edb7202d97c41ed73244bfd2f8143ee58c6049c7bf4ff3bc4e7e9a06d0")
+        "568cd4420d8192e7bddd17f1e49de6f2cd882f64d8e30622d55f1d3e5cca7be7")
 
 
 def test_refused_newton_step_leaves_the_weights_unchanged():
@@ -199,12 +204,15 @@ def test_refused_newton_step_leaves_the_weights_unchanged():
 
 
 def test_design_iteration_cap_raises_without_certificate(monkeypatch):
-    # three steps from the uniform start leave max_i g_i / m at 1.84
+    # three steps from the uniform start leave max_i g_i / m at 1.84; the
+    # leverages are recomputed exactly at the start and after every step
     monkeypatch.setattr(design, "_DESIGN_MAX_ITER", 3)
+    recomputations = _record_leverages(monkeypatch)
     F = component_rng(3, "cap").standard_normal((30, 5))
     with pytest.raises(ToleranceNotMetError) as err:
         d_optimal_design(F)
     assert err.value.iterations == 3 and err.value.achieved_gap > 1e-6
+    assert len(recomputations) == 4
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])

@@ -71,6 +71,10 @@ def test_adversary_norm_bound_enforced():
         make_explicit(LINEAR, np.array([2.0, 0.0]))  # norm 2 > G = 1
     with pytest.raises(InputError):
         make_rank_one(QUAD, np.array([1.5, 0.0]))  # K(y,y) = 7.3 > G^2 = 4
+    # a NaN norm compares false against G and is refused, not accepted
+    for make, spec in ((make_explicit, LINEAR), (make_rank_one, QUAD), (make_rank_one, GAUSS)):
+        with pytest.raises(InputError, match="not within bound"):
+            make(spec, np.array([np.nan, 0.0]))
 
 
 def test_feature_map_examples():
@@ -183,6 +187,13 @@ def test_spec_validation():
         KernelSpec("polynomial", degree=0, offset=1.0)
     with pytest.raises(InputError):
         KernelSpec("linear", norm_bound_G=0.0)
+    # a non-finite bound, width or offset is refused, NaN included
+    for bad in (float("nan"), float("inf")):
+        for make in (lambda: KernelSpec.linear(G=bad),
+                     lambda: KernelSpec.gaussian(bad),
+                     lambda: KernelSpec.polynomial(2, bad, G=1.0)):
+            with pytest.raises(InputError):
+                make()
 
 
 def test_rank_one_loss_matches_feature_route():
