@@ -19,13 +19,15 @@ drawn, so it carries the player's sampling noise and can be negative on a
 single run.  Expected regret is estimated by averaging final regrets over
 seeds, with a standard error attached.
 
-Every learner returns its played indices and losses, the expected losses
-<p_t, l_t> and the per-action loss totals; :func:`run_experiment` takes the
-best action from those totals, so L is formed twice per run.  Its traces
-carry pseudo-regret, sum_t <p_t, l_t> - min_a L_n(a), the quantity the
-regret theorems bound; it alone is bounded pathwise (for exponential
-weights from a uniform start it is >= 0 on every loss sequence, and at most
-log N / eta + eta (e - 2) G^4 t at every prefix t when eta G^2 <= 1).
+The learners are one table, ``_LEARNERS``; nothing else branches on the
+algorithm.  :func:`run_experiment` resolves its entry once and runs one seed
+loop, whose every play returns the played indices and losses, the expected
+losses <p_t, l_t> and the per-action loss totals; the best action comes from
+those totals, so L is formed twice per run.  The traces carry pseudo-regret,
+sum_t <p_t, l_t> - min_a L_n(a), the quantity the regret theorems bound; it
+alone is bounded pathwise (for exponential weights from a uniform start it
+is >= 0 on every loss sequence, and at most log N / eta + eta (e - 2) G^4 t
+at every prefix t when eta G^2 <= 1).
 """
 
 from __future__ import annotations
@@ -66,11 +68,6 @@ __all__ = [
     "parse_trace",
     "ball_directions",
 ]
-
-# the keys each algorithm reads from explicit params, each with its default
-# (None: required); every value is a real number
-_PARAM_KEYS = {"bandit_ew": {"eta": None, "gamma": None, "eps": 0.0},
-               "fullinfo_ew": {"eta": None}, "cg": {"eta": None, "c": None}}
 
 
 @dataclass(frozen=True)
@@ -223,20 +220,21 @@ class ExperimentConfig:
     the bandit's proxy basis, which every run draws from seed 0.
 
     ``params`` is either the string "paper" (theorem schedules) or a dict of
-    explicit schedule parameters, real numbers under the keys of
-    ``_PARAM_KEYS``: eta and gamma (eps optional, default 0) for bandit_ew,
-    eta for fullinfo_ew, and eta and c, for gamma_t = min(1, c / sqrt(t)),
-    for cg.  A missing required key, a key the algorithm does not read and a
-    value that is not a real number (bools included) are input errors; the
-    dict is stored with its defaults filled in, and the ranges are checked
-    by the learner's own config.  Each run seed gets its own adversary stream
-    and its own trace, so a repeated seed is an input error.
-    The bandit's proxy basis samples ``proxy_p`` actions (default: twice
-    the number of actions) and keeps ``proxy_m`` eigenvectors (default: the
-    whole sampled spectrum above the eigenvalue floor).
+    explicit schedule parameters, real numbers under the algorithm's keys in
+    ``_LEARNERS``: eta and gamma (eps optional, default 0) for the bandit,
+    eta for full-information exponential weights, and eta and c, for
+    gamma_t = min(1, c / sqrt(t)), for conditional gradient.  A missing
+    required key, a key the algorithm does not read and a value that is not
+    a real number (bools included) are input errors; the dict is stored with
+    its defaults filled in, and the ranges are checked by the learner's own
+    config.  Each run seed gets its own adversary stream and its own trace,
+    so a repeated seed is an input error.  The bandit's proxy basis samples
+    ``proxy_p`` actions (default: twice the number of actions) and keeps
+    ``proxy_m`` eigenvectors (default: the whole sampled spectrum above the
+    eigenvalue floor).
     """
 
-    algo: str  # "bandit_ew" | "fullinfo_ew" | "cg"
+    algo: str  # a key of _LEARNERS
     kernel: KernelSpec
     actions: np.ndarray
     adversary: object
@@ -247,8 +245,8 @@ class ExperimentConfig:
     proxy_m: int | None = None
 
     def __post_init__(self):
-        if self.algo not in ("bandit_ew", "fullinfo_ew", "cg"):
-            raise InputError(f"unknown algorithm {self.algo!r}")
+        if self.algo not in _LEARNERS:
+            raise InputError(f"algo {self.algo!r} is not one of {', '.join(_LEARNERS)}")
         if self.n < 1:
             raise InputError("horizon n must be >= 1")
         if len(self.seeds) < 1:
@@ -256,7 +254,7 @@ class ExperimentConfig:
         if len(set(self.seeds)) < len(self.seeds):
             raise InputError(f"seeds repeat: {self.seeds!r}")
         if self.params != "paper":
-            keys = _PARAM_KEYS[self.algo]
+            keys = _LEARNERS[self.algo][0]
             if not isinstance(self.params, dict):
                 raise InputError(f"{self.algo} params must be 'paper' or a dict of "
                                  f"{', '.join(keys)}; got {self.params!r}")
@@ -287,8 +285,7 @@ class ExperimentResult:
 
 
 def _bandit_setup(config: ExperimentConfig):
-    kernel = config.kernel
-    actions = config.actions
+    kernel, actions = config.kernel, config.actions
     num_actions = actions.shape[0]
     p = 2 * num_actions if config.proxy_p is None else config.proxy_p
     basis = build_proxy(kernel, actions, m=config.proxy_m, p=p,
@@ -304,6 +301,61 @@ def _bandit_setup(config: ExperimentConfig):
     return features, nu, bcfg, center_offset
 
 
+def _bandit_learner(config: ExperimentConfig, details: dict):
+    kernel, actions = config.kernel, config.actions
+    features, nu, bcfg, center_offset = _bandit_setup(config)
+    certificate = _bandit._certify_run(bcfg, features, nu)
+    details["params"] = {key: getattr(bcfg, key) for key in _LEARNERS[config.algo][0]}
+    details["bandit_config"] = bcfg
+    # whitening makes the design covariance I/m, so in exact arithmetic
+    # ||f_i||^2 = f_i^T Sigma_nu^-1 f_i / m: the largest squared row norm
+    # is the Kiefer-Wolfowitz ratio max_i g_i / m
+    details["design"] = {"kw_ratio": certificate.kw_ratio, "center_offset": center_offset}
+    details["covariance_floor"] = {"floor": certificate.floor,
+                                   "certified_lower_bound": certificate.bound}
+    estimator = details["bandit_estimator"] = dict(certificate.estimator)
+    bound = _bandit.theorem_regret_bound(bcfg, kernel.norm_bound_G, actions.shape[0])
+    details["theorem_bound"] = bound
+    details["vacuous"] = bound >= 2.0 * kernel.norm_bound_G**2 * bcfg.n
+
+    def play(schedule, rng):
+        out = _bandit._bandit_play(kernel, actions, features, nu, bcfg, schedule, rng,
+                                   certificate)
+        # the analysis needs eta |l-hat_t(a)| <= 1 on every seed and round (a
+        # running max of the products: rounding by eta > 0 is monotone)
+        estimator["max_eta_loss_hat"] = max(estimator.get("max_eta_loss_hat", 0.0),
+                                            bcfg.eta * float(out[4].max()))
+        return out
+    return play
+
+
+def _ew_learner(config: ExperimentConfig, details: dict):
+    kernel, actions = config.kernel, config.actions
+    eta = (_fullinfo.full_info_eta(actions.shape[0], kernel.norm_bound_G, config.n)
+           if config.params == "paper" else config.params["eta"])
+    details["params"] = {"eta": eta}
+    return lambda schedule, rng: _fullinfo.full_info_ew_play(kernel, actions, schedule,
+                                                             eta, rng)
+
+
+def _cg_learner(config: ExperimentConfig, details: dict):
+    cg_config = (_fullinfo.cg_theorem_config(config.n) if config.params == "paper"
+                 else _fullinfo.CGConfig(**config.params))
+    details["params"] = asdict(cg_config)
+    return lambda schedule, rng: _fullinfo._cg_play(
+        config.kernel, config.actions, schedule, cg_config, rng)
+
+
+# each algorithm's explicit-param keys with their defaults (None: required),
+# and its resolver: the run's once-per-call work, which writes ``details``
+# and returns play(schedule, rng)
+_LEARNERS = {
+    "bandit_ew": ({"eta": None, "gamma": None, "eps": 0.0}, _bandit_learner),
+    "fullinfo_ew": ({"eta": None}, _ew_learner),
+    "cg": ({"eta": None, "c": None}, _cg_learner),
+}
+
+
 def _mean_and_stderr(finals: list[float]) -> tuple[float, float]:
     """Mean of per-seed final values and its standard error (0 for one seed)."""
     finals = np.array(finals)
@@ -313,68 +365,21 @@ def _mean_and_stderr(finals: list[float]) -> tuple[float, float]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """One trace per seed, each with its realized and pseudo-regret; mean
-    final regret with its standard error.  The schedule is resolved once per
-    call, and ``details["params"]`` holds it as the explicit params that
-    replay it."""
-    kernel, actions = config.kernel, config.actions
-    paper = config.params == "paper"
-    traces: list[RegretTrace] = []
-    hashes: list[str] = []
+    final regret with its standard error.  ``details["params"]`` holds the
+    schedule, resolved once per call, as the explicit params that replay it."""
     details: dict = {}
-
-    if config.algo == "fullinfo_ew":
-        eta = (_fullinfo.full_info_eta(actions.shape[0], kernel.norm_bound_G, config.n)
-               if paper else config.params["eta"])
-        details["params"] = {"eta": eta}
-    elif config.algo == "cg":
-        cg_config = (_fullinfo.cg_theorem_config(config.n) if paper
-                     else _fullinfo.CGConfig(**config.params))
-        details["params"] = asdict(cg_config)
-    else:
-        features, nu, bcfg, center_offset = _bandit_setup(config)
-        certificate = _bandit._certify_run(bcfg, features, nu)
-        details["params"] = {key: getattr(bcfg, key) for key in _PARAM_KEYS[config.algo]}
-        details["bandit_config"] = bcfg
-        # whitening makes the design covariance I/m, so in exact arithmetic
-        # ||f_i||^2 = f_i^T Sigma_nu^-1 f_i / m: the largest squared row norm
-        # is the Kiefer-Wolfowitz ratio max_i g_i / m
-        details["design"] = {"kw_ratio": certificate.kw_ratio,
-                             "center_offset": center_offset}
-        details["covariance_floor"] = {"floor": certificate.floor,
-                                       "certified_lower_bound": certificate.bound}
-        details["bandit_estimator"] = dict(certificate.estimator)
-        loss_hat_max = []
-
+    play = _LEARNERS[config.algo][1](config, details)
+    traces, hashes = [], []
     for seed in config.seeds:
-        adv_rng = component_rng(seed, "adversary")
-        schedule = Schedule.of(config.adversary.materialize(config.n, adv_rng))
+        schedule = Schedule.of(config.adversary.materialize(
+            config.n, component_rng(seed, "adversary")))
         hashes.append(schedule_hash(schedule))
-        player_rng = component_rng(seed, "player")
-
-        if config.algo == "fullinfo_ew":
-            play = _fullinfo.full_info_ew_play(kernel, actions, schedule, eta, player_rng)
-        elif config.algo == "cg":
-            play = _fullinfo._cg_play(kernel, actions, schedule, cg_config, player_rng)
-        else:
-            play = _bandit._bandit_play(kernel, actions, features, nu, bcfg, schedule,
-                                        player_rng, certificate)
-            loss_hat_max.append(float(play[4].max()))
-        idxs, losses, expected, totals = play[:4]
+        idxs, losses, expected, totals = play(schedule, component_rng(seed, "player"))[:4]
         best = int(np.argmin(totals))
-        traces.append(_regret_trace(kernel, actions, schedule, losses, idxs, expected,
-                                    best, float(totals[best])))
-
-    if config.algo == "bandit_ew":
-        # the analysis needs eta |l-hat_t(a)| <= 1 on every seed and round
-        details["bandit_estimator"]["max_eta_loss_hat"] = bcfg.eta * max(loss_hat_max)
+        traces.append(_regret_trace(config.kernel, config.actions, schedule, losses, idxs,
+                                    expected, best, float(totals[best])))
     mean, stderr = _mean_and_stderr([t.final_regret for t in traces])
-    return ExperimentResult(
-        traces=traces,
-        mean_final_regret=mean,
-        stderr_final_regret=stderr,
-        schedule_hashes=hashes,
-        details=details,
-    )
+    return ExperimentResult(traces, mean, stderr, hashes, details)
 
 
 def emit_trace(trace: RegretTrace, path, config_echo: dict | None = None) -> None:

@@ -34,6 +34,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb, factorial, inf
+from numbers import Integral
 
 import numpy as np
 
@@ -90,8 +91,10 @@ class KernelSpec:
             if self.sigma is None or not 0 < self.sigma < inf:
                 raise InputError("gaussian kernel needs a finite sigma > 0")
         if self.variant == "polynomial":
-            if self.degree is None or self.degree < 1:
-                raise InputError("polynomial kernel needs degree >= 1")
+            if (isinstance(self.degree, bool) or not isinstance(self.degree, Integral)
+                    or self.degree < 1):
+                raise InputError(f"polynomial kernel needs an integer degree >= 1, "
+                                 f"got {self.degree!r}")
             if self.offset is None or not 0 <= self.offset < inf:
                 raise InputError("polynomial kernel needs a finite offset >= 0")
 

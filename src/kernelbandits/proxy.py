@@ -76,19 +76,20 @@ class EigendecayProfile:
     def __post_init__(self):
         if self.variant not in ("polynomial", "exponential"):
             raise InputError(f"unknown decay variant {self.variant!r}")
-        if self.C <= 0 or self.eigfn_bound_B <= 0:
-            raise InputError("C and eigfn_bound_B must be positive")
+        # chained comparisons are false for NaN, so they refuse it too
+        if not (0 < self.C < math.inf and 0 < self.eigfn_bound_B < math.inf):
+            raise InputError("C and eigfn_bound_B must be positive and finite")
         if self.variant == "polynomial":
-            if self.beta <= 1:
-                raise InputError("polynomial decay needs beta > 1")
+            if not 1 < self.beta < math.inf:
+                raise InputError("polynomial decay needs a finite beta > 1")
             if self.beta <= 2:
                 warnings.warn(
                     "polynomial decay with beta <= 2 is outside the regime "
                     "with a sublinear regret guarantee",
                     stacklevel=2,
                 )
-        elif self.beta <= 0:
-            raise InputError("exponential decay needs beta > 0")
+        elif not 0 < self.beta < math.inf:
+            raise InputError("exponential decay needs a finite beta > 0")
 
 
 def basis_from_samples(kernel: KernelSpec, samples: np.ndarray,
@@ -179,8 +180,8 @@ def effective_dimension(profile: EigendecayProfile, eps: float) -> int:
     Exponential decay: ceil((1/beta) log(4 C B^2 / (beta eps))).
     Clamped below at 1.
     """
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InputError(f"eps must be positive and finite, got {eps!r}")
     C, beta, B = profile.C, profile.beta, profile.eigfn_bound_B
     if profile.variant == "polynomial":
         value = (4.0 * C * B * B / ((beta - 1.0) * eps)) ** (1.0 / (beta - 1.0))

@@ -16,8 +16,11 @@ to an index; :func:`sample_indices` joins the two.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
+
+from .errors import InputError
 
 __all__ = ["component_stream_id", "component_rng"]
 
@@ -29,8 +32,15 @@ def component_stream_id(component: str) -> int:
 
 
 def component_rng(seed: int, component: str) -> np.random.Generator:
-    """Independent Philox stream for ``component`` under a master seed."""
-    key = np.array([np.uint64(seed & (2**64 - 1)),
+    """Independent Philox stream for ``component`` under a master seed.
+
+    The seed is an integer in [0, 2^64), so no two seeds share a stream; any
+    other value (a bool included) is an input error.
+    """
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < 2**64):
+        raise InputError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    key = np.array([np.uint64(seed),
                     np.uint64(component_stream_id(component))], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -258,6 +258,8 @@ def test_run_command_input_error_exit_code(tmp_path):
     {"kernel": "linear:nan"},
     {"kernel": "poly:2:nan"},
     {"seeds": "1,1"},
+    {"seeds": "0,18446744073709551616"},
+    {"seeds": "-1"},
 ], ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()))
 def test_run_command_malformed_input_exits_2(tmp_path, capsys, flags):
     args = {"algo": "fullinfo_ew", "kernel": "linear", "actions": "ball:8",
@@ -437,7 +439,9 @@ def test_proxy_check_command(capsys):
     assert report["sup_error"] <= 0.05
 
 
-@pytest.mark.parametrize("flag, value", [("--grid", "0"), ("--dim", "0"), ("--p", "0")])
+@pytest.mark.parametrize("flag, value", [("--grid", "0"), ("--dim", "0"), ("--p", "0"),
+                                         ("--eps", "nan"), ("--eps", "inf"),
+                                         ("--seed", "-1")])
 def test_proxy_check_input_errors_exit_2(capsys, flag, value):
     args = {"--kernel": "gaussian:0.5", "--p": "20", "--eps": "0.05", "--grid": "5",
             flag: value}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kernelbandits import bandit, harness
-from kernelbandits.cli import parse_adversary
+from kernelbandits.cli import build_parser, parse_adversary
 from kernelbandits.errors import (
     HorizonTooShortError,
     IllConditionedCovarianceError,
@@ -222,7 +222,7 @@ def test_record_views_match_run_experiment(algo):
 ])
 def test_explicit_params_follow_one_rule(algo, params, message):
     # every algorithm's explicit params are the real numbers under its keys
-    # in _PARAM_KEYS: a missing required key, a key it does not read and a
+    # in harness._LEARNERS: a missing required key, a key it does not read and a
     # value that is not a real number are refused before any run
     with pytest.raises(InputError, match=message):
         ExperimentConfig(algo=algo, kernel=LINEAR, actions=ball_directions(4),
@@ -239,17 +239,34 @@ def test_explicit_params_are_stored_with_their_defaults():
 @pytest.mark.parametrize("algo, resolver, params", [
     ("fullinfo_ew", "full_info_eta", {"eta": full_info_eta(8, 1.0, 30)}),
     ("cg", "cg_theorem_config", {"eta": 0.5 * 30 ** -0.75, "c": 2.0}),
+    # None: the resolved BanditConfig's eta, gamma and eps
+    ("bandit_ew", "general_theorem_config", None),
 ])
 def test_run_experiment_resolves_the_schedule_once(monkeypatch, algo, resolver, params):
     # the theorem schedule depends on n and the action set, not on the seed
-    calls, resolve = [], getattr(harness._fullinfo, resolver)
-    monkeypatch.setattr(harness._fullinfo, resolver,
-                        lambda *args: calls.append(args) or resolve(*args))
+    module = harness._bandit if algo == "bandit_ew" else harness._fullinfo
+    calls, resolve = [], getattr(module, resolver)
+    monkeypatch.setattr(module, resolver,
+                        lambda *args, **kw: calls.append(args) or resolve(*args, **kw))
     result = run_experiment(ExperimentConfig(
         algo=algo, kernel=LINEAR, actions=ball_directions(8),
         adversary=unit_vector_adversary(2), n=30, seeds=(0, 1, 2)))
     assert len(calls) == 1 and len(result.traces) == 3
+    if params is None:
+        bcfg = result.details["bandit_config"]
+        params = {"eta": bcfg.eta, "gamma": bcfg.gamma, "eps": bcfg.eps}
     assert result.details["params"] == params
+
+
+def test_the_learner_table_is_the_one_list_of_algorithms():
+    # the CLI's --algo choices and ExperimentConfig's check both read
+    # harness._LEARNERS
+    run = build_parser()._subparsers._group_actions[0].choices["run"]
+    algo = next(action for action in run._actions if action.dest == "algo")
+    assert algo.choices == list(harness._LEARNERS)
+    with pytest.raises(InputError, match="'ew' is not one of bandit_ew, fullinfo_ew, cg"):
+        ExperimentConfig(algo="ew", kernel=LINEAR, actions=ball_directions(4),
+                         adversary=unit_vector_adversary(2), n=5)
 
 
 def test_run_experiment_single_round_nonnegative_regret():

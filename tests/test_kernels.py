@@ -185,6 +185,12 @@ def test_spec_validation():
         KernelSpec("gaussian", sigma=-1.0)
     with pytest.raises(InputError):
         KernelSpec("polynomial", degree=0, offset=1.0)
+    # the degree is an integer >= 1: a fractional or non-finite degree built
+    # and evaluated to inf or nan, and feature_dim raised TypeError on 2.5
+    for degree in (2.5, 2.0, float("inf"), float("nan"), True, None):
+        with pytest.raises(InputError, match="integer degree"):
+            KernelSpec.polynomial(degree, 1.0, G=3.0)
+    assert KernelSpec.polynomial(np.int64(2), 1.0, G=3.0).degree == 2
     with pytest.raises(InputError):
         KernelSpec("linear", norm_bound_G=0.0)
     # a non-finite bound, width or offset is refused, NaN included

@@ -117,9 +117,17 @@ def test_effective_dimension_validation():
         EigendecayProfile("polynomial", C=1.0, beta=0.5)
     with pytest.warns(UserWarning):
         EigendecayProfile("polynomial", C=1.0, beta=1.5)
+    for bad in (float("nan"), float("inf")):
+        for variant, C, beta, B in (("exponential", bad, 1.0, 1.0),
+                                    ("exponential", 1.0, bad, 1.0),
+                                    ("polynomial", 1.0, bad, 1.0),
+                                    ("polynomial", 1.0, 3.0, bad)):
+            with pytest.raises(InputError):
+                EigendecayProfile(variant, C=C, beta=beta, eigfn_bound_B=B)
     poly = EigendecayProfile("polynomial", C=1.0, beta=3.0)
-    with pytest.raises(InputError):
-        effective_dimension(poly, 0.0)
+    for eps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="eps must be positive and finite"):
+            effective_dimension(poly, eps)
 
 
 def test_sup_error_of_degenerate_basis_is_kernel_sup():

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from kernelbandits.errors import InputError
 from kernelbandits.fullinfo import full_info_ew_play
 from kernelbandits.kernels import KernelSpec, make_rank_one
 from kernelbandits.rng import _inverse_cdf, component_rng, sample_indices
@@ -21,6 +23,19 @@ def test_block_draws_equal_single_draws():
         assert np.array_equal(raw.bit_generator.random_raw(k), one_at_a_time)
         bits = np.concatenate([one_at_a_time, edges])
         assert np.array_equal(bits / 2.0**64, [int(b) / 2.0**64 for b in bits])
+
+
+def test_a_seed_outside_the_64_bit_range_is_refused():
+    # the key takes the seed as is, so no two accepted seeds share a stream;
+    # masking to 64 bits made 2^64 replay seed 0 and -1 replay 2^64 - 1
+    top = component_rng(2**64 - 1, "adversary").bit_generator.random_raw(4)
+    assert not np.array_equal(component_rng(0, "adversary").bit_generator.random_raw(4),
+                              top)
+    assert np.array_equal(component_rng(np.uint64(2**64 - 1), "adversary")
+                          .bit_generator.random_raw(4), top)
+    for seed in (2**64, -1, -2**64, True, 1.0, "0", None):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            component_rng(seed, "adversary")
 
 
 def test_sample_indices_follow_thescalar_inverse_cdf():
