@@ -27,7 +27,7 @@ from .harness import (
     run_experiment,
     unit_vector_adversary,
 )
-from .kernels import ExplicitVector, KernelSpec, feature_dim, make_explicit, make_rank_one
+from .kernels import ExplicitVector, KernelSpec, feature_map, make_explicit, make_rank_one
 from .proxy import (
     approximation_sup_error,
     build_proxy,
@@ -78,12 +78,13 @@ def parse_kernel(text: str) -> KernelSpec:
     nums = [_number(float, part, "--kernel") for part in parts[1:]]
     if not fewest <= len(nums) <= most:
         raise InputError(f"--kernel {text!r}: expected {usage}")
+    # the numbers given, no more, so each constructor states its own default G
     if name == "linear":
-        return KernelSpec.linear(nums[0] if nums else 1.0)
+        return KernelSpec.linear(*nums)
     if name == "quadratic":
-        return KernelSpec.quadratic(nums[0] if nums else 2.0)
+        return KernelSpec.quadratic(*nums)
     if name == "gaussian":
-        return KernelSpec.gaussian(nums[0], nums[1] if len(nums) > 1 else 1.0)
+        return KernelSpec.gaussian(nums[0], *nums[1:])
     degree, offset = _number(int, parts[1], "--kernel degree"), nums[1]
     G = nums[2] if len(nums) > 2 else (offset + 1.0) ** (degree / 2.0)
     return KernelSpec.polynomial(degree, offset, G)
@@ -101,9 +102,8 @@ def parse_adversary(text: str, kernel: KernelSpec, d: int):
     if name in ("fixed", "fixed-point", "periodic", "schedule") and len(parts) < 2:
         raise InputError(f"--adversary {name} needs a value: {name}:<value>")
     if name == "zero":
-        if kernel.variant == "gaussian":
-            raise InputError("zero adversary needs an explicit feature space")
-        return PeriodicAdversary((ExplicitVector(np.zeros(feature_dim(kernel, d))),))
+        zero = np.zeros_like(feature_map(kernel, np.zeros(d)))
+        return PeriodicAdversary((ExplicitVector(zero),))
     if name == "fixed":
         w = np.array([_number(float, v, "--adversary") for v in parts[1].split(",")])
         return PeriodicAdversary((make_explicit(kernel, w),))
@@ -207,6 +207,8 @@ def _cmd_proxy_check(args) -> int:
     kernel = parse_kernel(args.kernel)
     if args.grid < 1 or args.dim < 1:
         raise InputError(f"--grid and --dim must be >= 1, got {args.grid} and {args.dim}")
+    if not 0 < args.eps < np.inf:
+        raise InputError(f"--eps must be positive and finite, got {args.eps!r}")
     side = np.linspace(0.0, 1.0, args.grid)
     grid = np.column_stack([m.ravel() for m in np.meshgrid(*([side] * args.dim))])
     rng = component_rng(args.seed, "proxy")

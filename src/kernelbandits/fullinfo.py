@@ -249,60 +249,46 @@ def cg_start(kernel: KernelSpec, a1: np.ndarray) -> CGState:
     return CGState(combo, x1.copy(), np.zeros(x1.size), x1, 1)
 
 
-def _cg_oracle(kernel: KernelSpec, action_set):
-    """CG's atom table and its linear-minimization oracle, as
-    ``table_for(combo, rows) -> (table, weights, oracle)``: the table a
-    stretch of ``rows`` rounds plays from, ``combo``'s weights over it and
-    ``oracle(gradient) -> (j, Phi(table[j]))``; and the embedded actions.
+def _cg_table(action_set, combo: ConvexCombination, rows: int):
+    """CG's atom table for a stretch of ``rows`` rounds, and ``combo``'s
+    weights over it.
 
-    A finite action set is the table, embedded here once: j is the lowest
-    argmin of Phi @ gradient, and each atom of ``combo`` maps to its lowest
-    equal row, which is the row that argmin picks; an atom outside the set
-    raises :class:`InputError`.  On the unit ball the table is ``combo``'s
-    atoms followed by one row per round, which the oracle fills with the
-    :func:`linear_min_oracle` solution."""
+    A finite action set is the table, and each atom of ``combo`` maps to its
+    lowest equal row, which is the row the argmin oracle picks; an atom
+    outside the set raises :class:`InputError`.  On the unit ball the table
+    is ``combo``'s atoms followed by one row per round, for the
+    :func:`linear_min_oracle` solutions."""
     if isinstance(action_set, UnitBall):
-        def table_for(combo, rows):
-            table = np.concatenate([combo.atoms, np.empty((rows, action_set.dim))])
-            new_rows = count(combo.weights.size)
-
-            def oracle(gradient):
-                j = next(new_rows)
-                table[j] = linear_min_oracle(kernel, gradient, action_set)
-                return j, feature_map(kernel, table[j])
-            return table, combo.weights, oracle
-        return table_for, None
-    actions = np.atleast_2d(np.asarray(action_set, dtype=float))
-    features = feature_matrix(kernel, actions)
-
-    def oracle(gradient):
-        j = int((features @ gradient).argmin())
-        return j, features[j]
-
-    def table_for(combo, rows):
-        atoms = combo.atoms
-        if np.array_equal(atoms, actions):
-            return actions, combo.weights, oracle
-        if atoms.shape[1] != actions.shape[1]:
-            raise InputError("start atoms and actions differ in dimension")
-        equal = (atoms[:, None, :] == actions).all(axis=2)
-        if not equal.any(axis=1).all():
-            raise InputError("a start atom is not a row of the action set")
-        weights = np.zeros(actions.shape[0])
-        np.add.at(weights, equal.argmax(axis=1), combo.weights)
-        return actions, weights, oracle
-    return table_for, features
+        return np.concatenate([combo.atoms, np.empty((rows, action_set.dim))]), combo.weights
+    actions, atoms = np.atleast_2d(np.asarray(action_set, dtype=float)), combo.atoms
+    if np.array_equal(atoms, actions):
+        return actions, combo.weights
+    if atoms.shape[1] != actions.shape[1]:
+        raise InputError("start atoms and actions differ in dimension")
+    equal = (atoms[:, None, :] == actions).all(axis=2)
+    if not equal.any(axis=1).all():
+        raise InputError("a start atom is not a row of the action set")
+    weights = np.zeros(actions.shape[0])
+    np.add.at(weights, equal.argmax(axis=1), combo.weights)
+    return actions, weights
 
 
-def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
-              schedule: Schedule, rng: np.random.Generator,
+def _cg_features(kernel: KernelSpec, action_set) -> np.ndarray | None:
+    """The embedded rows of a finite action set; None on the unit ball."""
+    return None if isinstance(action_set, UnitBall) else feature_matrix(kernel, action_set)
+
+
+def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, action_set,
+              features: np.ndarray | None, schedule: Schedule, rng: np.random.Generator,
               ) -> tuple[CGState, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Conditional-gradient rounds over a nonempty stretch of the schedule.
 
-    The play distribution is one dense weight vector over the atom table of
-    ``table_for`` (see :func:`_cg_oracle`).  Each round t mixes at
-    gamma_t = min(1, c / sqrt(t)): it moves the mean toward the oracle's
-    output and the weights toward its row j: v =
+    The play distribution is one dense weight vector over the atom table
+    (see :func:`_cg_table`).  Each round t mixes at gamma_t = min(1, c /
+    sqrt(t)): it moves the mean toward the oracle's output and the weights
+    toward its row j, the lowest argmin row of ``features`` @ gradient on a
+    finite set and the next row, filled by :func:`linear_min_oracle`, on
+    the unit ball (``features`` None): v =
     (1 - gamma_t) w, v[j] += gamma_t, entries below ``_ATOM_PRUNE`` zeroed,
     then w = p / sum p for p = v / sum v, the two normalizations of a
     :class:`DiscreteDistribution` of p.  On the unit ball the sums run over
@@ -322,7 +308,7 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
     the mean x_t it played from and the count of nonzero weights.
     """
     rows = len(schedule)
-    table, w, oracle = table_for(state.combo, rows)
+    table, w = _cg_table(action_set, state.combo, rows)
     X = schedule.gathered()
     adversary = np.vstack((state.cum_adversary,
                            feature_matrix(kernel, X) if schedule.rank_one else X))
@@ -336,10 +322,15 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, table_for,
     means = np.empty((rows, x1.size))
     for i in range(rows):
         means[i] = mean
-        j, phi = oracle(eta_cum[i] + 2.0 * (mean - x1))
+        gradient = eta_cum[i] + 2.0 * (mean - x1)
+        if features is None:
+            j, live = live, live + 1
+            table[j] = linear_min_oracle(kernel, gradient, action_set)
+            phi = feature_map(kernel, table[j])
+        else:
+            j = int((features @ gradient).argmin())
+            phi = features[j]
         gamma_t = min(1.0, config.c / math.sqrt(t + i))
-        if j >= live:
-            live = j + 1
         v = (1.0 - gamma_t) * weights[i, :live]
         v[j] += gamma_t
         v[v < _ATOM_PRUNE] = 0.0
@@ -380,7 +371,8 @@ def cg_round(state: CGState, config: CGConfig, kernel: KernelSpec,
     the same bits; it embeds a finite action set on every call.
     """
     new_state, idx, losses, _, num_atoms = _cg_block(
-        state, config, kernel, _cg_oracle(kernel, action_set)[0], Schedule.of([w_t]), rng)
+        state, config, kernel, action_set, _cg_features(kernel, action_set),
+        Schedule.of([w_t]), rng)
     record = CGRecord(state.t, int(idx[0]), float(losses[0]), num_atoms=int(num_atoms[0]))
     return new_state, record
 
@@ -409,15 +401,15 @@ def _cg_play(kernel: KernelSpec, action_set, schedule: Schedule,
     elif a1 is None:
         a1 = np.atleast_2d(np.asarray(action_set, dtype=float))[0]
     state = cg_start(kernel, a1)
-    table_for, features = _cg_oracle(kernel, action_set)
-    table_for(state.combo, 0)  # refuses a bad start even when no round runs
+    _cg_table(action_set, state.combo, 0)  # refuses a bad start even when no round runs
+    features = _cg_features(kernel, action_set)
     schedule = Schedule.of(schedule)
     n = len(schedule)
     idx, losses, expected = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
     num_atoms = np.empty(n, dtype=np.int64)
     for rows in _row_blocks(schedule):
         state, idx[rows], losses[rows], expected[rows], num_atoms[rows] = _cg_block(
-            state, config, kernel, table_for, schedule[rows], rng)
+            state, config, kernel, action_set, features, schedule[rows], rng)
     totals = None if features is None else features @ state.cum_adversary
     return idx, losses, expected, totals, num_atoms, state
 

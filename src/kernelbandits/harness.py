@@ -382,14 +382,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(traces, mean, stderr, hashes, details)
 
 
+# the trace CSV's columns, in order, with the type each parses as
+_TRACE_COLUMNS = (("round", int), ("action_index", int), ("loss", float),
+                  ("cum_loss", float), ("cum_regret", float))
+_TRACE_HEADER = ",".join(name for name, _ in _TRACE_COLUMNS)
+
+
 def emit_trace(trace: RegretTrace, path, config_echo: dict | None = None) -> None:
-    """Deterministic CSV: round,action_index,loss,cum_loss,cum_regret."""
+    """Deterministic CSV: a header of the ``_TRACE_COLUMNS`` names, then one
+    row of those columns per round, in the same order."""
     lines = []
     if config_echo:
         import json
 
         lines.append("# " + json.dumps(config_echo, sort_keys=True))
-    lines.append("round,action_index,loss,cum_loss,cum_regret")
+    lines.append(_TRACE_HEADER)
     # cumsum adds the losses one at a time, the bits of a running sum
     columns = (trace.action_indices.tolist(), trace.losses.tolist(),
                np.cumsum(trace.losses).tolist(), trace.regret_curve.tolist())
@@ -404,17 +411,11 @@ def parse_trace(path) -> dict:
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     rows = [ln for ln in lines if not ln.startswith("#")]
-    header = rows[0]
-    if header != "round,action_index,loss,cum_loss,cum_regret":
-        raise InputError(f"unexpected trace header {header!r}")
+    if rows[0] != _TRACE_HEADER:
+        raise InputError(f"unexpected trace header {rows[0]!r}")
     data = [ln.split(",") for ln in rows[1:]]
-    return {
-        "round": np.array([int(r[0]) for r in data]),
-        "action_index": np.array([int(r[1]) for r in data]),
-        "loss": np.array([float(r[2]) for r in data]),
-        "cum_loss": np.array([float(r[3]) for r in data]),
-        "cum_regret": np.array([float(r[4]) for r in data]),
-    }
+    return {name: np.array([kind(r[k]) for r in data])
+            for k, (name, kind) in enumerate(_TRACE_COLUMNS)}
 
 
 def ball_directions(k: int) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Kernels, kernel losses, explicit feature maps and adversary schedules.
 
+This module is the one place that states a kernel fact: its formula, its
+explicit feature map (which fixes the map's dimension), its constructor's
+default norm bound G and the rule that bounds both players' norms by G.
+
 A loss is the Hilbert inner product between the feature embedding of the
 player's point and the adversary's element of the same space.  Linear,
 quadratic and low-degree polynomial kernels carry explicit finite feature
@@ -33,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb, factorial, inf
+from math import factorial, inf
 from numbers import Integral
 
 import numpy as np
@@ -49,10 +53,8 @@ __all__ = [
     "gram_matrix",
     "feature_map",
     "feature_matrix",
-    "feature_dim",
     "has_feature_map",
     "loss_matrix",
-    "adversary_norm",
     "make_explicit",
     "make_rank_one",
     "quadratic_adversary",
@@ -228,19 +230,6 @@ def has_feature_map(spec: KernelSpec) -> bool:
     return True
 
 
-def feature_dim(spec: KernelSpec, d: int) -> int:
-    """Dimension of the explicit feature space for points in R^d."""
-    if spec.variant == "linear":
-        return d
-    if spec.variant == "quadratic":
-        return d * d + d
-    if spec.variant == "polynomial" and has_feature_map(spec):
-        return comb(d + spec.degree, spec.degree)
-    raise UnsupportedFeatureMapError(
-        f"{spec.variant} kernel has no explicit finite feature map"
-    )
-
-
 def cross_gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Matrix of K(X_i, Y_j), vectorized over both point sets."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -344,21 +333,23 @@ def feature_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     return coeffs * np.prod(pts[:, None, :] ** powers, axis=2)
 
 
-def adversary_norm(spec: KernelSpec, w: AdversaryAction) -> float:
-    """Hilbert norm of an adversary action."""
-    if isinstance(w, RankOne):
-        y = np.atleast_2d(np.asarray(w.y, dtype=float))
-        return float(np.sqrt(max(_kernel_of_pairs(spec, y, y)[0], 0.0)))
-    return float(np.linalg.norm(w.w))
+def _sup_norm(spec: KernelSpec, sq_norms: np.ndarray, what: str) -> float:
+    """The largest Hilbert norm sqrt(K(a, a)) over rows, from their squared
+    norms (clipped at 0 below), or InputError if it is not within the
+    kernel's bound G; a NaN norm compares false, so it is refused too."""
+    sup = float(np.sqrt(max(np.max(sq_norms), 0.0)))
+    if not sup <= spec.norm_bound_G + _NORM_TOL:
+        raise InputError(f"{what} {sup:.12g} is not within bound {spec.norm_bound_G}")
+    return sup
 
 
 def _bounded(spec: KernelSpec, action: AdversaryAction) -> AdversaryAction:
-    """``action``, or InputError if its norm exceeds the kernel's bound G or
-    is NaN."""
-    norm = adversary_norm(spec, action)
-    if not norm <= spec.norm_bound_G + _NORM_TOL:
-        raise InputError(f"adversary norm {norm:.12g} is not within bound "
-                         f"{spec.norm_bound_G}")
+    """``action``, or InputError if its Hilbert norm is not within G."""
+    if isinstance(action, RankOne):
+        y = np.atleast_2d(action.y)
+        _sup_norm(spec, _kernel_of_pairs(spec, y, y), "adversary norm")
+    else:
+        _sup_norm(spec, np.vdot(action.w, action.w), "adversary norm")
     return action
 
 
@@ -437,14 +428,8 @@ def loss_matrix(spec: KernelSpec, actions: np.ndarray,
 def check_norm_bound(spec: KernelSpec, actions: np.ndarray) -> float:
     """Empirically verify norm_bound_G >= sup sqrt(K(a,a)) over the set.
 
-    Returns the observed supremum.
+    Returns the observed supremum; one above G, or NaN, raises InputError.
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    diag = _kernel_of_pairs(spec, actions, actions)
-    sup = float(np.sqrt(max(diag.max(), 0.0)))
-    if sup > spec.norm_bound_G + _NORM_TOL:
-        raise InputError(
-            f"declared bound {spec.norm_bound_G} below observed sup "
-            f"sqrt(K(a,a)) = {sup:.12g}"
-        )
-    return sup
+    return _sup_norm(spec, _kernel_of_pairs(spec, actions, actions),
+                     "the actions' sup sqrt(K(a, a))")

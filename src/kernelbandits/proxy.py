@@ -182,12 +182,16 @@ def effective_dimension(profile: EigendecayProfile, eps: float) -> int:
     """
     if not 0 < eps < math.inf:
         raise InputError(f"eps must be positive and finite, got {eps!r}")
-    C, beta, B = profile.C, profile.beta, profile.eigfn_bound_B
-    if profile.variant == "polynomial":
-        value = (4.0 * C * B * B / ((beta - 1.0) * eps)) ** (1.0 / (beta - 1.0))
-    else:
-        value = math.log(4.0 * C * B * B / (beta * eps)) / beta
-    return max(1, math.ceil(value))
+    # Python floats, whose power raises OverflowError where numpy's warns
+    C, beta, B = map(float, (profile.C, profile.beta, profile.eigfn_bound_B))
+    try:
+        if profile.variant == "polynomial":
+            value = (4.0 * C * B * B / ((beta - 1.0) * eps)) ** (1.0 / (beta - 1.0))
+        else:
+            value = math.log(4.0 * C * B * B / (beta * eps)) / beta
+        return max(1, math.ceil(value))
+    except (OverflowError, ZeroDivisionError):  # a denominator that underflows to 0 too
+        raise InputError(f"eps = {eps!r} needs a truncation level beyond any float") from None
 
 
 def approximation_sup_error(kernel: KernelSpec, basis: SampleBasis,
@@ -210,6 +214,8 @@ def fit_eigendecay(basis: SampleBasis, variant: str,
     estimated as the largest rescaled proxy coordinate over the probes.
     """
     mu = basis.eigenvalues
+    if mu.size < 2:
+        raise InputError(f"a decay fit needs at least 2 eigenvalues, got {mu.size}")
     n_fit = max(2, mu.size // 2)
     j = np.arange(1, n_fit + 1, dtype=float)
     y = np.log(mu[:n_fit])

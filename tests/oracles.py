@@ -67,7 +67,6 @@ from kernelbandits.kernels import (
     KernelSpec,
     RankOne,
     _kernel_of_pairs,
-    feature_dim,
     feature_map,
     feature_matrix,
     gram_matrix,
@@ -322,7 +321,7 @@ def kernel_schedules(spec: KernelSpec, d: int, n: int, seed: int) -> dict:
     Y /= np.linalg.norm(Y, axis=1)[:, None]
     out = {"rank_one": [make_rank_one(spec, y) for y in Y]}
     if has_feature_map(spec):
-        W = rng.standard_normal((n, feature_dim(spec, d)))
+        W = rng.standard_normal((n, feature_map(spec, np.zeros(d)).size))
         W *= 0.5 * spec.norm_bound_G / np.linalg.norm(W, axis=1)[:, None]
         out["explicit"] = [make_explicit(spec, w) for w in W]
     return out

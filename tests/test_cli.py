@@ -1,11 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from kernelbandits.bandit import BanditConfig, theorem_regret_bound
-from kernelbandits.cli import main, parse_actions, parse_kernel
+from kernelbandits.cli import main, parse_actions, parse_adversary, parse_kernel
 from kernelbandits.errors import InputError
+from kernelbandits.kernels import KernelSpec, feature_map
+from kernelbandits.rng import component_rng
 from oracles import fibonacci_sphere
 
 
@@ -22,6 +25,22 @@ def test_parse_kernel_variants():
         parse_kernel("gaussian")
     assert parse_kernel("gaussian:0.5:2").norm_bound_G == 2.0
     assert parse_kernel("poly:2:1:3").norm_bound_G == 3.0
+    # each default bound G is its constructor's, not restated by the CLI
+    assert parse_kernel("linear") == KernelSpec.linear()
+    assert parse_kernel("quadratic") == KernelSpec.quadratic()
+    assert parse_kernel("gaussian:0.5") == KernelSpec.gaussian(0.5)
+
+
+def test_zero_adversary_lives_in_the_feature_space(tmp_path, capsys):
+    code = main(["run", "--algo", "fullinfo_ew", "--kernel", "gaussian:1",
+                 "--actions", "ball:8", "--adversary", "zero", "--n", "5",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "gaussian kernel has no explicit finite feature map" in capsys.readouterr().err
+    quad = KernelSpec.quadratic()
+    schedule = parse_adversary("zero", quad, 3).materialize(5, component_rng(0, "adversary"))
+    assert schedule.rows.shape == (1, feature_map(quad, np.zeros(3)).size)
+    assert not schedule.rows.any()
 
 
 def test_parse_actions_ball():
@@ -446,6 +465,24 @@ def test_proxy_check_input_errors_exit_2(capsys, flag, value):
     args = {"--kernel": "gaussian:0.5", "--p": "20", "--eps": "0.05", "--grid": "5",
             flag: value}
     assert main(["proxy-check"] + [item for pair in args.items() for item in pair]) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    {"--m": "3", "--eps": "nan"},
+    {"--m": "1", "--eps": "inf"},
+    {"--eps": "1e-300", "--decay": "polynomial"},
+    {"--kernel": "linear", "--eps": "0.01"},
+], ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()))
+def test_proxy_check_refuses_what_it_cannot_certify(capsys, flags):
+    # a non-finite --eps with --m given, a truncation level past the float
+    # range, and a one-dimensional linear Gram with one eigenvalue to fit
+    args = {"--kernel": "gaussian:0.5", "--p": "20", "--eps": "0.05", "--grid": "5", **flags}
+    with warnings.catch_warnings():
+        # a fitted polynomial decay with beta <= 2 warns before the level is refused
+        warnings.filterwarnings("ignore", "polynomial decay with beta <= 2", UserWarning)
+        code = main(["proxy-check"] + [item for pair in args.items() for item in pair])
+    assert code == 2
     assert "input error:" in capsys.readouterr().err
 
 

@@ -75,6 +75,10 @@ def test_adversary_norm_bound_enforced():
     for make, spec in ((make_explicit, LINEAR), (make_rank_one, QUAD), (make_rank_one, GAUSS)):
         with pytest.raises(InputError, match="not within bound"):
             make(spec, np.array([np.nan, 0.0]))
+    # an action set's check is the same rule: a NaN row is refused, not returned
+    for spec in (LINEAR, GAUSS):
+        with pytest.raises(InputError, match="not within bound"):
+            check_norm_bound(spec, np.array([[0.6, 0.8], [np.nan, 0.0]]))
 
 
 def test_feature_map_examples():
