@@ -31,7 +31,6 @@ player stream feeds only the draws, so these are the bits of one per round.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -42,7 +41,6 @@ from .design import (
     DiscreteDistribution,
     action_covariance,
     d_optimal_design,
-    reduce_to_span,
     whiten_features,
 )
 from .errors import (HorizonTooShortError, IllConditionedCovarianceError, InputError,
@@ -291,23 +289,18 @@ def bandit_round(state: WeightState, config: BanditConfig, kernel: KernelSpec,
 
 
 def prepare_bandit_features(basis: SampleBasis, actions: np.ndarray):
-    """Proxy features of the action set, rank-reduced and whitened.
+    """Proxy features of the action set, whitened by their D-optimal design.
 
-    Rank-deficient feature sets are projected onto their span (reducing m).
-    Whitening by the D-optimal design covariance changes nothing about the
-    algorithm's draws (the estimated losses are invariant under invertible
+    The features must have rank m, or ``d_optimal_design`` raises
+    RankDeficiencyError.  A basis that ``build_proxy`` draws from the
+    actions gives rank m: on its s distinct samples, which are actions, the
+    features are C^-1/2 B diag(sqrt(p mu_j)), B with orthonormal columns
+    and every mu_j above the eigenvalue floor.  Whitening changes nothing
+    about the draws (the estimated losses are invariant under invertible
     linear maps of the features) but pins the gamma/m eigenvalue floor.
     Returns (features, exploration design, centering offset diagnostic).
     """
     F = proxy_features(basis, actions)
-    reduced, _ = reduce_to_span(F)
-    if reduced.shape[1] < F.shape[1]:
-        warnings.warn(
-            f"proxy features span only {reduced.shape[1]} of {F.shape[1]} "
-            "dimensions; m reduced to the actual rank",
-            stacklevel=2,
-        )
-        F = reduced
     nu = d_optimal_design(F)
     F = whiten_features(F, nu)
     center_offset = float(np.linalg.norm(F.T @ nu.weights))

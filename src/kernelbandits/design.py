@@ -16,10 +16,6 @@ over m, which is what gives the mixed distribution its gamma/m eigenvalue
 floor.  `action_covariance` (the second moment) is the one covariance
 path.  The second moment of nonnegative weights w is X^T X with
 X = sqrt(w) * F, one symmetric product, so it is symmetric by construction.
-On its covariance path the bandit forms the covariance every round and
-solves against it (its complement path forms it only on the rounds it
-records lambda_min); each run, and each one-round call, certifies its floor
-once, from the design's covariance.
 """
 
 from __future__ import annotations
@@ -59,9 +55,6 @@ class DiscreteDistribution:
             raise InputError(f"weights sum to {total!r}, not 1")
         w = np.maximum(w, 0.0)
         object.__setattr__(self, "weights", w / w.sum())
-
-    def __len__(self) -> int:
-        return self.weights.size
 
 
 def _as_feature_array(features) -> np.ndarray:

@@ -335,8 +335,10 @@ def feature_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
 
 def _sup_norm(spec: KernelSpec, sq_norms: np.ndarray, what: str) -> float:
     """The largest Hilbert norm sqrt(K(a, a)) over rows, from their squared
-    norms (clipped at 0 below), or InputError if it is not within the
-    kernel's bound G; a NaN norm compares false, so it is refused too."""
+    norms (clipped at 0 below); InputError if there are none, or if it is not
+    within G (a NaN norm compares false, so it is refused too)."""
+    if np.size(sq_norms) == 0:
+        raise InputError(f"{what} is undefined on an empty set")
     sup = float(np.sqrt(max(np.max(sq_norms), 0.0)))
     if not sup <= spec.norm_bound_G + _NORM_TOL:
         raise InputError(f"{what} {sup:.12g} is not within bound {spec.norm_bound_G}")
@@ -428,7 +430,8 @@ def loss_matrix(spec: KernelSpec, actions: np.ndarray,
 def check_norm_bound(spec: KernelSpec, actions: np.ndarray) -> float:
     """Empirically verify norm_bound_G >= sup sqrt(K(a,a)) over the set.
 
-    Returns the observed supremum; one above G, or NaN, raises InputError.
+    Returns the observed supremum; an empty set, or a supremum above G or
+    NaN, raises InputError.
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     return _sup_norm(spec, _kernel_of_pairs(spec, actions, actions),

@@ -24,10 +24,11 @@ from kernelbandits.errors import (
     IllConditionedCovarianceError,
     InputError,
     PreconditionError,
+    RankDeficiencyError,
 )
 from kernelbandits.harness import best_in_hindsight
 from kernelbandits.kernels import KernelSpec, feature_matrix, loss_matrix, make_explicit
-from kernelbandits.proxy import EigendecayProfile, build_proxy
+from kernelbandits.proxy import EigendecayProfile, build_proxy, proxy_features
 from kernelbandits.rng import component_rng
 from kernelbandits.weights import WeightState, softmax
 from oracles import fibonacci_sphere
@@ -330,6 +331,50 @@ def _path_case(case, n):
         kernel, actions, features, nu, cfg = _complement_setup(n=n)
     assert _path(cfg, features, nu) == ("covariance" if case == "linear" else "complement")
     return kernel, actions, features, nu, cfg
+
+
+def _drawn_basis_case(case):
+    # the kernel, actions and proxy draw of each set these tests build, with
+    # the basis drawn from the actions themselves
+    from kernelbandits.harness import ball_directions
+
+    gaussian = KernelSpec.gaussian(0.5)
+    kernel, actions, m, p, rng = {
+        "linear": (LINEAR, spanning_unit_vectors(20, 3, seed=0), 3, 80,
+                   component_rng(0, "proxy")),
+        "single": (LINEAR, np.array([[1.0, 0.0]]), 1, 4, component_rng(3, "p")),
+        "gaussian": (gaussian, spanning_unit_vectors(30, 3, seed=0), 20, 60,
+                     component_rng(0, "proxy")),
+        "complement": (gaussian, ball_directions(20), 15, 40, component_rng(0, "proxy")),
+        "axes": (LINEAR, np.eye(2), 2, 10, component_rng(5, "p")),
+        "dominated": (LINEAR, np.vstack([np.array([1.0, 0.0]),
+                                         spanning_unit_vectors(6, 2, seed=7) * 0.3]),
+                      2, 30, component_rng(7, "p")),
+        "sphere": (KernelSpec.gaussian(2.0), fibonacci_sphere(40), None, 80,
+                   component_rng(0, "proxy")),
+    }[case]
+    return build_proxy(kernel, actions, m=m, p=p, rng=rng), actions
+
+
+@pytest.mark.parametrize("case", ["linear", "single", "gaussian", "complement", "axes",
+                                  "dominated", "sphere"])
+def test_a_basis_drawn_from_the_actions_gives_features_of_full_rank(case):
+    # prepare_bandit_features reduces nothing: on the sampled actions the
+    # features are C^-1/2 B diag(sqrt(p mu)), of full column rank m
+    basis, actions = _drawn_basis_case(case)
+    assert np.linalg.matrix_rank(proxy_features(basis, actions)) == basis.m
+
+
+def test_features_short_of_rank_m_are_refused():
+    # a linear basis drawn from 12 points of R^3 spans R^3, but the features
+    # of 8 actions in the plane z = 0 have rank 2: the design refuses them
+    # rather than design over fewer dimensions than the basis has
+    points = spanning_unit_vectors(12, 3, seed=4)
+    basis = build_proxy(LINEAR, points, m=3, p=24, rng=component_rng(4, "proxy"))
+    angles = 2.0 * np.pi * np.arange(8) / 8
+    actions = np.column_stack((np.cos(angles), np.sin(angles), np.zeros(8)))
+    with pytest.raises(RankDeficiencyError):
+        prepare_bandit_features(basis, actions)
 
 
 @pytest.mark.parametrize("case", ["linear", "gaussian", "gaussian-full-rank",

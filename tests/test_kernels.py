@@ -175,6 +175,13 @@ def test_check_norm_bound_rejects_low_declared_bound():
         check_norm_bound(spec, np.array([[1.0, 0.0]]))  # K(a,a) = 2 > 1
 
 
+def test_check_norm_bound_refuses_an_empty_set():
+    # the sup of no norms is undefined: an input error, not numpy's ValueError
+    for spec in (LINEAR, QUAD, GAUSS):
+        with pytest.raises(InputError, match="empty set"):
+            check_norm_bound(spec, np.empty((0, 2)))
+
+
 def test_validate_points():
     with pytest.raises(InputError):
         validate_points(np.array([[np.inf, 0.0]]))

@@ -9,12 +9,10 @@ import kernelbandits
 
 
 def test_every_public_name_exists():
-    # a stale __init__ import fails at import time; a stale __all__ entry
-    # fails only on "from module import *", so check each one here
-    modules = [kernelbandits] + [
-        importlib.import_module(f"kernelbandits.{info.name}")
-        for info in pkgutil.iter_modules(kernelbandits.__path__)
-    ]
+    # a stale __all__ entry fails only on "from module import *", so check
+    # each one here
+    modules = [importlib.import_module(f"kernelbandits.{info.name}")
+               for info in pkgutil.iter_modules(kernelbandits.__path__)]
     listed = 0
     for module in modules:
         for name in getattr(module, "__all__", ()):
@@ -41,13 +39,21 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     # no linter is configured; deleted public names would otherwise leave
-    # stale imports behind.  __init__.py imports are re-exports.
+    # stale imports behind
     roots = [Path(kernelbandits.__path__[0]), Path(__file__).resolve().parent]
-    paths = [p for root in roots for p in sorted(root.glob("*.py"))
-             if p.name != "__init__.py"]
+    paths = [p for root in roots for p in sorted(root.glob("*.py"))]
     assert len(paths) > 10
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_the_package_entry_imports_nothing():
+    # callers import each name from its module, so __init__.py keeps no
+    # re-export list to drift from the modules' __all__
+    path = Path(kernelbandits.__path__[0]) / "__init__.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 def test_the_walk_and_the_draw_have_one_owner():
@@ -145,10 +151,10 @@ def _public_members(modules: list[Path], classes: set[str]) -> list[tuple[str, s
 
 def test_public_names_have_a_non_test_caller():
     # a name in __all__ must be read by the package or the benchmark outside
-    # its own definition; __init__.py re-exports and tests do not count.  So
-    # must each method and property of a public class, by attribute name: a
-    # read of another attribute with the same name counts too, unless it is
-    # read through another public class by name (WeightState.uniform is not
+    # its own definition; tests do not count.  So must each method and
+    # property of a public class, by attribute name: a read of another
+    # attribute with the same name counts too, unless it is read through
+    # another public class by name (WeightState.uniform is not
     # DiscreteDistribution.uniform).
     modules, callers = _modules_and_callers()
     references = [entry for path in callers for entry in _statement_references(path)]
