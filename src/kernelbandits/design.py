@@ -2,20 +2,21 @@
 
 The exploration distribution is the D-optimal design over the proxy features
 (the dual of the minimum-volume enclosing ellipsoid for origin-symmetric
-sets), computed by steps on the log-det objective.  From the uniform start,
-while N <= m (m + 1) / 2, each step is a Newton step on all N weights, one
-N x N solve, O(N^3 + N^2 m); the first step refused (a weight would not
-stay positive, or log det would fall) hands the rest of the call to
-Frank-Wolfe with away steps, the only steps that can empty a support point
-and the only ones taken for N > m (m + 1) / 2.  Every step of either kind
-starts from the leverages f_i^T Sigma^-1 f_i recomputed from scratch at the
-current weights, O(N m^2 + m^3), and the Kiefer-Wolfowitz certificate is
-checked on them before the step.  After whitening by the design
-covariance, the feature second-moment matrix of the design is the identity
-over m, which is what gives the mixed distribution its gamma/m eigenvalue
-floor.  `action_covariance` (the second moment) is the one covariance
-path.  The second moment of nonnegative weights w is X^T X with
-X = sqrt(w) * F, one symmetric product, so it is symmetric by construction.
+sets), computed by damped Newton steps on the log-barrier objective
+log det Sigma(w) + mu sum_i log w_i over the simplex, one N x N solve and
+O(N^3 + N^2 m) per step.  From the uniform start, while N <= m (m + 1) / 2,
+mu = 0: each step is a plain Newton step on log det, taken whole or refused.
+The first refusal, or N > m (m + 1) / 2 from the start, moves the call onto
+the barrier at mu = 1, which is divided by 5 after each centring.  Every
+step starts from the leverages f_i^T Sigma^-1 f_i recomputed from scratch at
+the current weights, O(N m^2 + m^3), and the Kiefer-Wolfowitz certificate
+max_i f_i^T Sigma^-1 f_i <= m (1 + tol) is checked on them before the step.
+Every weight stays positive.  After whitening by the design covariance, the
+feature second-moment matrix of the design is the identity over m, which is
+what gives the mixed distribution its gamma/m eigenvalue floor.
+`action_covariance` (the second moment) is the one covariance path.  The
+second moment of nonnegative weights w is X^T X with X = sqrt(w) * F, one
+symmetric product, so it is symmetric by construction.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ __all__ = [
 ]
 
 _SPAN_REL_TOL = 1e-10  # singular values at or below this times the largest are zero
-_DESIGN_MAX_ITER = 10_000  # Newton and Frank-Wolfe steps before d_optimal_design gives up
+_DESIGN_MAX_ITER = 10_000  # Newton steps before d_optimal_design gives up
+_BARRIER_START = 1.0  # mu of the first centring on the barrier
+_BARRIER_SHRINK = 5.0  # mu is divided by this after each centring
 
 
 @dataclass(frozen=True)
@@ -71,61 +74,71 @@ def _leverages(F: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return H, np.einsum("ij,ij->i", H, F)
 
 
-def _newton_step(F: np.ndarray, H: np.ndarray, g: np.ndarray,
-                 w: np.ndarray) -> np.ndarray | None:
-    """Weights after one Newton step on log det Sigma over the rows of F, or
-    None when the step is refused; w itself is never written.
+def _barrier_step(F: np.ndarray, H: np.ndarray, g: np.ndarray, w: np.ndarray,
+                  mu: float) -> tuple[np.ndarray, float]:
+    """One damped Newton step on log det Sigma + mu sum_i log w_i over the
+    simplex: the new weights and the fraction t of the step taken, or w and
+    t = 0 when the step is refused; w itself is never written.
 
     With H = F Sigma^-1 and g exact at w, K = (H F^T) o (H F^T) is the
     negative Hessian of log det Sigma in w and g its gradient; the step
-    d = a - (sum a / sum b) b, from K [a b] = [g 1], keeps sum w = 1.  The
-    step is refused when K is singular, when a weight would not stay
-    positive, or when log det Sigma would decrease, measured as
-    log det(Sigma^-1 Sigma') = log det(H^T (w' * F)).
+    d = a - (sum a / sum b) b, from (K + mu diag(w^-2)) [a b] = [g + mu/w, 1],
+    keeps sum w = 1.  The objective's change is read as
+    log det(Sigma^-1 Sigma') = log det(H^T (w' * F)) plus the barrier's.  At
+    mu = 0 the step is taken whole or refused: refused when K is singular,
+    when a weight would not stay positive, or when log det Sigma would fall.
+    At mu > 0, t starts at 1 or at 0.99 of the way to the simplex boundary,
+    whichever is less, and is halved until the objective rises by at least a
+    quarter of t times its slope along d; a step still short of that after
+    59 halvings is refused.
     """
     K = H @ F.T
     K *= K
+    grad = g
+    if mu:
+        K[np.diag_indices_from(K)] += mu / (w * w)
+        grad = g + mu / w
     try:
-        a, b = np.linalg.solve(K, np.column_stack((g, np.ones_like(g)))).T
+        a, b = np.linalg.solve(K, np.column_stack((grad, np.ones_like(g)))).T
     except np.linalg.LinAlgError:
-        return None
-    new = w + (a - a.sum() / b.sum() * b)
-    if not new.min() > 0.0:
-        return None
-    new /= new.sum()
-    sign, gain = np.linalg.slogdet(H.T @ (F * new[:, None]))
-    if not (sign > 0.0 and gain >= 0.0):
-        return None
-    return new
+        return w, 0.0
+    d = a - a.sum() / b.sum() * b
+    falls = d < 0.0
+    t = min(1.0, 0.99 * float((w[falls] / -d[falls]).min())) if mu and falls.any() else 1.0
+    rise = 0.25 * float(grad @ d) if mu else 0.0  # the least gain per unit of t
+    for _ in range(60 if mu else 1):  # at mu > 0, down to 2^-59 of the first t
+        new = w + t * d
+        if new.min() > 0.0:
+            new /= new.sum()
+            sign, gain = np.linalg.slogdet(H.T @ (F * new[:, None]))
+            if sign > 0.0 and gain + mu * np.log(new / w).sum() >= t * rise:
+                return new, t
+        t *= 0.5
+    return w, 0.0
 
 
 def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     """D-optimal design weights over the feature rows.
 
-    Maximizes log det(sum_i w_i f_i f_i^T) by Newton steps, then
-    Frank-Wolfe with away steps; the returned design satisfies the
+    Maximizes log det(sum_i w_i f_i f_i^T) by damped Newton steps on the
+    log barrier (``_barrier_step``); the returned design satisfies the
     Kiefer-Wolfowitz certificate max_i f_i^T Sigma^-1 f_i <= m (1 + tol), or
-    raises ToleranceNotMetError after 10 000 steps of both kinds without it.
-    A tol that is not positive and finite, or a feature that is not finite,
-    raises InputError before the first step.
+    raises ToleranceNotMetError after 10 000 steps without it.  A tol that is
+    not positive and finite, or a feature that is not finite, raises
+    InputError before the first step.
 
     Every step, and the certificate, reads H = F Sigma^-1 and the leverages
     g_i = f_i^T Sigma^-1 f_i recomputed from scratch at the current weights
-    (``_leverages``, O(n m^2 + m^3)).  Newton steps come first, from the
-    uniform start, and only while n <= m (m + 1) / 2: above that the
-    negative Hessian K = G o G on the weights, with G = F Sigma^-1 F^T, has
-    rank below n and is singular.  Each one solves K [a b] = [g 1] and steps
-    by d = a - (sum a / sum b) b (``_newton_step``): O(n^3 + n^2 m) per
-    attempt.  An accepted step keeps every weight positive and log det from
-    falling, so the support stays all n rows.  The first refused step leaves
-    w as it is, and the rest of the call takes Frank-Wolfe steps, so a
-    refusal costs one solve.
-
-    A Frank-Wolfe step w' = (1 - lam) w + lam e_j adds weight to the row of
-    largest leverage, or takes it from the support row of smallest leverage
-    (an away step, clipped so that no weight goes negative), whichever side
-    of the certificate is violated more, with lam the exact line search of
-    log det along that direction.
+    (``_leverages``, O(n m^2 + m^3)); the step itself is one n x n solve,
+    O(n^3 + n^2 m).  From the uniform start, while n <= m (m + 1) / 2, the
+    steps are plain Newton steps on log det (mu = 0).  Above that size the
+    negative Hessian K = G o G, with G = F Sigma^-1 F^T, has rank below n and
+    is singular, so the call starts on the barrier; at or below it, the first
+    refused step does.  On the barrier mu starts at 1 and is divided by 5
+    after each centring, which ends at the first step taken whole (or
+    refused).  Every weight stays positive: a weight off the optimal support
+    comes out small, not zero, and nothing bounds the leverages on the
+    support from below.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InputError(f"tol must be positive and finite, got {tol!r}")
@@ -137,40 +150,17 @@ def d_optimal_design(features, tol: float = 1e-6) -> DiscreteDistribution:
     if rank < m:
         raise RankDeficiencyError(rank, m)
     w = np.full(n, 1.0 / n)
-    newton = n <= m * (m + 1) // 2  # the rank of K is at most m (m + 1) / 2
+    mu = 0.0 if n <= m * (m + 1) // 2 else _BARRIER_START  # rank K <= m (m + 1) / 2
     for it in range(_DESIGN_MAX_ITER + 1):
         H, g = _leverages(F, w)
-        j_add = int(g.argmax())
-        j_away = int(np.where(w > 0.0, g, np.inf).argmin())  # over the support
-        g_add, g_away = float(g[j_add]), float(g[j_away])
-        add_violation = g_add / m - 1.0
-        away_violation = 1.0 - g_away / m
-        if add_violation <= tol and away_violation <= tol:
+        gap = float(g.max()) / m - 1.0
+        if gap <= tol:
             return DiscreteDistribution(w)
         if it == _DESIGN_MAX_ITER:
-            raise ToleranceNotMetError(max(add_violation, away_violation), tol,
-                                       _DESIGN_MAX_ITER)
-        if newton:  # no Frank-Wolfe step yet
-            stepped = _newton_step(F, H, g, w)
-            if stepped is not None:
-                w = stepped
-                continue
-            newton = False
-        if add_violation >= away_violation:
-            j, gj = j_add, g_add
-            lam = (gj - m) / (m * (gj - 1.0))  # gj > m >= 1 here
-        else:
-            j, gj, wj = j_away, g_away, float(w[j_away])
-            lam_min = -wj / (1.0 - wj) if wj < 1.0 else 0.0
-            if gj > 1.0:
-                # negative step removes mass from j, clipped to keep w >= 0
-                lam = max((gj - m) / (m * (gj - 1.0)), lam_min)
-            else:
-                lam = lam_min  # log det increases all the way to dropping j
-        w *= 1.0 - lam
-        w[j] += lam
-        np.maximum(w, 0.0, out=w)
-        w /= w.sum()
+            raise ToleranceNotMetError(gap, tol, _DESIGN_MAX_ITER)
+        w, t = _barrier_step(F, H, g, w, mu)
+        if t == 0.0 or (mu and t == 1.0):  # refused, or a centring ends
+            mu = mu / _BARRIER_SHRINK if mu else _BARRIER_START
 
 
 def action_covariance(weights, features) -> np.ndarray:

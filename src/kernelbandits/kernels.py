@@ -191,7 +191,14 @@ class Schedule:
         if isinstance(key, (int, np.integer)):
             row = self.rows[self.index[key]]
             return RankOne(row) if self.rank_one else ExplicitVector(row)
-        return Schedule(self.rank_one, self.index[key], self.rows)
+        index = self.index[key]
+        if index.ndim != 1:  # the checks refuse it
+            return Schedule(self.rank_one, index, self.rows)
+        # a subarray of a checked index into the same checked rows passes
+        # every check of __post_init__, so none is rerun
+        sub = object.__new__(Schedule)
+        sub.__dict__.update(rank_one=self.rank_one, index=index, rows=self.rows)
+        return sub
 
     def __iter__(self):
         for t in range(len(self)):

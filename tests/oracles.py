@@ -5,7 +5,7 @@ the hull of the embedded actions; the conditional-gradient analysis bounds
 the gap between CG's iterate and that minimizer.  ``d_optimal_design_exact``
 is the D-optimal design loop that re-forms and inverts the covariance on
 every step and reads the leverages off the whole N x N matrix
-F Sigma^-1 F^T, the reference for the Newton and Frank-Wolfe steps of
+F Sigma^-1 F^T, the reference for the log-barrier Newton steps of
 ``design.d_optimal_design``.  ``gram_basis_oracle`` is the proxy basis
 from one eigh of the whole p x p sample Gram, one row per draw, the
 reference for the distinct-sample basis of ``proxy.basis_from_samples``.
@@ -229,64 +229,62 @@ def run_cg_with_gaps(kernel: KernelSpec, actions, schedule, config: CGConfig,
 
 
 def d_optimal_design_exact(features, tol: float = 1e-6) -> DiscreteDistribution:
-    """``design.d_optimal_design`` with Sigma, its inverse and every
-    leverage f_i^T Sigma^-1 f_i computed from scratch on each step: Newton
-    steps on the whole leverage matrix G = F Sigma^-1 F^T from the uniform
-    start while n <= m (m + 1) / 2, up to the first refused one, then
-    Frank-Wolfe steps."""
+    """``design.d_optimal_design`` with Sigma, its inverse and the whole
+    leverage matrix G = F Sigma^-1 F^T re-formed from scratch on every step:
+    Newton steps on log det Sigma + mu sum_i log w_i over the simplex, at
+    mu = 0 from the uniform start while n <= m (m + 1) / 2, up to the first
+    refused one, then on the barrier from mu = 1, divided by 5 after each
+    step taken whole or refused."""
     F = np.atleast_2d(np.asarray(features, dtype=float))
     n, m = F.shape
     rank = np.linalg.matrix_rank(F)
     if rank < m:
         raise RankDeficiencyError(rank, m)
+
+    def objective(v, mu):
+        return np.linalg.slogdet(F.T @ (F * v[:, None]))[1] + mu * np.log(v).sum()
+
     w = np.full(n, 1.0 / n)
-    newton = n <= m * (m + 1) // 2
+    mu = 0.0 if n <= m * (m + 1) // 2 else design._BARRIER_START
     for it in range(design._DESIGN_MAX_ITER + 1):
         sigma = F.T @ (F * w[:, None])
         G = F @ np.linalg.inv(sigma) @ F.T
         g = np.diag(G).copy()  # f^T S^-1 f
-        j_add = int(np.argmax(g))
-        support = w > 0
-        g_support = np.where(support, g, np.inf)
-        j_away = int(np.argmin(g_support))
-        add_violation = g[j_add] / m - 1.0
-        away_violation = 1.0 - g[j_away] / m
-        if add_violation <= tol and away_violation <= tol:
+        gap = g.max() / m - 1.0
+        if gap <= tol:
             return DiscreteDistribution(w)
         if it == design._DESIGN_MAX_ITER:
-            raise ToleranceNotMetError(max(add_violation, away_violation), tol,
-                                       design._DESIGN_MAX_ITER)
-        if newton:
-            # maximize g^T d - d^T (G o G) d / 2 subject to sum d = 0; keep the
-            # step only if every weight stays positive and log det does not fall
-            try:
-                a, b = np.linalg.solve(G * G, np.column_stack((g, np.ones(n)))).T
-            except np.linalg.LinAlgError:
-                a = b = None
-            if a is not None:
-                stepped = w + (a - a.sum() / b.sum() * b)
+            raise ToleranceNotMetError(gap, tol, design._DESIGN_MAX_ITER)
+        # maximize (g + mu/w)^T d - d^T (G o G + mu diag(w^-2)) d / 2 subject
+        # to sum d = 0.  At mu = 0 keep the whole step only if every weight
+        # stays positive and log det does not fall; at mu > 0 start at most
+        # 0.99 of the way to the boundary and halve the step until the
+        # objective rises by a quarter of its slope times the step
+        grad = g + mu / w
+        taken = 0.0
+        try:
+            a, b = np.linalg.solve(G * G + np.diag(mu / w**2),
+                                   np.column_stack((grad, np.ones(n)))).T
+        except np.linalg.LinAlgError:
+            a = b = None
+        if a is not None:
+            d = a - a.sum() / b.sum() * b
+            t = 1.0
+            if mu and (d < 0).any():
+                t = min(1.0, 0.99 * np.min(-w[d < 0] / d[d < 0]))
+            slope = float(grad @ d) if mu else 0.0
+            for _ in range(60 if mu else 1):
+                stepped = w + t * d
                 if stepped.min() > 0.0:
                     stepped /= stepped.sum()
                     after = np.linalg.slogdet(F.T @ (F * stepped[:, None]))
-                    if after[0] > 0 and after[1] >= np.linalg.slogdet(sigma)[1]:
-                        w = stepped
-                        continue
-            newton = False
-        if add_violation >= away_violation:
-            j, gj = j_add, g[j_add]
-            lam = (gj - m) / (m * (gj - 1.0))  # gj > m >= 1 here
-        else:
-            j, gj = j_away, g[j_away]
-            lam_min = -w[j] / (1.0 - w[j]) if w[j] < 1.0 else 0.0
-            if gj > 1.0:
-                # negative step removes mass from j, clipped to keep w >= 0
-                lam = max((gj - m) / (m * (gj - 1.0)), lam_min)
-            else:
-                lam = lam_min  # log det increases all the way to dropping j
-        w = (1.0 - lam) * w
-        w[j] += lam
-        np.maximum(w, 0.0, out=w)
-        w /= w.sum()
+                    if (after[0] > 0
+                            and objective(stepped, mu) - objective(w, mu) >= 0.25 * t * slope):
+                        w, taken = stepped, t
+                        break
+                t *= 0.5
+        if taken == 0.0 or (mu and taken == 1.0):
+            mu = mu / design._BARRIER_SHRINK if mu else design._BARRIER_START
 
 
 def gram_basis_oracle(kernel: KernelSpec, samples: np.ndarray,

@@ -158,6 +158,22 @@ def test_run_summary_reports_theorem_bound(tmp_path, kernel, num, n, gamma,
     assert summary["vacuous"] is (bound_per_round >= 2.0)
 
 
+def test_run_bandit_on_600_lattice_points(tmp_path):
+    # gaussian:2 on 600 lattice points keeps m = 49 of the spectrum, and
+    # n = 600 > m (m + 1) / 2: the run's design is certified end to end
+    actions = tmp_path / "actions.csv"
+    np.savetxt(actions, fibonacci_sphere(600), delimiter=",")
+    out = tmp_path / "results"
+    assert main(["run", "--algo", "bandit_ew", "--kernel", "gaussian:2",
+                 "--actions", str(actions), "--adversary", "iid-unit",
+                 "--n", "20", "--seeds", "0",
+                 "--params", json.dumps({"eta": 0.05, "gamma": 0.5}),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["bandit_config"]["m"] == 49
+    assert summary["design"]["kw_ratio"] <= 1.0 + 1e-6
+
+
 def test_run_summary_reports_covariance_floor_certificate(tmp_path):
     # the bandit certifies its covariance floor gamma / (2m) once per run;
     # summary.json carries the floor and the certified lower bound
@@ -424,6 +440,25 @@ def test_design_command(tmp_path, capsys):
     assert out[0] == "action_index,weight"
     weights = np.array([float(line.split(",")[1]) for line in out[1:]])
     assert weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_design_command_certifies_a_small_proxy_rank(tmp_path, capsys):
+    # gaussian:2 features of 150 lattice points at proxy rank m = 16
+    # (p = 300, seed 0): n > m (m + 1) / 2, so every step is a barrier step
+    from kernelbandits.proxy import build_proxy, proxy_features
+
+    points = fibonacci_sphere(150)
+    basis = build_proxy(KernelSpec.gaussian(2.0), points, m=16, p=300,
+                        rng=component_rng(0, "proxy"))
+    F = proxy_features(basis, points)
+    feats = tmp_path / "feats.csv"
+    np.savetxt(feats, F, delimiter=",")
+    assert main(["design", "--features", str(feats)]) == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    weights = np.array([float(line.split(",")[1]) for line in out[1:]])
+    assert weights.shape == (150,) and weights.min() > 0.0
+    sigma = F.T @ (F * weights[:, None])
+    assert np.einsum("ij,jk,ik->i", F, np.linalg.inv(sigma), F).max() / 16 <= 1.0 + 1e-6
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])

@@ -45,20 +45,25 @@ def test_design_standard_basis_is_uniform():
 
 @pytest.mark.filterwarnings("error")
 def test_design_one_dimensional_prefers_larger_scalar():
-    # the add step from the uniform start has lam = 1 and empties the other
-    # point; the leverages at that one-point support must stay finite
-    d = d_optimal_design(np.array([[2.0], [1.0]]))
-    assert d.weights[0] == pytest.approx(1.0, abs=1e-9)
+    # the optimum puts all mass on the larger scalar; the barrier keeps the
+    # other weight positive, and the certificate 4 / (4 - 3 w_1) <= 1 + tol
+    # bounds it by 4 tol / 3
+    F = np.array([[2.0], [1.0]])
+    d = d_optimal_design(F)
+    assert 0.0 < d.weights[1] <= 4e-6 / 3
+    assert _kw_ratio(F, d.weights) <= 1.0 + 1e-6
 
 
 @pytest.mark.filterwarnings("error")
-def test_design_away_step_drops_support_point():
-    # the interior points start with mass and leverage below 1, so away steps
-    # remove them entirely; the update must stay finite and warning-free
+def test_design_interior_points_keep_vanishing_weights():
+    # the interior points are off the optimal support: their weights stay
+    # positive and come out below 1e-6, and the update stays finite and
+    # warning-free as they shrink
     F = np.array([[1.0, 0.0], [0.0, 1.0], [0.1, 0.1], [0.2, -0.1]])
     d = d_optimal_design(F)
-    assert np.array_equal(d.weights[2:], [0.0, 0.0])
+    assert np.all((d.weights[2:] > 0.0) & (d.weights[2:] < 1e-6))
     assert np.allclose(d.weights[:2], 0.5)
+    assert _kw_ratio(F, d.weights) <= 1.0 + 1e-6
 
 
 def test_design_beats_uniform_logdet():
@@ -114,15 +119,16 @@ def _bench_design_set():
 
 
 def _two_axes_and_a_diagonal(c):
-    # n = 3 = m (m + 1) / 2: from the uniform start a Newton step is refused
-    # for c = 0.9 and taken once, then refused, for c = 0.95
+    # n = 3 = m (m + 1) / 2: from the uniform start the mu = 0 step is
+    # refused for c = 0.9 and taken once, then refused, for c = 0.95
     return np.array([[1.0, 0.0], [0.0, 1.0], [c / np.sqrt(2), c / np.sqrt(2)]])
 
 
 def test_design_matches_exact_oracle(monkeypatch):
-    # the design loop follows the oracle's loop step for step: Frank-Wolfe
-    # steps on the random sets, Newton steps on the benchmark's set (the
-    # last), one Newton step then Frank-Wolfe on the c = 0.95 set
+    # the design loop follows the oracle's loop step for step: barrier
+    # steps on the random sets (from the start where n > m (m + 1) / 2),
+    # mu = 0 steps alone on the benchmark's set (the last), one mu = 0 step
+    # then barrier steps on the c = 0.95 set
     sets = _kw_feature_sets()
     points = component_rng(4, "gauss").uniform(-1.0, 1.0, size=(60, 2)) / np.sqrt(2)
     basis = build_proxy(KernelSpec.gaussian(0.5), points, m=48, p=120,
@@ -138,7 +144,7 @@ def test_design_matches_exact_oracle(monkeypatch):
         assert np.abs(fast.weights - exact.weights).sum() <= 1e-12
         assert _kw_ratio(F, fast.weights) <= 1.0 + 1e-6
         assert _kw_ratio(F, exact.weights) <= 1.0 + 1e-6
-    # the start and one after each of the three Newton steps
+    # the start and one after each of the three mu = 0 steps
     assert recomputations.count((150, 127)) == 4
 
 
@@ -154,57 +160,99 @@ def _record_leverages(monkeypatch):
     return shapes
 
 
-def _record_newton_steps(monkeypatch):
-    taken = []
-    newton_step = design._newton_step
+def _record_steps(monkeypatch):
+    """(mu, fraction of the step taken) of every design step."""
+    steps = []
+    barrier_step = design._barrier_step
 
-    def recorded(F, H, g, w):
-        stepped = newton_step(F, H, g, w)
-        taken.append(stepped is not None)
-        return stepped
+    def recorded(F, H, g, w, mu):
+        new, t = barrier_step(F, H, g, w, mu)
+        steps.append((mu, t))
+        return new, t
 
-    monkeypatch.setattr(design, "_newton_step", recorded)
-    return taken
+    monkeypatch.setattr(design, "_barrier_step", recorded)
+    return steps
 
 
 def test_newton_steps_alone_certify_the_benchmark_set(monkeypatch):
-    # three steps in all, each one a Newton step: a fourth step of any kind
-    # would exceed the cap
+    # three steps in all, each one a whole mu = 0 Newton step: a fourth step
+    # of any kind would exceed the cap
     F = _bench_design_set()
     m = F.shape[1]
-    taken = _record_newton_steps(monkeypatch)
+    steps = _record_steps(monkeypatch)
     monkeypatch.setattr(design, "_DESIGN_MAX_ITER", 3)
     nu = d_optimal_design(F, tol=1e-6)
-    assert taken == [True, True, True]
+    assert steps == [(0.0, 1.0)] * 3
     assert _kw_ratio(F, nu.weights) <= 1.0 + 1e-6
     assert nu.weights.min() >= 1.0 / (2 * m)  # the bandit's complement path
 
 
-def test_design_above_the_newton_size_keeps_the_frank_wolfe_weights(monkeypatch):
-    # n = 30 > m (m + 1) / 2 = 15: no Newton step is tried, the weights are
-    # the oracle's to 1e-12, and their bits are pinned
-    taken = _record_newton_steps(monkeypatch)
+def test_design_above_the_newton_size_starts_on_the_barrier(monkeypatch):
+    # n = 30 > m (m + 1) / 2 = 15: no mu = 0 step is tried, mu starts at 1
+    # and only falls, the weights are the oracle's to 1e-12, and their bits
+    # are pinned (the barrier weights digest)
+    steps = _record_steps(monkeypatch)
     F = component_rng(3, "cap").standard_normal((30, 5))
     w = d_optimal_design(F).weights
-    assert taken == []
+    mus = [mu for mu, _ in steps]
+    assert mus[0] == 1.0 and all(b <= a for a, b in zip(mus, mus[1:]))
     assert np.abs(w - d_optimal_design_exact(F).weights).sum() <= 1e-12
-    assert hashlib.sha256(w.tobytes()).hexdigest() == (
-        "568cd4420d8192e7bddd17f1e49de6f2cd882f64d8e30622d55f1d3e5cca7be7")
+    assert _kw_ratio(F, w) <= 1.0 + 1e-6
+    assert hashlib.sha256(w.tobytes()).hexdigest() == _BARRIER_WEIGHTS_SHA256
+
+
+# sha256 of the design weights (float64) of the 30 x 5 set above
+_BARRIER_WEIGHTS_SHA256 = (
+    "d7b0cb9e153871971866b1add1fbe15c569b3dbc450a69aab366d420fd9d00f7")
 
 
 def test_refused_newton_step_leaves_the_weights_unchanged():
-    # the design puts no weight on the diagonal point, and the Newton step
-    # from the uniform start would make its weight negative
+    # the design puts vanishing weight on the diagonal point, and the mu = 0
+    # step from the uniform start would make its weight negative
     F = _two_axes_and_a_diagonal(0.9)
     w = np.full(3, 1.0 / 3)
     H, g = design._leverages(F, w)
-    assert design._newton_step(F, H, g, w) is None
+    new, t = design._barrier_step(F, H, g, w, 0.0)
+    assert t == 0.0 and new is w
     assert np.array_equal(w, np.full(3, 1.0 / 3))
-    assert np.array_equal(d_optimal_design(F).weights[2:], [0.0])
+    nu = d_optimal_design(F)
+    assert 0.0 < nu.weights[2] < 1e-5
+    assert _kw_ratio(F, nu.weights) <= 1.0 + 1e-6
+
+
+def _gaussian_lattice_features(num, m):
+    """gaussian:2 proxy features of num Fibonacci lattice points, proxy
+    p = 2 num at seed 0, truncated at m (None: every eigenvalue above the
+    floor)."""
+    points = fibonacci_sphere(num)
+    basis = build_proxy(KernelSpec.gaussian(2.0), points, m=m, p=2 * num,
+                        rng=component_rng(0, "proxy"))
+    return proxy_features(basis, points)
+
+
+@pytest.mark.filterwarnings("error")
+def test_design_certifies_the_600_point_gaussian_set():
+    # n = 600 >> m (m + 1) / 2 at m = 49, where K is singular: barrier steps
+    # from the start certify on exact leverages in a fraction of a second
+    F = _gaussian_lattice_features(600, None)
+    assert F.shape == (600, 49)
+    nu = d_optimal_design(F, tol=1e-6)
+    assert _kw_ratio(F, nu.weights) <= 1.0 + 1e-6
+    assert nu.weights.min() > 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [10, 16, 24])
+def test_design_certifies_the_150_point_gaussian_set_at_small_m(m):
+    # the proxy ranks at which the theorem's bound is lowest on this set
+    F = _gaussian_lattice_features(150, m)
+    assert F.shape == (150, m)
+    nu = d_optimal_design(F, tol=1e-6)
+    assert _kw_ratio(F, nu.weights) <= 1.0 + 1e-6
 
 
 def test_design_iteration_cap_raises_without_certificate(monkeypatch):
-    # three steps from the uniform start leave max_i g_i / m at 1.84; the
+    # three steps from the uniform start leave max_i g_i / m at 1.47; the
     # leverages are recomputed exactly at the start and after every step
     monkeypatch.setattr(design, "_DESIGN_MAX_ITER", 3)
     recomputations = _record_leverages(monkeypatch)

@@ -285,6 +285,24 @@ def test_malformed_schedules_raise_input_error():
             Schedule(kind, index, rows)
 
 
+def test_subschedules_rerun_no_check(monkeypatch):
+    # a slice, an index array or a mask of a checked schedule selects from
+    # its checked index into the same rows, so no check reruns; a 2-D key
+    # still meets the checks
+    schedule = Schedule(True, np.array([0, 1, 1, 0]), np.eye(2))
+    with pytest.raises(InputError):
+        schedule[np.array([[0, 1]])]
+
+    def no_checks(self):
+        raise AssertionError("a check reran")
+
+    monkeypatch.setattr(Schedule, "__post_init__", no_checks)
+    for key in (slice(1, 3), np.array([3, 0]), np.array([True, False, True, False])):
+        sub = schedule[key]
+        assert sub.rank_one and sub.rows is schedule.rows
+        assert np.array_equal(sub.index, schedule.index[key])
+
+
 def test_schedules_hold_rows_of_one_kind():
     # the adversary plays one element of the RKHS ball per round, all
     # points or all explicit vectors: rows that mix the kinds are refused
