@@ -193,15 +193,22 @@ def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = No
     not depend on ``count``.  Returns the ``count`` states after ``burn_in``
     steps (default 1000 d).  Mixing is reported by the caller's diagnostics
     (:func:`chain_autocorrelation`), not guaranteed.
+
+    Every draw is fixed to the bit by the seed.  Inside the step, float sums
+    are explicit left-to-right loops, never ``sum`` or ``math.fsum``; the
+    products lam_i u_i are formed in the step's loop, the same IEEE products
+    as numpy's elementwise ones; alpha = (u o u)^T lam and gam^T u stay numpy
+    products per block, as a loop would not reproduce the order or fusion
+    of a BLAS sum.
     """
     count = _step_count("count", count, 1)
     d = obj.b.size
     burn_in = _step_count("burn_in", 1000 * d if burn_in is None else burn_in, 0)
     lam, V = np.linalg.eigh(obj.B)
     gam = V.T @ obj.b
-    twice_gam = (2.0 * gam).tolist()
+    lam_list, twice_gam = lam.tolist(), (2.0 * gam).tolist()
     uniform = _uniforms(rng).__next__
-    chain = np.empty((count, d))
+    chain = np.empty(count * d)  # the kept states, row after row
     x, xx = [0.0] * d, 0.0
     steps = burn_in + count
     for start in range(0, steps, _BLOCK):
@@ -213,21 +220,22 @@ def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = No
         # a reflection happens when e_i = Exp(1) - log 2 > max(2 gam_i x_i, 0),
         # which has probability 1/2 * min(1, exp(-2 gam_i x_i))
         e_block = rng.standard_exponential((_BLOCK, d)) - math.log(2.0)
-        block = zip(u_block.tolist(), (u_block * lam).tolist(),
-                    (u_block * u_block @ lam).tolist(), (u_block @ gam).tolist(),
-                    e_block.tolist())
-        rows = []
-        for u, lam_u, alpha, gam_u, e in itertools.islice(block, steps - start):
+        block = zip(u_block.tolist(), (u_block * u_block @ lam).tolist(),
+                    (u_block @ gam).tolist(), e_block.tolist())
+        rows = []  # this block's states, flat
+        for u, alpha, gam_u, e in itertools.islice(block, steps - start):
             xu = lam_xu = 0.0
-            for xi, ui, li in zip(x, u, lam_u):
+            for xi, ui, li in zip(x, u, lam_list):
                 xu += xi * ui
-                lam_xu += xi * li
+                lam_xu += xi * (ui * li)
             # chord of the ball: ||x + t u||^2 = 1; clamping 1 - ||x||^2 at 0
             # keeps t = 0 on it when rounding leaves x a hair outside the ball
-            root = math.sqrt(xu * xu + max(1.0 - xx, 0.0))
+            slack = 1.0 - xx
+            root = math.sqrt(xu * xu + (0.0 if slack < 0.0 else slack))
             t_lo, t_hi = -xu - root, -xu + root
-            if not math.isfinite(t_lo) or not math.isfinite(t_hi) or t_hi - t_lo <= 1e-14:
-                step = start + len(rows)
+            # a NaN or infinite end makes the length NaN or +inf
+            if not 1e-14 < t_hi - t_lo < math.inf:
+                step = start + len(rows) // d
                 raise DegenerateStartError(
                     f"degenerate chord of length {t_hi - t_lo!r} at step {step}")
             t = _slice_chord(alpha, 2.0 * lam_xu + gam_u, t_lo, t_hi, uniform)
@@ -238,11 +246,12 @@ def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = No
                 g2x = g2 * xi
                 new.append(-xi if ei > (g2x if g2x > 0.0 else 0.0) else xi)
             x = new
-            rows.append(x)
-        kept = max(burn_in - start, 0)
+            rows.extend(x)
+        kept = max(burn_in - start, 0) * d
         if kept < len(rows):
-            chain[start + kept - burn_in:start + len(rows) - burn_in] = rows[kept:]
-    return chain @ V.T
+            first = (start - burn_in) * d + kept
+            chain[first:first + len(rows) - kept] = rows[kept:]
+    return chain.reshape(count, d) @ V.T
 
 
 def chain_autocorrelation(samples: np.ndarray) -> float:

@@ -21,7 +21,11 @@ stand-in generator that repeats one raw value, such as the top patterns
 where u rounds to 1.0; ``cg_fold_round`` is a self-contained
 conditional-gradient round over dense weights on the atom table that
 embeds everything it uses, the reference for the blocked pass of
-``fullinfo.run_cg``.  ``kernel_schedules`` builds the rank-one and
+``fullinfo.run_cg``.  ``sampler_fold_oracle`` is the quadratic sampler's
+per-step loop as it stood before its step was tuned: nested rows of
+states, ``max`` for the clamp, an ``isfinite`` call on each chord end and
+lam_i u_i formed by numpy per block, around the one ``_slice_chord`` per
+step, the reference for ``quadratic.quad_ew_sample``.  ``kernel_schedules`` builds the rank-one and
 explicit adversary schedules that the bit-identity tests of the loss
 matrix, exponential weights and conditional gradient run on.
 ``fibonacci_sphere`` is the benchmark's Fibonacci lattice on the sphere,
@@ -38,6 +42,7 @@ reference for the vectorized ``kernels.cross_gram`` and
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -45,6 +50,7 @@ import numpy as np
 from kernelbandits import bandit, design, proxy
 from kernelbandits.design import DiscreteDistribution
 from kernelbandits.errors import (
+    DegenerateStartError,
     InputError,
     InvalidCombinationError,
     RankDeficiencyError,
@@ -76,6 +82,7 @@ from kernelbandits.kernels import (
     make_rank_one,
 )
 from kernelbandits.proxy import SampleBasis
+from kernelbandits.quadratic import _BLOCK, QuadraticObjective, _slice_chord, _uniforms
 from kernelbandits.rng import component_rng, sample_indices
 
 # kernels with every loss path: explicit maps (linear, quadratic, cubic) and
@@ -474,3 +481,55 @@ def cg_fold_round(state: CGState, config: CGConfig, kernel: KernelSpec,
     new_state = CGState(combo, mean, cum, state.x1, t + 1)
     record = CGRecord(t, idx, float(loss), num_atoms=int(np.count_nonzero(combo.weights)))
     return new_state, record
+
+
+def sampler_fold_oracle(obj: QuadraticObjective, count: int, burn_in: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """``quadratic.quad_ew_sample`` one step at a time in its plainest form:
+    per block, lam_i u_i, alpha and gamma^T u by numpy, then per step the
+    dot products, the chord clamped by ``max``, both ends checked by
+    ``isfinite``, one ``_slice_chord`` and the reflections, each state kept
+    as a row of its own."""
+    d = obj.b.size
+    lam, V = np.linalg.eigh(obj.B)
+    gam = V.T @ obj.b
+    twice_gam = (2.0 * gam).tolist()
+    uniform = _uniforms(rng).__next__
+    chain = np.empty((count, d))
+    x, xx = [0.0] * d, 0.0
+    steps = burn_in + count
+    for start in range(0, steps, _BLOCK):
+        u_block = rng.standard_normal((_BLOCK, d))
+        norms = np.sqrt(np.einsum("ij,ij->i", u_block, u_block))
+        zero = norms == 0.0
+        u_block[zero, 0] = norms[zero] = 1.0
+        u_block /= norms[:, None]
+        e_block = rng.standard_exponential((_BLOCK, d)) - math.log(2.0)
+        block = zip(u_block.tolist(), (u_block * lam).tolist(),
+                    (u_block * u_block @ lam).tolist(), (u_block @ gam).tolist(),
+                    e_block.tolist())
+        rows = []
+        for u, lam_u, alpha, gam_u, e in itertools.islice(block, steps - start):
+            xu = lam_xu = 0.0
+            for xi, ui, li in zip(x, u, lam_u):
+                xu += xi * ui
+                lam_xu += xi * li
+            root = math.sqrt(xu * xu + max(1.0 - xx, 0.0))
+            t_lo, t_hi = -xu - root, -xu + root
+            if not math.isfinite(t_lo) or not math.isfinite(t_hi) or t_hi - t_lo <= 1e-14:
+                step = start + len(rows)
+                raise DegenerateStartError(
+                    f"degenerate chord of length {t_hi - t_lo!r} at step {step}")
+            t = _slice_chord(alpha, 2.0 * lam_xu + gam_u, t_lo, t_hi, uniform)
+            new, xx = [], 0.0
+            for xi, ui, g2, ei in zip(x, u, twice_gam, e):
+                xi += t * ui
+                xx += xi * xi
+                g2x = g2 * xi
+                new.append(-xi if ei > (g2x if g2x > 0.0 else 0.0) else xi)
+            x = new
+            rows.append(x)
+        kept = max(burn_in - start, 0)
+        if kept < len(rows):
+            chain[start + kept - burn_in:start + len(rows) - burn_in] = rows[kept:]
+    return chain @ V.T

@@ -76,6 +76,27 @@ def test_the_walk_and_the_draw_have_one_owner():
     assert readers == {name: {owner} for name, owner in owners.items()}
 
 
+def test_no_module_sums_floats_with_sum_or_fsum():
+    """The package never calls the built-in ``sum`` or ``math.fsum``.
+
+    CPython 3.12 made ``sum`` of floats compensated (Neumaier), so the same
+    ``sum`` gives other bits on 3.12 than on 3.10 and 3.11, which the
+    package also supports, and ``fsum`` rounds once where a loop rounds at
+    every add.  The same seed gives the same bits (``rng.py``) on every
+    supported Python only while float sums are explicit left-to-right loops
+    or numpy reductions.
+    """
+    calls = []
+    for path in sorted(Path(kernelbandits.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "fsum" or (name == "sum" and isinstance(func, ast.Name)):
+                    calls.append(f"{path.name}:{node.lineno}: {name}")
+    assert calls == []
+
+
 # Public names whose only callers are tests, kept on purpose.
 _TEST_ONLY_PUBLIC = {
     "configure_bandit": ("paper construction: the bandit schedule from an eigendecay "

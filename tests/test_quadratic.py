@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from kernelbandits.errors import InputError
+from kernelbandits import quadratic
+from kernelbandits.errors import DegenerateStartError, InputError
 from kernelbandits.quadratic import (
     QuadraticObjective,
     _slice_chord,
@@ -15,6 +16,7 @@ from kernelbandits.quadratic import (
     trs_minimize,
 )
 from kernelbandits.rng import component_rng
+from oracles import sampler_fold_oracle
 
 
 def kkt_holds(obj: QuadraticObjective, a: np.ndarray, tol: float = 1e-6) -> bool:
@@ -274,3 +276,41 @@ def test_sampler_draws_are_pinned():
     samples = quad_ew_sample(obj, count=500, burn_in=50, rng=component_rng(18, "pin"))
     digest = hashlib.sha256(samples.astype(np.float64).tobytes()).hexdigest()
     assert digest == _SAMPLER_DRAWS_SHA256
+
+
+def _sampler_objective(d: int, with_b: bool) -> QuadraticObjective:
+    # the benchmark's spectrum, cut to its first d values, in a seeded basis
+    rng = component_rng(19, f"fold-{d}")
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    B = q @ np.diag([3.0, 1.0, 0.0, -2.0, -5.0][:d]) @ q.T
+    return QuadraticObjective(0.5 * (B + B.T), rng.standard_normal(d) if with_b else np.zeros(d))
+
+
+@pytest.mark.parametrize("burn_in,count", [(300, 700), (0, 257), (5000, 1), (256, 256)])
+@pytest.mark.parametrize("d,with_b", [(1, True), (3, True), (5, False), (5, True)])
+def test_sampler_equals_its_fold_oracle(d, with_b, burn_in, count):
+    # the step forms lam_i u_i in its loop and keeps each block's states in
+    # one flat list; neither may move a bit.  The burn-ins and counts end
+    # mid-block, on a block boundary and one step into a block.
+    obj = _sampler_objective(d, with_b)
+    got = quad_ew_sample(obj, count=count, burn_in=burn_in, rng=component_rng(20, "fold"))
+    want = sampler_fold_oracle(obj, count, burn_in, component_rng(20, "fold"))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("k", [255, 300])
+def test_degenerate_chord_is_refused_at_the_next_step(monkeypatch, bad, k):
+    # a slice step that lands on NaN or +inf at step k leaves no finite
+    # chord through the state, so step k + 1 refuses it and names itself
+    calls = []
+
+    def slice_chord(*args):
+        calls.append(None)
+        return bad if len(calls) == k + 1 else _slice_chord(*args)
+
+    monkeypatch.setattr(quadratic, "_slice_chord", slice_chord)
+    obj = _sampler_objective(3, True)
+    with pytest.raises(DegenerateStartError, match=rf" at step {k + 1}$"):
+        quad_ew_sample(obj, count=500, burn_in=100, rng=component_rng(21, "degenerate"))
+    assert len(calls) == k + 1
