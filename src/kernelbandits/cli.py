@@ -243,7 +243,7 @@ def _cmd_sample_quad(args) -> int:
     obj = QuadraticObjective(B, b)
     rng = component_rng(args.seed, "quad-sampler")
     samples = quad_ew_sample(obj, count=args.count, burn_in=args.burn_in, rng=rng)
-    lines = [",".join(f"{v:.17g}" for v in row) for row in samples]
+    lines = [",".join(f"{v:.17g}" for v in row) for row in samples.tolist()]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -143,9 +143,9 @@ def _step_count(name: str, value, least: int) -> int:
 
 
 def _uniforms(rng: np.random.Generator):
-    """Endless stream of uniforms on [0, 1), drawn from ``rng`` in blocks."""
-    while True:
-        yield from rng.random(_BLOCK).tolist()
+    """Endless stream of uniforms on [0, 1), drawn from ``rng`` in blocks,
+    the next block only once the last one is used up."""
+    return itertools.chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None))
 
 
 def _slice_chord(alpha: float, beta: float, lo: float, hi: float, uniform) -> float:
@@ -199,7 +199,12 @@ def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = No
     products lam_i u_i are formed in the step's loop, the same IEEE products
     as numpy's elementwise ones; alpha = (u o u)^T lam and gam^T u stay numpy
     products per block, as a loop would not reproduce the order or fusion
-    of a BLAS sum.
+    of a BLAS sum.  The dot products x^T u and x^T (lam o u) of step s + 1
+    are added up in step s's update loop, each x_i after its reflection, in
+    the same order as a loop of their own.  A block's first step has such a
+    loop: its direction is drawn after the previous step's slice uniforms.
+    Those uniforms come from a lazy chain of blocks of 256, the next one
+    drawn only once the last is used up.
     """
     count = _step_count("count", count, 1)
     d = obj.b.size
@@ -220,14 +225,19 @@ def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = No
         # a reflection happens when e_i = Exp(1) - log 2 > max(2 gam_i x_i, 0),
         # which has probability 1/2 * min(1, exp(-2 gam_i x_i))
         e_block = rng.standard_exponential((_BLOCK, d)) - math.log(2.0)
-        block = zip(u_block.tolist(), (u_block * u_block @ lam).tolist(),
+        u_rows = u_block.tolist()
+        # each step is paired with the next step's direction, the last with a
+        # zero one: the next block's first dot products are its own loop's
+        block = zip(u_rows, u_rows[1:] + [[0.0] * d], (u_block * u_block @ lam).tolist(),
                     (u_block @ gam).tolist(), e_block.tolist())
+        # the block's first dot products; the previous step could not read
+        # this direction, drawn after that step's slice uniforms
+        xu = lam_xu = 0.0
+        for xi, ui, li in zip(x, u_rows[0], lam_list):
+            xu += xi * ui
+            lam_xu += xi * (ui * li)
         rows = []  # this block's states, flat
-        for u, alpha, gam_u, e in itertools.islice(block, steps - start):
-            xu = lam_xu = 0.0
-            for xi, ui, li in zip(x, u, lam_list):
-                xu += xi * ui
-                lam_xu += xi * (ui * li)
+        for u, v, alpha, gam_u, e in itertools.islice(block, steps - start):
             # chord of the ball: ||x + t u||^2 = 1; clamping 1 - ||x||^2 at 0
             # keeps t = 0 on it when rounding leaves x a hair outside the ball
             slack = 1.0 - xx
@@ -239,12 +249,17 @@ def quad_ew_sample(obj: QuadraticObjective, count: int, burn_in: int | None = No
                 raise DegenerateStartError(
                     f"degenerate chord of length {t_hi - t_lo!r} at step {step}")
             t = _slice_chord(alpha, 2.0 * lam_xu + gam_u, t_lo, t_hi, uniform)
-            new, xx = [], 0.0
-            for xi, ui, g2, ei in zip(x, u, twice_gam, e):
+            # the move, its reflection, then the next step's dot products
+            new, xx, xu, lam_xu = [], 0.0, 0.0, 0.0
+            for xi, ui, g2, ei, vi, li in zip(x, u, twice_gam, e, v, lam_list):
                 xi += t * ui
                 xx += xi * xi
                 g2x = g2 * xi
-                new.append(-xi if ei > (g2x if g2x > 0.0 else 0.0) else xi)
+                if ei > (g2x if g2x > 0.0 else 0.0):
+                    xi = -xi
+                new.append(xi)
+                xu += xi * vi
+                lam_xu += xi * (vi * li)
             x = new
             rows.extend(x)
         kept = max(burn_in - start, 0) * d

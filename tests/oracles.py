@@ -22,10 +22,13 @@ where u rounds to 1.0; ``cg_fold_round`` is a self-contained
 conditional-gradient round over dense weights on the atom table that
 embeds everything it uses, the reference for the blocked pass of
 ``fullinfo.run_cg``.  ``sampler_fold_oracle`` is the quadratic sampler's
-per-step loop as it stood before its step was tuned: nested rows of
-states, ``max`` for the clamp, an ``isfinite`` call on each chord end and
-lam_i u_i formed by numpy per block, around the one ``_slice_chord`` per
-step, the reference for ``quadratic.quad_ew_sample``.  ``kernel_schedules`` builds the rank-one and
+per-step loop as it stood before its step was tuned: each step's dot
+products in a loop of their own, nested rows of states, ``max`` for the
+clamp, an ``isfinite`` call on each chord end and lam_i u_i formed by
+numpy per block, around the one ``_slice_chord`` per step.  It is the
+reference for ``quadratic.quad_ew_sample``, so it draws its slice uniforms
+from a generator of its own, ``sampler_uniforms`` (``_BLOCK`` at a time,
+the next block once the last is used up).  ``kernel_schedules`` builds the rank-one and
 explicit adversary schedules that the bit-identity tests of the loss
 matrix, exponential weights and conditional gradient run on.
 ``fibonacci_sphere`` is the benchmark's Fibonacci lattice on the sphere,
@@ -82,7 +85,7 @@ from kernelbandits.kernels import (
     make_rank_one,
 )
 from kernelbandits.proxy import SampleBasis
-from kernelbandits.quadratic import _BLOCK, QuadraticObjective, _slice_chord, _uniforms
+from kernelbandits.quadratic import _BLOCK, QuadraticObjective, _slice_chord
 from kernelbandits.rng import component_rng, sample_indices
 
 # kernels with every loss path: explicit maps (linear, quadratic, cubic) and
@@ -483,6 +486,13 @@ def cg_fold_round(state: CGState, config: CGConfig, kernel: KernelSpec,
     return new_state, record
 
 
+def sampler_uniforms(rng: np.random.Generator):
+    """Endless stream of uniforms on [0, 1), ``_BLOCK`` drawn from ``rng`` at a
+    time, the next block only once the last is used up."""
+    while True:
+        yield from rng.random(_BLOCK).tolist()
+
+
 def sampler_fold_oracle(obj: QuadraticObjective, count: int, burn_in: int,
                         rng: np.random.Generator) -> np.ndarray:
     """``quadratic.quad_ew_sample`` one step at a time in its plainest form:
@@ -494,7 +504,7 @@ def sampler_fold_oracle(obj: QuadraticObjective, count: int, burn_in: int,
     lam, V = np.linalg.eigh(obj.B)
     gam = V.T @ obj.b
     twice_gam = (2.0 * gam).tolist()
-    uniform = _uniforms(rng).__next__
+    uniform = sampler_uniforms(rng).__next__
     chain = np.empty((count, d))
     x, xx = [0.0] * d, 0.0
     steps = burn_in + count

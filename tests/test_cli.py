@@ -8,6 +8,7 @@ from kernelbandits.bandit import BanditConfig, theorem_regret_bound
 from kernelbandits.cli import main, parse_actions, parse_adversary, parse_kernel
 from kernelbandits.errors import InputError
 from kernelbandits.kernels import KernelSpec, feature_map
+from kernelbandits.quadratic import QuadraticObjective, quad_ew_sample
 from kernelbandits.rng import component_rng
 from oracles import fibonacci_sphere
 
@@ -482,6 +483,12 @@ def test_sample_quad_command(tmp_path):
     samples = np.loadtxt(out, delimiter=",")
     assert samples.shape == (200, 2)
     assert np.all(np.linalg.norm(samples, axis=1) <= 1.0 + 1e-9)
+    # the file is the same seed's draws, each written in full as .17g
+    draws = quad_ew_sample(QuadraticObjective(np.array([[-2.0, 0.0], [0.0, 1.0]]),
+                                              np.array([0.5, 0.0])),
+                           count=200, burn_in=500, rng=component_rng(1, "quad-sampler"))
+    text = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in draws)
+    assert out.read_bytes() == text.encode()
 
 
 def test_proxy_check_command(capsys):

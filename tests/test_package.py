@@ -77,24 +77,34 @@ def test_the_walk_and_the_draw_have_one_owner():
 
 
 def test_no_module_sums_floats_with_sum_or_fsum():
-    """The package never calls the built-in ``sum`` or ``math.fsum``.
+    """The package never names the built-in ``sum``, ``math.fsum``,
+    ``math.sumprod`` or ``math.fma``.
 
     CPython 3.12 made ``sum`` of floats compensated (Neumaier), so the same
     ``sum`` gives other bits on 3.12 than on 3.10 and 3.11, which the
     package also supports, and ``fsum`` rounds once where a loop rounds at
-    every add.  The same seed gives the same bits (``rng.py``) on every
+    every add.  ``sumprod`` (3.12+) adds its products in extended precision
+    and ``fma`` (3.13+) rounds x * y + z once, so either one would give other
+    bits than the loop's product and add, and exists only on some supported
+    versions.  The same seed gives the same bits (``rng.py``) on every
     supported Python only while float sums are explicit left-to-right loops
-    or numpy reductions.
+    or numpy reductions.  Names count, not only calls: a ``sumprod`` bound
+    to a local name or imported is still a ``sumprod``.
     """
-    calls = []
+    refused = {"fsum", "sumprod", "fma"}
+    found = []
     for path in sorted(Path(kernelbandits.__path__[0]).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "fsum" or (name == "sum" and isinstance(func, ast.Name)):
-                    calls.append(f"{path.name}:{node.lineno}: {name}")
-    assert calls == []
+            if isinstance(node, ast.Name):
+                names = {node.id} & (refused | {"sum"})
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr} & refused
+            elif isinstance(node, ast.alias):
+                names = {node.name} & refused
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names]
+    assert found == []
 
 
 # Public names whose only callers are tests, kept on purpose.

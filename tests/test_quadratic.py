@@ -286,12 +286,16 @@ def _sampler_objective(d: int, with_b: bool) -> QuadraticObjective:
     return QuadraticObjective(0.5 * (B + B.T), rng.standard_normal(d) if with_b else np.zeros(d))
 
 
-@pytest.mark.parametrize("burn_in,count", [(300, 700), (0, 257), (5000, 1), (256, 256)])
+@pytest.mark.parametrize("burn_in,count", [(300, 700), (0, 257), (5000, 1), (256, 256),
+                                           (255, 2), (511, 3)])
 @pytest.mark.parametrize("d,with_b", [(1, True), (3, True), (5, False), (5, True)])
 def test_sampler_equals_its_fold_oracle(d, with_b, burn_in, count):
-    # the step forms lam_i u_i in its loop and keeps each block's states in
-    # one flat list; neither may move a bit.  The burn-ins and counts end
-    # mid-block, on a block boundary and one step into a block.
+    # the step forms lam_i u_i in its loop, adds up the next step's dot
+    # products in its update loop, except at a block's last step, and keeps
+    # each block's states in one flat list; none may move a bit.  The
+    # burn-ins and counts end mid-block, on a block boundary and one step
+    # into a block, and (255, 2) and (511, 3) keep only the draws that
+    # straddle a block's end.
     obj = _sampler_objective(d, with_b)
     got = quad_ew_sample(obj, count=count, burn_in=burn_in, rng=component_rng(20, "fold"))
     want = sampler_fold_oracle(obj, count, burn_in, component_rng(20, "fold"))
