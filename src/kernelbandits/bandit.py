@@ -17,15 +17,24 @@ The estimate takes one of two paths, chosen once per run from the inputs
 one symmetric product, the covariance X^T X with X = sqrt(p_t) * F
 (:func:`~kernelbandits.design.action_covariance`), and one m x m LU solve.
 When the proxy rank m exceeds N / 2 and every design weight is at least
-1 / (2m), the complement path replaces both by one k x k solve in the
-k = N - m dimensional complement of the features' column space, and forms
-the covariance only on the rounds its smallest eigenvalue is recorded.
+1 / (2m), the complement path replaces both by Y = Z / p_t, the k x k
+product Z^T Y (N k^2 flops), one k x k solve and the product Y c, in
+the k = N - m dimensional complement of the features' column space, and
+forms the covariance only on the rounds its smallest eigenvalue is
+recorded.  Those rounds, one in 50, add the covariance and an m x m
+``eigvalsh``, O(N m^2 + m^3): at N = 150, m = 127 about a quarter of the
+play, and the k = 23 solve about a fifth, 40% of it numpy's wrapper (one
+BLAS thread, 2-vCPU x86 host).
 
 :func:`_bandit_play` steps the row blocks of the schedule on one array of
 log weights.  A block makes one :func:`~kernelbandits.kernels.loss_matrix`
 call, whose rows give the played losses, <p_t, l_t> and the loss totals,
 and one :func:`~kernelbandits.rng._uniforms` call for all its draws; the
 player stream feeds only the draws, so these are the bits of one per round.
+A block copies the log weights it is handed once and makes its arrays for
+p_t, Y, the estimates and the weight step once; its rounds write into them
+in place, so a round allocates no N x k array, only vectors of length N
+or k and the k x k system.
 """
 
 from __future__ import annotations
@@ -45,7 +54,8 @@ from .design import (
 )
 from .errors import (HorizonTooShortError, IllConditionedCovarianceError, InputError,
                      PreconditionError)
-from .kernels import AdversaryAction, KernelSpec, Schedule, _row_blocks, loss_matrix
+from .kernels import (AdversaryAction, KernelSpec, Schedule, _row_blocks, _row_dots,
+                      loss_matrix)
 from .proxy import EigendecayProfile, SampleBasis, effective_dimension, proxy_features
 from .rng import _inverse_cdf, _uniforms
 from .weights import WeightState, _check_step_size, softmax
@@ -210,15 +220,22 @@ def _certify_run(config: BanditConfig, features: np.ndarray,
     return _RunCertificate(floor, bound, max_sq_norm, estimator, basis)
 
 
-def _complement_estimate(basis: np.ndarray, p: np.ndarray, idx: int,
-                         loss: float) -> np.ndarray:
+def _complement_estimate(basis: np.ndarray, p: np.ndarray, idx: int, loss: float,
+                         y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The estimated loss of every action, loss * F Sigma^-1 Phi(a_idx),
     through the complement basis Z: (loss / p_i)(e_i - Y c) with Y = Z / p
-    and c = (Z^T Y)^-1 Z^T e_i (see :func:`_bandit_play`)."""
-    y = basis / p[:, None]
-    v = -(y @ np.linalg.solve(basis.T @ y, basis[idx]))
-    v[idx] += 1.0
-    return (loss / p[idx]) * v
+    and c = (Z^T Y)^-1 Z^T e_i (see :func:`_bandit_play`).  Y is written
+    into ``y`` (the shape of Z) and the estimate into ``out``, which is
+    returned."""
+    np.divide(basis, p[:, None], out=y)
+    np.matmul(y, np.linalg.solve(basis.T @ y, basis[idx]), out=out)
+    scale = loss / p[idx]
+    # (-a) s = a (-s) and (-a + 1) s = (1 - a) s in floating point, so one
+    # scaling by -s and one entry give the bits of negating, adding and scaling
+    y_c = out[idx]
+    np.multiply(out, -scale, out=out)
+    out[idx] = (1.0 - y_c) * scale
+    return out
 
 
 def _bandit_block(log_weights: np.ndarray, start: int, config: BanditConfig,
@@ -231,16 +248,25 @@ def _bandit_block(log_weights: np.ndarray, start: int, config: BanditConfig,
     lambda_min against its floor, estimates every action's loss (through its
     complement basis, or by LU when that is None) and steps the log weights.
     Returns the played indices, their losses, <p_t, L[t]>, ||l-hat_t||_inf,
-    the sampled lambda_min (else None), the log weights."""
-    rows = L.shape[0]
-    u = _uniforms(rng, rows)
+    the sampled lambda_min (else None), the log weights.
+
+    ``log_weights`` is copied once and never written.  The rounds write p_t,
+    Y = Z / p_t, each estimate and each step into arrays made once per
+    block, by the operations, in the order, of their out-of-place forms;
+    the rows p_t are kept, and <p_t, L[t]> is one dot product per row
+    (``_row_dots``) after the last round."""
+    rows, num = L.shape
+    u = _uniforms(rng, rows).tolist()
     mix, gamma_nu = 1.0 - config.gamma, config.gamma * exploration.weights
-    floor, basis, step = certificate.floor, certificate.basis, -config.eta
-    idx, loss_hat = np.empty(rows, dtype=np.int64), np.empty((rows, features.shape[0]))
-    min_eigs, expected = [None] * rows, np.empty(rows)
+    floor, basis, minus_eta = certificate.floor, certificate.basis, -config.eta
+    idx, min_eigs = np.empty(rows, dtype=np.int64), [None] * rows
+    plays, loss_hat = np.empty((rows, num)), np.empty((rows, num))
+    log_weights, step = log_weights.copy(), np.empty(num)
+    y = None if basis is None else np.empty_like(basis)
     for i in range(rows):
-        p = mix * softmax(log_weights) + gamma_nu
-        expected[i] = p @ L[i]
+        p = plays[i]
+        np.multiply(softmax(log_weights), mix, out=p)
+        p += gamma_nu
         j = idx[i] = _inverse_cdf(p, u[i])
         sampled = (start + i) % _MIN_EIG_EVERY == 0
         if basis is None or sampled:
@@ -250,13 +276,14 @@ def _bandit_block(log_weights: np.ndarray, start: int, config: BanditConfig,
             if not min_eig > floor:
                 raise IllConditionedCovarianceError(min_eig, floor)
         if basis is None:
-            loss_hat[i] = features @ _estimate_adversary(sigma, features[j], L[i, j])
+            np.matmul(features, _estimate_adversary(sigma, features[j], L[i, j]),
+                      out=loss_hat[i])
         else:
-            loss_hat[i] = _complement_estimate(basis, p, j, L[i, j])
-        log_weights = log_weights + step * loss_hat[i]
+            _complement_estimate(basis, p, j, L[i, j], y, loss_hat[i])
+        log_weights += np.multiply(loss_hat[i], minus_eta, out=step)
         if not np.isfinite(log_weights).all():
             raise InputError("log weights must be finite")
-    return (idx, L[np.arange(rows), idx], expected, np.abs(loss_hat).max(axis=1),
+    return (idx, L[np.arange(rows), idx], _row_dots(plays, L), np.abs(loss_hat).max(axis=1),
             min_eigs, log_weights)
 
 

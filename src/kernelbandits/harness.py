@@ -23,7 +23,8 @@ The learners are one table, ``_LEARNERS``; nothing else branches on the
 algorithm.  :func:`run_experiment` resolves its entry once and runs one seed
 loop, whose every play returns the played indices and losses, the expected
 losses <p_t, l_t> and the per-action loss totals; the best action comes from
-those totals, so L is formed twice per run.  The traces carry pseudo-regret,
+those totals, so after the learner's pass a run forms only the best
+column of L.  The traces carry pseudo-regret,
 sum_t <p_t, l_t> - min_a L_n(a), the quantity the regret theorems bound; it
 alone is bounded pathwise (for exponential weights from a uniform start it
 is >= 0 on every loss sequence, and at most log N / eta + eta (e - 2) G^4 t
@@ -45,6 +46,7 @@ from .errors import InputError
 from .kernels import (
     KernelSpec,
     Schedule,
+    _loss_column,
     _row_blocks,
     check_norm_bound,
     loss_matrix,
@@ -200,11 +202,12 @@ def build_trace(kernel: KernelSpec, actions: np.ndarray,
 
 def _regret_trace(kernel: KernelSpec, actions: np.ndarray, schedule: Schedule, losses,
                   action_indices, expected_losses, best_idx, best_total) -> RegretTrace:
-    """The trace against a known best action, whose column of full-width
-    rows of L, the bits the learners observe, is formed here."""
+    """The trace against a known best action, whose column of L, with the
+    bits of full-width rows that the learners observe, is formed here
+    (:func:`kernels._loss_column`)."""
     best_per_round = np.empty(len(schedule))
     for rows in _row_blocks(schedule):
-        best_per_round[rows] = loss_matrix(kernel, actions, schedule[rows])[:, best_idx]
+        best_per_round[rows] = _loss_column(kernel, actions, schedule[rows], best_idx)
     best_cum = np.cumsum(best_per_round)
     losses = np.asarray(losses, dtype=float)
     pseudo = (None if expected_losses is None

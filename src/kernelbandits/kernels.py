@@ -22,10 +22,14 @@ takes a schedule also takes a sequence of actions and converts it once with
 Each kernel's formula is written once, in ``_kernel_of_inner``, from inner
 products (and, for the Gaussian, squared norms): the cross shape K(X_i, Y_j) serves
 :func:`cross_gram` and :func:`loss_matrix`, the paired shape K(X_i, Y_i) the
-norm checks and conditional gradient's losses.  :func:`feature_matrix` is
+norm checks and conditional gradient's losses.  The formula consumes the
+array of inner products it is handed, working in place on it, so its
+callers hand it only temporaries they formed themselves; no array a caller
+of this module passes in is written.  :func:`feature_matrix` is
 the one explicit embedding.  :func:`loss_matrix` gives rows of the loss
 matrix L[t, j] = <Phi(a_j), w_t>; exponential weights and the bandit observe
-entries of these rows, the same entries the regret accounting charges.  Each
+entries of these rows, the same entries the regret accounting charges, which
+reads one column of them (``_loss_column``) with the same bits.  Each
 row is its own matrix-vector product, so a row does not depend on the block
 it is computed in.  Every walk over a whole schedule takes its row blocks
 from :func:`_row_blocks`, the one reader of ``_LOSS_BLOCK_ROWS``, so memory
@@ -258,19 +262,32 @@ def _kernel_of_inner(spec: KernelSpec, S: np.ndarray, X: np.ndarray,
     shape K(X_i, Y_j) from a 2-D S[i, j] = <X_i, Y_j>, or the paired shape
     K(X_i, Y_i) from a 1-D S[i] = <X_i, Y_i>.  Each kernel's formula is
     written here and nowhere else; only the Gaussian reads the points, for
-    their squared norms."""
+    their squared norms.
+
+    S is consumed: the formula works in place on it, and the result may be
+    S itself, so every caller hands over a fresh temporary (``X @ Y.T``,
+    :func:`_row_dots`, :func:`_row_products`).  The operations are those of
+    the out-of-place formula, in its order, so the bits are its bits; the
+    Gaussian forms one buffer besides S, the quadratic one."""
     if spec.variant == "linear":
         return S
     if spec.variant == "quadratic":
-        return S * S + S
+        K = S * S
+        K += S
+        return K
     if spec.variant == "gaussian":
         x_sq, y_sq = np.sum(X * X, axis=1), np.sum(Y * Y, axis=1)
         if S.ndim == 2:
             x_sq, y_sq = x_sq[:, None], y_sq[None, :]
-        sq = x_sq + y_sq - 2.0 * S
+        sq = np.add(x_sq, y_sq)
+        np.subtract(sq, np.multiply(S, 2.0, out=S), out=sq)
         np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * spec.sigma**2))
-    return (spec.offset + S) ** spec.degree
+        np.negative(sq, out=sq)
+        np.divide(sq, 2.0 * spec.sigma**2, out=sq)
+        return np.exp(sq, out=sq)
+    S += spec.offset
+    S **= spec.degree
+    return S
 
 
 def _kernel_of_pairs(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -432,6 +449,21 @@ def loss_matrix(spec: KernelSpec, actions: np.ndarray,
         raise InputError(f"explicit vector length {X.shape[1]} is not the "
                          f"feature dimension {features.shape[1]}")
     return _row_products(features, X)
+
+
+def _loss_column(spec: KernelSpec, actions: np.ndarray, schedule: Schedule,
+                 j: int) -> np.ndarray:
+    """Column j of ``loss_matrix(spec, actions, schedule)``, bit for bit, for
+    inputs that :func:`loss_matrix` accepts.  The inner products are formed
+    at full width, as there, so they keep their bits; the kernel formula
+    then runs on column j alone, and an explicit row takes column j of the
+    full product."""
+    actions = np.atleast_2d(np.asarray(actions, dtype=float))
+    X = schedule.gathered()
+    if not schedule.rank_one:
+        return _row_products(feature_matrix(spec, actions), X)[:, j]
+    S = _row_products(actions, X)[:, j]
+    return _kernel_of_inner(spec, S, X, actions[j:j + 1])
 
 
 def check_norm_bound(spec: KernelSpec, actions: np.ndarray) -> float:

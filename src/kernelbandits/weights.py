@@ -21,10 +21,13 @@ def _check_step_size(eta: float) -> None:
 def softmax(log_weights: np.ndarray) -> np.ndarray:
     """Normalized probabilities along the last axis, with max subtraction;
     never overflows.  A 1-D vector is the one-row case of a stack of rows,
-    and each row gets the same bits either way."""
+    and each row gets the same bits either way.  It makes one array of the
+    input's shape, the shifted log weights, and exponentiates and normalizes
+    that array in place into the result; ``log_weights`` is not written."""
     shifted = log_weights - log_weights.max(axis=-1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
+    return shifted
 
 
 @dataclass(frozen=True)

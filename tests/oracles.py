@@ -40,7 +40,14 @@ round, the reference for the rows of their array schedules.  ``adversary_feature
 enumeration.  ``kernel_eval`` and ``loss_eval`` are the scalar kernel and
 loss, each kernel's formula written out for one pair of points, the
 reference for the vectorized ``kernels.cross_gram`` and
-``kernels.loss_matrix``.  None of this is part of the learners themselves.
+``kernels.loss_matrix``.  ``kernel_of_inner_oracle`` and ``softmax_oracle``
+are the kernel formula and the softmax as they stood before they worked in
+place, each step a new array: the bit references for the in-place
+``kernels._kernel_of_inner`` and ``weights.softmax``.
+``whiten_features_eigh`` is whitening by the symmetric inverse square root
+of the design covariance, from one ``eigh``, the reference frame for the
+Cholesky whitening of ``design.whiten_features``.  None of this is part of
+the learners themselves.
 """
 
 from __future__ import annotations
@@ -110,6 +117,44 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.exp(-(diff @ diff) / (2.0 * spec.sigma**2)))
     s = float(x @ y)
     return (spec.offset + s) ** spec.degree
+
+
+def kernel_of_inner_oracle(spec: KernelSpec, S: np.ndarray, X: np.ndarray,
+                           Y: np.ndarray) -> np.ndarray:
+    """``kernels._kernel_of_inner`` as it stood before it worked in place:
+    every step forms a new array, and S is only read."""
+    if spec.variant == "linear":
+        return S.copy()
+    if spec.variant == "quadratic":
+        return S * S + S
+    if spec.variant == "gaussian":
+        x_sq, y_sq = np.sum(X * X, axis=1), np.sum(Y * Y, axis=1)
+        if S.ndim == 2:
+            x_sq, y_sq = x_sq[:, None], y_sq[None, :]
+        sq = x_sq + y_sq - 2.0 * S
+        np.maximum(sq, 0.0, out=sq)
+        return np.exp(-sq / (2.0 * spec.sigma**2))
+    return (spec.offset + S) ** spec.degree
+
+
+def softmax_oracle(log_weights: np.ndarray) -> np.ndarray:
+    """``weights.softmax`` as it stood before it worked in place: the
+    shifted weights, their exponentials and the quotient each a new array."""
+    shifted = log_weights - log_weights.max(axis=-1, keepdims=True)
+    w = np.exp(shifted)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def whiten_features_eigh(features: np.ndarray, nu: DiscreteDistribution) -> np.ndarray:
+    """``design.whiten_features`` as it stood before it whitened by a
+    Cholesky factor: F Sigma^-1/2 / sqrt(m) with the symmetric inverse
+    square root of the design covariance, from one ``eigh``."""
+    F = np.atleast_2d(np.asarray(features, dtype=float))
+    m = F.shape[1]
+    vals, vecs = np.linalg.eigh(design.action_covariance(nu.weights, F))
+    if vals[0] <= 0:
+        raise RankDeficiencyError(int((vals > 0).sum()), m)
+    return F @ ((vecs / np.sqrt(vals)) @ vecs.T).T / np.sqrt(m)
 
 
 def loss_eval(spec: KernelSpec, a: np.ndarray, w) -> float:

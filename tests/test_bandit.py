@@ -434,6 +434,31 @@ def test_run_bandit_is_a_fold_of_bandit_round(case):
     assert state.round == fold_state.round
 
 
+@pytest.mark.parametrize("case", ["linear", "complement"])
+def test_rounds_and_runs_leave_the_callers_arrays_unchanged(case):
+    # the block step copies the log weights it is handed once and writes
+    # only arrays of its own: bandit_round, run_bandit and full_info_round
+    # leave the state's log weights, and every other array, with their bits
+    from kernelbandits.fullinfo import full_info_round
+    from kernelbandits.harness import unit_vector_adversary
+
+    kernel, actions, features, nu, cfg = _path_case(case, 60)
+    schedule = unit_vector_adversary(actions.shape[1]).materialize(
+        60, component_rng(15, "adv"))
+    log_weights = component_rng(15, "log-weights").standard_normal(actions.shape[0])
+    state = WeightState(log_weights, 0)
+    assert state.log_weights is log_weights
+    handed = (log_weights, actions, features, nu.weights, schedule.rows, schedule.index)
+    before = [a.copy() for a in handed]
+    stepped, _ = bandit_round(state, cfg, kernel, actions, features, nu, schedule[0],
+                              component_rng(15, "player"))
+    assert not np.array_equal(stepped.log_weights, log_weights)
+    run_bandit(kernel, actions, features, nu, cfg, schedule, component_rng(15, "player"))
+    full_info_round(state, 0.1, kernel, actions, schedule[0], component_rng(15, "player"))
+    for array, copy in zip(handed, before):
+        assert array.tobytes() == copy.tobytes()
+
+
 def test_weights_concentrate_on_zero_loss_action():
     # e2 has loss 0 every round, e1 loss 1: mass must move to e2
     actions = np.eye(2)
@@ -565,7 +590,8 @@ def test_complement_estimate_matches_the_covariance_solve(gamma, concentration):
         lam = float(np.linalg.eigvalsh(sigma)[0])
         for i in range(num):
             loss = float(rng.uniform(-1.0, 1.0))
-            via_complement = bandit._complement_estimate(Z, p, i, loss)
+            via_complement = bandit._complement_estimate(Z, p, i, loss, np.empty_like(Z),
+                                                        np.empty(num))
             via_covariance = features @ bandit._estimate_adversary(sigma, features[i], loss)
             f_i = float(np.linalg.norm(features[i]))
             bound_complement = (num + 12) * (k + 1) * _UNIT_ROUNDOFF * abs(loss) / (

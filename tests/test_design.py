@@ -23,7 +23,7 @@ from kernelbandits.errors import (
 from kernelbandits.kernels import KernelSpec
 from kernelbandits.proxy import build_proxy, proxy_features
 from kernelbandits.rng import component_rng
-from oracles import d_optimal_design_exact, fibonacci_sphere
+from oracles import d_optimal_design_exact, fibonacci_sphere, whiten_features_eigh
 
 
 def test_distribution_validation():
@@ -377,6 +377,35 @@ def test_mixture_eigenvalue_floor_after_whitening():
             mixed = DiscreteDistribution((1 - gamma) * q.weights + gamma * nu.weights)
             cov = action_covariance(mixed.weights, W)
             assert np.linalg.eigvalsh(cov)[0] >= gamma / 4 - 1e-9
+
+
+def test_cholesky_whitening_of_the_benchmark_set():
+    # F L^-T / sqrt(m) makes the design covariance I / m, as the symmetric
+    # inverse square root did; the two frames differ by an orthogonal map,
+    # so the squared row norms (whose max is the Kiefer-Wolfowitz ratio)
+    # agree to rounding
+    F = _bench_design_set()
+    m = F.shape[1]
+    nu = d_optimal_design(F)
+    W = whiten_features(F, nu)
+    assert np.abs(action_covariance(nu.weights, W) - np.eye(m) / m).max() <= 1e-12
+    reference = whiten_features_eigh(F, nu)
+    assert abs(np.einsum("ij,ij->i", W, W).max()
+               - np.einsum("ij,ij->i", reference, reference).max()) <= 1e-12
+
+
+def test_whitening_refuses_a_design_covariance_with_a_null_direction():
+    # a feature column of zeros, or a design on 60 of the 150 actions, gives
+    # the design covariance null directions: the Cholesky factorization
+    # fails, and the error carries the covariance's rank
+    F = _bench_design_set()
+    nu = d_optimal_design(F)
+    with pytest.raises(RankDeficiencyError) as err:
+        whiten_features(np.column_stack((F, np.zeros(F.shape[0]))), nu)
+    assert (err.value.rank, err.value.dim) == (127, 128)
+    with pytest.raises(RankDeficiencyError) as err:
+        whiten_features(F, DiscreteDistribution(np.repeat([1.0 / 60, 0.0], [60, 90])))
+    assert (err.value.rank, err.value.dim) == (60, 127)
 
 
 def test_reduce_to_span():

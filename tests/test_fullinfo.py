@@ -39,6 +39,7 @@ from oracles import (
     mean_feature,
     min_oracle,
     run_cg_with_gaps,
+    softmax_oracle,
 )
 
 LINEAR = KernelSpec.linear(G=1.0)
@@ -93,6 +94,18 @@ def test_distribution_equals_softmax_of_cumulative_losses():
         expected = np.exp(-eta * cum - (-eta * cum).max())
         expected /= expected.sum()
         assert np.abs(softmax(state.log_weights) - expected).max() <= 1e-12
+
+
+def test_softmax_has_the_out_of_place_bits():
+    # softmax exponentiates and normalizes its one temporary in place; it
+    # must give the bits of the out-of-place form, row by row, and leave
+    # its input unchanged
+    rng = component_rng(24, "softmax")
+    for shape in ((1,), (8,), (150,), (3, 150), (256, 64)):
+        log_weights = 40.0 * rng.standard_normal(shape) - 700.0
+        before = log_weights.copy()
+        assert np.array_equal(softmax(log_weights), softmax_oracle(log_weights)), shape
+        assert np.array_equal(log_weights, before), shape
 
 
 @pytest.mark.parametrize("spec", BIT_KERNELS, ids=lambda s: s.variant)

@@ -33,6 +33,7 @@ from kernelbandits.kernels import (
     KernelSpec,
     RankOne,
     Schedule,
+    _loss_column,
     loss_matrix,
     make_explicit,
 )
@@ -140,6 +141,7 @@ def test_loss_matrix_rows_per_run(monkeypatch, algo):
     # every learner returns its loss totals, so a run forms L at most twice
     # per seed: in the learner's pass (none for CG) and for the best
     # action's column, counted over every module that imports loss_matrix
+    # or its one-column form _loss_column
     import kernelbandits.bandit as bandit_mod
     import kernelbandits.fullinfo as fullinfo_mod
     import kernelbandits.kernels as kernels_mod
@@ -150,8 +152,14 @@ def test_loss_matrix_rows_per_run(monkeypatch, algo):
         rows.append(len(Schedule.of(schedule)))
         return loss_matrix(spec, actions, schedule)
 
+    def counted_column(spec, actions, schedule, j):
+        rows.append(len(schedule))
+        return _loss_column(spec, actions, schedule, j)
+
     for module in (kernels_mod, harness, fullinfo_mod, bandit_mod):
         monkeypatch.setattr(module, "loss_matrix", counted)
+    for module in (kernels_mod, harness):
+        monkeypatch.setattr(module, "_loss_column", counted_column)
     n, seeds = 600, (0, 1)
     config = ExperimentConfig(algo=algo, kernel=LINEAR, actions=ball_directions(8),
                               adversary=unit_vector_adversary(2), n=n, seeds=seeds,

@@ -14,7 +14,12 @@ from kernelbandits.kernels import (
     KernelSpec,
     RankOne,
     Schedule,
+    _kernel_of_pairs,
+    _loss_column,
+    _row_dots,
+    _row_products,
     check_norm_bound,
+    cross_gram,
     feature_map,
     feature_matrix,
     gram_matrix,
@@ -25,7 +30,13 @@ from kernelbandits.kernels import (
     validate_points,
 )
 from kernelbandits.rng import component_rng
-from oracles import BIT_KERNELS, kernel_eval, kernel_schedules, loss_eval
+from oracles import (
+    BIT_KERNELS,
+    kernel_eval,
+    kernel_of_inner_oracle,
+    kernel_schedules,
+    loss_eval,
+)
 
 LINEAR = KernelSpec.linear(G=1.0)
 QUAD = KernelSpec.quadratic(G=2.0)
@@ -256,6 +267,74 @@ def test_loss_matrix_on_schedule_slices_equals_lists(spec):
             assert np.array_equal(loss_matrix(spec, actions, schedule[start:stop]),
                                   loss_matrix(spec, actions, listed[start:stop])), \
                 (kind, start, stop)
+
+
+# every formula of _kernel_of_inner: the cubic of BIT_KERNELS and a
+# degree-2 polynomial, whose power numpy computes as a square
+_FORMULAS = BIT_KERNELS + (POLY2,)
+
+
+def _formula_id(spec):
+    return spec.variant + (str(spec.degree) if spec.degree else "")
+
+
+def _ball_rows(rng, num, d):
+    rows = rng.standard_normal((num, d))
+    return rows / (1.25 * np.linalg.norm(rows, axis=1)[:, None])
+
+
+@pytest.mark.parametrize("spec", _FORMULAS, ids=_formula_id)
+def test_in_place_kernel_formula_has_the_out_of_place_bits(spec):
+    # the formula works in place on the inner products it is handed; each
+    # caller must still get the bits of the out-of-place formula, on the
+    # cross shape, the paired shape and a (1, d) side of either
+    rng = component_rng(21, f"in-place-{spec.variant}")
+    for rows, cols, d in ((40, 12, 3), (1, 12, 3), (40, 1, 3), (1, 1, 3), (256, 150, 5)):
+        X, Y = _ball_rows(rng, rows, d), _ball_rows(rng, cols, d)
+        assert np.array_equal(cross_gram(spec, X, Y),
+                              kernel_of_inner_oracle(spec, X @ Y.T, X, Y)), (rows, cols)
+        assert np.array_equal(loss_matrix(spec, Y, Schedule(True, np.arange(rows), X)),
+                              kernel_of_inner_oracle(spec, _row_products(Y, X), X, Y)), \
+            (rows, cols)
+        Z = _ball_rows(rng, rows, d)
+        assert np.array_equal(_kernel_of_pairs(spec, X, Z),
+                              kernel_of_inner_oracle(spec, _row_dots(X, Z), X, Z)), rows
+
+
+@pytest.mark.parametrize("spec", _FORMULAS, ids=_formula_id)
+def test_kernel_calls_leave_the_callers_arrays_unchanged(spec):
+    # the formula consumes only the temporaries its callers form; every
+    # array a caller hands in keeps its bits
+    rng = component_rng(22, f"untouched-{spec.variant}")
+    X, Y = _ball_rows(rng, 30, 3), _ball_rows(rng, 12, 3)
+    before = X.copy(), Y.copy()
+    cross_gram(spec, X, Y)
+    gram_matrix(spec, X)
+    assert np.array_equal(X, before[0]) and np.array_equal(Y, before[1])
+    for kind, listed in kernel_schedules(spec, 3, 300, seed=22).items():
+        schedule = Schedule.of(listed)
+        rows, index = schedule.rows.copy(), schedule.index.copy()
+        loss_matrix(spec, Y, schedule)
+        _loss_column(spec, Y, schedule, 5)
+        assert np.array_equal(Y, before[1]), kind
+        assert np.array_equal(schedule.rows, rows) and np.array_equal(schedule.index, index), kind
+
+
+@pytest.mark.parametrize("spec", _FORMULAS, ids=_formula_id)
+def test_loss_column_is_the_loss_matrix_column(spec):
+    # the accounting reads one column of L; it must have the bits of that
+    # column of the full-width rows, for each kind of schedule, action count
+    # and block of rows
+    rng = component_rng(23, f"column-{spec.variant}")
+    for num in (1, 12, 150):
+        actions = _ball_rows(rng, num, 3)
+        for kind, listed in kernel_schedules(spec, 3, 600, seed=23).items():
+            schedule = Schedule.of(listed)
+            for rows in (slice(0, 600), slice(255, 513), slice(7, 8)):
+                L = loss_matrix(spec, actions, schedule[rows])
+                for j in range(num):
+                    assert np.array_equal(_loss_column(spec, actions, schedule[rows], j),
+                                          L[:, j]), (num, kind, rows, j)
 
 
 def test_malformed_schedules_raise_input_error():
