@@ -50,7 +50,7 @@ from .kernels import (
 )
 from .quadratic import QuadraticObjective, trs_minimize
 from .rng import sample_indices
-from .weights import WeightState, _check_step_size, softmax
+from .weights import WeightState, _check_step_size, _running_sums, softmax
 
 __all__ = [
     "UnitBall",
@@ -167,16 +167,24 @@ def _ew_block(log_weights: np.ndarray, eta: float, L: np.ndarray,
     """Exponential weights over the rows of a block of the loss matrix.
 
     Row t plays from the softmax of the log weights before it, then every
-    log weight moves by -eta times its loss.  The cumulative sum down the
-    stacked rows adds the steps one at a time, so each row's log weights
-    have the bits of the per-round fold.  Returns the played indices, their
-    losses, the expected losses <p_t, l_t> and the log weights after the
-    last row.
+    log weight moves by -eta times its loss.  The log weights and the steps
+    -eta L are written into one buffer, padded to an even width with a
+    column that softmax and the draw never read, and summed down the rows
+    by :func:`~kernelbandits.weights._running_sums`, two actions per add.
+    Each action's sum still adds the steps one at a time, so each row's log
+    weights have the bits of the per-round fold.  Returns the played
+    indices, their losses, the expected losses <p_t, l_t> and the log
+    weights after the last row.
     """
-    cum = np.cumsum(np.vstack([log_weights, -eta * L]), axis=0)
+    rows, num = L.shape
+    buf = np.empty((rows + 1, num + num % 2))
+    buf[:, num:] = 0.0
+    buf[0, :num] = log_weights
+    np.multiply(L, -eta, out=buf[1:, :num])
+    cum = _running_sums(buf)[:, :num]
     probs = softmax(cum[:-1])
     idx = sample_indices(probs, rng)
-    losses = L[np.arange(L.shape[0]), idx]
+    losses = L[np.arange(rows), idx]
     expected = _row_dots(probs, L)
     return idx, losses, expected, cum[-1]
 
@@ -298,21 +306,29 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, action_set,
     so the stretch keeps every round's weights and draws every round with
     one :func:`~kernelbandits.rng.sample_indices` call over the columns that
     hold weight, whose rule never plays a zero weight.  The running adversary
-    sums are one cumulative sum down the stretch, which adds the rows one at
-    a time.  The adversary features are the stretch's explicit vectors, or
-    one :func:`feature_matrix` call on its points.  The losses take one
-    paired kernel call on rank-one rows, or one embedding of the played
-    points and one batched row product on explicit rows; every output has
-    the bits of per-round calls.  Returns the state after the
-    stretch and, per round, the played table row, its loss, <x_t, w_t> for
-    the mean x_t it played from and the count of nonzero weights.
+    sums are the carried sum and the stretch's rows in one buffer, padded to
+    an even width and summed down the stretch by
+    :func:`~kernelbandits.weights._running_sums`, two coordinates per add;
+    each coordinate still adds the rows one at a time, so its sums have the
+    bits of a per-round fold.  The adversary features are the stretch's
+    explicit vectors, or one :func:`feature_matrix` call on its points.
+    The losses take one paired kernel call on rank-one rows, or one
+    embedding of the played points and one batched row product on explicit
+    rows; every output has the bits of per-round calls.  Returns the state
+    after the stretch and, per round, the played table row, its loss,
+    <x_t, w_t> for the mean x_t it played from and the count of nonzero
+    weights.
     """
     rows = len(schedule)
     table, w = _cg_table(action_set, state.combo, rows)
     X = schedule.gathered()
-    adversary = np.vstack((state.cum_adversary,
-                           feature_matrix(kernel, X) if schedule.rank_one else X))
-    cum = np.cumsum(adversary, axis=0)
+    adversary = feature_matrix(kernel, X) if schedule.rank_one else X
+    dim = adversary.shape[1]
+    buf = np.empty((rows + 1, dim + dim % 2))
+    buf[:, dim:] = 0.0
+    buf[0, :dim] = state.cum_adversary
+    buf[1:, :dim] = adversary
+    cum = _running_sums(buf)[:, :dim]
     eta_cum = config.eta * cum[:-1]
 
     weights = np.zeros((rows + 1, table.shape[0]))
@@ -346,7 +362,7 @@ def _cg_block(state: CGState, config: CGConfig, kernel: KernelSpec, action_set,
               else _row_dots(feature_matrix(kernel, played), X))
     combo = ConvexCombination(table, p)
     return (CGState(combo, mean, cum[-1], x1, t + rows), idx, losses,
-            _row_dots(means, adversary[1:]), np.count_nonzero(held[1:], axis=1))
+            _row_dots(means, adversary), np.count_nonzero(held[1:], axis=1))
 
 
 def cg_round(state: CGState, config: CGConfig, kernel: KernelSpec,

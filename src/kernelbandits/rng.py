@@ -21,6 +21,7 @@ import numbers
 import numpy as np
 
 from .errors import InputError
+from .weights import _running_sums
 
 __all__ = ["component_stream_id", "component_rng"]
 
@@ -55,17 +56,32 @@ def _inverse_cdf(weights: np.ndarray, u) -> np.ndarray | int:
     stack, for one uniform ``u`` per row: the first index whose running sum
     exceeds u times the total, so ties and rounding resolve toward lower ones,
     capped at the last index of positive weight (u rounds to 1.0 for the top
-    2^10 bit patterns, and a zero tail's running sums equal the total)."""
-    cum = weights.cumsum(axis=-1)
-    # searchsorted(side="right") on each nondecreasing row but its last entry;
-    # only a draw of the last index can have zero weight, and only it is capped
-    if cum.ndim == 1:
+    2^10 bit patterns, and a zero tail's running sums equal the total).
+
+    A stack of two or more rows is copied transposed into an (N, rows)
+    buffer, padded to an even width, and summed down axis 0 by
+    :func:`~kernelbandits.weights._running_sums`, two rounds per add; each
+    round's sums still add its weights one at a time in index order, so they
+    have the bits of the row's own cumsum.  A row, and a one-row stack, keep
+    the plain cumsum, which needs no buffer.  ``weights`` is not written."""
+    if weights.ndim == 1:
+        cum = weights.cumsum()
+        # searchsorted(side="right") on the nondecreasing sums but the last;
+        # only a draw of the last index can have zero weight, and only it is capped
         i = np.count_nonzero(cum[:-1] <= u * cum[-1])
         return i if weights[i] > 0 else weights.size - 1 - (weights[::-1] > 0).argmax()
-    idx = (cum[:, :-1] <= (u * cum[:, -1])[:, None]).sum(axis=-1)
+    rows, num = weights.shape
+    if rows == 1:
+        cum = weights.cumsum(axis=-1).T
+    else:
+        buf = np.empty((num, rows + rows % 2))
+        buf[:, rows:] = 0.0
+        buf[:, :rows] = weights.T
+        cum = _running_sums(buf)[:, :rows]
+    idx = (cum[:-1] <= u * cum[-1]).sum(axis=0)
     if not weights[:, -1].all():
         zero = np.flatnonzero(weights[np.arange(idx.size), idx] == 0)
-        idx[zero] = weights.shape[-1] - 1 - (weights[zero, ::-1] > 0).argmax(axis=-1)
+        idx[zero] = num - 1 - (weights[zero, ::-1] > 0).argmax(axis=-1)
     return idx
 
 

@@ -18,6 +18,21 @@ def _check_step_size(eta: float) -> None:
         raise PreconditionError(f"step size eta = {eta!r}; need finite and > 0")
 
 
+def _running_sums(buf: np.ndarray) -> np.ndarray:
+    """Running sums down axis 0 of a C-contiguous (r, 2c) float64 ``buf``,
+    in place, two columns per add; returns ``buf``.
+
+    It views ``buf`` as (r, c) complex128, whose add is two independent
+    IEEE double adds, one per column of a pair, so every entry has the bits
+    of ``np.cumsum(buf, axis=0)``: each column is still summed one row at a
+    time, in row order.  The two columns share one pass, about half the
+    time of a float64 cumsum down the same block.  Callers pad an odd width
+    with a column they never read."""
+    pairs = buf.view(np.complex128)
+    np.cumsum(pairs, axis=0, out=pairs)
+    return buf
+
+
 def softmax(log_weights: np.ndarray) -> np.ndarray:
     """Normalized probabilities along the last axis, with max subtraction;
     never overflows.  A 1-D vector is the one-row case of a stack of rows,

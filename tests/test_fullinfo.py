@@ -113,25 +113,30 @@ def test_block_pass_equals_per_round_fold(spec):
     # run_full_info_ew walks blocks of _LOSS_BLOCK_ROWS rows of L; a loop of
     # full_info_round is the same step one row at a time, and ew_fold_oracle
     # is a plain loop with scalar draws.  Lengths around the block size cover
-    # a partial block, an exact block and a carried block.
-    actions = component_rng(5, "fold-actions").standard_normal((9, 3))
-    actions /= 1.25 * np.linalg.norm(actions, axis=1)[:, None]
+    # a partial block, an exact block and a carried block.  The block sums
+    # two actions per add, so 9 actions take a pad column and 64 (the
+    # benchmark's count) none.
     eta = 0.3
-    for kind, full in kernel_schedules(spec, 3, 1000, seed=5).items():
-        for n in (1, 255, 256, 257, 1000):
-            schedule = full[:n]
-            records, final = run_full_info_ew(spec, actions, schedule, eta,
-                                              component_rng(n, "player"))
-            state, rng = WeightState.uniform(9), component_rng(n, "player")
-            folded = []
-            for w in schedule:
-                state, rec = full_info_round(state, eta, spec, actions, w, rng)
-                folded.append(rec)
-            blocked = _play_bytes(records, final)
-            assert blocked == _play_bytes(folded, state), (kind, n)
-            oracle = ew_fold_oracle(spec, actions, schedule, eta,
-                                    component_rng(n, "player"))
-            assert blocked[1:] == tuple(a.tobytes() for a in oracle), (kind, n)
+    for num_actions in (9, 64):
+        actions = component_rng(5, "fold-actions").standard_normal((num_actions, 3))
+        actions /= 1.25 * np.linalg.norm(actions, axis=1)[:, None]
+        for kind, full in kernel_schedules(spec, 3, 1000, seed=5).items():
+            for n in (1, 255, 256, 257, 1000):
+                schedule = full[:n]
+                records, final = run_full_info_ew(spec, actions, schedule, eta,
+                                                  component_rng(n, "player"))
+                state = WeightState.uniform(num_actions)
+                rng = component_rng(n, "player")
+                folded = []
+                for w in schedule:
+                    state, rec = full_info_round(state, eta, spec, actions, w, rng)
+                    folded.append(rec)
+                blocked = _play_bytes(records, final)
+                case = (num_actions, kind, n)
+                assert blocked == _play_bytes(folded, state), case
+                oracle = ew_fold_oracle(spec, actions, schedule, eta,
+                                        component_rng(n, "player"))
+                assert blocked[1:] == tuple(a.tobytes() for a in oracle), case
 
 
 def _play_bytes(records, state):

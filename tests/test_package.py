@@ -57,9 +57,11 @@ def test_the_package_entry_imports_nothing():
 
 
 def test_the_walk_and_the_draw_have_one_owner():
-    # the block size of every schedule walk is read only in kernels.py, and
-    # the raw 64-bit stream only in rng.py, so each is decided in one place
-    owners = {"_LOSS_BLOCK_ROWS": "kernels.py", "random_raw": "rng.py"}
+    # the block size of every schedule walk is read only in kernels.py, the
+    # raw 64-bit stream only in rng.py, and the pairing of float64 columns
+    # as complex128 only in weights.py, so each is decided in one place
+    owners = {"_LOSS_BLOCK_ROWS": "kernels.py", "random_raw": "rng.py",
+              "complex128": "weights.py"}
     readers = {name: set() for name in owners}
     for path in sorted(Path(kernelbandits.__path__[0]).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

@@ -5,6 +5,7 @@ from kernelbandits.errors import InputError
 from kernelbandits.fullinfo import full_info_ew_play
 from kernelbandits.kernels import KernelSpec, make_rank_one
 from kernelbandits.rng import _inverse_cdf, component_rng, sample_indices
+from kernelbandits.weights import _running_sums
 from oracles import FixedBits, sample_index, scalar_inverse_cdf
 
 
@@ -123,3 +124,48 @@ def test_the_draw_never_plays_a_zero_tail():
     idx = full_info_ew_play(linear, actions, schedule, 1000.0, FixedBits(2**64 - 1))[0]
     assert idx[0] == 2
     assert (idx[1:] == 0).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (7, 2), (255, 63), (256, 64), (257, 65)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_a_stack_draws_each_row_by_the_scalar_rule(shape):
+    # a stack of two or more rows is summed transposed, two rows per add, in
+    # a buffer padded to an even width (odd row counts take a pad column);
+    # each row must draw the scalar rule's index, on zero tails and on the
+    # top 2^10 bit patterns, where u rounds to 1.0, and the stack is not written
+    rows, num = shape
+    weights = component_rng(rows * num, "stack").random(shape)
+    weights[::3, (num + 1) // 2:] = 0.0   # zero tails
+    weights[1::3, :num // 2] = 0.0        # leading zeros
+    bits = component_rng(rows, "stack-draws").bit_generator.random_raw(rows)
+    top = np.array([2**64 - 1, 2**64 - 1024, 2**64 - 1025], dtype=np.uint64)
+    bits[::2] = np.resize(top, bits[::2].size)
+    before = weights.copy()
+    drawn = _inverse_cdf(weights, bits / 2.0**64)
+    assert weights.tobytes() == before.tobytes()
+    assert drawn.tolist() == [scalar_inverse_cdf(w, b) for w, b in zip(weights, bits)]
+    if num > 1:
+        # row 0 draws a top pattern on a zero tail: capped at its last weight
+        assert drawn[0] == (num + 1) // 2 - 1 < num - 1
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 64, 65])
+@pytest.mark.parametrize("rows", [1, 2, 257])
+def test_running_sums_have_the_bits_of_cumsum(rows, cols):
+    # two float64 columns per complex128 add must give every entry the bits
+    # of numpy's float64 cumsum down axis 0, NaN, infinities and -0.0 too;
+    # an odd width of data takes a zero pad column
+    data = component_rng(rows * cols, "running-sums").standard_normal((rows, cols))
+    data[:, ::4] *= 1e307            # sums that overflow to +-inf
+    data.flat[1::7] = np.nan
+    data.flat[2::11] = np.inf
+    data.flat[3::13] = -np.inf
+    data[0] = -0.0                   # -0.0 + -0.0 stays -0.0
+    data[:, -1] = -0.0
+    buf = np.zeros((rows, cols + cols % 2))
+    buf[:, :cols] = data
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.cumsum(buf, axis=0)
+        summed = _running_sums(buf)
+    assert summed is buf
+    assert summed.tobytes() == expected.tobytes()
